@@ -16,6 +16,7 @@ The last line of stdout is the run's result object.
 """
 
 import argparse
+import hashlib
 import os
 import pathlib
 import signal
@@ -28,7 +29,8 @@ OUT = ROOT / ".bench_build"
 CMAKE_DIR = OUT / "cmake"
 MODELS = OUT / "models"
 RECORDS = OUT / "records"
-PREPARED = MODELS / "prepared"
+PREPARED = MODELS / "prepared"  # holds inputs_digest() of the last prepare
+COMMITTED_MODELS = ".taste_model_cache"
 WORKLOADS = ("wiki_batch", "git_batch", "wide_batch", "fleet_batch")
 RUN_TIMEOUT_S = 170
 
@@ -64,12 +66,24 @@ def build(target):
     return CMAKE_DIR / target
 
 
-def prepare(driver):
-    if PREPARED.is_file():
+def inputs_digest():
+    """Hash of what the prepared model cache is made from: every committed
+    checkpoint and the driver source that names them."""
+    h = hashlib.sha256()
+    files = sorted((ROOT / COMMITTED_MODELS).glob("*"))
+    for path in files + [BENCH_DIR / "driver.cc"]:
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def prepare(driver, force):
+    digest = inputs_digest()
+    if not force and PREPARED.is_file() and PREPARED.read_text() == digest:
         return
+    PREPARED.unlink(missing_ok=True)
     if call([str(driver), "--prepare", "--models", str(MODELS)], 900) != 0:
         fail("model preparation failed")
-    PREPARED.touch()
+    PREPARED.write_text(digest)
 
 
 def main():
@@ -85,7 +99,7 @@ def main():
     if args.self_test:
         sys.exit(call([str(build("perfbench_stats_test"))], 60))
     driver = build("perfbench_driver")
-    prepare(driver)
+    prepare(driver, force=args.prepare)
     if args.prepare:
         return
     if None in (args.workload, args.seed, args.seconds, args.trace):
