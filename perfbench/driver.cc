@@ -13,7 +13,12 @@
 //                    --models DIR [--record FILE]
 //   perfbench_driver --prepare --models DIR
 //
-// --trace 0 measures the end-to-end metrics. --trace 1 measures the
+// --trace 0 measures the end-to-end metrics. Their timings are CPU time of
+// every serving process (the driver and, on the fleet, its replicas): on a
+// shared virtual host the hypervisor steals 15-30% of each CPU for minutes
+// at a time, which halves wall-clock throughput, while the kernel leaves
+// stolen time out of CPU time (CONFIG_PARAVIRT_TIME_ACCOUNTING). Wall-clock
+// throughput and latency go to the record. --trace 1 measures the
 // per-layer metrics: it alternates untraced and traced windows (the ratio
 // is the tracing overhead), then replays a sample of the traced tables
 // through the detector's four stage functions and the leaf calls each stage
@@ -27,6 +32,7 @@
 
 #include <signal.h>
 #include <sys/utsname.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -113,16 +119,6 @@ constexpr int kSetupRepeats = 3;     // setup_s is the median of these
 constexpr size_t kWarmupTables = 128;
 // A timed window runs at least this many batches, so p90 has 10 beyond it.
 constexpr size_t kMinBatches = 100;
-// A window during which the hypervisor stole more than kMaxStealFrac of the
-// machine's CPU time measures the host as much as the program. It is run
-// again on the same tables, at most kMaxWindows times in all and only while
-// another window would still end kWindowsDeadlineS after the run started;
-// the run then reports its least-stolen window. A run always reports: a
-// refused run would only be run again on the same busy host, and every
-// extra window lengthens the whole set of runs.
-constexpr double kMaxStealFrac = 0.05;
-constexpr int kMaxWindows = 2;
-constexpr double kWindowsDeadlineS = 60.0;
 // Latent-cache entries each detector keeps. A closed loop of fresh tables
 // needs only its in-flight tables cached (P2 reads what P1 of the same batch
 // stored). The default (4096) lets RSS climb by ~1.7 MB per table served
@@ -358,6 +354,32 @@ pipeline::BatchResult RunBatch(Serving& s,
                              : s.executor->RunBatch(tables);
 }
 
+/// The processes that serve: this one (pid 0) and each live replica.
+std::vector<pid_t> ServingPids(Serving& s, int replicas) {
+  std::vector<pid_t> pids = {0};
+  if (s.router != nullptr) {
+    for (int id = 0; id < replicas; ++id) {
+      const serve::Replica* r = s.router->supervisor().replica(id);
+      if (r != nullptr && r->pid > 0) pids.push_back(r->pid);
+    }
+  }
+  return pids;
+}
+
+/// CPU seconds the processes have run, summed over all their threads.
+double CpuSeconds(const std::vector<pid_t>& pids) {
+  double sum = 0.0;
+  for (const pid_t pid : pids) {
+    clockid_t clock = CLOCK_PROCESS_CPUTIME_ID;
+    timespec ts{};
+    if ((pid == 0 || clock_getcpuclockid(pid, &clock) == 0) &&
+        clock_gettime(clock, &ts) == 0) {
+      sum += static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+    }
+  }
+  return sum;
+}
+
 // ---------------------------------------------------------------------------
 // Closed-loop windows
 // ---------------------------------------------------------------------------
@@ -391,10 +413,12 @@ double StealSeconds() {
 }
 
 struct Window {
-  std::vector<double> batch_ms;
+  std::vector<double> batch_ms;      // wall
+  std::vector<double> batch_cpu_ms;  // CPU of all serving processes
   int64_t tables = 0;
   int64_t failed = 0;
   double wall_s = 0.0;
+  double cpu_s = 0.0;
   double steal_frac = 0.0;  // stolen CPU time / (CPUs x wall time)
   int inflight_max = 0;
   int64_t p2_chunk_lookups = 0;  // chunks whose columns went to P2
@@ -429,7 +453,9 @@ Window RunWindow(Serving& s, const Workload& w, const Inputs& in,
   Window win;
   const int split = s.model.model->config().input.column_split_threshold;
   std::vector<std::string> names;
+  const std::vector<pid_t> pids = ServingPids(s, w.replicas);
   const double steal_before_s = StealSeconds();
+  const double cpu_before_s = CpuSeconds(pids);
   Stopwatch sw;
   while (true) {
     const double elapsed = sw.ElapsedSeconds();
@@ -442,9 +468,11 @@ Window RunWindow(Serving& s, const Workload& w, const Inputs& in,
       win.pool_exhausted = true;
       break;
     }
+    const double batch_cpu_s = CpuSeconds(pids);
     Stopwatch batch_sw;
     pipeline::BatchResult batch = RunBatch(s, names);
     win.batch_ms.push_back(batch_sw.ElapsedMillis());
+    win.batch_cpu_ms.push_back(1e3 * (CpuSeconds(pids) - batch_cpu_s));
     if (s.executor != nullptr) {
       win.inflight_max = std::max(
           win.inflight_max, s.executor->stats().max_tables_in_flight);
@@ -474,6 +502,7 @@ Window RunWindow(Serving& s, const Workload& w, const Inputs& in,
     }
   }
   win.wall_s = sw.ElapsedSeconds();
+  win.cpu_s = CpuSeconds(pids) - cpu_before_s;
   const double cpus = static_cast<double>(sysconf(_SC_NPROCESSORS_ONLN));
   win.steal_frac = (StealSeconds() - steal_before_s) / (cpus * win.wall_s);
   return win;
@@ -589,12 +618,9 @@ double PeakRssMb(const std::string& pid) {
 
 /// The driver's peak RSS plus that of every live replica.
 double FleetPeakRssMb(Serving& s, int replicas) {
-  double mb = PeakRssMb("self");
-  if (s.router != nullptr) {
-    for (int id = 0; id < replicas; ++id) {
-      const serve::Replica* r = s.router->supervisor().replica(id);
-      if (r != nullptr && r->pid > 0) mb += PeakRssMb(std::to_string(r->pid));
-    }
+  double mb = 0.0;
+  for (const pid_t pid : ServingPids(s, replicas)) {
+    mb += PeakRssMb(pid == 0 ? "self" : std::to_string(pid));
   }
   return mb;
 }
@@ -943,7 +969,6 @@ int Run(const Args& args) {
     std::fprintf(stderr, "unknown workload %s\n", args.workload.c_str());
     return 2;
   }
-  const Stopwatch run_sw;
   const Host host = Fingerprint();
   const size_t min_pool =
       std::max(w->quality_tables, kMinBatches * w->batch_tables) +
@@ -959,11 +984,13 @@ int Run(const Args& args) {
   const Inputs in = MakeInputs(*w, args.seed, pool_tables);
   log_phase("inputs");
 
-  // Set up several times; keep the last stack, report the median.
-  std::vector<double> setup_s;
+  // Set up several times; keep the last stack, report the median. The
+  // replicas are new processes, so their CPU clocks count from the fork.
+  std::vector<double> setup_s, setup_cpu_s;
   std::unique_ptr<Serving> s;
   for (int rep = 0; rep < kSetupRepeats; ++rep) {
     s.reset();
+    const double cpu_before_s = CpuSeconds({0});
     Stopwatch sw;
     auto built = SetUp(*w, in, args.models);
     if (!built.ok()) {
@@ -973,6 +1000,8 @@ int Run(const Args& args) {
     }
     s = std::move(*built);
     setup_s.push_back(sw.ElapsedSeconds());
+    setup_cpu_s.push_back(CpuSeconds(ServingPids(*s, w->replicas)) -
+                          cpu_before_s);
   }
   log_phase("setup");
 
@@ -1003,49 +1032,26 @@ int Run(const Args& args) {
   rec.Field("seed", static_cast<int64_t>(args.seed));
   rec.Field("seconds", args.seconds);
   rec.Field("trace", args.trace);
-  rec.BeginArray("setup_s");
+  rec.BeginArray("setup_wall_s");
   for (double v : setup_s) rec.Element(v);
+  rec.EndArray();
+  rec.BeginArray("setup_cpu_s");
+  for (double v : setup_cpu_s) rec.Element(v);
   rec.EndArray();
 
   if (args.trace == 0) {
-    const WindowGoal goal{args.seconds, w->quality_tables, kMinBatches};
-    Window win;
-    rec.BeginArray("window_steal_frac");
-    for (int attempt = 1;; ++attempt) {
-      // Every attempt serves the same tables. The latent cache holds far
-      // fewer entries than a window serves, so each is still new to it.
-      Cursor cursor(in.pool);
-      std::vector<core::TableDetectionResult> results;
-      Window next = RunWindow(*s, *w, in, cursor, goal, &results,
-                              w->quality_tables);
-      account(next, "window");
-      rec.Element(next.steal_frac);
-      if (attempt == 1 || next.steal_frac < win.steal_frac) {
-        win = std::move(next);
-        kept = std::move(results);
-      }
-      if (win.steal_frac <= kMaxStealFrac) break;
-      std::fprintf(stderr,
-                   "perfbench: window %d: the host stole %.1f%% of CPU time "
-                   "(limit %.0f%%)\n",
-                   attempt, 100 * next.steal_frac, 100 * kMaxStealFrac);
-      if (attempt == kMaxWindows ||
-          run_sw.ElapsedSeconds() + win.wall_s > kWindowsDeadlineS) {
-        std::fprintf(stderr,
-                     "perfbench: reporting the least-stolen of %d windows "
-                     "(%.1f%%)\n",
-                     attempt, 100 * win.steal_frac);
-        break;
-      }
-    }
-    rec.EndArray();
-    rec.Field("steal_frac", win.steal_frac);
+    Cursor cursor(in.pool);
+    const Window win =
+        RunWindow(*s, *w, in, cursor,
+                  WindowGoal{args.seconds, w->quality_tables, kMinBatches},
+                  &kept, w->quality_tables);
+    account(win, "window");
     const double peak_rss = FleetPeakRssMb(*s, w->replicas);
-    const auto p50 = Percentile(win.batch_ms, 0.50);
-    const auto p90 = Percentile(win.batch_ms, 0.90);
+    const auto p50 = Percentile(win.batch_cpu_ms, 0.50);
+    const auto p90 = Percentile(win.batch_cpu_ms, 0.90);
     if (!p50 || !p90) {
       outcome.Fail(StrFormat("%zu batches cannot support p90",
-                             win.batch_ms.size()));
+                             win.batch_cpu_ms.size()));
     }
     if (kept.size() < w->quality_tables) {
       outcome.Fail(StrFormat("only %zu of %zu quality tables served",
@@ -1053,17 +1059,21 @@ int Run(const Args& args) {
     }
     const Quality q = Score(in, kept);
     metrics = {
-        {"tables_per_s", win.tables_per_s(), "1/s"},
-        {"batch_ms_p50", p50.value_or(0.0), "ms"},
-        {"batch_ms_p90", p90.value_or(0.0), "ms"},
+        {"cpu_ms_per_table", 1e3 * Ratio(win.cpu_s, win.tables), "ms"},
+        {"batch_cpu_ms_p50", p50.value_or(0.0), "ms"},
+        {"batch_cpu_ms_p90", p90.value_or(0.0), "ms"},
         {"scanned_col_frac", q.scanned_col_frac, "frac"},
         {"f1", q.f1, "f1"},
-        {"setup_s", Median(setup_s), "s"},
+        {"setup_s", Median(setup_cpu_s), "s"},
         {"peak_rss_mb", peak_rss, "MiB"},
     };
     if (q.f1 < kMinF1) {
       outcome.Fail(StrFormat("f1 %.4f below %.2f", q.f1, kMinF1));
     }
+    rec.Field("steal_frac", win.steal_frac);
+    rec.Field("tables_per_s", win.tables_per_s());
+    rec.Field("batch_ms_p50", Percentile(win.batch_ms, 0.50).value_or(0.0));
+    rec.Field("batch_ms_p90", Percentile(win.batch_ms, 0.90).value_or(0.0));
     rec.Field("batches", static_cast<int64_t>(win.batch_ms.size()));
     rec.Field("window_s", win.wall_s);
     rec.Field("pool_exhausted", win.pool_exhausted);
@@ -1071,9 +1081,9 @@ int Run(const Args& args) {
     // Untraced and traced windows alternate, so drift hits both alike.
     Cursor cursor(in.pool);
     const WindowGoal goal{args.seconds / 4, 0, 0};
-    std::vector<double> untraced_tps;
+    std::vector<double> untraced_cpu_ms;  // per table, per window
     int64_t traced_tables = 0, p2_lookups = 0;
-    double traced_s = 0.0, traced_batch_ms = 0.0;
+    double traced_cpu_s = 0.0, traced_batch_ms = 0.0;
     int inflight_max = 0;
     Deltas deltas;
     serve::RouterStats router_before, router_after;
@@ -1084,7 +1094,7 @@ int Run(const Args& args) {
       Window u = RunWindow(*s, *w, in, cursor, goal,
                            rep == 0 ? &kept : nullptr, w->digest_tables);
       account(u, "untraced window");
-      untraced_tps.push_back(u.tables_per_s());
+      untraced_cpu_ms.push_back(1e3 * Ratio(u.cpu_s, u.tables));
 
       auto before = Observe(*s);
       if (!before.ok()) {
@@ -1107,7 +1117,7 @@ int Run(const Args& args) {
       account(t, "traced window");
       deltas.Add(*before, *after);
       traced_tables += t.tables;
-      traced_s += t.wall_s;
+      traced_cpu_s += t.cpu_s;
       p2_lookups += t.p2_chunk_lookups;
       inflight_max = std::max(inflight_max, t.inflight_max);
       for (double ms : t.batch_ms) traced_batch_ms += ms;
@@ -1172,7 +1182,6 @@ int Run(const Args& args) {
         deltas.histogram("taste_p2_batch_size");
     const double gemm_calls = static_cast<double>(deltas.counter(
         obs::LabeledName("taste_op_calls_total", "op", "gemm")));
-    const double traced_tps = traced_s > 0 ? traced_tables / traced_s : 0.0;
     metrics = {
         {"clouddb.metadata_ms", solo.metadata_ms / n, "ms"},
         {"clouddb.scan_ms", solo.scan_ms / n, "ms"},
@@ -1214,7 +1223,8 @@ int Run(const Args& args) {
         {"serve.local_fallback_frac", fallback, "frac"},
         {"serve.replica_skew", serve_skew, "ratio"},
         {"serve.router_overhead_frac", serve_overhead, "frac"},
-        {"trace_overhead_frac", 1.0 - Ratio(traced_tps, Median(untraced_tps)),
+        {"trace_overhead_frac",
+         1.0 - Ratio(Median(untraced_cpu_ms), 1e3 * traced_cpu_s / tn),
          "frac"},
     };
     metrics.insert(metrics.end(), tail.begin(), tail.end());
