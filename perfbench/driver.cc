@@ -15,7 +15,7 @@
 //
 // --trace 0 measures the end-to-end metrics. Their timings are CPU time of
 // every serving process (the driver and, on the fleet, its replicas): on a
-// shared virtual host the hypervisor steals 15-30% of each CPU for minutes
+// shared virtual host the hypervisor steals 10-28% of each CPU for minutes
 // at a time, which halves wall-clock throughput, while the kernel leaves
 // stolen time out of CPU time (CONFIG_PARAVIRT_TIME_ACCOUNTING). Wall-clock
 // throughput and latency go to the record. --trace 1 measures the
@@ -100,14 +100,15 @@ struct Workload {
 //   scanned share vary twice as much across seeds as WikiLike's, so they are
 //   taken over 2048 tables.
 // wide_batch: 6-16 columns make each P2 content forward ~7x a narrow
-//   table's, so the P2 tower and serving_scheduler dominate. Batches of 4
-//   give an 8 s window the kMinBatches p90 needs without running longer.
+//   table's, so the P2 tower and serving_scheduler dominate. At ~65 tables/s
+//   an 8 s window holds ~130 batches of 4, whose p90 spread 9% across seeds;
+//   1024 quality tables stretch it to ~256 batches.
 // fleet_batch: wiki_batch tables through the replica tier (wire, scatter/
 //   gather, ring placement), the only workload that runs serve/.
 const Workload kWorkloads[] = {
     {"wiki_batch", false, 2, 8, 8, 0, 1024, 256, 700.0},
     {"git_batch", true, 2, 8, 8, 0, 2048, 256, 1000.0},
-    {"wide_batch", false, 6, 16, 4, 0, 512, 128, 260.0},
+    {"wide_batch", false, 6, 16, 4, 0, 1024, 128, 260.0},
     {"fleet_batch", false, 2, 8, 16, 4, 1024, 256, 900.0},
 };
 
