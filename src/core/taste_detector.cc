@@ -268,9 +268,7 @@ Status TasteDetector::PrepareP2(clouddb::Connection* conn, Job* job) const {
   // Scanned columns are encoded in batches sized so that each content
   // sequence fits the encoder (wide tables + large n would otherwise
   // overflow max_seq_len).
-  const int64_t segment = 1 + static_cast<int64_t>(
-                                  input_config_.cells_per_column) *
-                                  input_config_.cell_tokens;
+  const int64_t segment = input_config_.segment_len();
   const int64_t max_cols_per_batch =
       std::max<int64_t>(1, model_->config().encoder.max_seq_len / segment);
   int result_offset = 0;

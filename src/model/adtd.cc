@@ -104,6 +104,26 @@ AdtdModel::MetadataEncoding AdtdModel::ForwardMetadata(
   return out;
 }
 
+namespace {
+
+/// The content tower's attention group for one encoded content batch at
+/// encoder layer `layer`: every scanned column's segment attends over the
+/// metadata latents Encode_{layer}^{M} and its own segment.
+nn::SegmentGroup ContentGroup(const EncodedContent& content,
+                              const AdtdModel::MetadataEncoding& meta_encoding,
+                              int64_t layer) {
+  const int64_t segments = static_cast<int64_t>(content.scanned.size());
+  const int64_t sc = static_cast<int64_t>(content.token_ids.size());
+  TASTE_CHECK_MSG(segments > 0 && sc % segments == 0,
+                  "content must hold one equal-length segment per column");
+  return {.memory = &meta_encoding.layer_latents[static_cast<size_t>(layer)],
+          .mask = &content.cross_mask,
+          .segments = segments,
+          .segment_len = sc / segments};
+}
+
+}  // namespace
+
 Tensor AdtdModel::ForwardContent(
     const EncodedContent& content, const EncodedMetadata& meta,
     const MetadataEncoding& meta_encoding, tensor::ExecContext* ctx) const {
@@ -124,10 +144,10 @@ Tensor AdtdModel::ForwardContent(
         ec != nullptr && ec->cancelled()) {
       break;
     }
-    // K = V = Encode_{i-1}^{M} (+) Encode_{i-1}^{D}; Q = Encode_{i-1}^{D}.
-    Tensor kv = tensor::ConcatRows(
-        {meta_encoding.layer_latents[static_cast<size_t>(i)], c});
-    c = encoder_.block(i).Forward(c, kv, &content.cross_mask);
+    // K = V = Encode_{i-1}^{M} (+) Encode_{i-1}^{D}; Q = Encode_{i-1}^{D},
+    // each column's queries seeing only its own content keys.
+    c = encoder_.block(i).ForwardSegmented(
+        c, {ContentGroup(content, meta_encoding, i)});
   }
   Tensor content_anchors = tensor::GatherRows(c, content.column_anchors);
   Tensor meta_anchors =
@@ -174,23 +194,14 @@ std::vector<Tensor> AdtdModel::ForwardContentBatch(
   }
   Tensor c = EmbedWithPositions(ids, positions);  // (sum(lens), H)
 
-  // Encoder layers: packed residual stream, per-item cross-attention
-  // against each item's own metadata latents and cross_mask.
-  std::vector<Tensor> kv_inputs(items.size());
-  std::vector<const Tensor*> masks(items.size());
-  for (size_t j = 0; j < items.size(); ++j) {
-    masks[j] = &items[j].content->cross_mask;
-  }
+  // Encoder layers: packed residual stream, one attention group per item
+  // against its own metadata latents and cross_mask.
+  std::vector<nn::SegmentGroup> groups(items.size());
   for (int64_t i = 0; i < num_layers; ++i) {
-    int64_t off = 0;
     for (size_t j = 0; j < items.size(); ++j) {
-      // K = V = Encode_{i-1}^{M} (+) Encode_{i-1}^{D} for item j only.
-      kv_inputs[j] = tensor::ConcatRows(
-          {items[j].meta_encoding->layer_latents[static_cast<size_t>(i)],
-           tensor::SliceRows(c, off, off + lens[j])});
-      off += lens[j];
+      groups[j] = ContentGroup(*items[j].content, *items[j].meta_encoding, i);
     }
-    c = encoder_.block(i).ForwardPacked(c, lens, kv_inputs, masks);
+    c = encoder_.block(i).ForwardSegmented(c, groups);
   }
 
   // Anchor gathers and the classifier run packed: one row per scanned

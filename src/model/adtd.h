@@ -5,9 +5,11 @@
 //    outputs Encode_i^{M} are the latent representations cached and reused.
 //  * The CONTENT TOWER attends asymmetrically: at layer i the query is the
 //    content latents Encode_{i-1}^{D} while keys/values are the
-//    concatenation Encode_{i-1}^{M} (+) Encode_{i-1}^{D}. The metadata
-//    latents are read from the metadata tower (or the latent cache) and are
-//    never recomputed.
+//    concatenation Encode_{i-1}^{M} (+) Encode_{i-1}^{D}, of which a
+//    column's content tokens see the metadata and their own column only
+//    (computed per column segment, not masked out of a dense product). The
+//    metadata latents are read from the metadata tower (or the latent
+//    cache) and are never recomputed.
 //
 // Classifier heads (Sec. 4.3):
 //  * f1(c) = Classify_meta(Encode_L^{M}[anchor_c] (+) M_n^c)
@@ -77,6 +79,8 @@ class AdtdModel : public nn::Module {
                                    tensor::ExecContext* ctx = nullptr) const;
 
   /// Runs the content tower on top of (possibly cached) metadata latents.
+  /// Each scanned column's segment attends over the metadata latents and
+  /// its own segment only (nn::TransformerBlock::ForwardSegmented).
   /// Returns logits (|scanned|, num_types) aligned with content.scanned.
   tensor::Tensor ForwardContent(const EncodedContent& content,
                                 const EncodedMetadata& meta,
@@ -94,8 +98,8 @@ class AdtdModel : public nn::Module {
 
   /// Batched content tower: packs N independent ForwardContent calls into
   /// one forward whose Linear/LayerNorm/FFN/classifier ops run as single
-  /// GEMMs over the row-concatenation of all items, while cross-attention
-  /// runs per item against its own metadata latents and cross_mask.
+  /// GEMMs over the row-concatenation of all items, while each item's
+  /// column segments attend over its own metadata latents and cross_mask.
   /// Returns one logits tensor per item, each byte-identical to what
   /// ForwardContent(item) returns — regardless of batch composition or
   /// order (see tensor/kernels.h: every output element accumulates in

@@ -94,54 +94,49 @@ EncodedContent InputEncoder::EncodeContent(
     const EncodedMetadata& meta,
     const std::map<int, std::vector<std::string>>& column_values) const {
   EncodedContent out;
-  std::vector<int> column_of_token;  // per content token, chunk-local column
   for (const auto& [col_idx, values] : column_values) {
     TASTE_CHECK(col_idx >= 0 && col_idx < meta.num_columns);
     out.scanned.push_back(col_idx);
     out.column_anchors.push_back(static_cast<int>(out.token_ids.size()));
     out.token_ids.push_back(text::Vocab::kClsId);
-    column_of_token.push_back(col_idx);
     // First n non-empty cells (paper Sec. 6.1.2).
     int taken = 0;
     for (const auto& v : values) {
       if (v.empty()) continue;
       if (taken >= config_.cells_per_column) break;
-      size_t before = out.token_ids.size();
       AppendFixed(*tokenizer_, v, config_.cell_tokens, &out.token_ids);
-      column_of_token.insert(column_of_token.end(),
-                             out.token_ids.size() - before, col_idx);
       ++taken;
     }
-    // Pad the column's content segment to a fixed length so segment sizes
-    // are uniform (taken may be < n when the column is sparse).
+    // Pad the column's content segment to the fixed segment length (taken
+    // may be < n when the column is sparse); the attention relies on it.
     int missing = (config_.cells_per_column - taken) * config_.cell_tokens;
-    for (int p = 0; p < missing; ++p) {
-      out.token_ids.push_back(text::Vocab::kPadId);
-      column_of_token.push_back(col_idx);
-    }
+    out.token_ids.insert(out.token_ids.end(), missing, text::Vocab::kPadId);
   }
 
-  int64_t sc = static_cast<int64_t>(out.token_ids.size());
-  int64_t sm = static_cast<int64_t>(meta.token_ids.size());
-  int64_t skv = sm + sc;
-  std::vector<float> mask(static_cast<size_t>(sc * skv), kMaskBlocked);
+  const int64_t seg = config_.segment_len();
+  const int64_t sc = static_cast<int64_t>(out.token_ids.size());
+  const int64_t sm = static_cast<int64_t>(meta.token_ids.size());
+  const int64_t width = sm + seg;
+  TASTE_CHECK(sc == static_cast<int64_t>(out.scanned.size()) * seg);
+  std::vector<float> mask(static_cast<size_t>(sc * width), 0.0f);
   for (int64_t q = 0; q < sc; ++q) {
-    int q_col = column_of_token[static_cast<size_t>(q)];
+    float* row = mask.data() + q * width;
     // Metadata keys: all non-PAD positions are attendable.
     for (int64_t k = 0; k < sm; ++k) {
-      if (meta.token_ids[static_cast<size_t>(k)] != text::Vocab::kPadId) {
-        mask[static_cast<size_t>(q * skv + k)] = 0.0f;
+      if (meta.token_ids[static_cast<size_t>(k)] == text::Vocab::kPadId) {
+        row[k] = kMaskBlocked;
       }
     }
-    // Content keys: same column only, non-PAD.
-    for (int64_t k = 0; k < sc; ++k) {
-      if (column_of_token[static_cast<size_t>(k)] == q_col &&
-          out.token_ids[static_cast<size_t>(k)] != text::Vocab::kPadId) {
-        mask[static_cast<size_t>(q * skv + sm + k)] = 0.0f;
+    // Own-segment keys: non-PAD only.
+    const int64_t seg_begin = q - q % seg;
+    for (int64_t k = 0; k < seg; ++k) {
+      if (out.token_ids[static_cast<size_t>(seg_begin + k)] ==
+          text::Vocab::kPadId) {
+        row[sm + k] = kMaskBlocked;
       }
     }
   }
-  out.cross_mask = tensor::Tensor::FromVector({sc, skv}, std::move(mask));
+  out.cross_mask = tensor::Tensor::FromVector({sc, width}, std::move(mask));
   return out;
 }
 

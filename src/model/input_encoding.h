@@ -13,11 +13,16 @@
 //
 // Content sequence layout: per scanned column, [CLS] followed by the first
 // n non-empty cell values, each encoded to cell_tokens ids (paper
-// Sec. 6.1.2: first n non-empty of the m retrieved rows).
+// Sec. 6.1.2: first n non-empty of the m retrieved rows), padded to the
+// fixed segment length InputConfig::segment_len().
 //
 // Attention structure (paper Sec. 6.4): a content token attends to ALL
 // metadata tokens (table-level and every column's) and to the content
-// tokens of its own column; PAD positions are never attended.
+// tokens of its own column; PAD positions are never attended. The content
+// tower computes exactly that and nothing more: column j's segment attends
+// over [metadata ; segment j] (nn::TransformerBlock::ForwardSegmented), so
+// the cross mask has one row per content token and sm + segment_len()
+// columns — metadata keys first, then the token's own segment.
 
 #ifndef TASTE_MODEL_INPUT_ENCODING_H_
 #define TASTE_MODEL_INPUT_ENCODING_H_
@@ -41,6 +46,10 @@ struct InputConfig {
   int cells_per_column = 10;      // n: non-empty cells used per column
   int column_split_threshold = 20;  // l: max columns per encoded chunk
   bool use_histograms = false;    // include histogram features in M_n
+
+  /// Length of one scanned column's content segment: its [CLS] anchor plus
+  /// n cells of cell_tokens ids each. Every segment is padded to it.
+  int segment_len() const { return 1 + cells_per_column * cell_tokens; }
 
   /// The paper's configuration.
   static InputConfig Paper() {
@@ -71,7 +80,9 @@ struct EncodedContent {
   std::vector<int> token_ids;        // length sc
   std::vector<int> scanned;          // chunk-local column indices, ascending
   std::vector<int> column_anchors;   // anchor position per scanned column
-  tensor::Tensor cross_mask;         // (sc, sm + sc) asymmetric-KV mask
+  /// (sc, sm + segment_len) additive mask: row q covers the metadata keys
+  /// then the keys of q's own column segment; PAD keys are blocked.
+  tensor::Tensor cross_mask;
 };
 
 /// Splits a wide table's metadata into chunks of at most `l` columns
@@ -89,7 +100,7 @@ class InputEncoder {
 
   /// Encodes scanned content. `column_values` maps chunk-local column index
   /// -> raw scanned values (the m rows); the encoder keeps the first n
-  /// non-empty. Builds the cross-attention mask against `meta`.
+  /// non-empty. Builds the column-segmented cross mask against `meta`.
   EncodedContent EncodeContent(
       const EncodedMetadata& meta,
       const std::map<int, std::vector<std::string>>& column_values) const;

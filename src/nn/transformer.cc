@@ -53,62 +53,105 @@ Tensor MultiHeadAttention::Forward(const Tensor& q_input,
   return out_proj_.Forward(ctx);
 }
 
-Tensor MultiHeadAttention::ForwardPacked(
-    const Tensor& q_packed, const std::vector<int64_t>& q_lens,
-    const std::vector<Tensor>& kv_inputs,
-    const std::vector<const Tensor*>& masks, ExecContext* exec_ctx) const {
+Tensor MultiHeadAttention::ForwardSegmented(
+    const Tensor& x, const std::vector<SegmentGroup>& groups,
+    ExecContext* exec_ctx) const {
   tensor::ScopedExecContext scope(exec_ctx);
-  const size_t n = q_lens.size();
-  TASTE_CHECK(n > 0 && kv_inputs.size() == n && masks.size() == n);
-  int64_t total_q = 0;
-  for (int64_t len : q_lens) total_q += len;
-  TASTE_CHECK_MSG(q_packed.dim(0) == total_q,
-                  "q_packed rows must equal sum of q_lens");
+  TASTE_CHECK(!groups.empty());
+  // Key/value rows: every group's memory, then x.
+  std::vector<Tensor> kv_parts;
+  kv_parts.reserve(groups.size() + 1);
+  int64_t memory_rows = 0;
+  int64_t query_rows = 0;
+  for (const SegmentGroup& g : groups) {
+    TASTE_CHECK(g.memory != nullptr && g.mask != nullptr && g.segments > 0 &&
+                g.segment_len > 0);
+    TASTE_CHECK_MSG(g.mask->dim(0) == g.segments * g.segment_len &&
+                        g.mask->dim(1) == g.memory->dim(0) + g.segment_len,
+                    "segment mask shape mismatch");
+    kv_parts.push_back(*g.memory);
+    memory_rows += g.memory->dim(0);
+    query_rows += g.segments * g.segment_len;
+  }
+  TASTE_CHECK_MSG(x.dim(0) == query_rows,
+                  "query rows must equal the groups' segment rows");
+  kv_parts.push_back(x);
 
-  // One GEMM each for q/k/v across every segment. Each output row depends
-  // only on its input row, so rows match the per-segment projections bit
-  // for bit.
-  Tensor q_all = q_proj_.Forward(q_packed);  // (total_q, H)
-  std::vector<Tensor> kv_list(kv_inputs.begin(), kv_inputs.end());
-  Tensor kv_packed = tensor::ConcatRows(kv_list);
-  Tensor k_all = k_proj_.Forward(kv_packed);
-  Tensor v_all = v_proj_.Forward(kv_packed);
-
-  auto split = [this](const Tensor& x, int64_t s) {
-    return tensor::Permute3(
-        tensor::Reshape(x, {s, num_heads_, head_dim_}), {1, 0, 2});
+  // One GEMM each for q/k/v over all rows, viewed as (s*A, hd): row t*A + a
+  // is token t's head-a slice, so GatherRows assembles any (head, segment)
+  // batch entry in one copy.
+  auto by_head = [this](const Tensor& t) {
+    return tensor::Reshape(t, {t.dim(0) * num_heads_, head_dim_});
   };
+  const Tensor kv_input = tensor::ConcatRows(kv_parts);
+  const Tensor q_all = by_head(q_proj_.Forward(x));
+  const Tensor k_all = by_head(k_proj_.Forward(kv_input));
+  const Tensor v_all = by_head(v_proj_.Forward(kv_input));
   const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
-  // Attention per segment: identical shapes and operand bytes as the
-  // unpacked Forward, so the scores/softmax/context pipeline reproduces it
-  // exactly; segments never see each other's keys.
+  // Per group, one batch entry per (head, segment): queries (seg, hd)
+  // against keys/values [memory ; own segment]. Contexts come out in
+  // (head, segment, row) order; `merge_rows` maps each (token, head) slice
+  // back to its row among all groups' contexts.
   std::vector<Tensor> contexts;
-  contexts.reserve(n);
-  int64_t q_off = 0;
-  int64_t kv_off = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t sq = q_lens[i];
-    const int64_t skv = kv_inputs[i].dim(0);
-    Tensor q = split(tensor::SliceRows(q_all, q_off, q_off + sq), sq);
-    Tensor k = split(tensor::SliceRows(k_all, kv_off, kv_off + skv), skv);
-    Tensor v = split(tensor::SliceRows(v_all, kv_off, kv_off + skv), skv);
-    Tensor scores = tensor::BatchedMatMul(q, tensor::TransposeLast2(k));
-    scores = tensor::Scale(scores, inv_sqrt_hd);
-    if (masks[i] != nullptr) {
-      TASTE_CHECK_MSG(masks[i]->dim(0) == sq && masks[i]->dim(1) == skv,
-                      "attention mask shape mismatch");
-      scores = tensor::AddBroadcastMat(scores, *masks[i]);
+  contexts.reserve(groups.size());
+  std::vector<int> merge_rows(static_cast<size_t>(query_rows * num_heads_));
+  std::vector<int> q_rows;
+  std::vector<int> kv_rows;
+  int64_t memory_off = 0;
+  int64_t query_off = 0;
+  int64_t context_off = 0;
+  for (const SegmentGroup& g : groups) {
+    const int64_t n = g.segments;
+    const int64_t seg = g.segment_len;
+    const int64_t sm = g.memory->dim(0);
+    const int64_t width = sm + seg;
+    const int64_t batch = num_heads_ * n;
+    q_rows.clear();
+    kv_rows.clear();
+    for (int64_t a = 0; a < num_heads_; ++a) {
+      for (int64_t j = 0; j < n; ++j) {
+        const int64_t own = query_off + j * seg;  // segment's first x row
+        const int64_t entry_row = context_off + (a * n + j) * seg;
+        for (int64_t r = 0; r < seg; ++r) {
+          q_rows.push_back(static_cast<int>((own + r) * num_heads_ + a));
+          merge_rows[static_cast<size_t>((own + r) * num_heads_ + a)] =
+              static_cast<int>(entry_row + r);
+        }
+        for (int64_t r = 0; r < sm; ++r) {
+          kv_rows.push_back(
+              static_cast<int>((memory_off + r) * num_heads_ + a));
+        }
+        for (int64_t r = 0; r < seg; ++r) {
+          kv_rows.push_back(
+              static_cast<int>((memory_rows + own + r) * num_heads_ + a));
+        }
+      }
     }
-    Tensor probs = tensor::Softmax(scores);        // (A, sq, skv)
-    Tensor ctx = tensor::BatchedMatMul(probs, v);  // (A, sq, hd)
-    contexts.push_back(
-        tensor::Reshape(tensor::Permute3(ctx, {1, 0, 2}), {sq, hidden_}));
-    q_off += sq;
-    kv_off += skv;
+    Tensor q = tensor::Reshape(tensor::GatherRows(q_all, q_rows),
+                               {batch, seg, head_dim_});
+    Tensor k = tensor::Reshape(tensor::GatherRows(k_all, kv_rows),
+                               {batch, width, head_dim_});
+    Tensor v = tensor::Reshape(tensor::GatherRows(v_all, kv_rows),
+                               {batch, width, head_dim_});
+    // (A*n, seg, width) is laid out as (A, n*seg, width): one mask row per
+    // query row, shared by all heads.
+    Tensor scores = tensor::BatchedMatMul(q, tensor::TransposeLast2(k));
+    scores = tensor::Scale(
+        tensor::Reshape(scores, {num_heads_, n * seg, width}), inv_sqrt_hd);
+    scores = tensor::AddBroadcastMat(scores, *g.mask);
+    Tensor probs =
+        tensor::Reshape(tensor::Softmax(scores), {batch, seg, width});
+    Tensor ctx = tensor::BatchedMatMul(probs, v);  // (A*n, seg, hd)
+    contexts.push_back(tensor::Reshape(ctx, {batch * seg, head_dim_}));
+    memory_off += sm;
+    query_off += n * seg;
+    context_off += batch * seg;
   }
-  // Output projection packed again.
-  return out_proj_.Forward(tensor::ConcatRows(contexts));
+  const Tensor merged = tensor::GatherRows(
+      contexts.size() == 1 ? contexts[0] : tensor::ConcatRows(contexts),
+      merge_rows);
+  return out_proj_.Forward(tensor::Reshape(merged, {query_rows, hidden_}));
 }
 
 FeedForward::FeedForward(int64_t hidden, int64_t intermediate, Rng& rng)
@@ -154,27 +197,22 @@ Tensor TransformerBlock::Forward(const Tensor& x, const Tensor* mask,
 Tensor TransformerBlock::Forward(const Tensor& q_input, const Tensor& kv_input,
                                  const Tensor* mask, ExecContext* ctx) const {
   tensor::ScopedExecContext scope(ctx);
-  Tensor attn = attention_.Forward(q_input, kv_input, mask);
-  attn = tensor::Dropout(attn, dropout_, dropout_rng_, training());
-  Tensor x = norm1_.Forward(tensor::Add(q_input, attn));
-  Tensor ff = ffn_.Forward(x);
-  ff = tensor::Dropout(ff, dropout_, dropout_rng_, training());
-  return norm2_.Forward(tensor::Add(x, ff));
+  return Finish(q_input, attention_.Forward(q_input, kv_input, mask));
 }
 
-Tensor TransformerBlock::ForwardPacked(const Tensor& q_packed,
-                                       const std::vector<int64_t>& q_lens,
-                                       const std::vector<Tensor>& kv_inputs,
-                                       const std::vector<const Tensor*>& masks,
-                                       ExecContext* ctx) const {
+Tensor TransformerBlock::ForwardSegmented(
+    const Tensor& x, const std::vector<SegmentGroup>& groups,
+    ExecContext* ctx) const {
   tensor::ScopedExecContext scope(ctx);
-  TASTE_CHECK_MSG(!training(), "packed block forward is inference-only");
-  Tensor attn = attention_.ForwardPacked(q_packed, q_lens, kv_inputs, masks);
-  // Residual + norms + FFN are all row-wise, so the packed run equals the
-  // per-segment runs row by row. Dropout is identity at inference.
-  Tensor x = norm1_.Forward(tensor::Add(q_packed, attn));
-  Tensor ff = ffn_.Forward(x);
-  return norm2_.Forward(tensor::Add(x, ff));
+  return Finish(x, attention_.ForwardSegmented(x, groups));
+}
+
+Tensor TransformerBlock::Finish(const Tensor& x, const Tensor& attn) const {
+  Tensor dropped = tensor::Dropout(attn, dropout_, dropout_rng_, training());
+  Tensor h = norm1_.Forward(tensor::Add(x, dropped));
+  Tensor ff = ffn_.Forward(h);
+  ff = tensor::Dropout(ff, dropout_, dropout_rng_, training());
+  return norm2_.Forward(tensor::Add(h, ff));
 }
 
 int64_t TransformerBlock::PrepackQuant() {

@@ -1,10 +1,17 @@
-// Transformer encoder building blocks: multi-head attention (self- and
-// cross-), position-wise feed-forward, and the post-LN encoder block.
+// Transformer encoder building blocks: multi-head attention (self-,
+// cross- and column-segmented), position-wise feed-forward, and the
+// post-LN encoder block.
 //
-// The attention API deliberately exposes separate query and key/value
-// inputs: the ADTD content tower (paper Sec. 4.2.3) attends with
-// Q = content latents and K = V = concat(metadata latents, content latents),
-// which is exactly Forward(content, concat(meta, content), mask).
+// The ADTD content tower (paper Sec. 4.2.3) attends with Q = content
+// latents and K = V = concat(metadata latents, content latents), where a
+// content token may only see the metadata and its own column's tokens
+// (Sec. 6.4). ForwardSegmented computes exactly that: the content rows
+// are equal-length column segments, and segment j's queries attend over
+// [K_meta ; K_c[j]] and [V_meta ; V_c[j]] — (seg, sm+seg) scores per
+// segment instead of a dense (sc, sm+sc) score matrix whose other-column
+// entries a mask would zero. The q/k/v/out projections still run as one
+// GEMM each over all rows, and the metadata rows are projected once per
+// layer, not once per column.
 
 #ifndef TASTE_NN_TRANSFORMER_H_
 #define TASTE_NN_TRANSFORMER_H_
@@ -17,6 +24,18 @@
 #include "nn/module.h"
 
 namespace taste::nn {
+
+/// One run of equal-length query segments that share a key/value memory.
+/// Its `segments * segment_len` query rows are consecutive; segment j
+/// attends over [memory ; its own rows] with rows of `mask`
+/// [j*segment_len, (j+1)*segment_len) as the additive mask. Pointees must
+/// outlive the call.
+struct SegmentGroup {
+  const Tensor* memory = nullptr;  // (sm, H) keys/values every segment sees
+  const Tensor* mask = nullptr;    // (segments*segment_len, sm+segment_len)
+  int64_t segments = 0;
+  int64_t segment_len = 0;
+};
 
 /// Multi-head scaled-dot-product attention.
 class MultiHeadAttention : public Module {
@@ -31,22 +50,17 @@ class MultiHeadAttention : public Module {
                  const Tensor* mask = nullptr,
                  ExecContext* ctx = nullptr) const;
 
-  /// Packed multi-segment form for inference micro-batching: `q_packed`
-  /// (sum(q_lens), H) is the row-concatenation of N independent query
-  /// segments; segment i attends only over its own `kv_inputs[i]` with
-  /// `masks[i]` (nullable, (q_lens[i], kv_inputs[i].rows)). The q/k/v/out
-  /// projections run as single packed GEMMs across all segments (this is
-  /// where batching pays on small segments); scores/softmax/context run
-  /// per segment so no cross-segment attention exists. Byte-identical per
-  /// segment to N separate Forward calls: every projection output row
-  /// depends only on its own input row (fixed-k accumulation, see
-  /// tensor/kernels.h), and the per-segment attention sees bitwise the
-  /// same operands as the unpacked call.
-  Tensor ForwardPacked(const Tensor& q_packed,
-                       const std::vector<int64_t>& q_lens,
-                       const std::vector<Tensor>& kv_inputs,
-                       const std::vector<const Tensor*>& masks,
-                       ExecContext* ctx = nullptr) const;
+  /// Column-segmented form: x (sum of segments*segment_len over groups, H)
+  /// is the row-concatenation of the groups' query rows (see
+  /// SegmentGroup). Every segment attends over its group's memory and its
+  /// own rows only, so no attention crosses a segment or a group. Returns
+  /// (x.rows, H). Byte-identical per group to calling it on that group
+  /// alone: every projection output row depends only on its own input row
+  /// (fixed-k accumulation, see tensor/kernels.h), and each segment's
+  /// scores/softmax/context see bitwise the same operands either way.
+  Tensor ForwardSegmented(const Tensor& x,
+                          const std::vector<SegmentGroup>& groups,
+                          ExecContext* ctx = nullptr) const;
 
   int64_t num_heads() const { return num_heads_; }
 
@@ -96,20 +110,22 @@ class TransformerBlock : public Module {
   Tensor Forward(const Tensor& q_input, const Tensor& kv_input,
                  const Tensor* mask, ExecContext* ctx = nullptr) const;
 
-  /// Packed multi-segment form (see MultiHeadAttention::ForwardPacked).
-  /// Residual/LayerNorm/FFN are row-wise, so they run packed; attention is
-  /// per segment. Inference-only (checks !training(): dropout would
-  /// otherwise consume RNG state in a batch-composition-dependent order).
-  Tensor ForwardPacked(const Tensor& q_packed,
-                       const std::vector<int64_t>& q_lens,
-                       const std::vector<Tensor>& kv_inputs,
-                       const std::vector<const Tensor*>& masks,
-                       ExecContext* ctx = nullptr) const;
+  /// Column-segmented form (see MultiHeadAttention::ForwardSegmented);
+  /// x is also the residual stream. Residual/LayerNorm/FFN are row-wise,
+  /// so they run over all groups' rows at once. In training, dropout draws
+  /// one mask over all rows, so the per-group byte identity of the
+  /// attention form holds at inference only.
+  Tensor ForwardSegmented(const Tensor& x,
+                          const std::vector<SegmentGroup>& groups,
+                          ExecContext* ctx = nullptr) const;
 
   /// Prepacks attention + FFN Linears for the int8 inference path.
   int64_t PrepackQuant();
 
  private:
+  /// Dropout + residual + norm1, FFN, dropout + residual + norm2.
+  Tensor Finish(const Tensor& x, const Tensor& attn) const;
+
   MultiHeadAttention attention_;
   FeedForward ffn_;
   LayerNorm norm1_;

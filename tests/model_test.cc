@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "clouddb/database.h"
 #include "data/table_generator.h"
 #include "model/adtd.h"
@@ -173,7 +175,7 @@ TEST(EncodingTest, ContentSegmentsAndAnchors) {
   if (em.num_columns > 1) content[1] = {"1", "2"};
   EncodedContent ec = enc.EncodeContent(em, content);
   ASSERT_EQ(ec.scanned.size(), content.size());
-  int seg = 1 + cfg.cells_per_column * cfg.cell_tokens;
+  int seg = cfg.segment_len();
   EXPECT_EQ(static_cast<int>(ec.token_ids.size()),
             seg * static_cast<int>(content.size()));
   for (size_t i = 0; i < ec.scanned.size(); ++i) {
@@ -183,7 +185,8 @@ TEST(EncodingTest, ContentSegmentsAndAnchors) {
   }
   int64_t sc = static_cast<int64_t>(ec.token_ids.size());
   int64_t sm = static_cast<int64_t>(em.token_ids.size());
-  EXPECT_EQ(ec.cross_mask.shape(), (Shape{sc, sm + sc}));
+  // Column-segmented layout: metadata keys, then the query's own segment.
+  EXPECT_EQ(ec.cross_mask.shape(), (Shape{sc, sm + seg}));
 }
 
 TEST(EncodingTest, EmptyCellsSkipped) {
@@ -202,8 +205,10 @@ TEST(EncodingTest, EmptyCellsSkipped) {
 }
 
 TEST(EncodingTest, CrossMaskSeparatesColumns) {
-  // Content token of column A must not attend content tokens of column B,
-  // but must attend all (non-pad) metadata tokens.
+  // Each mask row covers the metadata keys and then the keys of the
+  // query's own column segment, so another column's content has no key
+  // position at all. Own-segment and metadata PAD keys are blocked; the
+  // metadata anchors (every column's, not just the query's) are open.
   Fixture f = Fixture::Make();
   clouddb::TableMetadata meta = FirstTableMeta(f);
   if (meta.columns.size() < 2) GTEST_SKIP();
@@ -212,19 +217,35 @@ TEST(EncodingTest, CrossMaskSeparatesColumns) {
   EncodedMetadata em = enc.EncodeMetadata(meta);
   std::map<int, std::vector<std::string>> content;
   content[0] = {"london"};
-  content[1] = {"paris"};
+  content[1] = {"paris", "rome"};
   EncodedContent ec = enc.EncodeContent(em, content);
-  int64_t sm = static_cast<int64_t>(em.token_ids.size());
-  int64_t skv = ec.cross_mask.dim(1);
-  int seg = 1 + cfg.cells_per_column * cfg.cell_tokens;
-  // Query 0 is column 0's anchor; content keys of column 1 occupy
-  // positions [sm + seg, sm + 2*seg).
-  const float* row0 = ec.cross_mask.data();
-  for (int64_t k = sm + seg; k < std::min<int64_t>(skv, sm + 2 * seg); ++k) {
-    EXPECT_LT(row0[k], -1e8f);
+  const int64_t sm = static_cast<int64_t>(em.token_ids.size());
+  const int64_t seg = cfg.segment_len();
+  const int64_t sc = static_cast<int64_t>(ec.token_ids.size());
+  ASSERT_EQ(ec.cross_mask.shape(), (Shape{sc, sm + seg}));
+  bool saw_meta_pad = false;
+  bool saw_own_pad = false;
+  for (int64_t q = 0; q < sc; ++q) {
+    const float* row = ec.cross_mask.data() + q * (sm + seg);
+    for (int64_t k = 0; k < sm; ++k) {
+      const bool pad = em.token_ids[static_cast<size_t>(k)] ==
+                       text::Vocab::kPadId;
+      saw_meta_pad = saw_meta_pad || pad;
+      EXPECT_EQ(row[k] < -1e8f, pad) << "query " << q << " meta key " << k;
+    }
+    for (int a : em.column_anchors) EXPECT_EQ(row[a], 0.0f) << "query " << q;
+    const int64_t own = q - q % seg;  // first token of q's column segment
+    for (int64_t k = 0; k < seg; ++k) {
+      const bool pad = ec.token_ids[static_cast<size_t>(own + k)] ==
+                       text::Vocab::kPadId;
+      saw_own_pad = saw_own_pad || pad;
+      EXPECT_EQ(row[sm + k] < -1e8f, pad) << "query " << q << " own key " << k;
+    }
+    EXPECT_EQ(row[sm], 0.0f) << "own [CLS] anchor open, query " << q;
   }
-  // Metadata anchor of column 1 is attendable from column 0's queries.
-  EXPECT_EQ(row0[em.column_anchors[1]], 0.0f);
+  // Both columns are sparse and the metadata padded, so both PAD rules ran.
+  EXPECT_TRUE(saw_meta_pad);
+  EXPECT_TRUE(saw_own_pad);
 }
 
 // ---- ADTD forward ------------------------------------------------------------------
@@ -297,8 +318,8 @@ TEST(AdtdTest, DeterministicInference) {
 }
 
 TEST(AdtdTest, ContentOfOtherColumnDoesNotLeak) {
-  // The structured cross mask means column 0's P2 logits are invariant to
-  // column 1's scanned values.
+  // Column-segmented attention means column 0's P2 logits are invariant to
+  // column 1's scanned values, bit for bit.
   ModelFixture m = ModelFixture::Make();
   clouddb::TableMetadata meta = FirstTableMeta(m.f);
   if (meta.columns.size() < 2) GTEST_SKIP();
@@ -314,14 +335,16 @@ TEST(AdtdTest, ContentOfOtherColumnDoesNotLeak) {
                                       menc);
   Tensor l2 = m.model->ForwardContent(m.encoder->EncodeContent(em, c2), em,
                                       menc);
-  // Row 0 (column 0) identical; row 1 (column 1) differs.
-  float diff0 = 0, diff1 = 0;
+  // Row 0 (column 0) byte-identical: column 0's segment has no key of
+  // column 1 to attend to. Row 1 (column 1) differs.
+  EXPECT_EQ(std::memcmp(l1.data(), l2.data(),
+                        sizeof(float) * static_cast<size_t>(m.cfg.num_types)),
+            0);
+  float diff1 = 0;
   for (int64_t j = 0; j < m.cfg.num_types; ++j) {
-    diff0 += std::abs(l1.data()[j] - l2.data()[j]);
     diff1 += std::abs(l1.data()[m.cfg.num_types + j] -
                       l2.data()[m.cfg.num_types + j]);
   }
-  EXPECT_LT(diff0, 1e-3f);
   EXPECT_GT(diff1, 1e-4f);
 }
 
