@@ -234,11 +234,17 @@ struct GemmCase {
 
 // The three GEMM shapes that dominate one encoder layer (QKV projection and
 // the two feed-forward matmuls) at the Tiny test config (H=48, I=128,
-// ~128 tokens) and the paper's TinyBERT config (H=312, I=1200, Wmax=512).
+// ~128 tokens) and the paper's TinyBERT config (H=312, I=1200, Wmax=512),
+// plus the serving model's per-head attention products (head_dim 12): a
+// content segment's scores over 142 keys, its probs x V context, and a
+// 111-token metadata chunk's context. Their widths are not multiples of the
+// 16-column register tile, so they time the kernel's column tail.
 constexpr GemmCase kGemmCases[] = {
     {"tiny_qkv", 128, 48, 48},     {"tiny_ffn1", 128, 128, 48},
     {"tiny_ffn2", 128, 48, 128},   {"paper_qkv", 512, 312, 312},
     {"paper_ffn1", 512, 1200, 312}, {"paper_ffn2", 512, 312, 1200},
+    {"tiny_attn_scores", 31, 142, 12}, {"tiny_attn_context", 31, 12, 142},
+    {"tiny_p1_context", 111, 12, 111},
 };
 
 // Best batch-average over several batches: the minimum is the standard

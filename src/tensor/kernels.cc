@@ -58,49 +58,74 @@ void PackA(float* __restrict dst, const float* a, int64_t i0, int64_t mb,
   }
 }
 
-/// Packs op(B)[p0:p0+kb, j0:j0+nb] into dst (kb x nb row-major).
+/// Packs op(B)[p0:p0+kb, j0:j0+nb] into dst (kb x nb_pad row-major), where
+/// nb_pad rounds nb up to a whole number of kNr-wide tiles; the padding
+/// columns are zero, so the micro kernel runs every column tile full width.
 void PackB(float* __restrict dst, const float* b, int64_t p0, int64_t kb,
-           int64_t j0, int64_t nb, int64_t n, int64_t k, bool trans_b) {
+           int64_t j0, int64_t nb, int64_t nb_pad, int64_t n, int64_t k,
+           bool trans_b) {
   if (!trans_b) {
     for (int64_t q = 0; q < kb; ++q) {
       const float* src = b + (p0 + q) * n + j0;
-      float* d = dst + q * nb;
+      float* d = dst + q * nb_pad;
       for (int64_t t = 0; t < nb; ++t) d[t] = src[t];
     }
   } else {
     // B stored (n, k): row j0+t of the storage becomes packed column t.
     for (int64_t t = 0; t < nb; ++t) {
       const float* src = b + (j0 + t) * k + p0;
-      for (int64_t q = 0; q < kb; ++q) dst[q * nb + t] = src[q];
+      for (int64_t q = 0; q < kb; ++q) dst[q * nb_pad + t] = src[q];
     }
+  }
+  for (int64_t q = 0; q < kb; ++q) {
+    std::fill(dst + q * nb_pad + nb, dst + (q + 1) * nb_pad, 0.0f);
   }
 }
 
 /// C-tile update from packed panels: C[.. , ..] += pa * pb where pa is
-/// (mb_pad x kb) with mb_pad a multiple of kMr — rows at and past `live`
-/// are zero-filled padding whose results are discarded; only the first
-/// `live` rows of C are read or written. The accumulators are seeded from
-/// C and updated in increasing-p order, so each element's floating-point
-/// summation order is exactly the naive kernel's.
+/// (mb_pad x kb) with mb_pad a multiple of kMr and pb is (kb x nb_pad) with
+/// its row stride nb_pad a multiple of kNr. Rows at and past `live` and
+/// columns at and past `nb` are zero-filled padding whose results are
+/// discarded; only the first `live` rows and `nb` columns of C are read or
+/// written. The accumulators are seeded from C and updated in increasing-p
+/// order, so each element's floating-point summation order is exactly the
+/// naive kernel's.
 ///
-/// There is deliberately NO scalar row-remainder path: every row — padding
-/// included — flows through the one kMr-band accumulation loop, so a row's
-/// bits depend only on its own A-row, the B panel, and the k/n blocking,
-/// never on where the row sits inside M. (A per-loop-shape remainder would
+/// There is deliberately NO scalar remainder path, for rows or columns:
+/// every row — padding included — flows through the one kMr-band loop, and
+/// every column — the last partial tile included — through the one
+/// kNr-wide vector accumulation. Only the seeding from C and the store back
+/// are limited to the live columns: a partial tile seeds from and stores to
+/// a zero-padded copy of them. So an element's bits depend only on its
+/// own A-row, its op(B) column and the k blocking, never on where the row
+/// sits inside M or the column inside N. (A per-loop-shape remainder would
 /// let the compiler contract mul+add differently there, making row bytes
 /// shift when rows are concatenated — exactly what the cross-table P2
 /// batcher's byte-identity guarantee forbids.)
 void MicroTile(const float* __restrict pa, const float* __restrict pb,
-               float* __restrict c, int64_t ldc, int64_t mb_pad, int64_t nb,
-               int64_t kb, int64_t live) {
+               int64_t nb_pad, float* __restrict c, int64_t ldc,
+               int64_t mb_pad, int64_t nb, int64_t kb, int64_t live) {
   for (int64_t i = 0; i < mb_pad; i += kMr) {
     const int64_t band_live = std::min(kMr, live - i);
-    int64_t j = 0;
-    for (; j + kNr <= nb; j += kNr) {
+    for (int64_t j = 0; j < nb; j += kNr) {
+      // A partial tile runs on a zero-padded copy of its live C columns, so
+      // every tile — the tail included — is the same full-width code below.
+      const int64_t cols = std::min(kNr, nb - j);
+      float stage[kMr][kNr];
+      float* ct = c + i * ldc + j;
+      int64_t ldt = ldc;
+      if (cols < kNr) {
+        for (int64_t r = 0; r < band_live; ++r) {
+          std::copy(ct + r * ldc, ct + r * ldc + cols, stage[r]);
+          std::fill(stage[r] + cols, stage[r] + kNr, 0.0f);
+        }
+        ct = &stage[0][0];
+        ldt = kNr;
+      }
       float acc[kMr][kNr];
       for (int64_t r = 0; r < kMr; ++r) {
         if (r < band_live) {
-          const float* crow = c + (i + r) * ldc + j;
+          const float* crow = ct + r * ldt;
           for (int64_t t = 0; t < kNr; ++t) acc[r][t] = crow[t];
         } else {
           for (int64_t t = 0; t < kNr; ++t) acc[r][t] = 0.0f;
@@ -111,7 +136,7 @@ void MicroTile(const float* __restrict pa, const float* __restrict pb,
       const float* a2 = pa + (i + 2) * kb;
       const float* a3 = pa + (i + 3) * kb;
       for (int64_t p = 0; p < kb; ++p) {
-        const float* __restrict brow = pb + p * nb + j;
+        const float* __restrict brow = pb + p * nb_pad + j;
         const float av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
         for (int64_t t = 0; t < kNr; ++t) {
           acc[0][t] += av0 * brow[t];
@@ -121,18 +146,13 @@ void MicroTile(const float* __restrict pa, const float* __restrict pb,
         }
       }
       for (int64_t r = 0; r < band_live; ++r) {
-        float* crow = c + (i + r) * ldc + j;
+        float* crow = ct + r * ldt;
         for (int64_t t = 0; t < kNr; ++t) crow[t] = acc[r][t];
       }
-    }
-    // Column remainder of the band: one scalar chain per element, identical
-    // for every row position.
-    for (; j < nb; ++j) {
-      for (int64_t r = 0; r < band_live; ++r) {
-        const float* arow = pa + (i + r) * kb;
-        float s = c[(i + r) * ldc + j];
-        for (int64_t p = 0; p < kb; ++p) s += arow[p] * pb[p * nb + j];
-        c[(i + r) * ldc + j] = s;
+      if (cols < kNr) {
+        for (int64_t r = 0; r < band_live; ++r) {
+          std::copy(stage[r], stage[r] + cols, c + (i + r) * ldc + j);
+        }
       }
     }
   }
@@ -157,9 +177,10 @@ void GemmBlockedRows(const float* a, const float* b, float* c, int64_t m,
   s.b.resize(static_cast<size_t>(kKc * kNc));
   for (int64_t j0 = 0; j0 < n; j0 += kNc) {
     const int64_t nb = std::min(kNc, n - j0);
+    const int64_t nb_pad = (nb + kNr - 1) / kNr * kNr;
     for (int64_t p0 = 0; p0 < k; p0 += kKc) {
       const int64_t kb = std::min(kKc, k - p0);
-      PackB(s.b.data(), b, p0, kb, j0, nb, n, k, trans_b);
+      PackB(s.b.data(), b, p0, kb, j0, nb, nb_pad, n, k, trans_b);
       for (int64_t i0 = r0; i0 < r1; i0 += kMc) {
         const int64_t mb = std::min(kMc, r1 - i0);
         const int64_t mb_pad = (mb + kMr - 1) / kMr * kMr;
@@ -167,8 +188,8 @@ void GemmBlockedRows(const float* a, const float* b, float* c, int64_t m,
         // Zero-fill the padding rows so the micro kernel can treat every
         // band as full; their (discarded) products are exact zeros.
         std::fill(s.a.data() + mb * kb, s.a.data() + mb_pad * kb, 0.0f);
-        MicroTile(s.a.data(), s.b.data(), c + i0 * n + j0, n, mb_pad, nb, kb,
-                  mb);
+        MicroTile(s.a.data(), s.b.data(), nb_pad, c + i0 * n + j0, n, mb_pad,
+                  nb, kb, mb);
       }
     }
   }

@@ -17,7 +17,12 @@
 // where the row sits inside M. The packed A panel is zero-padded to a whole
 // number of register bands so every row, at every offset, runs the exact
 // same micro-kernel instruction sequence; concatenating extra rows above or
-// below leaves existing rows bitwise unchanged. The P2 serving
+// below leaves existing rows bitwise unchanged. The packed B panel is
+// likewise zero-padded to a whole number of 16-column register tiles, so
+// the column tail (n mod 16 columns, e.g. every head_dim-wide attention
+// product) runs through the same vector tile as full columns; only the
+// seeding from C and the store back touch just the live columns. There is
+// no scalar remainder path for rows or columns. The P2 serving
 // scheduler's byte-identity guarantee rests on this row-stability (all
 // other forward ops are row-wise by construction). Parity with the naive
 // GemmAccRef is 1e-5 relative, not bitwise: the reference's rounding

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -39,6 +41,10 @@ const GemmShape kShapes[] = {
     {31, 130, 300},
 };
 
+const char* VariantName(bool trans_a, bool trans_b) {
+  return trans_a ? (trans_b ? "TT" : "TN") : (trans_b ? "NT" : "NN");
+}
+
 void CheckAllVariants(const GemmShape& s, ThreadPool* pool) {
   Rng rng(s.m * 1000003 + s.n * 1009 + s.k);
   // Operand storage covers both layouts; transposed variants reinterpret.
@@ -58,8 +64,7 @@ void CheckAllVariants(const GemmShape& s, ThreadPool* pool) {
               pool);
       ASSERT_EQ(want.size(), got.size());
       for (size_t i = 0; i < want.size(); ++i) {
-        const char* variant = trans_a ? (trans_b ? "TT" : "TN")
-                                      : (trans_b ? "NT" : "NN");
+        const char* variant = VariantName(trans_a, trans_b);
         // Blocked (any thread count) == blocked serial, always bitwise.
         ASSERT_EQ(serial[i], got[i])
             << "m=" << s.m << " n=" << s.n << " k=" << s.k << " " << variant
@@ -86,6 +91,124 @@ TEST(KernelsGemmTest, ParallelLargeProblemCrossesFlopThreshold) {
   // still bitwise identical to the reference.
   ThreadPool pool(4);
   CheckAllVariants({200, 160, 96}, &pool);
+}
+
+// Column tails: widths that leave a partial 16-column tile (n mod 16 != 0),
+// including the attention head width (12), the classifier width (47) and a
+// score width (142). The tail columns run through the same zero-padded
+// vector tile as full tiles.
+const int64_t kTailNs[] = {1, 12, 15, 26, 47, 142};
+const int64_t kTailKs[] = {1, 12, 111, 300};
+
+TEST(KernelsGemmTest, ColumnTailMatchesReference) {
+  for (int64_t n : kTailNs) {
+    for (int64_t k : kTailKs) CheckAllVariants({5, n, k}, /*pool=*/nullptr);
+  }
+}
+
+TEST(KernelsGemmTest, ColumnTailRowBitsIndependentOfRowOffset) {
+  // A row computed alone (m = 1) must be bitwise the same row computed at
+  // any offset inside a taller problem, tail columns included.
+  constexpr int64_t kM = 37;
+  const int64_t offsets[] = {0, 18, kM - 1};
+  for (int64_t n : kTailNs) {
+    for (int64_t k : kTailKs) {
+      Rng rng(n * 7919 + k);
+      const std::vector<float> row = RandomVec(k, rng);
+      const std::vector<float> b = RandomVec(k * n, rng);
+      const std::vector<float> c_row = RandomVec(n, rng);
+      std::vector<float> tall_a = RandomVec(kM * k, rng);  // (m, k) storage
+      std::vector<float> tall_c = RandomVec(kM * n, rng);
+      for (int64_t off : offsets) {
+        std::copy(row.begin(), row.end(), tall_a.begin() + off * k);
+        std::copy(c_row.begin(), c_row.end(), tall_c.begin() + off * n);
+      }
+      // The same operand in (k, m) storage for the transposed-A variants.
+      std::vector<float> tall_at(tall_a.size());
+      for (int64_t i = 0; i < kM; ++i) {
+        for (int64_t p = 0; p < k; ++p) {
+          tall_at[p * kM + i] = tall_a[i * k + p];
+        }
+      }
+      for (bool trans_a : {false, true}) {
+        for (bool trans_b : {false, true}) {
+          std::vector<float> solo = c_row;
+          GemmAcc(row.data(), b.data(), solo.data(), 1, n, k, trans_a,
+                  trans_b);
+          std::vector<float> tall = tall_c;
+          GemmAcc(trans_a ? tall_at.data() : tall_a.data(), b.data(),
+                  tall.data(), kM, n, k, trans_a, trans_b);
+          for (int64_t off : offsets) {
+            EXPECT_EQ(0, std::memcmp(solo.data(), tall.data() + off * n,
+                                     sizeof(float) * static_cast<size_t>(n)))
+                << "n=" << n << " k=" << k << " "
+                << VariantName(trans_a, trans_b) << " row offset " << off;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsGemmTest, ColumnTailParallelBitwiseEqualsSerial) {
+  // 2*200*47*300 flops is above kMinParallelFlops, so the pool forks bands;
+  // n = 47 leaves a 15-column tail tile in every band. (Reference parity is
+  // ColumnTailMatchesReference's job: at 9400 outputs of k = 300 the fp32
+  // reference itself strays up to ~4e-5 from the exact sum.)
+  const int64_t m = 200, n = 47, k = 300;
+  ThreadPool pool(4);
+  Rng rng(47);
+  const std::vector<float> a = RandomVec(m * k, rng);
+  const std::vector<float> b = RandomVec(k * n, rng);
+  const std::vector<float> c0 = RandomVec(m * n, rng);
+  for (bool trans_a : {false, true}) {
+    for (bool trans_b : {false, true}) {
+      std::vector<float> serial = c0;
+      GemmAcc(a.data(), b.data(), serial.data(), m, n, k, trans_a, trans_b);
+      std::vector<float> pooled = c0;
+      GemmAcc(a.data(), b.data(), pooled.data(), m, n, k, trans_a, trans_b,
+              &pool);
+      EXPECT_EQ(0, std::memcmp(serial.data(), pooled.data(),
+                               sizeof(float) * serial.size()))
+          << VariantName(trans_a, trans_b);
+    }
+  }
+}
+
+TEST(KernelsGemmTest, ColumnTailSeedsFromCAndWritesOnlyLiveColumns) {
+  // C holds a non-zero seed, and guard words follow its last row: the
+  // padded tail tile must neither drop the seed nor store past column n.
+  // (16 guards cover a whole register tile, so a stray full-width store
+  // lands on them rather than corrupting the heap.)
+  constexpr float kGuard = -12345.5f;
+  constexpr size_t kGuards = 16;
+  for (int64_t n : kTailNs) {
+    const int64_t m = 6, k = 40;
+    Rng rng(n + 3);
+    const std::vector<float> a = RandomVec(m * k, rng);
+    const std::vector<float> b = RandomVec(k * n, rng);
+    std::vector<float> seed = RandomVec(m * n, rng);
+    for (bool trans_a : {false, true}) {
+      for (bool trans_b : {false, true}) {
+        std::vector<float> want = seed;
+        GemmAccRef(a.data(), b.data(), want.data(), m, n, k, trans_a,
+                   trans_b);
+        std::vector<float> got = seed;
+        got.resize(seed.size() + kGuards, kGuard);
+        GemmAcc(a.data(), b.data(), got.data(), m, n, k, trans_a, trans_b);
+        for (size_t g = seed.size(); g < got.size(); ++g) {
+          ASSERT_EQ(got[g], kGuard) << "n=" << n << " "
+                                    << VariantName(trans_a, trans_b)
+                                    << " guard " << g - seed.size();
+        }
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_NEAR(want[i], got[i], 1e-5f * (1.0f + std::abs(want[i])))
+              << "n=" << n << " " << VariantName(trans_a, trans_b) << " at "
+              << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelsGemmTest, ZeroSizedProblemsAreNoOps) {
