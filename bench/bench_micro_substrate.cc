@@ -25,6 +25,7 @@
 #include "core/taste_detector.h"
 #include "data/table_generator.h"
 #include "model/adtd.h"
+#include "nn/transformer.h"
 #include "serve/router.h"
 #include "tensor/exec_context.h"
 #include "tensor/kernels.h"
@@ -324,6 +325,45 @@ void WriteSubstrateJson() {
         serial_ms / parallel_ms);
   }
   json.EndArray();
+
+  // Attention forwards at the serving model's shape (A=4, head_dim 12):
+  // the P2 column-segmented form (12 segments of 27 content rows over 130
+  // metadata rows) and the P1 dense form (111 x 111). Ungated: they track
+  // the attention op, whose time no GEMM row above covers.
+  {
+    tensor::NoGradGuard ng;
+    Rng arng(29);
+    nn::MultiHeadAttention attn(48, 4, arng);
+    const int64_t segments = 12, seg = 27, memory_rows = 130, dense = 111;
+    const tensor::Tensor x =
+        tensor::Tensor::Randn({segments * seg, 48}, arng);
+    const tensor::Tensor memory = tensor::Tensor::Randn({memory_rows, 48}, arng);
+    const tensor::Tensor seg_mask =
+        tensor::Tensor::Zeros({segments * seg, memory_rows + seg});
+    const std::vector<nn::SegmentGroup> groups = {
+        {&memory, &seg_mask, segments, seg}};
+    const tensor::Tensor y = tensor::Tensor::Randn({dense, 48}, arng);
+    const tensor::Tensor dense_mask = tensor::Tensor::Zeros({dense, dense});
+    const double segmented_ms = TimeGemmMs(
+        [&] { benchmark::DoNotOptimize(attn.ForwardSegmented(x, groups)); },
+        50);
+    const double dense_ms = TimeGemmMs(
+        [&] { benchmark::DoNotOptimize(attn.Forward(y, y, &dense_mask)); },
+        50);
+    json.BeginArray("attention");
+    json.BeginObject();
+    json.Field("form", std::string("p2_segmented_12x27_m130"));
+    json.Field("ms", segmented_ms);
+    json.EndObject();
+    json.BeginObject();
+    json.Field("form", std::string("p1_dense_111"));
+    json.Field("ms", dense_ms);
+    json.EndObject();
+    json.EndArray();
+    std::printf("attention (A=4, hd=12): segmented 12x27+130 %.3f ms, "
+                "dense 111x111 %.3f ms\n",
+                segmented_ms, dense_ms);
+  }
 
   // End-to-end Fig. 4-style wall clock: the full detector over the micro
   // fixture's tables, sequential vs pipelined executor (instant cost model,

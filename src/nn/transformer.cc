@@ -1,18 +1,12 @@
 #include "nn/transformer.h"
 
-#include <cmath>
-
 #include "common/string_util.h"
 
 namespace taste::nn {
 
-using tensor::Shape;
-
 MultiHeadAttention::MultiHeadAttention(int64_t hidden, int64_t num_heads,
                                        Rng& rng)
-    : hidden_(hidden),
-      num_heads_(num_heads),
-      head_dim_(hidden / num_heads),
+    : num_heads_(num_heads),
       q_proj_(hidden, hidden, rng),
       k_proj_(hidden, hidden, rng),
       v_proj_(hidden, hidden, rng),
@@ -31,26 +25,18 @@ Tensor MultiHeadAttention::Forward(const Tensor& q_input,
   tensor::ScopedExecContext scope(exec_ctx);
   const int64_t sq = q_input.dim(0);
   const int64_t skv = kv_input.dim(0);
-  // Project and split heads: (s, H) -> (s, A, hd) -> (A, s, hd).
-  auto split = [this](const Tensor& x, int64_t s) {
-    return tensor::Permute3(
-        tensor::Reshape(x, {s, num_heads_, head_dim_}), {1, 0, 2});
-  };
-  Tensor q = split(q_proj_.Forward(q_input), sq);    // (A, sq, hd)
-  Tensor k = split(k_proj_.Forward(kv_input), skv);  // (A, skv, hd)
-  Tensor v = split(v_proj_.Forward(kv_input), skv);  // (A, skv, hd)
-
-  Tensor scores = tensor::BatchedMatMul(q, tensor::TransposeLast2(k));
-  scores = tensor::Scale(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
   if (mask != nullptr) {
     TASTE_CHECK_MSG(mask->dim(0) == sq && mask->dim(1) == skv,
                     "attention mask shape mismatch");
-    scores = tensor::AddBroadcastMat(scores, *mask);
   }
-  Tensor probs = tensor::Softmax(scores);           // (A, sq, skv)
-  Tensor ctx = tensor::BatchedMatMul(probs, v);     // (A, sq, hd)
-  ctx = tensor::Reshape(tensor::Permute3(ctx, {1, 0, 2}), {sq, hidden_});
-  return out_proj_.Forward(ctx);
+  tensor::AttentionSpan span;
+  span.query = {0, sq};
+  span.kv[0] = {0, skv};
+  span.mask = mask;
+  const Tensor q = q_proj_.Forward(q_input);
+  const Tensor k = k_proj_.Forward(kv_input);
+  const Tensor v = v_proj_.Forward(kv_input);
+  return out_proj_.Forward(tensor::Attention(q, k, v, num_heads_, {span}));
 }
 
 Tensor MultiHeadAttention::ForwardSegmented(
@@ -77,81 +63,31 @@ Tensor MultiHeadAttention::ForwardSegmented(
                   "query rows must equal the groups' segment rows");
   kv_parts.push_back(x);
 
-  // One GEMM each for q/k/v over all rows, viewed as (s*A, hd): row t*A + a
-  // is token t's head-a slice, so GatherRows assembles any (head, segment)
-  // batch entry in one copy.
-  auto by_head = [this](const Tensor& t) {
-    return tensor::Reshape(t, {t.dim(0) * num_heads_, head_dim_});
-  };
-  const Tensor kv_input = tensor::ConcatRows(kv_parts);
-  const Tensor q_all = by_head(q_proj_.Forward(x));
-  const Tensor k_all = by_head(k_proj_.Forward(kv_input));
-  const Tensor v_all = by_head(v_proj_.Forward(kv_input));
-  const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-  // Per group, one batch entry per (head, segment): queries (seg, hd)
-  // against keys/values [memory ; own segment]. Contexts come out in
-  // (head, segment, row) order; `merge_rows` maps each (token, head) slice
-  // back to its row among all groups' contexts.
-  std::vector<Tensor> contexts;
-  contexts.reserve(groups.size());
-  std::vector<int> merge_rows(static_cast<size_t>(query_rows * num_heads_));
-  std::vector<int> q_rows;
-  std::vector<int> kv_rows;
+  // One span per segment: its query rows attend over [its group's memory ;
+  // its own rows] of the key/value rows, with its rows of the group mask.
+  std::vector<tensor::AttentionSpan> spans;
   int64_t memory_off = 0;
   int64_t query_off = 0;
-  int64_t context_off = 0;
   for (const SegmentGroup& g : groups) {
-    const int64_t n = g.segments;
-    const int64_t seg = g.segment_len;
     const int64_t sm = g.memory->dim(0);
-    const int64_t width = sm + seg;
-    const int64_t batch = num_heads_ * n;
-    q_rows.clear();
-    kv_rows.clear();
-    for (int64_t a = 0; a < num_heads_; ++a) {
-      for (int64_t j = 0; j < n; ++j) {
-        const int64_t own = query_off + j * seg;  // segment's first x row
-        const int64_t entry_row = context_off + (a * n + j) * seg;
-        for (int64_t r = 0; r < seg; ++r) {
-          q_rows.push_back(static_cast<int>((own + r) * num_heads_ + a));
-          merge_rows[static_cast<size_t>((own + r) * num_heads_ + a)] =
-              static_cast<int>(entry_row + r);
-        }
-        for (int64_t r = 0; r < sm; ++r) {
-          kv_rows.push_back(
-              static_cast<int>((memory_off + r) * num_heads_ + a));
-        }
-        for (int64_t r = 0; r < seg; ++r) {
-          kv_rows.push_back(
-              static_cast<int>((memory_rows + own + r) * num_heads_ + a));
-        }
-      }
+    for (int64_t j = 0; j < g.segments; ++j) {
+      const int64_t own = query_off + j * g.segment_len;
+      tensor::AttentionSpan span;
+      span.query = {own, g.segment_len};
+      span.kv[0] = {memory_off, sm};
+      span.kv[1] = {memory_rows + own, g.segment_len};
+      span.mask = g.mask;
+      span.mask_row = j * g.segment_len;
+      spans.push_back(span);
     }
-    Tensor q = tensor::Reshape(tensor::GatherRows(q_all, q_rows),
-                               {batch, seg, head_dim_});
-    Tensor k = tensor::Reshape(tensor::GatherRows(k_all, kv_rows),
-                               {batch, width, head_dim_});
-    Tensor v = tensor::Reshape(tensor::GatherRows(v_all, kv_rows),
-                               {batch, width, head_dim_});
-    // (A*n, seg, width) is laid out as (A, n*seg, width): one mask row per
-    // query row, shared by all heads.
-    Tensor scores = tensor::BatchedMatMul(q, tensor::TransposeLast2(k));
-    scores = tensor::Scale(
-        tensor::Reshape(scores, {num_heads_, n * seg, width}), inv_sqrt_hd);
-    scores = tensor::AddBroadcastMat(scores, *g.mask);
-    Tensor probs =
-        tensor::Reshape(tensor::Softmax(scores), {batch, seg, width});
-    Tensor ctx = tensor::BatchedMatMul(probs, v);  // (A*n, seg, hd)
-    contexts.push_back(tensor::Reshape(ctx, {batch * seg, head_dim_}));
     memory_off += sm;
-    query_off += n * seg;
-    context_off += batch * seg;
+    query_off += g.segments * g.segment_len;
   }
-  const Tensor merged = tensor::GatherRows(
-      contexts.size() == 1 ? contexts[0] : tensor::ConcatRows(contexts),
-      merge_rows);
-  return out_proj_.Forward(tensor::Reshape(merged, {query_rows, hidden_}));
+  const Tensor kv_input = tensor::ConcatRows(kv_parts);
+  const Tensor q = q_proj_.Forward(x);
+  const Tensor k = k_proj_.Forward(kv_input);
+  const Tensor v = v_proj_.Forward(kv_input);
+  return out_proj_.Forward(tensor::Attention(q, k, v, num_heads_, spans));
 }
 
 FeedForward::FeedForward(int64_t hidden, int64_t intermediate, Rng& rng)

@@ -11,7 +11,9 @@
 // segment instead of a dense (sc, sm+sc) score matrix whose other-column
 // entries a mask would zero. The q/k/v/out projections still run as one
 // GEMM each over all rows, and the metadata rows are projected once per
-// layer, not once per column.
+// layer, not once per column. Both attention forms then hand the projected
+// rows to one op, tensor::Attention, as spans: the dense form is one span,
+// the segmented form one span per segment.
 
 #ifndef TASTE_NN_TRANSFORMER_H_
 #define TASTE_NN_TRANSFORMER_H_
@@ -56,8 +58,9 @@ class MultiHeadAttention : public Module {
   /// own rows only, so no attention crosses a segment or a group. Returns
   /// (x.rows, H). Byte-identical per group to calling it on that group
   /// alone: every projection output row depends only on its own input row
-  /// (fixed-k accumulation, see tensor/kernels.h), and each segment's
-  /// scores/softmax/context see bitwise the same operands either way.
+  /// (fixed-k accumulation, see tensor/kernels.h), and each segment is its
+  /// own tensor::Attention span, whose (span, head) blocks see bitwise the
+  /// same operands either way and depend on nothing else.
   Tensor ForwardSegmented(const Tensor& x,
                           const std::vector<SegmentGroup>& groups,
                           ExecContext* ctx = nullptr) const;
@@ -70,9 +73,7 @@ class MultiHeadAttention : public Module {
   int64_t PrepackQuant();
 
  private:
-  int64_t hidden_;
   int64_t num_heads_;
-  int64_t head_dim_;
   Linear q_proj_;
   Linear k_proj_;
   Linear v_proj_;

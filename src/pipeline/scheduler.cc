@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -19,6 +20,23 @@ using core::TableDetectionResult;
 using core::TasteDetector;
 
 namespace {
+
+/// The ExecStats timing buckets exported as taste_op_ms{op=...} and
+/// taste_op_calls_total{op=...}: one table, so the label list and the
+/// buckets cannot drift apart.
+struct OpBucket {
+  const char* name;
+  tensor::OpTiming tensor::ExecStats::* bucket;
+};
+constexpr OpBucket kOps[] = {
+    {"gemm", &tensor::ExecStats::gemm},
+    {"quant_gemm", &tensor::ExecStats::quant_gemm},
+    {"softmax", &tensor::ExecStats::softmax},
+    {"layernorm", &tensor::ExecStats::layernorm},
+    {"gelu", &tensor::ExecStats::gelu},
+    {"attention", &tensor::ExecStats::attention},
+};
+constexpr int kNumOps = static_cast<int>(std::size(kOps));
 
 /// Registry handles for the pipeline's serving metrics, resolved once.
 /// Resolved eagerly by the executor constructor so every family appears in
@@ -42,8 +60,9 @@ struct PipelineMetrics {
   obs::Counter* tables_expired;
   obs::Counter* tables_degraded;
   obs::Histogram* admitted_table_ms;  // first dispatch -> terminal state
-  obs::Histogram* op_ms[5];  // gemm, quant_gemm, softmax, layernorm, gelu
-  obs::Counter* op_calls[5];
+  // Per-op buckets, in kOps order.
+  obs::Histogram* op_ms[kNumOps];
+  obs::Counter* op_calls[kNumOps];
   obs::Counter* pool_acquires;
   obs::Counter* pool_reuses;
 
@@ -77,13 +96,11 @@ struct PipelineMetrics {
       x.tables_expired = r.GetCounter("taste_tables_expired_total");
       x.tables_degraded = r.GetCounter("taste_tables_degraded_total");
       x.admitted_table_ms = r.GetHistogram("taste_admitted_table_ms");
-      const char* ops[5] = {"gemm", "quant_gemm", "softmax", "layernorm",
-                            "gelu"};
-      for (int i = 0; i < 5; ++i) {
-        x.op_ms[i] =
-            r.GetHistogram(obs::LabeledName("taste_op_ms", "op", ops[i]));
+      for (int i = 0; i < kNumOps; ++i) {
+        x.op_ms[i] = r.GetHistogram(
+            obs::LabeledName("taste_op_ms", "op", kOps[i].name));
         x.op_calls[i] = r.GetCounter(
-            obs::LabeledName("taste_op_calls_total", "op", ops[i]));
+            obs::LabeledName("taste_op_calls_total", "op", kOps[i].name));
       }
       x.pool_acquires = r.GetCounter("taste_pool_acquires_total");
       x.pool_reuses = r.GetCounter("taste_pool_reuses_total");
@@ -101,11 +118,10 @@ void FoldExecStats(const tensor::ExecContext& ctx) {
   if (!obs::MetricsEnabled()) return;
   PipelineMetrics& m = PipelineMetrics::Get();
   const tensor::ExecStats s = ctx.stats();
-  const tensor::OpTiming* ops[5] = {&s.gemm, &s.quant_gemm, &s.softmax,
-                                    &s.layernorm, &s.gelu};
-  for (int i = 0; i < 5; ++i) {
-    m.op_calls[i]->Inc(ops[i]->calls);
-    if (ops[i]->calls > 0) m.op_ms[i]->Observe(ops[i]->ms);
+  for (int i = 0; i < kNumOps; ++i) {
+    const tensor::OpTiming& op = s.*kOps[i].bucket;
+    m.op_calls[i]->Inc(op.calls);
+    if (op.calls > 0) m.op_ms[i]->Observe(op.ms);
   }
   m.pool_acquires->Inc(s.pool.acquires);
   m.pool_reuses->Inc(s.pool.reuses);

@@ -88,6 +88,7 @@ struct ExecStats {
   OpTiming softmax;
   OpTiming layernorm;
   OpTiming gelu;
+  OpTiming attention;  // fused Attention: both products, scale, mask, softmax
   BufferPool::Stats pool;
 };
 

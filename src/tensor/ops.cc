@@ -2,12 +2,14 @@
 
 #include "common/fpu.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "tensor/exec_context.h"
 #include "tensor/kernels.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <future>
 
 namespace taste::tensor {
 
@@ -93,6 +95,13 @@ Tensor UnaryOp(const Tensor& x, F f, DF df) {
     }
   });
   return Tensor(out);
+}
+
+/// dst[0, n) = src[0, n). Zero-length copies are skipped: an empty tensor's
+/// data() may be null, and memcpy with a null pointer is undefined even
+/// when it copies nothing.
+void CopyFloats(float* dst, const float* src, int64_t n) {
+  if (n > 0) std::memcpy(dst, src, sizeof(float) * static_cast<size_t>(n));
 }
 
 void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
@@ -460,7 +469,7 @@ Tensor TransposeLast2(const Tensor& x) {
 Tensor Reshape(const Tensor& x, Shape shape) {
   TASTE_CHECK_MSG(NumElements(shape) == x.numel(), "Reshape numel mismatch");
   auto out = NewImpl(std::move(shape));
-  std::memcpy(out->data.data(), x.data(), sizeof(float) * x.numel());
+  CopyFloats(out->data.data(), x.data(), x.numel());
   auto xi = x.impl();
   internal::TensorImpl* oi = out.get();
   SetEdge(out, {&x}, [xi, oi] {
@@ -472,43 +481,276 @@ Tensor Reshape(const Tensor& x, Shape shape) {
   return Tensor(out);
 }
 
-Tensor Permute3(const Tensor& x, const std::vector<int>& perm) {
-  TASTE_CHECK(x.rank() == 3 && perm.size() == 3);
-  const Shape& s = x.shape();
-  Shape out_shape = {s[perm[0]], s[perm[1]], s[perm[2]]};
-  auto out = NewImpl(out_shape);
-  int64_t d0 = s[0], d1 = s[1], d2 = s[2];
-  // Strides of output coordinates in terms of input coordinates.
-  int64_t in_strides[3] = {d1 * d2, d2, 1};
-  int64_t os1 = out_shape[1] * out_shape[2], os2 = out_shape[2];
-  const float* xd = x.data();
-  for (int64_t i = 0; i < d0; ++i) {
-    for (int64_t j = 0; j < d1; ++j) {
-      for (int64_t k = 0; k < d2; ++k) {
-        int64_t coord[3] = {i, j, k};
-        int64_t out_idx = coord[perm[0]] * os1 + coord[perm[1]] * os2 +
-                          coord[perm[2]];
-        out->data[out_idx] = xd[i * in_strides[0] + j * in_strides[1] + k];
+// -- Attention -------------------------------------------------------------------
+
+namespace {
+
+/// Below this many flops (both products, all blocks) the op runs its blocks
+/// serially even when an intra-op pool is bound; same bar as GemmAcc's.
+constexpr int64_t kMinParallelAttentionFlops = 1 << 21;
+
+/// Per-thread tiles of one (span, head) block. They grow to the largest
+/// block the thread has seen and are reused: at the serving shape a score
+/// tile is one column segment's 27 x 157 floats (~17 KiB).
+struct AttentionScratch {
+  std::vector<float> q, k, v, scores, ctx;   // forward (backward reuses)
+  std::vector<float> dscores, dq, dk, dv;    // backward only
+};
+
+AttentionScratch& AttnScratch() {
+  thread_local AttentionScratch s;
+  return s;
+}
+
+/// `buf` grown to at least n floats.
+float* Tile(std::vector<float>& buf, int64_t n) {
+  if (buf.size() < static_cast<size_t>(n)) buf.resize(static_cast<size_t>(n));
+  return buf.data();
+}
+
+/// A zeroed n-float tile: GemmAcc accumulates into C.
+float* ZeroTile(std::vector<float>& buf, int64_t n) {
+  float* p = Tile(buf, n);
+  std::fill(p, p + n, 0.0f);
+  return p;
+}
+
+struct AttentionDims {
+  int64_t hidden;
+  int64_t head_dim;
+  float scale;  // 1 / sqrt(head_dim)
+};
+
+int64_t SpanWidth(const AttentionSpan& s) {
+  return s.kv[0].rows + s.kv[1].rows;
+}
+
+/// dst (range.rows, hd) = columns [col, col+hd) of x's rows in `range`.
+void GatherHead(const float* x, const AttentionDims& d, int64_t col,
+                RowRange range, float* dst) {
+  for (int64_t r = 0; r < range.rows; ++r) {
+    CopyFloats(dst + r * d.head_dim, x + (range.begin + r) * d.hidden + col,
+               d.head_dim);
+  }
+}
+
+/// Columns [col, col+hd) of x's rows in `range` += src (range.rows, hd).
+void ScatterAddHead(const float* src, const AttentionDims& d, int64_t col,
+                    RowRange range, float* x) {
+  for (int64_t r = 0; r < range.rows; ++r) {
+    kernels::AccumulateSpan(src + r * d.head_dim,
+                            x + (range.begin + r) * d.hidden + col,
+                            d.head_dim);
+  }
+}
+
+/// Head `head` of one span's keys or values: kv[0]'s rows, then kv[1]'s.
+void GatherHeadKv(const float* x, const AttentionDims& d, int64_t col,
+                  const AttentionSpan& s, float* dst) {
+  GatherHead(x, d, col, s.kv[0], dst);
+  GatherHead(x, d, col, s.kv[1], dst + s.kv[0].rows * d.head_dim);
+}
+
+void ScatterAddHeadKv(const float* src, const AttentionDims& d, int64_t col,
+                      const AttentionSpan& s, float* x) {
+  ScatterAddHead(src, d, col, s.kv[0], x);
+  ScatterAddHead(src + s.kv[0].rows * d.head_dim, d, col, s.kv[1], x);
+}
+
+/// One (span, head) block: writes that head's columns of the span's output
+/// rows. The probabilities go to `probs` (seg x width) when it is non-null,
+/// else they overwrite the score tile in place.
+void AttentionBlockForward(const float* q, const float* k, const float* v,
+                           const AttentionSpan& s, int64_t head,
+                           const AttentionDims& d, float* probs, float* out) {
+  AttentionScratch& t = AttnScratch();
+  const int64_t seg = s.query.rows;
+  const int64_t width = SpanWidth(s);
+  const int64_t hd = d.head_dim;
+  const int64_t col = head * hd;
+  float* qh = Tile(t.q, seg * hd);
+  float* kh = Tile(t.k, width * hd);
+  float* vh = Tile(t.v, width * hd);
+  GatherHead(q, d, col, s.query, qh);
+  GatherHeadKv(k, d, col, s, kh);
+  GatherHeadKv(v, d, col, s, vh);
+  // Scores, then scale -> mask -> softmax -> AV: the unfused chain's order
+  // on the same values. A trans_b pack of kh is the panel a materialized
+  // kh^T would pack, so the scores' bits are the same too.
+  float* scores = ZeroTile(t.scores, seg * width);
+  kernels::GemmAcc(qh, kh, scores, seg, width, hd, false, true);
+  kernels::ScaleSpan(scores, d.scale, scores, seg * width);
+  if (s.mask != nullptr) {
+    kernels::AddSpan(scores, s.mask->data() + s.mask_row * width, scores,
+                     seg * width);
+  }
+  float* p = probs != nullptr ? probs : scores;
+  kernels::SoftmaxRows(scores, p, seg, width);
+  float* ctx = ZeroTile(t.ctx, seg * hd);
+  kernels::GemmAcc(p, vh, ctx, seg, hd, width, false, false);
+  for (int64_t r = 0; r < seg; ++r) {
+    CopyFloats(out + (s.query.begin + r) * d.hidden + col, ctx + r * hd, hd);
+  }
+}
+
+/// Backward of one (span, head) block, accumulating into the non-null
+/// gradients of q, k and v.
+void AttentionBlockBackward(const float* q, const float* k, const float* v,
+                            const AttentionSpan& s, int64_t head,
+                            const AttentionDims& d, const float* probs,
+                            const float* dout, float* dq, float* dk,
+                            float* dv) {
+  AttentionScratch& t = AttnScratch();
+  const int64_t seg = s.query.rows;
+  const int64_t width = SpanWidth(s);
+  const int64_t hd = d.head_dim;
+  const int64_t col = head * hd;
+  float* dctx = Tile(t.ctx, seg * hd);
+  GatherHead(dout, d, col, s.query, dctx);
+  if (dv != nullptr) {
+    // dV = P^T dctx.
+    float* dvh = ZeroTile(t.dv, width * hd);
+    kernels::GemmAcc(probs, dctx, dvh, width, hd, seg, true, false);
+    ScatterAddHeadKv(dvh, d, col, s, dv);
+  }
+  if (dq == nullptr && dk == nullptr) return;
+  // dP = dctx V^T; dS = scale * softmax'(dP). The mask is a constant.
+  float* vh = Tile(t.v, width * hd);
+  GatherHeadKv(v, d, col, s, vh);
+  float* dp = ZeroTile(t.scores, seg * width);
+  kernels::GemmAcc(dctx, vh, dp, seg, width, hd, false, true);
+  float* ds = ZeroTile(t.dscores, seg * width);
+  kernels::SoftmaxGradRows(probs, dp, ds, seg, width);
+  kernels::ScaleSpan(ds, d.scale, ds, seg * width);
+  if (dq != nullptr) {
+    // dQ = dS K.
+    float* kh = Tile(t.k, width * hd);
+    GatherHeadKv(k, d, col, s, kh);
+    float* dqh = ZeroTile(t.dq, seg * hd);
+    kernels::GemmAcc(ds, kh, dqh, seg, hd, width, false, false);
+    ScatterAddHead(dqh, d, col, s.query, dq);
+  }
+  if (dk != nullptr) {
+    // dK = dS^T Q.
+    float* qh = Tile(t.q, seg * hd);
+    GatherHead(q, d, col, s.query, qh);
+    float* dkh = ZeroTile(t.dk, width * hd);
+    kernels::GemmAcc(ds, qh, dkh, width, hd, seg, true, false);
+    ScatterAddHeadKv(dkh, d, col, s, dk);
+  }
+}
+
+bool RangeWithin(RowRange r, int64_t rows) {
+  return r.begin >= 0 && r.rows >= 0 && r.begin + r.rows <= rows;
+}
+
+}  // namespace
+
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads, const std::vector<AttentionSpan>& spans) {
+  TASTE_CHECK(q.rank() == 2 && k.rank() == 2 && v.rank() == 2);
+  const int64_t hidden = q.dim(1);
+  TASTE_CHECK_MSG(num_heads > 0 && hidden % num_heads == 0,
+                  "Attention hidden size must be divisible by num_heads");
+  TASTE_CHECK_MSG(k.dim(1) == hidden && v.shape() == k.shape(),
+                  "Attention q/k/v shape mismatch");
+  const int64_t head_dim = hidden / num_heads;
+  const AttentionDims dims{hidden, head_dim,
+                           1.0f / std::sqrt(static_cast<float>(head_dim))};
+  // Block b = i * num_heads + a is span i, head a. When an edge is
+  // recorded, its probabilities are saved at probs_off[b].
+  const int64_t blocks = static_cast<int64_t>(spans.size()) * num_heads;
+  std::vector<int64_t> probs_off(static_cast<size_t>(blocks) + 1, 0);
+  int64_t flops = 0;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const AttentionSpan& s = spans[i];
+    const int64_t width = SpanWidth(s);
+    TASTE_CHECK_MSG(RangeWithin(s.query, q.dim(0)) &&
+                        RangeWithin(s.kv[0], k.dim(0)) &&
+                        RangeWithin(s.kv[1], k.dim(0)),
+                    "Attention span row range out of bounds");
+    TASTE_CHECK_MSG(s.query.rows == 0 || width > 0,
+                    "Attention span has queries but no keys");
+    if (s.mask != nullptr) {
+      TASTE_CHECK_MSG(s.mask->rank() == 2 && s.mask->dim(1) == width &&
+                          s.mask_row >= 0 &&
+                          s.mask_row + s.query.rows <= s.mask->dim(0),
+                      "Attention mask shape mismatch");
+      TASTE_CHECK_MSG(!s.mask->requires_grad(),
+                      "Attention masks are constants");
+    }
+    for (int64_t a = 0; a < num_heads; ++a) {
+      const size_t b = i * static_cast<size_t>(num_heads) + a;
+      probs_off[b + 1] = probs_off[b] + s.query.rows * width;
+    }
+    flops += 4 * num_heads * s.query.rows * width * head_dim;
+  }
+  const bool record = GradEnabled() && AnyRequiresGrad({&q, &k, &v});
+  auto probs = record ? std::make_shared<std::vector<float>>(
+                            static_cast<size_t>(probs_off.back()))
+                      : nullptr;
+  auto out = NewImpl({q.dim(0), hidden});
+  {
+    OpTimer timer(&ExecStats::attention);
+    auto run = [&](int64_t b0, int64_t b1) {
+      for (int64_t b = b0; b < b1; ++b) {
+        const AttentionSpan& s = spans[static_cast<size_t>(b / num_heads)];
+        if (s.query.rows == 0) continue;
+        AttentionBlockForward(
+            q.data(), k.data(), v.data(), s, b % num_heads, dims,
+            probs != nullptr ? probs->data() + probs_off[b] : nullptr,
+            out->data.data());
       }
+    };
+    // Blocks write disjoint outputs from their own scratch, so spreading
+    // them over the pool cannot change a bit.
+    ThreadPool* pool = CurrentIntraPool();
+    if (pool == nullptr || pool->size() <= 1 || blocks < 2 ||
+        flops < kMinParallelAttentionFlops) {
+      run(0, blocks);
+    } else {
+      const int64_t tasks =
+          std::min<int64_t>(static_cast<int64_t>(pool->size()), blocks);
+      const int64_t per_task = (blocks + tasks - 1) / tasks;
+      std::vector<std::future<void>> futures;
+      futures.reserve(static_cast<size_t>(tasks));
+      for (int64_t b0 = 0; b0 < blocks; b0 += per_task) {
+        const int64_t b1 = std::min(blocks, b0 + per_task);
+        futures.push_back(pool->Submit([&run, b0, b1] {
+          // Same FPU mode as the calling thread (see NewImpl).
+          thread_local FlushDenormalsScope flush_denormals;
+          run(b0, b1);
+        }));
+      }
+      for (auto& f : futures) f.get();
     }
   }
-  auto xi = x.impl();
-  internal::TensorImpl* oi = out.get();
-  SetEdge(out, {&x}, [xi, oi, perm, d0, d1, d2, os1, os2] {
-    if (!xi->requires_grad) return;
-    auto& g = xi->MutableGrad();
-    const auto& og = oi->MutableGrad();
-    for (int64_t i = 0; i < d0; ++i) {
-      for (int64_t j = 0; j < d1; ++j) {
-        for (int64_t k = 0; k < d2; ++k) {
-          int64_t coord[3] = {i, j, k};
-          int64_t out_idx = coord[perm[0]] * os1 + coord[perm[1]] * os2 +
-                            coord[perm[2]];
-          g[(i * d1 + j) * d2 + k] += og[out_idx];
-        }
+  if (record) {
+    std::vector<AttentionSpan> geometry = spans;
+    // Backward never reads the masks; drop the pointers, not the spans.
+    for (AttentionSpan& s : geometry) s.mask = nullptr;
+    auto qi = q.impl();
+    auto ki = k.impl();
+    auto vi = v.impl();
+    internal::TensorImpl* oi = out.get();
+    SetEdge(out, {&q, &k, &v}, [qi, ki, vi, oi, geometry, probs, probs_off,
+                                num_heads, dims, blocks] {
+      auto grad = [](internal::TensorImpl* t) {
+        return t->requires_grad ? t->MutableGrad().data() : nullptr;
+      };
+      float* dq = grad(qi.get());
+      float* dk = grad(ki.get());
+      float* dv = grad(vi.get());
+      const float* dout = oi->MutableGrad().data();
+      for (int64_t b = 0; b < blocks; ++b) {
+        const AttentionSpan& s = geometry[static_cast<size_t>(b / num_heads)];
+        if (s.query.rows == 0) continue;
+        AttentionBlockBackward(qi->data.data(), ki->data.data(),
+                               vi->data.data(), s, b % num_heads, dims,
+                               probs->data() + probs_off[b], dout, dq, dk, dv);
       }
-    }
-  });
+    });
+  }
   return Tensor(out);
 }
 
@@ -575,8 +817,7 @@ Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int>& ids) {
   const float* wd = weight.data();
   for (size_t i = 0; i < ids.size(); ++i) {
     TASTE_CHECK_MSG(ids[i] >= 0 && ids[i] < v, "EmbeddingLookup id range");
-    std::memcpy(out->data.data() + i * h, wd + ids[i] * h,
-                sizeof(float) * h);
+    CopyFloats(out->data.data() + i * h, wd + ids[i] * h, h);
   }
   auto wi = weight.impl();
   internal::TensorImpl* oi = out.get();
@@ -600,8 +841,7 @@ Tensor GatherRows(const Tensor& x, const std::vector<int>& rows) {
   const float* xd = x.data();
   for (size_t i = 0; i < rows.size(); ++i) {
     TASTE_CHECK_MSG(rows[i] >= 0 && rows[i] < n, "GatherRows index range");
-    std::memcpy(out->data.data() + i * h, xd + rows[i] * h,
-                sizeof(float) * h);
+    CopyFloats(out->data.data() + i * h, xd + rows[i] * h, h);
   }
   auto xi = x.impl();
   internal::TensorImpl* oi = out.get();
@@ -629,8 +869,7 @@ Tensor ConcatRows(const std::vector<Tensor>& xs) {
   auto out = NewImpl({total, h});
   int64_t offset = 0;
   for (const Tensor& t : xs) {
-    std::memcpy(out->data.data() + offset, t.data(),
-                sizeof(float) * t.numel());
+    CopyFloats(out->data.data() + offset, t.data(), t.numel());
     offset += t.numel();
   }
   // Build the edge manually: variadic parents.
@@ -668,10 +907,8 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   const float* ad = a.data();
   const float* bd = b.data();
   for (int64_t r = 0; r < n; ++r) {
-    std::memcpy(out->data.data() + r * (wa + wb), ad + r * wa,
-                sizeof(float) * wa);
-    std::memcpy(out->data.data() + r * (wa + wb) + wa, bd + r * wb,
-                sizeof(float) * wb);
+    CopyFloats(out->data.data() + r * (wa + wb), ad + r * wa, wa);
+    CopyFloats(out->data.data() + r * (wa + wb) + wa, bd + r * wb, wb);
   }
   auto ai = a.impl();
   auto bi = b.impl();
@@ -703,8 +940,7 @@ Tensor SliceRows(const Tensor& x, int64_t begin, int64_t end) {
   int64_t n = x.dim(0), h = x.dim(1);
   TASTE_CHECK(begin >= 0 && begin <= end && end <= n);
   auto out = NewImpl({end - begin, h});
-  std::memcpy(out->data.data(), x.data() + begin * h,
-              sizeof(float) * (end - begin) * h);
+  CopyFloats(out->data.data(), x.data() + begin * h, (end - begin) * h);
   auto xi = x.impl();
   internal::TensorImpl* oi = out.get();
   SetEdge(out, {&x}, [xi, oi, begin, h] {

@@ -73,8 +73,42 @@ Tensor TransposeLast2(const Tensor& x);
 /// Reinterprets data in a new shape with equal element count (no copy of
 /// layout; grad flows straight through).
 Tensor Reshape(const Tensor& x, Shape shape);
-/// Permutes the axes of a rank-3 tensor.
-Tensor Permute3(const Tensor& x, const std::vector<int>& perm);
+
+// -- Attention -------------------------------------------------------------------
+
+/// Rows [begin, begin + rows) of a rank-2 tensor.
+struct RowRange {
+  int64_t begin = 0;
+  int64_t rows = 0;
+};
+
+/// One block of attention queries: the query rows attend over the
+/// concatenation of the key/value rows of kv[0] then kv[1] (kv[1] may be
+/// empty), `width = kv[0].rows + kv[1].rows` keys in all. `mask`, when
+/// non-null, is an additive (>= mask_row + query.rows, width) constant: its
+/// row mask_row + r is added to query row r's scaled scores, for every
+/// head. The mask is not differentiated and must not require grad.
+struct AttentionSpan {
+  RowRange query;
+  RowRange kv[2];
+  const Tensor* mask = nullptr;
+  int64_t mask_row = 0;
+};
+
+/// Multi-head scaled-dot-product attention over already-projected
+/// q (sq, H), k and v (skv, H), with H = num_heads * head_dim and head a in
+/// columns [a*head_dim, (a+1)*head_dim). For each (span, head) it computes
+/// softmax(q_h k_hᵀ / sqrt(head_dim) + mask) v_h into that head's columns of
+/// the span's query rows; rows no span covers stay zero. Query ranges must
+/// not overlap. Each (span, head) block runs on cache-sized per-thread
+/// scratch and depends only on its own rows, so the result is independent
+/// of the other spans and of how the blocks are spread over the intra-op
+/// pool. The bits equal the unfused composition (GatherRows, TransposeLast2,
+/// BatchedMatMul, Scale, AddBroadcastMat, Softmax, BatchedMatMul): the same
+/// kernels run in the same order on the same values. Records one autograd
+/// edge to q, k and v; the probabilities are kept only when it does.
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads, const std::vector<AttentionSpan>& spans);
 
 // -- Normalization & softmax -------------------------------------------------
 

@@ -99,14 +99,14 @@ TEST(AutogradTest, BatchedMatMulGrads) {
   });
 }
 
-TEST(AutogradTest, TransposeReshapePermuteGrads) {
+TEST(AutogradTest, TransposeReshapeGatherGrads) {
   Rng rng(7);
   Tensor a = Tensor::Randn({2, 3, 4}, rng, 0.5f, true);
   CheckGradients({a}, [](const std::vector<Tensor>& in) {
     Tensor t = TransposeLast2(in[0]);            // (2,4,3)
-    Tensor p = Permute3(t, {2, 0, 1});           // (3,2,4)
-    Tensor r = Reshape(p, {6, 4});
-    return SumAll(Square(r));
+    Tensor r = Reshape(t, {8, 3});
+    Tensor g = GatherRows(r, {5, 0, 7, 5});      // row 5 twice
+    return SumAll(Square(Reshape(g, {3, 4})));
   });
 }
 
@@ -117,6 +117,33 @@ TEST(AutogradTest, SoftmaxGrads) {
   Tensor w = Tensor::FromVector({2, 5}, {1, -1, 2, 0.5f, 3, -2, 1, 0, 1, -1});
   CheckGradients({a}, [w](const std::vector<Tensor>& in) {
     return SumAll(Mul(Softmax(in[0]), w));
+  });
+}
+
+TEST(AutogradTest, AttentionGrads) {
+  // Two heads (hd 3) and two spans that share memory key rows [0, 3) and
+  // read one mask at different row offsets: every q, k and v element
+  // feeds the loss through at least one (span, head) block.
+  Rng rng(18);
+  Tensor q = Tensor::Randn({5, 6}, rng, 0.7f, true);
+  Tensor k = Tensor::Randn({9, 6}, rng, 0.7f, true);
+  Tensor v = Tensor::Randn({9, 6}, rng, 0.7f, true);
+  Tensor w = Tensor::Randn({5, 6}, rng);
+  Tensor mask = Tensor::Zeros({5, 6});
+  mask.data()[0 * 6 + 4] = -1e9f;  // span 0, query 0: own key 1 blocked
+  mask.data()[3 * 6 + 0] = -1e9f;  // span 1, query 1: memory key 0 blocked
+  std::vector<AttentionSpan> spans(2);
+  spans[0].query = {0, 2};
+  spans[0].kv[0] = {0, 3};
+  spans[0].kv[1] = {3, 3};
+  spans[0].mask = &mask;
+  spans[1].query = {2, 3};
+  spans[1].kv[0] = {0, 3};
+  spans[1].kv[1] = {6, 3};
+  spans[1].mask = &mask;
+  spans[1].mask_row = 2;
+  CheckGradients({q, k, v}, [&spans, w](const std::vector<Tensor>& in) {
+    return SumAll(Mul(Attention(in[0], in[1], in[2], 2, spans), w));
   });
 }
 

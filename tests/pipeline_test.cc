@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/table_generator.h"
+#include "obs/metrics.h"
 #include "pipeline/scheduler.h"
 
 namespace taste::pipeline {
@@ -175,6 +176,27 @@ TEST(PipelineTest, LedgerCountsIndependentOfExecutionMode) {
   auto pip_snap = e.db->ledger().snapshot();
   EXPECT_EQ(seq_snap.scanned_columns, pip_snap.scanned_columns);
   EXPECT_EQ(seq_snap.metadata_columns, pip_snap.metadata_columns);
+}
+
+TEST(PipelineTest, ExportsAttentionOpBucket) {
+  // Attention runs as one fused op with its own timing bucket; it calls
+  // the GEMM and softmax kernels directly, so no serving forward reaches
+  // the standalone Softmax op any more.
+  obs::SetMetricsEnabled(true);
+  Env e = Env::Make(4, 0.0);
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
+  PipelineExecutor exec(&det, e.db.get(), {.pipelined = true});
+  auto op_calls = [](const obs::MetricsSnapshot& after,
+                     const obs::MetricsSnapshot& before, const char* op) {
+    return after.CounterDelta(
+        before, obs::LabeledName("taste_op_calls_total", "op", op));
+  };
+  const obs::MetricsSnapshot before = obs::MetricsSnapshot::Capture();
+  ASSERT_TRUE(exec.Run(e.table_names).ok());
+  const obs::MetricsSnapshot after = obs::MetricsSnapshot::Capture();
+  EXPECT_GT(op_calls(after, before, "attention"), 0);
+  EXPECT_GT(op_calls(after, before, "gemm"), 0);
+  EXPECT_EQ(op_calls(after, before, "softmax"), 0);
 }
 
 }  // namespace

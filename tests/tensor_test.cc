@@ -124,24 +124,6 @@ TEST(OpsTest, ReshapePreservesData) {
   for (int i = 0; i < 6; ++i) EXPECT_EQ(r.data()[i], a.data()[i]);
 }
 
-TEST(OpsTest, Permute3Identity) {
-  Rng rng(3);
-  Tensor a = Tensor::Randn({2, 3, 4}, rng);
-  Tensor p = Permute3(a, {0, 1, 2});
-  for (int i = 0; i < 24; ++i) EXPECT_EQ(p.data()[i], a.data()[i]);
-}
-
-TEST(OpsTest, Permute3SwapHeadsAndSeq) {
-  // (seq, heads, hd) -> (heads, seq, hd): the attention reshape path.
-  Tensor a = Tensor::FromVector({2, 2, 2}, {0, 1, 2, 3, 4, 5, 6, 7});
-  Tensor p = Permute3(a, {1, 0, 2});
-  ASSERT_EQ(p.shape(), (Shape{2, 2, 2}));
-  // p[h][s][d] = a[s][h][d]
-  EXPECT_EQ(p.data()[0], 0.0f);  // p[0][0][0] = a[0][0][0]
-  EXPECT_EQ(p.data()[2], 4.0f);  // p[0][1][0] = a[1][0][0]
-  EXPECT_EQ(p.data()[4], 2.0f);  // p[1][0][0] = a[0][1][0]
-}
-
 TEST(OpsTest, SoftmaxRowsSumToOne) {
   Tensor a = Tensor::FromVector({2, 3}, {1, 2, 3, -1, 0, 1});
   Tensor s = Softmax(a);
@@ -250,6 +232,33 @@ TEST(OpsTest, SliceRows) {
   EXPECT_EQ(s.data()[0], 3.0f);
   Tensor empty = SliceRows(x, 2, 2);
   EXPECT_EQ(empty.numel(), 0);
+}
+
+// Empty tensors may have a null data(); every row copy must skip the
+// zero-length memcpy (UBSan halts on a null memcpy argument otherwise).
+TEST(OpsTest, CopyOpsAcceptEmptyInputs) {
+  Tensor x = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
+  Tensor no_rows = Tensor::Zeros({0, 2});
+  Tensor no_cols = Tensor::Zeros({2, 0});
+
+  EXPECT_EQ(SliceRows(no_rows, 0, 0).numel(), 0);
+  EXPECT_EQ(Reshape(no_rows, {2, 0}).numel(), 0);
+
+  Tensor rows = ConcatRows({no_rows, x, no_rows});
+  ASSERT_EQ(rows.shape(), (Shape{2, 2}));
+  EXPECT_EQ(rows.data()[3], 4.0f);
+  EXPECT_EQ(ConcatRows({no_rows}).numel(), 0);
+
+  Tensor cols = ConcatCols(no_cols, x);
+  ASSERT_EQ(cols.shape(), (Shape{2, 2}));
+  EXPECT_EQ(cols.data()[2], 3.0f);
+  EXPECT_EQ(ConcatCols(x, no_cols).data()[1], 2.0f);
+
+  EXPECT_EQ(GatherRows(x, {}).shape(), (Shape{0, 2}));
+  EXPECT_EQ(GatherRows(no_cols, {1, 0}).shape(), (Shape{2, 0}));
+
+  EXPECT_EQ(EmbeddingLookup(x, {}).shape(), (Shape{0, 2}));
+  EXPECT_EQ(EmbeddingLookup(no_cols, {1}).shape(), (Shape{1, 0}));
 }
 
 TEST(OpsTest, Reductions) {
