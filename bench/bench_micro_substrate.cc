@@ -365,10 +365,74 @@ void WriteSubstrateJson() {
                 segmented_ms, dense_ms);
   }
 
+  Fixture& f = Fixture::Get();
+
+  // Both ADTD tower forwards at the perfbench wide_batch shape: a batch of
+  // four 11-column tables, every column scanned (11 segments of 31 rows).
+  // "p1" is the batch's four ForwardMetadata calls, "p2" one
+  // ForwardContentBatch over its four items. Ungated: they track the
+  // towers' forward time, which the end-to-end row below mixes with
+  // detection and scheduling.
+  {
+    tensor::NoGradGuard ng;
+    data::DatasetProfile profile = data::DatasetProfile::WikiLike(4);
+    profile.min_columns = profile.max_columns = 11;
+    profile.seed = 31;
+    const data::Dataset wide = data::GenerateDataset(profile);
+    clouddb::CostModel cost;
+    cost.time_scale = 0.0;
+    clouddb::SimulatedDatabase db(cost);
+    TASTE_CHECK(db.IngestDataset(wide).ok());
+    auto conn = db.Connect();
+    model::InputEncoder encoder(f.tokenizer.get(), f.model->config().input);
+    std::vector<model::EncodedMetadata> metas;
+    std::vector<model::EncodedContent> contents;
+    for (const auto& table : wide.tables) {
+      auto meta = conn->GetTableMetadata(table.name);
+      TASTE_CHECK(meta.ok());
+      metas.push_back(encoder.EncodeMetadata(*meta));
+      const model::EncodedMetadata& em = metas.back();
+      TASTE_CHECK(em.num_columns == 11);
+      std::map<int, std::vector<std::string>> values;
+      for (int c = 0; c < em.num_columns; ++c) {
+        values[c] = table.columns[em.column_ordinals[c]].values;
+      }
+      contents.push_back(encoder.EncodeContent(em, values));
+    }
+    std::vector<model::AdtdModel::MetadataEncoding> encs;
+    for (const auto& em : metas) encs.push_back(f.model->ForwardMetadata(em));
+    std::vector<model::AdtdModel::P2BatchItem> items;
+    for (size_t j = 0; j < metas.size(); ++j) {
+      items.push_back({&contents[j], &metas[j], &encs[j]});
+    }
+    const double p1_ms = TimeGemmMs(
+        [&] {
+          for (const auto& em : metas) {
+            benchmark::DoNotOptimize(f.model->ForwardMetadata(em));
+          }
+        },
+        20);
+    const double p2_ms = TimeGemmMs(
+        [&] { benchmark::DoNotOptimize(f.model->ForwardContentBatch(items)); },
+        20);
+    json.BeginArray("adtd_forward");
+    json.BeginObject();
+    json.Field("form", std::string("p1_metadata_4x11col"));
+    json.Field("ms", p1_ms);
+    json.EndObject();
+    json.BeginObject();
+    json.Field("form", std::string("p2_content_batch_4x11col"));
+    json.Field("ms", p2_ms);
+    json.EndObject();
+    json.EndArray();
+    std::printf("ADTD forwards (4 tables x 11 columns): P1 %.3f ms, "
+                "P2 batch %.3f ms\n",
+                p1_ms, p2_ms);
+  }
+
   // End-to-end Fig. 4-style wall clock: the full detector over the micro
   // fixture's tables, sequential vs pipelined executor (instant cost model,
   // so this is pure compute — the substrate's share of Fig. 4).
-  Fixture& f = Fixture::Get();
   core::TasteDetector det(f.model.get(), f.tokenizer.get(), {});
   std::vector<std::string> tables;
   for (const auto& t : f.dataset.tables) tables.push_back(t.name);

@@ -160,7 +160,45 @@ bool SameEncodedInput(const EncodedMetadata& a, const EncodedMetadata& b) {
          SameTensorBytes(a.attention_mask, b.attention_mask);
 }
 
+/// True when a cache entry can stand in for ForwardMetadata(chunk): its
+/// input is exactly `chunk` and its tensors have the shapes that forward
+/// returns (L latents of (tokens, H), anchors (ncols, H), logits
+/// (ncols, |S|)). An entry in another layout — a CRC-valid one with another
+/// latent count or torn shapes — is a miss and gets recomputed, never
+/// handed to the content tower's shape checks.
+bool UsableEntry(const model::CachedMetadata& entry,
+                 const EncodedMetadata& chunk, const model::AdtdConfig& cfg) {
+  if (!SameEncodedInput(entry.input, chunk)) return false;
+  auto has_shape = [](const tensor::Tensor& t, int64_t rows, int64_t cols) {
+    return t.defined() && t.shape() == tensor::Shape{rows, cols};
+  };
+  const AdtdModel::MetadataEncoding& enc = entry.encoding;
+  const int64_t tokens = static_cast<int64_t>(chunk.token_ids.size());
+  const int64_t hidden = cfg.encoder.hidden;
+  if (static_cast<int64_t>(enc.layer_latents.size()) !=
+      cfg.encoder.num_layers) {
+    return false;
+  }
+  for (const tensor::Tensor& latent : enc.layer_latents) {
+    if (!has_shape(latent, tokens, hidden)) return false;
+  }
+  return has_shape(enc.anchor_states, chunk.num_columns, hidden) &&
+         has_shape(enc.logits, chunk.num_columns, cfg.num_types);
+}
+
 }  // namespace
+
+AdtdModel::MetadataEncoding TasteDetector::P2Latents(const Job& job,
+                                                    size_t chunk) const {
+  if (options_.use_latent_cache) {
+    if (auto hit = cache_->Get(ChunkCacheKey(job.table_name, chunk));
+        hit && UsableEntry(*hit, job.chunks[chunk], model_->config())) {
+      return std::move(hit->encoding);
+    }
+    if (chunk < job.encodings.size()) return job.encodings[chunk];
+  }
+  return model_->ForwardMetadata(job.chunks[chunk]);
+}
 
 Status TasteDetector::InferP1(Job* job, tensor::ExecContext* ctx) const {
   TASTE_SPAN("detector.p1_infer");
@@ -187,14 +225,14 @@ Status TasteDetector::InferP1(Job* job, tensor::ExecContext* ctx) const {
       // Consult the cache — local shards, then the cross-replica plane
       // (DESIGN.md §14) — before paying for the metadata tower. Reuse is
       // byte-identical by construction: ForwardMetadata is deterministic,
-      // and SameEncodedInput proves the cached latents came from exactly
-      // these input bits. Any miss, timeout, or mismatch recomputes.
+      // and UsableEntry proves the cached latents came from exactly these
+      // input bits, in this model's shapes. Any miss, timeout, or mismatch
+      // recomputes.
       if (auto cached = cache_->GetOrFetch(ChunkCacheKey(job->table_name, i),
-                                           job->cancel)) {
-        if (SameEncodedInput(cached->input, chunk)) {
-          enc = std::move(cached->encoding);
-          reused = true;
-        }
+                                           job->cancel);
+          cached && UsableEntry(*cached, chunk, model_->config())) {
+        enc = std::move(cached->encoding);
+        reused = true;
       }
     }
     if (!reused) {
@@ -391,21 +429,7 @@ Status TasteDetector::InferP2(Job* job, tensor::ExecContext* ctx,
     for (size_t i = 0; i < job->chunks.size(); ++i) {
       const EncodedMetadata& chunk = job->chunks[i];
       if (!job->contents[i].empty()) {
-        // Metadata latents: latent cache first, then the job's own copy,
-        // otherwise recompute the metadata tower (no-cache configuration).
-        AdtdModel::MetadataEncoding enc;
-        bool have = false;
-        if (options_.use_latent_cache) {
-          if (auto hit = cache_->Get(ChunkCacheKey(job->table_name, i))) {
-            enc = std::move(hit->encoding);
-            have = true;
-          } else if (i < job->encodings.size()) {
-            enc = job->encodings[i];
-            have = true;
-          }
-        }
-        if (!have) enc = model_->ForwardMetadata(chunk);
-        encodings.push_back(std::move(enc));
+        encodings.push_back(P2Latents(*job, i));
         for (const EncodedContent& content : job->contents[i]) {
           if (content.scanned.empty()) continue;
           items.push_back({&content, &chunk, &encodings.back()});
@@ -439,20 +463,7 @@ Status TasteDetector::InferP2(Job* job, tensor::ExecContext* ctx,
   for (size_t i = 0; i < job->chunks.size(); ++i) {
     const EncodedMetadata& chunk = job->chunks[i];
     if (!job->contents[i].empty()) {
-      // Metadata latents: latent cache first, then the job's own copy,
-      // otherwise recompute the metadata tower (no-cache configuration).
-      AdtdModel::MetadataEncoding enc;
-      bool have = false;
-      if (options_.use_latent_cache) {
-        if (auto hit = cache_->Get(ChunkCacheKey(job->table_name, i))) {
-          enc = std::move(hit->encoding);
-          have = true;
-        } else if (i < job->encodings.size()) {
-          enc = job->encodings[i];
-          have = true;
-        }
-      }
-      if (!have) enc = model_->ForwardMetadata(chunk);
+      const AdtdModel::MetadataEncoding enc = P2Latents(*job, i);
       for (const EncodedContent& content : job->contents[i]) {
         if (content.scanned.empty()) continue;
         if (CancelledNow(job->cancel)) {

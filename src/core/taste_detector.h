@@ -224,6 +224,11 @@ class TasteDetector {
 
  private:
   std::string ChunkCacheKey(const std::string& table, size_t chunk) const;
+  /// The metadata latents P2 attends over for `chunk`: the latent cache's
+  /// entry if it is usable for this chunk, then the job's own P1 copy,
+  /// otherwise a fresh metadata-tower forward (no-cache configuration).
+  model::AdtdModel::MetadataEncoding P2Latents(const Job& job,
+                                              size_t chunk) const;
   /// Applies the alpha/beta rules to one chunk's P1 probabilities.
   void ClassifyP1Chunk(const model::EncodedMetadata& chunk,
                        const std::vector<float>& probs, Job* job) const;

@@ -82,23 +82,26 @@ AdtdModel::MetadataEncoding AdtdModel::ForwardMetadata(
     const EncodedMetadata& input, tensor::ExecContext* ctx) const {
   tensor::ScopedExecContext scope(ctx);
   TASTE_CHECK(input.num_columns > 0);
+  const int64_t last = encoder_.num_layers() - 1;
   MetadataEncoding out;
-  out.layer_latents.reserve(static_cast<size_t>(encoder_.num_layers()) + 1);
+  out.layer_latents.reserve(static_cast<size_t>(last) + 1);
   Tensor h = Embed(input.token_ids);
-  out.layer_latents.push_back(h);
-  for (int64_t i = 0; i < encoder_.num_layers(); ++i) {
+  for (int64_t i = 0; i <= last; ++i) {
+    out.layer_latents.push_back(h);
     // Cooperative cancellation: a table whose deadline fired mid-forward
     // stops burning compute between layers. The partial encoding is
     // discarded by the caller (the detector re-checks the token and never
     // classifies or caches it).
     if (tensor::ExecContext* c = tensor::ExecContext::Current();
         c != nullptr && c->cancelled()) {
-      break;
+      return out;
     }
-    h = encoder_.block(i).Forward(h, &input.attention_mask);
-    out.layer_latents.push_back(h);
+    if (i < last) h = encoder_.block(i).Forward(h, &input.attention_mask);
   }
-  out.anchor_states = tensor::GatherRows(h, input.column_anchors);
+  // Layer L is read only at the column anchors, so only the anchor rows
+  // query it, over all of Encode_{L-1}^{M}: its output is the anchor states.
+  out.anchor_states = encoder_.block(last).ForwardRows(
+      h, input.column_anchors, &input.attention_mask);
   Tensor clf_in = tensor::ConcatCols(out.anchor_states, input.features);
   out.logits = meta_classifier_.Forward(clf_in);
   return out;
@@ -108,7 +111,9 @@ namespace {
 
 /// The content tower's attention group for one encoded content batch at
 /// encoder layer `layer`: every scanned column's segment attends over the
-/// metadata latents Encode_{layer}^{M} and its own segment.
+/// metadata latents Encode_{layer}^{M} and its own segment. The last layer
+/// queries only the segments' first rows, so each column's anchor must be
+/// its segment's first row.
 nn::SegmentGroup ContentGroup(const EncodedContent& content,
                               const AdtdModel::MetadataEncoding& meta_encoding,
                               int64_t layer) {
@@ -116,10 +121,25 @@ nn::SegmentGroup ContentGroup(const EncodedContent& content,
   const int64_t sc = static_cast<int64_t>(content.token_ids.size());
   TASTE_CHECK_MSG(segments > 0 && sc % segments == 0,
                   "content must hold one equal-length segment per column");
+  const int64_t segment_len = sc / segments;
+  TASTE_CHECK(static_cast<int64_t>(content.column_anchors.size()) == segments);
+  for (int64_t j = 0; j < segments; ++j) {
+    TASTE_CHECK_MSG(content.column_anchors[static_cast<size_t>(j)] ==
+                        j * segment_len,
+                    "a content anchor must be its segment's first row");
+  }
   return {.memory = &meta_encoding.layer_latents[static_cast<size_t>(layer)],
           .mask = &content.cross_mask,
           .segments = segments,
-          .segment_len = sc / segments};
+          .segment_len = segment_len};
+}
+
+/// The content tower's query rows at encoder layer `layer`: all of them,
+/// except in the last layer, which only the classifier reads, at the
+/// column anchors.
+nn::SegmentQueries ContentQueries(int64_t layer, int64_t num_layers) {
+  return layer + 1 < num_layers ? nn::SegmentQueries::kAllRows
+                                : nn::SegmentQueries::kFirstRows;
 }
 
 }  // namespace
@@ -134,28 +154,29 @@ Tensor AdtdModel::ForwardContent(
   tensor::ScopedQuantRegion quant_region(tensor::ExecContext::Current());
   TASTE_CHECK_MSG(!content.scanned.empty(),
                   "ForwardContent requires at least one scanned column");
+  const int64_t num_layers = encoder_.num_layers();
   TASTE_CHECK(static_cast<int64_t>(meta_encoding.layer_latents.size()) ==
-              encoder_.num_layers() + 1);
+              num_layers);
   Tensor c = Embed(content.token_ids);
-  for (int64_t i = 0; i < encoder_.num_layers(); ++i) {
+  for (int64_t i = 0; i < num_layers; ++i) {
     // Cooperative cancellation between layers, as in ForwardMetadata; the
-    // caller discards the partial result after re-checking its token.
+    // caller discards the (empty) result after re-checking its token.
     if (tensor::ExecContext* ec = tensor::ExecContext::Current();
         ec != nullptr && ec->cancelled()) {
-      break;
+      return Tensor();
     }
     // K = V = Encode_{i-1}^{M} (+) Encode_{i-1}^{D}; Q = Encode_{i-1}^{D},
     // each column's queries seeing only its own content keys.
     c = encoder_.block(i).ForwardSegmented(
-        c, {ContentGroup(content, meta_encoding, i)});
+        c, {ContentGroup(content, meta_encoding, i)},
+        ContentQueries(i, num_layers));
   }
-  Tensor content_anchors = tensor::GatherRows(c, content.column_anchors);
+  // c is Encode_L^{D} at the content anchors, one row per scanned column.
   Tensor meta_anchors =
       tensor::GatherRows(meta_encoding.anchor_states,
                          content.scanned);  // rows of (ncols, H)
   Tensor feats = tensor::GatherRows(meta.features, content.scanned);
-  Tensor clf_in = tensor::ConcatCols(
-      tensor::ConcatCols(content_anchors, meta_anchors), feats);
+  Tensor clf_in = tensor::ConcatCols(tensor::ConcatCols(c, meta_anchors), feats);
   return content_classifier_.Forward(clf_in);
 }
 
@@ -170,8 +191,6 @@ std::vector<Tensor> AdtdModel::ForwardContentBatch(
   // Validate items and build the packed embedding input: all token
   // sequences concatenated, positions restarting at 0 per item (each item
   // embeds exactly as it would alone).
-  std::vector<int64_t> lens;
-  lens.reserve(items.size());
   std::vector<int> ids;
   std::vector<int> positions;
   for (const P2BatchItem& item : items) {
@@ -180,53 +199,44 @@ std::vector<Tensor> AdtdModel::ForwardContentBatch(
     TASTE_CHECK_MSG(!item.content->scanned.empty(),
                     "ForwardContentBatch requires scanned columns per item");
     TASTE_CHECK(static_cast<int64_t>(
-                    item.meta_encoding->layer_latents.size()) ==
-                num_layers + 1);
+                    item.meta_encoding->layer_latents.size()) == num_layers);
     const auto& item_ids = item.content->token_ids;
     TASTE_CHECK_MSG(
         static_cast<int64_t>(item_ids.size()) <= config_.encoder.max_seq_len,
         "sequence exceeds max_seq_len");
-    lens.push_back(static_cast<int64_t>(item_ids.size()));
     ids.insert(ids.end(), item_ids.begin(), item_ids.end());
     for (size_t p = 0; p < item_ids.size(); ++p) {
       positions.push_back(static_cast<int>(p));
     }
   }
-  Tensor c = EmbedWithPositions(ids, positions);  // (sum(lens), H)
+  Tensor c = EmbedWithPositions(ids, positions);  // (sum of lengths, H)
 
   // Encoder layers: packed residual stream, one attention group per item
-  // against its own metadata latents and cross_mask.
+  // against its own metadata latents and cross_mask. The last layer's
+  // output rows are the packed content anchors: one row per scanned column
+  // across all items, in item order.
   std::vector<nn::SegmentGroup> groups(items.size());
   for (int64_t i = 0; i < num_layers; ++i) {
     for (size_t j = 0; j < items.size(); ++j) {
       groups[j] = ContentGroup(*items[j].content, *items[j].meta_encoding, i);
     }
-    c = encoder_.block(i).ForwardSegmented(c, groups);
+    c = encoder_.block(i).ForwardSegmented(c, groups,
+                                           ContentQueries(i, num_layers));
   }
 
-  // Anchor gathers and the classifier run packed: one row per scanned
-  // column across all items.
-  std::vector<int> anchors_packed;
+  // The classifier runs packed over the same rows.
   std::vector<Tensor> meta_anchor_parts;
   std::vector<Tensor> feat_parts;
   meta_anchor_parts.reserve(items.size());
   feat_parts.reserve(items.size());
-  {
-    int64_t off = 0;
-    for (size_t j = 0; j < items.size(); ++j) {
-      for (int a : items[j].content->column_anchors) {
-        anchors_packed.push_back(a + static_cast<int>(off));
-      }
-      meta_anchor_parts.push_back(tensor::GatherRows(
-          items[j].meta_encoding->anchor_states, items[j].content->scanned));
-      feat_parts.push_back(tensor::GatherRows(items[j].meta->features,
-                                              items[j].content->scanned));
-      off += lens[j];
-    }
+  for (const P2BatchItem& item : items) {
+    meta_anchor_parts.push_back(tensor::GatherRows(
+        item.meta_encoding->anchor_states, item.content->scanned));
+    feat_parts.push_back(
+        tensor::GatherRows(item.meta->features, item.content->scanned));
   }
-  Tensor content_anchors = tensor::GatherRows(c, anchors_packed);
   Tensor clf_in = tensor::ConcatCols(
-      tensor::ConcatCols(content_anchors, tensor::ConcatRows(meta_anchor_parts)),
+      tensor::ConcatCols(c, tensor::ConcatRows(meta_anchor_parts)),
       tensor::ConcatRows(feat_parts));
   Tensor logits = content_classifier_.Forward(clf_in);
 

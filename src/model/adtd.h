@@ -17,6 +17,14 @@
 //            (+) M_n^c)
 // Both emit |S| logits; probabilities are sigmoids (multi-label).
 //
+// Encode_L is read only at the anchors, so both towers run their last
+// layer's attention, out-projection, LayerNorms and FFN for the anchor
+// rows alone (keys/values still span the whole Encode_{L-1}): every op
+// after attention is row-wise and an attention output row depends only on
+// its own query row, so these rows are bitwise the rows a full last layer
+// would produce (tensor/kernels.h), and so are training gradients
+// (nn/transformer.h, TransformerBlock::ForwardRows).
+//
 // Training (Sec. 4.4) minimizes the automatic weighted sum of the two BCE
 // losses with learnable weights w1, w2:
 //   L = sum_i L_i / (2 w_i^2) + ln(1 + w_i^2).
@@ -64,10 +72,11 @@ class AdtdModel : public nn::Module {
 
   /// Everything the metadata tower produced for one table chunk. This is
   /// exactly the unit stored in the latent cache: `layer_latents[i]` is
-  /// Encode_i^{M} (index 0 = embedding output), which the content tower
-  /// needs at its layer i+1.
+  /// Encode_i^{M} for i in [0, L) (index 0 = embedding output), which the
+  /// content tower needs at its layer i+1. Encode_L^{M} exists only at the
+  /// anchors, as `anchor_states`.
   struct MetadataEncoding {
-    std::vector<tensor::Tensor> layer_latents;  // size L+1
+    std::vector<tensor::Tensor> layer_latents;  // L of (sm, H)
     tensor::Tensor anchor_states;               // (ncols, H)
     tensor::Tensor logits;                      // (ncols, num_types)
   };
@@ -81,7 +90,8 @@ class AdtdModel : public nn::Module {
   /// Runs the content tower on top of (possibly cached) metadata latents.
   /// Each scanned column's segment attends over the metadata latents and
   /// its own segment only (nn::TransformerBlock::ForwardSegmented).
-  /// Returns logits (|scanned|, num_types) aligned with content.scanned.
+  /// Returns logits (|scanned|, num_types) aligned with content.scanned,
+  /// or an empty tensor if the bound context was cancelled mid-forward.
   tensor::Tensor ForwardContent(const EncodedContent& content,
                                 const EncodedMetadata& meta,
                                 const MetadataEncoding& meta_encoding,

@@ -4,6 +4,24 @@
 
 namespace taste::nn {
 
+namespace {
+
+/// The row of x at which each segment of `groups` starts, in segment
+/// order.
+std::vector<int> SegmentFirstRows(const std::vector<SegmentGroup>& groups) {
+  std::vector<int> rows;
+  int64_t off = 0;
+  for (const SegmentGroup& g : groups) {
+    for (int64_t j = 0; j < g.segments; ++j) {
+      rows.push_back(static_cast<int>(off + j * g.segment_len));
+    }
+    off += g.segments * g.segment_len;
+  }
+  return rows;
+}
+
+}  // namespace
+
 MultiHeadAttention::MultiHeadAttention(int64_t hidden, int64_t num_heads,
                                        Rng& rng)
     : num_heads_(num_heads),
@@ -41,7 +59,7 @@ Tensor MultiHeadAttention::Forward(const Tensor& q_input,
 
 Tensor MultiHeadAttention::ForwardSegmented(
     const Tensor& x, const std::vector<SegmentGroup>& groups,
-    ExecContext* exec_ctx) const {
+    SegmentQueries queries, ExecContext* exec_ctx) const {
   tensor::ScopedExecContext scope(exec_ctx);
   TASTE_CHECK(!groups.empty());
   // Key/value rows: every group's memory, then x.
@@ -65,6 +83,9 @@ Tensor MultiHeadAttention::ForwardSegmented(
 
   // One span per segment: its query rows attend over [its group's memory ;
   // its own rows] of the key/value rows, with its rows of the group mask.
+  // A first-row span is query row i alone (segment i's first row, gathered
+  // below), with the mask row of that first row.
+  const bool first_rows = queries == SegmentQueries::kFirstRows;
   std::vector<tensor::AttentionSpan> spans;
   int64_t memory_off = 0;
   int64_t query_off = 0;
@@ -73,7 +94,9 @@ Tensor MultiHeadAttention::ForwardSegmented(
     for (int64_t j = 0; j < g.segments; ++j) {
       const int64_t own = query_off + j * g.segment_len;
       tensor::AttentionSpan span;
-      span.query = {own, g.segment_len};
+      span.query = first_rows
+                       ? tensor::RowRange{static_cast<int64_t>(spans.size()), 1}
+                       : tensor::RowRange{own, g.segment_len};
       span.kv[0] = {memory_off, sm};
       span.kv[1] = {memory_rows + own, g.segment_len};
       span.mask = g.mask;
@@ -84,10 +107,46 @@ Tensor MultiHeadAttention::ForwardSegmented(
     query_off += g.segments * g.segment_len;
   }
   const Tensor kv_input = tensor::ConcatRows(kv_parts);
-  const Tensor q = q_proj_.Forward(x);
+  const Tensor q = QueryProjection(x, first_rows ? SegmentFirstRows(groups)
+                                                 : std::vector<int>{});
   const Tensor k = k_proj_.Forward(kv_input);
   const Tensor v = v_proj_.Forward(kv_input);
   return out_proj_.Forward(tensor::Attention(q, k, v, num_heads_, spans));
+}
+
+Tensor MultiHeadAttention::ForwardRows(const Tensor& x,
+                                       const std::vector<int>& rows,
+                                       const Tensor* mask,
+                                       ExecContext* exec_ctx) const {
+  tensor::ScopedExecContext scope(exec_ctx);
+  const int64_t s = x.dim(0);
+  const int64_t n = static_cast<int64_t>(rows.size());
+  // The rows' part of the mask; one span over every query row and key.
+  Tensor row_mask;
+  tensor::AttentionSpan span;
+  span.query = {0, n};
+  span.kv[0] = {0, s};
+  if (mask != nullptr) {
+    TASTE_CHECK_MSG(mask->dim(0) == s && mask->dim(1) == s,
+                    "attention mask shape mismatch");
+    row_mask = tensor::GatherRows(*mask, rows);
+    span.mask = &row_mask;
+  }
+  const Tensor q = QueryProjection(x, rows);
+  const Tensor k = k_proj_.Forward(x);
+  const Tensor v = v_proj_.Forward(x);
+  return out_proj_.Forward(tensor::Attention(q, k, v, num_heads_, {span}));
+}
+
+Tensor MultiHeadAttention::QueryProjection(const Tensor& x,
+                                           const std::vector<int>& rows) const {
+  const Tensor q = q_proj_.Forward(x);
+  // Projecting every row and then gathering costs the rows no query reads,
+  // but keeps training bitwise: the projection's backward then accumulates
+  // x's gradient in one GEMM seeded with what the residual and keys/values
+  // put there, as the layer over all rows does. Gathering x first would
+  // add a separately rounded sum instead.
+  return rows.empty() ? q : tensor::GatherRows(q, rows);
 }
 
 FeedForward::FeedForward(int64_t hidden, int64_t intermediate, Rng& rng)
@@ -136,16 +195,36 @@ Tensor TransformerBlock::Forward(const Tensor& q_input, const Tensor& kv_input,
   return Finish(q_input, attention_.Forward(q_input, kv_input, mask));
 }
 
-Tensor TransformerBlock::ForwardSegmented(
-    const Tensor& x, const std::vector<SegmentGroup>& groups,
-    ExecContext* ctx) const {
+Tensor TransformerBlock::ForwardRows(const Tensor& x,
+                                     const std::vector<int>& rows,
+                                     const Tensor* mask,
+                                     ExecContext* ctx) const {
   tensor::ScopedExecContext scope(ctx);
-  return Finish(x, attention_.ForwardSegmented(x, groups));
+  return Finish(x, attention_.ForwardRows(x, rows, mask), &rows);
 }
 
-Tensor TransformerBlock::Finish(const Tensor& x, const Tensor& attn) const {
+Tensor TransformerBlock::ForwardSegmented(
+    const Tensor& x, const std::vector<SegmentGroup>& groups,
+    SegmentQueries queries, ExecContext* ctx) const {
+  tensor::ScopedExecContext scope(ctx);
+  const Tensor attn = attention_.ForwardSegmented(x, groups, queries);
+  if (queries == SegmentQueries::kAllRows) return Finish(x, attn);
+  const std::vector<int> rows = SegmentFirstRows(groups);
+  return Finish(x, attn, &rows);
+}
+
+Tensor TransformerBlock::Finish(const Tensor& x, const Tensor& attn,
+                                const std::vector<int>* rows) const {
   Tensor dropped = tensor::Dropout(attn, dropout_, dropout_rng_, training());
-  Tensor h = norm1_.Forward(tensor::Add(x, dropped));
+  // A row subset's residual is its own gather, added as the second operand
+  // (the sum's bits are the same either way). Backward visits the tape
+  // depth-first in operand order, so the residual's gradient then reaches
+  // x before the key/value and query gradients do, the order in which a
+  // layer over all rows accumulates them: training steps through the
+  // subset are bitwise those through all rows.
+  Tensor h = norm1_.Forward(
+      rows == nullptr ? tensor::Add(x, dropped)
+                      : tensor::Add(dropped, tensor::GatherRows(x, *rows)));
   Tensor ff = ffn_.Forward(h);
   ff = tensor::Dropout(ff, dropout_, dropout_rng_, training());
   return norm2_.Forward(tensor::Add(h, ff));

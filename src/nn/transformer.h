@@ -14,6 +14,12 @@
 // layer, not once per column. Both attention forms then hand the projected
 // rows to one op, tensor::Attention, as spans: the dense form is one span,
 // the segmented form one span per segment.
+//
+// The segmented form can also compute each segment's first row alone
+// (SegmentQueries::kFirstRows). The content tower's last layer is read
+// only at the column anchors, which are the segments' first rows, and an
+// attention output row depends only on its own query row and the keys;
+// every op after attention is row-wise.
 
 #ifndef TASTE_NN_TRANSFORMER_H_
 #define TASTE_NN_TRANSFORMER_H_
@@ -27,9 +33,9 @@
 
 namespace taste::nn {
 
-/// One run of equal-length query segments that share a key/value memory.
-/// Its `segments * segment_len` query rows are consecutive; segment j
-/// attends over [memory ; its own rows] with rows of `mask`
+/// One run of equal-length segments that share a key/value memory. Its
+/// `segments * segment_len` input rows are consecutive; segment j's queries
+/// attend over [memory ; its own rows] with rows of `mask`
 /// [j*segment_len, (j+1)*segment_len) as the additive mask. Pointees must
 /// outlive the call.
 struct SegmentGroup {
@@ -38,6 +44,10 @@ struct SegmentGroup {
   int64_t segments = 0;
   int64_t segment_len = 0;
 };
+
+/// The query rows of the segmented form: every input row, or only each
+/// segment's first row (its keys and values are still the whole segment).
+enum class SegmentQueries { kAllRows, kFirstRows };
 
 /// Multi-head scaled-dot-product attention.
 class MultiHeadAttention : public Module {
@@ -53,17 +63,28 @@ class MultiHeadAttention : public Module {
                  ExecContext* ctx = nullptr) const;
 
   /// Column-segmented form: x (sum of segments*segment_len over groups, H)
-  /// is the row-concatenation of the groups' query rows (see
+  /// is the row-concatenation of the groups' segment rows (see
   /// SegmentGroup). Every segment attends over its group's memory and its
   /// own rows only, so no attention crosses a segment or a group. Returns
-  /// (x.rows, H). Byte-identical per group to calling it on that group
-  /// alone: every projection output row depends only on its own input row
-  /// (fixed-k accumulation, see tensor/kernels.h), and each segment is its
-  /// own tensor::Attention span, whose (span, head) blocks see bitwise the
-  /// same operands either way and depend on nothing else.
+  /// (x.rows, H) for kAllRows, and for kFirstRows one row per segment, in
+  /// segment order: bitwise the first rows of the kAllRows result.
+  /// Byte-identical per group to calling it on that group alone: every
+  /// projection output row depends only on its own input row (fixed-k
+  /// accumulation, see tensor/kernels.h), and each segment is its own
+  /// tensor::Attention span, whose (span, head) blocks see bitwise the
+  /// same operands either way and whose rows depend on nothing else.
   Tensor ForwardSegmented(const Tensor& x,
                           const std::vector<SegmentGroup>& groups,
+                          SegmentQueries queries = SegmentQueries::kAllRows,
                           ExecContext* ctx = nullptr) const;
+
+  /// Self-attention over x (s, H) computed for `rows` only: each of those
+  /// rows attends over every row of x, with its row of the optional
+  /// (s, s) mask. Returns (rows.size(), H), bitwise those rows of
+  /// Forward(x, x, mask).
+  Tensor ForwardRows(const Tensor& x, const std::vector<int>& rows,
+                     const Tensor* mask = nullptr,
+                     ExecContext* ctx = nullptr) const;
 
   int64_t num_heads() const { return num_heads_; }
 
@@ -73,6 +94,9 @@ class MultiHeadAttention : public Module {
   int64_t PrepackQuant();
 
  private:
+  /// q_proj over every row of x, then `rows` of it (all rows when empty).
+  Tensor QueryProjection(const Tensor& x, const std::vector<int>& rows) const;
+
   int64_t num_heads_;
   Linear q_proj_;
   Linear k_proj_;
@@ -111,21 +135,35 @@ class TransformerBlock : public Module {
   Tensor Forward(const Tensor& q_input, const Tensor& kv_input,
                  const Tensor* mask, ExecContext* ctx = nullptr) const;
 
+  /// Self-attention form computed for `rows` of x only (see
+  /// MultiHeadAttention::ForwardRows). Returns (rows.size(), H), bitwise
+  /// those rows of Forward(x, mask); without dropout a training step's
+  /// gradients through it are bitwise the full form's too (see Finish).
+  Tensor ForwardRows(const Tensor& x, const std::vector<int>& rows,
+                     const Tensor* mask = nullptr,
+                     ExecContext* ctx = nullptr) const;
+
   /// Column-segmented form (see MultiHeadAttention::ForwardSegmented);
-  /// x is also the residual stream. Residual/LayerNorm/FFN are row-wise,
-  /// so they run over all groups' rows at once. In training, dropout draws
-  /// one mask over all rows, so the per-group byte identity of the
-  /// attention form holds at inference only.
+  /// x's query rows are also the residual stream. Residual/LayerNorm/FFN
+  /// are row-wise, so they run over all groups' query rows at once.
+  /// kFirstRows returns bitwise the first rows of kAllRows, and without
+  /// dropout a training step's gradients through it are bitwise those
+  /// through kAllRows (see Finish). In training, dropout draws one mask
+  /// over the query rows, so the per-group byte identity of the attention
+  /// form holds at inference only.
   Tensor ForwardSegmented(const Tensor& x,
                           const std::vector<SegmentGroup>& groups,
+                          SegmentQueries queries = SegmentQueries::kAllRows,
                           ExecContext* ctx = nullptr) const;
 
   /// Prepacks attention + FFN Linears for the int8 inference path.
   int64_t PrepackQuant();
 
  private:
-  /// Dropout + residual + norm1, FFN, dropout + residual + norm2.
-  Tensor Finish(const Tensor& x, const Tensor& attn) const;
+  /// Dropout + residual + norm1, FFN, dropout + residual + norm2. The
+  /// residual is x, or its `rows` when given.
+  Tensor Finish(const Tensor& x, const Tensor& attn,
+                const std::vector<int>* rows = nullptr) const;
 
   MultiHeadAttention attention_;
   FeedForward ffn_;

@@ -18,8 +18,10 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fpu.h"
@@ -30,6 +32,7 @@
 #include "serve/cache_plane.h"
 #include "serve/router.h"
 #include "serve/wire.h"
+#include "tensor/ops.h"
 #include "text/wordpiece.h"
 
 namespace taste {
@@ -94,31 +97,35 @@ pipeline::PipelineOptions WorkerPipelineOptions() {
   return popt;
 }
 
+/// Bit-exact comparison of two table results.
+void ExpectResultsIdentical(const core::TableDetectionResult& g,
+                            const core::TableDetectionResult& w) {
+  EXPECT_EQ(g.table_name, w.table_name);
+  ASSERT_EQ(g.columns.size(), w.columns.size()) << w.table_name;
+  for (size_t c = 0; c < w.columns.size(); ++c) {
+    const auto& gc = g.columns[c];
+    const auto& wc = w.columns[c];
+    EXPECT_EQ(gc.column_name, wc.column_name);
+    EXPECT_EQ(gc.went_to_p2, wc.went_to_p2);
+    EXPECT_EQ(gc.admitted_types, wc.admitted_types);
+    ASSERT_EQ(gc.probabilities.size(), wc.probabilities.size());
+    if (!wc.probabilities.empty()) {
+      EXPECT_EQ(std::memcmp(gc.probabilities.data(), wc.probabilities.data(),
+                            wc.probabilities.size() * sizeof(float)),
+                0)
+          << g.table_name << "." << gc.column_name
+          << ": probabilities differ bitwise";
+    }
+  }
+}
+
 /// Bit-exact comparison of two batch results.
 void ExpectBatchesIdentical(const pipeline::BatchResult& got,
                             const pipeline::BatchResult& want) {
   ASSERT_EQ(got.tables.size(), want.tables.size());
   for (size_t i = 0; i < want.tables.size(); ++i) {
-    const auto& g = got.tables[i];
-    const auto& w = want.tables[i];
-    EXPECT_EQ(g.outcome, w.outcome) << i;
-    EXPECT_EQ(g.result.table_name, w.result.table_name);
-    ASSERT_EQ(g.result.columns.size(), w.result.columns.size()) << i;
-    for (size_t c = 0; c < w.result.columns.size(); ++c) {
-      const auto& gc = g.result.columns[c];
-      const auto& wc = w.result.columns[c];
-      EXPECT_EQ(gc.column_name, wc.column_name);
-      EXPECT_EQ(gc.went_to_p2, wc.went_to_p2);
-      EXPECT_EQ(gc.admitted_types, wc.admitted_types);
-      ASSERT_EQ(gc.probabilities.size(), wc.probabilities.size());
-      if (!wc.probabilities.empty()) {
-        EXPECT_EQ(std::memcmp(gc.probabilities.data(), wc.probabilities.data(),
-                              wc.probabilities.size() * sizeof(float)),
-                  0)
-            << g.result.table_name << "." << gc.column_name
-            << ": probabilities differ bitwise";
-      }
-    }
+    EXPECT_EQ(got.tables[i].outcome, want.tables[i].outcome) << i;
+    ExpectResultsIdentical(got.tables[i].result, want.tables[i].result);
   }
 }
 
@@ -525,6 +532,117 @@ TEST(CachePlaneDiffTest, CorruptPublishedEntryIsRejectedNotServed) {
   EXPECT_GT(router.cache_plane().stats().crc_rejects, 0);
   EXPECT_EQ(router.stats().replica_deaths, 0);
   router.Shutdown();
+}
+
+// Misshapen entries: CRC-valid, under the right key and built from exactly
+// this chunk's input, but not in the shapes this model's metadata tower
+// returns. Every site that reads the cache (P1's lookup, P2's direct and
+// service paths) must treat one as a miss.
+
+/// Serves every P2 forward with a direct ForwardContent call, so InferP2
+/// takes its service path.
+class DirectP2Service : public core::P2ForwardService {
+ public:
+  explicit DirectP2Service(const model::AdtdModel* model) : model_(model) {}
+
+  Result<tensor::Tensor> ForwardP2(
+      const std::string& /*table*/, const model::EncodedContent& content,
+      const model::EncodedMetadata& meta,
+      const model::AdtdModel::MetadataEncoding& enc,
+      const CancelToken* /*cancel*/, tensor::ExecContext* ctx) override {
+    return model_->ForwardContent(content, meta, enc, ctx);
+  }
+
+ private:
+  const model::AdtdModel* model_;
+};
+
+/// A remote tier holding one entry.
+class OneEntryRemoteStore : public model::RemoteLatentStore {
+ public:
+  OneEntryRemoteStore(std::string key, model::CachedMetadata entry)
+      : key_(std::move(key)), entry_(std::move(entry)) {}
+
+  std::optional<model::CachedMetadata> Fetch(
+      const std::string& key, const CancelToken* /*cancel*/) override {
+    if (key != key_) return std::nullopt;
+    return entry_;
+  }
+  void Publish(const std::string& /*key*/,
+               const model::CachedMetadata& /*value*/) override {}
+
+ private:
+  std::string key_;
+  model::CachedMetadata entry_;
+};
+
+TEST(CacheEntryShapeTest, MisshapenEntriesAreRecomputedNotTrusted) {
+  const PlaneEnv& env = PlaneEnv::Get();
+  auto db = env.MakeDb();
+  auto conn = db->Connect();
+
+  // A table that reaches P2, its cold result and its first chunk's entry.
+  auto cold = env.MakeDetector();
+  std::string table;
+  core::TableDetectionResult want;
+  for (const std::string& name : env.table_names) {
+    auto r = cold->DetectTable(conn.get(), name);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r->columns_scanned > 0) {
+      table = name;
+      want = *r;
+      break;
+    }
+  }
+  ASSERT_FALSE(table.empty());
+  const std::string key = table + "#0";
+  const std::optional<model::CachedMetadata> good = cold->cache().Get(key);
+  ASSERT_TRUE(good.has_value());
+
+  // One latent too many (an entry that also holds Encode_L^M), and a first
+  // latent one row short.
+  model::CachedMetadata extra_latent = *good;
+  extra_latent.encoding.layer_latents.push_back(
+      good->encoding.layer_latents.back());
+  model::CachedMetadata short_latent = *good;
+  tensor::Tensor& first = short_latent.encoding.layer_latents.front();
+  first = tensor::SliceRows(first, 0, first.dim(0) - 1);
+
+  for (const auto& [what, bad] :
+       {std::pair{"extra latent", extra_latent},
+        std::pair{"short latent", short_latent}}) {
+    // The plane's decode gate passes it: the CRC is valid.
+    auto decoded =
+        serve::DecodeCachedMetadata(serve::EncodeCachedMetadata(bad));
+    ASSERT_TRUE(decoded.ok()) << what;
+    for (const bool remote : {false, true}) {
+      for (const bool service : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << what << (remote ? ", decoded remote" : ", local")
+                     << (service ? ", service path" : ", direct path"));
+        auto det = env.MakeDetector();
+        OneEntryRemoteStore store(key, *decoded);
+        const model::CachedMetadata& plant = remote ? *decoded : bad;
+        if (remote) {
+          det->cache().SetRemoteStore(&store);
+        } else {
+          det->cache().Put(key, plant);
+        }
+        core::TasteDetector::Job job;
+        ASSERT_TRUE(det->PrepareP1(conn.get(), table, &job).ok());
+        ASSERT_TRUE(det->InferP1(&job).ok());
+        // P1 replaced the entry with its own compute; plant it again for
+        // P2's reads.
+        det->cache().Put(key, plant);
+        ASSERT_TRUE(det->PrepareP2(conn.get(), &job).ok());
+        DirectP2Service direct(env.model.get());
+        ASSERT_TRUE(
+            det->InferP2(&job, nullptr, service ? &direct : nullptr).ok());
+        ExpectResultsIdentical(job.result, want);
+        det->cache().SetRemoteStore(nullptr);
+      }
+    }
+  }
 }
 
 TEST(CachePlaneDiffTest, CorruptCacheFramePoisonsStreamNeverResults) {

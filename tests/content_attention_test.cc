@@ -1,12 +1,20 @@
-// Equivalence of the column-segmented content tower with the dense masked
-// cross-attention it replaced. The reference below rebuilds the ADTD
-// towers from the model's own parameter values and runs every content
-// layer as TransformerBlock::Forward(c, concat(meta, c), &dense_mask), with
-// the (sc, sm+sc) mask that blocks PAD keys and every other column's
-// content keys. Column-segmented ForwardContent logits must match it within
-// 1e-5 (relative to the largest reference logit), and the parameter
-// gradients of one training step within 1e-4 (relative to each
-// parameter's largest reference gradient).
+// Equivalence of the ADTD towers with the reference forms they replaced.
+// The reference below rebuilds the towers from the model's own parameter
+// values.
+//
+// Column segmentation: the reference runs every content layer as
+// TransformerBlock::Forward(c, concat(meta, c), &dense_mask), with the
+// (sc, sm+sc) mask that blocks PAD keys and every other column's content
+// keys. Column-segmented ForwardContent logits must match it within 1e-5
+// (relative to the largest reference logit), and the parameter gradients
+// of one training step within 1e-4 (relative to each parameter's largest
+// reference gradient).
+//
+// The last layer at the anchors: the reference runs every layer of both
+// towers over every row (dense Forward for the metadata tower,
+// ForwardSegmented for the content tower), then gathers the anchor rows.
+// The model's anchor states, latents and logits, and one training step's
+// parameter gradients, must equal it bit for bit, in fp32 and int8.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +27,7 @@
 
 #include "model/adtd.h"
 #include "model/input_encoding.h"
+#include "tensor/exec_context.h"
 #include "tensor/ops.h"
 
 namespace taste::model {
@@ -102,9 +111,10 @@ Tensor DenseCrossMask(const EncodedContent& ec, const EncodedMetadata& em) {
   return Tensor::FromVector({sc, sm + sc}, std::move(mask));
 }
 
-/// The ADTD towers the content path uses, registered under AdtdModel's
-/// parameter names so their values can be copied over one for one, with
-/// the content tower written as dense masked cross-attention.
+/// The ADTD towers, registered under AdtdModel's parameter names so their
+/// values can be copied over one for one, with every layer of both towers
+/// run over every row: the content tower as dense masked cross-attention or
+/// column-segmented, the metadata tower as dense self-attention.
 class DenseReference : public nn::Module {
  public:
   DenseReference(const AdtdConfig& cfg, Rng& rng)
@@ -112,13 +122,22 @@ class DenseReference : public nn::Module {
         pos_emb_(cfg.encoder.max_seq_len, cfg.encoder.hidden, rng),
         emb_norm_(cfg.encoder.hidden),
         encoder_(cfg.encoder, rng),
+        meta_clf_(cfg.encoder.hidden + NonTextualFeatures::kDim,
+                  cfg.meta_classifier_hidden, cfg.num_types, rng),
         cont_clf_(2 * cfg.encoder.hidden + NonTextualFeatures::kDim,
                   cfg.content_classifier_hidden, cfg.num_types, rng) {
     RegisterModule("tok_emb", &tok_emb_);
     RegisterModule("pos_emb", &pos_emb_);
     RegisterModule("emb_norm", &emb_norm_);
     RegisterModule("encoder", &encoder_);
+    RegisterModule("meta_clf", &meta_clf_);
     RegisterModule("cont_clf", &cont_clf_);
+  }
+
+  /// The int8 panels AdtdModel::PrepackQuantWeights packs.
+  void PrepackQuant() {
+    encoder_.PrepackQuant();
+    cont_clf_.PrepackQuant();
   }
 
   void CopyFrom(const AdtdModel& model) {
@@ -133,6 +152,7 @@ class DenseReference : public nn::Module {
     }
   }
 
+  /// Every layer over every row, then the anchors: L+1 latents.
   AdtdModel::MetadataEncoding ForwardMetadata(const EncodedMetadata& em) {
     AdtdModel::MetadataEncoding out;
     Tensor h = Embed(em.token_ids);
@@ -142,7 +162,31 @@ class DenseReference : public nn::Module {
       out.layer_latents.push_back(h);
     }
     out.anchor_states = tensor::GatherRows(h, em.column_anchors);
+    out.logits =
+        meta_clf_.Forward(tensor::ConcatCols(out.anchor_states, em.features));
     return out;
+  }
+
+  /// Every content layer column-segmented over every row, then the
+  /// anchors; under an int8 `ctx` the prepacked Linears run quantized, as
+  /// in AdtdModel::ForwardContent.
+  Tensor ForwardContentSegmented(const EncodedContent& ec,
+                                 const EncodedMetadata& em,
+                                 const AdtdModel::MetadataEncoding& menc,
+                                 tensor::ExecContext* ctx = nullptr) {
+    tensor::ScopedExecContext scope(ctx);
+    tensor::ScopedQuantRegion quant_region(tensor::ExecContext::Current());
+    const int64_t segments = static_cast<int64_t>(ec.scanned.size());
+    Tensor c = Embed(ec.token_ids);
+    for (int64_t i = 0; i < encoder_.num_layers(); ++i) {
+      const nn::SegmentGroup group{
+          .memory = &menc.layer_latents[static_cast<size_t>(i)],
+          .mask = &ec.cross_mask,
+          .segments = segments,
+          .segment_len = c.dim(0) / segments};
+      c = encoder_.block(i).ForwardSegmented(c, {group});
+    }
+    return Classify(tensor::GatherRows(c, ec.column_anchors), ec, em, menc);
   }
 
   Tensor ForwardContent(const EncodedContent& ec, const EncodedMetadata& em,
@@ -154,14 +198,20 @@ class DenseReference : public nn::Module {
           {menc.layer_latents[static_cast<size_t>(i)], c});
       c = encoder_.block(i).Forward(c, kv, &dense_mask);
     }
+    return Classify(tensor::GatherRows(c, ec.column_anchors), ec, em, menc);
+  }
+
+ private:
+  Tensor Classify(const Tensor& content_anchors, const EncodedContent& ec,
+                  const EncodedMetadata& em,
+                  const AdtdModel::MetadataEncoding& menc) {
     Tensor clf_in = tensor::ConcatCols(
-        tensor::ConcatCols(tensor::GatherRows(c, ec.column_anchors),
+        tensor::ConcatCols(content_anchors,
                            tensor::GatherRows(menc.anchor_states, ec.scanned)),
         tensor::GatherRows(em.features, ec.scanned));
     return cont_clf_.Forward(clf_in);
   }
 
- private:
   Tensor Embed(const std::vector<int>& ids) {
     std::vector<int> positions(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) positions[i] = static_cast<int>(i);
@@ -173,6 +223,7 @@ class DenseReference : public nn::Module {
   nn::Embedding pos_emb_;
   nn::LayerNorm emb_norm_;
   nn::TransformerEncoder encoder_;
+  nn::MlpClassifier meta_clf_;
   nn::MlpClassifier cont_clf_;
 };
 
@@ -183,13 +234,18 @@ struct Rig {
   std::unique_ptr<DenseReference> reference;
   std::unique_ptr<InputEncoder> encoder;
 
-  Rig() {
+  /// `prepack` packs the int8 panels of both sides.
+  explicit Rig(bool prepack = false) {
     cfg = AdtdConfig::Tiny(tokenizer.vocab().size(), 12);
     Rng rng(7);
     model = std::make_unique<AdtdModel>(cfg, rng);
     Rng other(8);
     reference = std::make_unique<DenseReference>(cfg, other);
     reference->CopyFrom(*model);
+    if (prepack) {
+      model->PrepackQuantWeights();
+      reference->PrepackQuant();
+    }
     encoder = std::make_unique<InputEncoder>(&tokenizer, cfg.input);
   }
 };
@@ -324,6 +380,197 @@ TEST(ContentAttentionTest, BatchedItemsMatchSoloBytes) {
               0)
         << "item " << i;
   }
+}
+
+// -- The last layer at the anchors -------------------------------------------
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+tensor::ExecContext::Options CtxOptions(tensor::P2Dtype dtype,
+                                        int intra_op_threads = 0) {
+  tensor::ExecContext::Options o;
+  o.no_grad = true;
+  o.p2_dtype = dtype;
+  o.intra_op_threads = intra_op_threads;
+  return o;
+}
+
+/// P1 and P2 of one content batch, through the model under `ctx` and
+/// through the full-last-layer reference under `ref_ctx`, bit for bit.
+void ExpectAnchorParity(Rig& rig, const EncodedMetadata& em,
+                        const EncodedContent& ec, tensor::ExecContext* ctx,
+                        tensor::ExecContext* ref_ctx) {
+  tensor::NoGradGuard no_grad;
+  const AdtdModel::MetadataEncoding got = rig.model->ForwardMetadata(em, ctx);
+  const AdtdModel::MetadataEncoding want = rig.reference->ForwardMetadata(em);
+  const size_t layers = static_cast<size_t>(rig.cfg.encoder.num_layers);
+  ASSERT_EQ(got.layer_latents.size(), layers);
+  ASSERT_EQ(want.layer_latents.size(), layers + 1);
+  for (size_t i = 0; i < layers; ++i) {
+    EXPECT_TRUE(SameBytes(got.layer_latents[i], want.layer_latents[i]))
+        << "latent " << i;
+  }
+  EXPECT_TRUE(SameBytes(got.anchor_states, want.anchor_states));
+  EXPECT_TRUE(SameBytes(got.logits, want.logits));
+  EXPECT_TRUE(SameBytes(
+      rig.model->ForwardContent(ec, em, got, ctx),
+      rig.reference->ForwardContentSegmented(ec, em, want, ref_ctx)));
+}
+
+/// Runs ExpectAnchorParity over 1, 3 and 16 columns and tables with an
+/// all-PAD column, with the model under `ctx`.
+void ExpectAnchorParityAcrossWidths(Rig& rig, tensor::ExecContext* ctx,
+                                    tensor::ExecContext* ref_ctx) {
+  const std::vector<std::pair<int, std::vector<int>>> cases = {
+      {1, {}}, {3, {}}, {16, {}}, {3, {1}}, {1, {0}}};
+  for (const auto& [ncols, empty] : cases) {
+    SCOPED_TRACE(::testing::Message() << ncols << " columns, "
+                                      << empty.size() << " all-PAD");
+    const EncodedMetadata em = rig.encoder->EncodeMetadata(MakeTable(ncols));
+    const EncodedContent ec =
+        rig.encoder->EncodeContent(em, MakeContent(ncols, empty));
+    ExpectAnchorParity(rig, em, ec, ctx, ref_ctx);
+  }
+}
+
+TEST(AnchorLayerTest, Fp32MatchesFullLastLayerBits) {
+  Rig rig;
+  ExpectAnchorParityAcrossWidths(rig, nullptr, nullptr);
+}
+
+TEST(AnchorLayerTest, Int8MatchesFullLastLayerBits) {
+  Rig rig(/*prepack=*/true);
+  tensor::ExecContext ctx(CtxOptions(tensor::P2Dtype::kInt8));
+  tensor::ExecContext ref_ctx(CtxOptions(tensor::P2Dtype::kInt8));
+  ExpectAnchorParityAcrossWidths(rig, &ctx, &ref_ctx);
+  // The int8 window reached the kernels: fp32 logits differ.
+  const EncodedMetadata em = rig.encoder->EncodeMetadata(MakeTable(3));
+  const EncodedContent ec = rig.encoder->EncodeContent(em, MakeContent(3));
+  tensor::NoGradGuard no_grad;
+  const AdtdModel::MetadataEncoding menc = rig.model->ForwardMetadata(em);
+  EXPECT_FALSE(SameBytes(rig.model->ForwardContent(ec, em, menc, &ctx),
+                         rig.model->ForwardContent(ec, em, menc)));
+}
+
+TEST(AnchorLayerTest, PooledContextMatchesSerialFullLastLayer) {
+  Rig rig(/*prepack=*/true);
+  for (tensor::P2Dtype dtype : {tensor::P2Dtype::kFp32, tensor::P2Dtype::kInt8}) {
+    SCOPED_TRACE(tensor::P2DtypeName(dtype));
+    tensor::ExecContext pooled(CtxOptions(dtype, /*intra_op_threads=*/2));
+    tensor::ExecContext serial(CtxOptions(dtype));
+    ExpectAnchorParityAcrossWidths(rig, &pooled, &serial);
+  }
+}
+
+TEST(AnchorLayerTest, ChunkedTableMatchesFullLastLayerBits) {
+  // A 20-column table split into chunks of at most 8 columns by l.
+  Rig rig;
+  const auto chunks = SplitWideTable(MakeTable(20), 8);
+  ASSERT_EQ(chunks.size(), 3u);
+  for (const clouddb::TableMetadata& chunk : chunks) {
+    const int ncols = static_cast<int>(chunk.columns.size());
+    SCOPED_TRACE(::testing::Message() << "chunk of " << ncols);
+    const EncodedMetadata em = rig.encoder->EncodeMetadata(chunk);
+    const EncodedContent ec =
+        rig.encoder->EncodeContent(em, MakeContent(ncols, {ncols - 1}));
+    ExpectAnchorParity(rig, em, ec, nullptr, nullptr);
+  }
+}
+
+TEST(AnchorLayerTest, BatchMatchesFullLastLayerBits) {
+  // Items of 16, 3 (one all-PAD column) and 1 columns in one
+  // ForwardContentBatch: each item's logits equal the reference's.
+  Rig rig(/*prepack=*/true);
+  std::vector<EncodedMetadata> metas;
+  std::vector<EncodedContent> contents;
+  const std::vector<std::pair<int, std::vector<int>>> widths = {
+      {16, {}}, {3, {0}}, {1, {}}};
+  for (const auto& [ncols, empty] : widths) {
+    metas.push_back(rig.encoder->EncodeMetadata(MakeTable(ncols)));
+    contents.push_back(
+        rig.encoder->EncodeContent(metas.back(), MakeContent(ncols, empty)));
+  }
+  for (tensor::P2Dtype dtype : {tensor::P2Dtype::kFp32, tensor::P2Dtype::kInt8}) {
+    SCOPED_TRACE(tensor::P2DtypeName(dtype));
+    tensor::ExecContext ctx(CtxOptions(dtype));
+    tensor::ExecContext ref_ctx(CtxOptions(dtype));
+    tensor::NoGradGuard no_grad;
+    std::vector<AdtdModel::MetadataEncoding> encs;
+    std::vector<AdtdModel::MetadataEncoding> ref_encs;
+    for (const EncodedMetadata& em : metas) {
+      encs.push_back(rig.model->ForwardMetadata(em, &ctx));
+      ref_encs.push_back(rig.reference->ForwardMetadata(em));
+    }
+    std::vector<AdtdModel::P2BatchItem> items;
+    for (size_t j = 0; j < metas.size(); ++j) {
+      items.push_back({&contents[j], &metas[j], &encs[j]});
+    }
+    const std::vector<Tensor> batch =
+        rig.model->ForwardContentBatch(items, &ctx);
+    ASSERT_EQ(batch.size(), items.size());
+    for (size_t j = 0; j < items.size(); ++j) {
+      EXPECT_TRUE(SameBytes(batch[j], rig.reference->ForwardContentSegmented(
+                                          contents[j], metas[j], ref_encs[j],
+                                          &ref_ctx)))
+          << "item " << j;
+    }
+  }
+}
+
+TEST(AnchorLayerTest, TrainingStepGradientsMatchFullLastLayerBits) {
+  // Both towers' BCE losses: the metadata loss reaches the metadata
+  // tower's last layer and classifier, the content loss every parameter
+  // the content tower reads. The rows the reference adds carry zero
+  // gradient, zeros add exactly, and the anchor path accumulates the
+  // gradient of Encode_{L-1} in the reference's order, so every gradient
+  // is bitwise equal.
+  Rig rig;
+  rig.model->SetTraining(true);
+  rig.reference->SetTraining(true);
+  const int ncols = 5;
+  const EncodedMetadata em = rig.encoder->EncodeMetadata(MakeTable(ncols));
+  const EncodedContent ec =
+      rig.encoder->EncodeContent(em, MakeContent(ncols, {2}));
+  std::vector<std::vector<int>> labels;
+  for (int c = 0; c < ncols; ++c) labels.push_back({c % rig.cfg.num_types});
+  const Tensor targets = BuildTargets(labels, rig.cfg.num_types);
+  const float pos_weight = rig.cfg.bce_pos_weight;
+
+  const AdtdModel::MetadataEncoding menc = rig.model->ForwardMetadata(em);
+  Tensor loss = tensor::Add(
+      tensor::BceWithLogits(menc.logits, targets, pos_weight),
+      tensor::BceWithLogits(rig.model->ForwardContent(ec, em, menc), targets,
+                            pos_weight));
+  loss.Backward();
+  const AdtdModel::MetadataEncoding ref_menc =
+      rig.reference->ForwardMetadata(em);
+  Tensor ref_loss = tensor::Add(
+      tensor::BceWithLogits(ref_menc.logits, targets, pos_weight),
+      tensor::BceWithLogits(
+          rig.reference->ForwardContentSegmented(ec, em, ref_menc), targets,
+          pos_weight));
+  ref_loss.Backward();
+  EXPECT_TRUE(SameBytes(loss, ref_loss));
+
+  std::map<std::string, Tensor> model_params;
+  for (auto& [name, t] : rig.model->NamedParameters()) model_params[name] = t;
+  int compared = 0;
+  for (auto& [name, ref] : rig.reference->NamedParameters()) {
+    const Tensor& got = model_params.at(name);
+    ASSERT_EQ(got.HasGrad(), ref.HasGrad()) << name;
+    if (!ref.HasGrad()) continue;
+    EXPECT_EQ(std::memcmp(got.grad().data(), ref.grad().data(),
+                          sizeof(float) * static_cast<size_t>(ref.numel())),
+              0)
+        << name;
+    ++compared;
+  }
+  // Embeddings, both encoder layers' attention/FFN/norms, both classifiers.
+  EXPECT_EQ(compared, 44);
 }
 
 }  // namespace

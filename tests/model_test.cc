@@ -289,7 +289,7 @@ TEST(AdtdTest, MetadataForwardShapes) {
   EXPECT_EQ(out.logits.shape(), (Shape{ncols, m.cfg.num_types}));
   EXPECT_EQ(out.anchor_states.shape(), (Shape{ncols, m.cfg.encoder.hidden}));
   EXPECT_EQ(static_cast<int64_t>(out.layer_latents.size()),
-            m.cfg.encoder.num_layers + 1);
+            m.cfg.encoder.num_layers);
 }
 
 TEST(AdtdTest, ContentForwardShapes) {

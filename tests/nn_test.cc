@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
@@ -153,6 +154,54 @@ TEST(TransformerBlockTest, CrossAttentionResidualOnQuery) {
   Tensor kv = Tensor::Randn({9, 16}, rng);
   Tensor y = block.Forward(q, kv, nullptr);
   ASSERT_EQ(y.shape(), (Shape{4, 16}));
+}
+
+/// An additive mask whose rows differ: row r blocks keys (r + c) % 3 == 0
+/// beyond the first.
+Tensor RowVaryingMask(int64_t rows, int64_t cols) {
+  std::vector<float> m(static_cast<size_t>(rows * cols), 0.0f);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 1; c < cols; ++c) {
+      if ((r + c) % 3 == 0) m[static_cast<size_t>(r * cols + c)] = -1e9f;
+    }
+  }
+  return Tensor::FromVector({rows, cols}, std::move(m));
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+TEST(TransformerBlockTest, ForwardRowsAreThoseRowsOfForward) {
+  Rng rng(14);
+  TransformerBlock block(48, 4, 64, 0.0f, rng);
+  const Tensor x = Tensor::Randn({17, 48}, rng);
+  const Tensor mask = RowVaryingMask(17, 17);
+  const std::vector<int> rows = {5, 0, 16, 9};
+  tensor::NoGradGuard no_grad;
+  EXPECT_TRUE(SameBytes(block.ForwardRows(x, rows, &mask),
+                        tensor::GatherRows(block.Forward(x, &mask), rows)));
+}
+
+TEST(TransformerBlockTest, FirstRowsAreThoseRowsOfAllRows) {
+  // Two groups with their own memories, segment lengths and row-varying
+  // masks; kFirstRows returns each segment's first row of kAllRows.
+  Rng rng(15);
+  TransformerBlock block(48, 4, 64, 0.0f, rng);
+  const Tensor mem_a = Tensor::Randn({7, 48}, rng);
+  const Tensor mem_b = Tensor::Randn({4, 48}, rng);
+  const Tensor mask_a = RowVaryingMask(3 * 5, 7 + 5);
+  const Tensor mask_b = RowVaryingMask(2 * 3, 4 + 3);
+  const std::vector<SegmentGroup> groups = {{&mem_a, &mask_a, 3, 5},
+                                            {&mem_b, &mask_b, 2, 3}};
+  const Tensor x = Tensor::Randn({15 + 6, 48}, rng);
+  tensor::NoGradGuard no_grad;
+  const Tensor all = block.ForwardSegmented(x, groups);
+  EXPECT_TRUE(SameBytes(
+      block.ForwardSegmented(x, groups, SegmentQueries::kFirstRows),
+      tensor::GatherRows(all, {0, 5, 10, 15, 18})));
 }
 
 TEST(TransformerEncoderTest, StackForward) {
