@@ -328,8 +328,10 @@ void WriteSubstrateJson() {
 
   // Attention forwards at the serving model's shape (A=4, head_dim 12):
   // the P2 column-segmented form (12 segments of 27 content rows over 130
-  // metadata rows) and the P1 dense form (111 x 111). Ungated: they track
-  // the attention op, whose time no GEMM row above covers.
+  // metadata rows), its anchor form (the same keys and values, only each
+  // segment's first row as a query: the last encoder layer's shape) and
+  // the P1 dense form (111 x 111). Ungated: they track the attention op,
+  // whose time no GEMM row above covers.
   {
     tensor::NoGradGuard ng;
     Rng arng(29);
@@ -347,6 +349,12 @@ void WriteSubstrateJson() {
     const double segmented_ms = TimeGemmMs(
         [&] { benchmark::DoNotOptimize(attn.ForwardSegmented(x, groups)); },
         50);
+    const double anchor_ms = TimeGemmMs(
+        [&] {
+          benchmark::DoNotOptimize(attn.ForwardSegmented(
+              x, groups, nn::SegmentQueries::kFirstRows));
+        },
+        50);
     const double dense_ms = TimeGemmMs(
         [&] { benchmark::DoNotOptimize(attn.Forward(y, y, &dense_mask)); },
         50);
@@ -356,13 +364,17 @@ void WriteSubstrateJson() {
     json.Field("ms", segmented_ms);
     json.EndObject();
     json.BeginObject();
+    json.Field("form", std::string("p2_anchor_12x27_m130"));
+    json.Field("ms", anchor_ms);
+    json.EndObject();
+    json.BeginObject();
     json.Field("form", std::string("p1_dense_111"));
     json.Field("ms", dense_ms);
     json.EndObject();
     json.EndArray();
     std::printf("attention (A=4, hd=12): segmented 12x27+130 %.3f ms, "
-                "dense 111x111 %.3f ms\n",
-                segmented_ms, dense_ms);
+                "anchors 12x27+130 %.3f ms, dense 111x111 %.3f ms\n",
+                segmented_ms, anchor_ms, dense_ms);
   }
 
   Fixture& f = Fixture::Get();

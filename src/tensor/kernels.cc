@@ -15,65 +15,50 @@ namespace taste::tensor::kernels {
 
 namespace {
 
-// Blocking parameters. MR x NR is the register tile of the micro kernel
-// (4 x 16 floats = 8 AVX2 accumulator registers, leaving room for the A
-// broadcasts and B loads); KC x NC bounds the packed B panel (512 KiB) so
-// it stays cache-resident while the row sweep reuses it; MC bounds the
-// packed A panel.
-constexpr int64_t kMr = 4;
+// Blocking parameters. MR x NR is the register tile of the micro kernel:
+// kGemmBandRows x 16 floats, one accumulator register per row on AVX-512
+// (8 zmm) and two per row on AVX2 (4 x 2 ymm), leaving room for the A
+// broadcasts and B loads. KC x NC bounds the packed B panel (512 KiB) so it
+// stays cache-resident while the row sweep reuses it; MC bounds the rows
+// one panel sweep covers (and a transposed A's packed panel).
+constexpr int64_t kMr = kGemmBandRows;
 constexpr int64_t kNr = 16;
 constexpr int64_t kKc = 256;
 constexpr int64_t kMc = 64;
 constexpr int64_t kNc = 512;
+static_assert(kMc % kMr == 0, "a row sweep must hold whole bands");
 
 /// Below this many flops (2*m*n*k) the fork/join overhead of the pool
 /// outweighs the work; run serially.
 constexpr int64_t kMinParallelFlops = 1 << 21;
 
-inline float OpA(const float* a, int64_t i, int64_t p, int64_t m, int64_t k,
-                 bool trans_a) {
-  return trans_a ? a[p * m + i] : a[i * k + p];
-}
-
-inline float OpB(const float* b, int64_t p, int64_t j, int64_t n, int64_t k,
-                 bool trans_b) {
-  return trans_b ? b[j * k + p] : b[p * n + j];
-}
-
-/// Packs op(A)[i0:i0+mb, p0:p0+kb] into dst (mb x kb row-major).
-void PackA(float* __restrict dst, const float* a, int64_t i0, int64_t mb,
-           int64_t p0, int64_t kb, int64_t m, int64_t k, bool trans_a) {
-  if (!trans_a) {
-    for (int64_t r = 0; r < mb; ++r) {
-      const float* src = a + (i0 + r) * k + p0;
-      float* d = dst + r * kb;
-      for (int64_t q = 0; q < kb; ++q) d[q] = src[q];
-    }
-  } else {
-    // A stored (k, m): column i0+r of the storage becomes packed row r.
-    for (int64_t q = 0; q < kb; ++q) {
-      const float* src = a + (p0 + q) * m + i0;
-      for (int64_t r = 0; r < mb; ++r) dst[r * kb + q] = src[r];
-    }
+/// Packs op(A)[i0:i0+mb, p0:p0+kb] of a transposed A (stored (k, m) with
+/// row stride lda) into dst (mb x kb row-major). A non-transposed A needs
+/// no packing: the micro kernel reads its rows in place.
+void PackTransposedA(float* __restrict dst, const float* a, int64_t lda,
+                     int64_t i0, int64_t mb, int64_t p0, int64_t kb) {
+  // Column i0+r of the storage becomes packed row r.
+  for (int64_t q = 0; q < kb; ++q) {
+    const float* src = a + (p0 + q) * lda + i0;
+    for (int64_t r = 0; r < mb; ++r) dst[r * kb + q] = src[r];
   }
 }
 
 /// Packs op(B)[p0:p0+kb, j0:j0+nb] into dst (kb x nb_pad row-major), where
 /// nb_pad rounds nb up to a whole number of kNr-wide tiles; the padding
 /// columns are zero, so the micro kernel runs every column tile full width.
-void PackB(float* __restrict dst, const float* b, int64_t p0, int64_t kb,
-           int64_t j0, int64_t nb, int64_t nb_pad, int64_t n, int64_t k,
-           bool trans_b) {
+void PackB(float* __restrict dst, const float* b, int64_t ldb, int64_t p0,
+           int64_t kb, int64_t j0, int64_t nb, int64_t nb_pad, bool trans_b) {
   if (!trans_b) {
     for (int64_t q = 0; q < kb; ++q) {
-      const float* src = b + (p0 + q) * n + j0;
+      const float* src = b + (p0 + q) * ldb + j0;
       float* d = dst + q * nb_pad;
       for (int64_t t = 0; t < nb; ++t) d[t] = src[t];
     }
   } else {
     // B stored (n, k): row j0+t of the storage becomes packed column t.
     for (int64_t t = 0; t < nb; ++t) {
-      const float* src = b + (j0 + t) * k + p0;
+      const float* src = b + (j0 + t) * ldb + p0;
       for (int64_t q = 0; q < kb; ++q) dst[q * nb_pad + t] = src[q];
     }
   }
@@ -82,14 +67,14 @@ void PackB(float* __restrict dst, const float* b, int64_t p0, int64_t kb,
   }
 }
 
-/// C-tile update from packed panels: C[.. , ..] += pa * pb where pa is
-/// (mb_pad x kb) with mb_pad a multiple of kMr and pb is (kb x nb_pad) with
-/// its row stride nb_pad a multiple of kNr. Rows at and past `live` and
-/// columns at and past `nb` are zero-filled padding whose results are
-/// discarded; only the first `live` rows and `nb` columns of C are read or
-/// written. The accumulators are seeded from C and updated in increasing-p
-/// order, so each element's floating-point summation order is exactly the
-/// naive kernel's.
+/// C-tile update: C[.. , ..] += A * pb where A's row r (kb floats) starts
+/// at arows[r], for r < mb_pad (a multiple of kMr), and pb is (kb x nb_pad)
+/// with its row stride nb_pad a multiple of kNr. Rows at and past `live`
+/// point at a row of kb zeros and columns at and past `nb` are zero
+/// padding; their results are discarded: only the first `live` rows and
+/// `nb` columns of C are read or written. The accumulators are seeded from
+/// C and updated in increasing-p order, so each element's floating-point
+/// summation order is exactly the naive kernel's.
 ///
 /// There is deliberately NO scalar remainder path, for rows or columns:
 /// every row — padding included — flows through the one kMr-band loop, and
@@ -102,7 +87,7 @@ void PackB(float* __restrict dst, const float* b, int64_t p0, int64_t kb,
 /// let the compiler contract mul+add differently there, making row bytes
 /// shift when rows are concatenated — exactly what the cross-table P2
 /// batcher's byte-identity guarantee forbids.)
-void MicroTile(const float* __restrict pa, const float* __restrict pb,
+void MicroTile(const float* const* arows, const float* __restrict pb,
                int64_t nb_pad, float* __restrict c, int64_t ldc,
                int64_t mb_pad, int64_t nb, int64_t kb, int64_t live) {
   for (int64_t i = 0; i < mb_pad; i += kMr) {
@@ -131,18 +116,33 @@ void MicroTile(const float* __restrict pa, const float* __restrict pb,
           for (int64_t t = 0; t < kNr; ++t) acc[r][t] = 0.0f;
         }
       }
-      const float* a0 = pa + (i + 0) * kb;
-      const float* a1 = pa + (i + 1) * kb;
-      const float* a2 = pa + (i + 2) * kb;
-      const float* a3 = pa + (i + 3) * kb;
+      const float* a0 = arows[i + 0];
+      const float* a1 = arows[i + 1];
+      const float* a2 = arows[i + 2];
+      const float* a3 = arows[i + 3];
+#if defined(__AVX512F__)
+      const float* a4 = arows[i + 4];
+      const float* a5 = arows[i + 5];
+      const float* a6 = arows[i + 6];
+      const float* a7 = arows[i + 7];
+#endif
       for (int64_t p = 0; p < kb; ++p) {
         const float* __restrict brow = pb + p * nb_pad + j;
         const float av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
+#if defined(__AVX512F__)
+        const float av4 = a4[p], av5 = a5[p], av6 = a6[p], av7 = a7[p];
+#endif
         for (int64_t t = 0; t < kNr; ++t) {
           acc[0][t] += av0 * brow[t];
           acc[1][t] += av1 * brow[t];
           acc[2][t] += av2 * brow[t];
           acc[3][t] += av3 * brow[t];
+#if defined(__AVX512F__)
+          acc[4][t] += av4 * brow[t];
+          acc[5][t] += av5 * brow[t];
+          acc[6][t] += av6 * brow[t];
+          acc[7][t] += av7 * brow[t];
+#endif
         }
       }
       for (int64_t r = 0; r < band_live; ++r) {
@@ -161,6 +161,7 @@ void MicroTile(const float* __restrict pa, const float* __restrict pb,
 struct PackScratch {
   std::vector<float> a;
   std::vector<float> b;
+  std::vector<float> zero;  // kKc zeros: the A row of every padding row
 };
 
 PackScratch& Scratch() {
@@ -168,27 +169,35 @@ PackScratch& Scratch() {
   return s;
 }
 
-/// Serial blocked GEMM over the C row range [r0, r1).
-void GemmBlockedRows(const float* a, const float* b, float* c, int64_t m,
-                     int64_t n, int64_t k, bool trans_a, bool trans_b,
-                     int64_t r0, int64_t r1) {
+/// Serial blocked GEMM over the C row range [r0, r1), strided operands.
+void GemmBlockedRows(const float* a, int64_t lda, const float* b,
+                     int64_t ldb, float* c, int64_t ldc, int64_t n,
+                     int64_t k, bool trans_a, bool trans_b, int64_t r0,
+                     int64_t r1) {
   PackScratch& s = Scratch();
-  s.a.resize(static_cast<size_t>(kMc * kKc));
+  if (trans_a) s.a.resize(static_cast<size_t>(kMc * kKc));
   s.b.resize(static_cast<size_t>(kKc * kNc));
+  s.zero.resize(static_cast<size_t>(kKc));
+  const float* arows[kMc];
   for (int64_t j0 = 0; j0 < n; j0 += kNc) {
     const int64_t nb = std::min(kNc, n - j0);
     const int64_t nb_pad = (nb + kNr - 1) / kNr * kNr;
     for (int64_t p0 = 0; p0 < k; p0 += kKc) {
       const int64_t kb = std::min(kKc, k - p0);
-      PackB(s.b.data(), b, p0, kb, j0, nb, nb_pad, n, k, trans_b);
+      PackB(s.b.data(), b, ldb, p0, kb, j0, nb, nb_pad, trans_b);
       for (int64_t i0 = r0; i0 < r1; i0 += kMc) {
         const int64_t mb = std::min(kMc, r1 - i0);
         const int64_t mb_pad = (mb + kMr - 1) / kMr * kMr;
-        PackA(s.a.data(), a, i0, mb, p0, kb, m, k, trans_a);
-        // Zero-fill the padding rows so the micro kernel can treat every
-        // band as full; their (discarded) products are exact zeros.
-        std::fill(s.a.data() + mb * kb, s.a.data() + mb_pad * kb, 0.0f);
-        MicroTile(s.a.data(), s.b.data(), nb_pad, c + i0 * n + j0, n, mb_pad,
+        if (trans_a) {
+          PackTransposedA(s.a.data(), a, lda, i0, mb, p0, kb);
+          for (int64_t r = 0; r < mb; ++r) arows[r] = s.a.data() + r * kb;
+        } else {
+          for (int64_t r = 0; r < mb; ++r) arows[r] = a + (i0 + r) * lda + p0;
+        }
+        // Padding rows read zeros; their (discarded) products are exact
+        // zeros, and no read goes past A's last live row.
+        for (int64_t r = mb; r < mb_pad; ++r) arows[r] = s.zero.data();
+        MicroTile(arows, s.b.data(), nb_pad, c + i0 * ldc + j0, ldc, mb_pad,
                   nb, kb, mb);
       }
     }
@@ -246,10 +255,12 @@ void GemmAccRef(const float* a, const float* b, float* c, int64_t m,
 void GemmAcc(const float* a, const float* b, float* c, int64_t m, int64_t n,
              int64_t k, bool trans_a, bool trans_b, ThreadPool* pool) {
   if (m == 0 || n == 0 || k == 0) return;
+  const int64_t lda = trans_a ? m : k;
+  const int64_t ldb = trans_b ? k : n;
   const int64_t flops = 2 * m * n * k;
   if (pool == nullptr || pool->size() <= 1 || flops < kMinParallelFlops ||
       m < 2 * kMr) {
-    GemmBlockedRows(a, b, c, m, n, k, trans_a, trans_b, 0, m);
+    GemmBlockedRows(a, lda, b, ldb, c, n, n, k, trans_a, trans_b, 0, m);
     return;
   }
   // Row-partitioned fork/join: each worker runs the serial blocked kernel
@@ -265,12 +276,19 @@ void GemmAcc(const float* a, const float* b, float* c, int64_t m, int64_t n,
   futures.reserve(static_cast<size_t>(num_tasks));
   for (int64_t r0 = 0; r0 < m; r0 += rows_per_task) {
     const int64_t r1 = std::min(m, r0 + rows_per_task);
-    futures.push_back(pool->Submit([a, b, c, m, n, k, trans_a, trans_b, r0,
-                                    r1] {
-      GemmBlockedRows(a, b, c, m, n, k, trans_a, trans_b, r0, r1);
+    futures.push_back(pool->Submit([a, lda, b, ldb, c, n, k, trans_a,
+                                    trans_b, r0, r1] {
+      GemmBlockedRows(a, lda, b, ldb, c, n, n, k, trans_a, trans_b, r0, r1);
     }));
   }
   for (auto& f : futures) f.get();
+}
+
+void GemmAccStrided(const float* a, int64_t lda, const float* b, int64_t ldb,
+                    float* c, int64_t ldc, int64_t m, int64_t n, int64_t k,
+                    bool trans_a, bool trans_b) {
+  if (m == 0 || n == 0 || k == 0) return;
+  GemmBlockedRows(a, lda, b, ldb, c, ldc, n, k, trans_a, trans_b, 0, m);
 }
 
 #if defined(__AVX2__) && defined(__FMA__)

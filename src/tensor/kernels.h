@@ -14,22 +14,36 @@
 // what makes pipeline output byte-identical whatever ExecContext (pooled or
 // heap, serial or intra-op parallel) is in effect. Stronger still, a C
 // row's bits depend only on its own op(A) row and op(B) — NOT on m or on
-// where the row sits inside M. The packed A panel is zero-padded to a whole
-// number of register bands so every row, at every offset, runs the exact
-// same micro-kernel instruction sequence; concatenating extra rows above or
-// below leaves existing rows bitwise unchanged. The packed B panel is
-// likewise zero-padded to a whole number of 16-column register tiles, so
+// where the row sits inside M. Every row runs through one register band of
+// kGemmBandRows rows: a band past the last live row fills its padding rows
+// from a row of zeros, so every row, at every offset, runs the exact same
+// micro-kernel instruction sequence, and concatenating extra rows above or
+// below leaves existing rows bitwise unchanged. The band height is a
+// property of the target ISA (8 rows under AVX-512, 4 otherwise); it sets
+// how many independent accumulation chains run side by side, never the
+// chain of any one element, so it cannot move a bit either. The packed B
+// panel is zero-padded to a whole number of 16-column register tiles, so
 // the column tail (n mod 16 columns, e.g. every head_dim-wide attention
 // product) runs through the same vector tile as full columns; only the
 // seeding from C and the store back touch just the live columns. There is
-// no scalar remainder path for rows or columns. The P2 serving
-// scheduler's byte-identity guarantee rests on this row-stability (all
-// other forward ops are row-wise by construction). Parity with the naive
-// GemmAccRef is 1e-5 relative, not bitwise: the reference's rounding
-// differs by accumulation seeding (transposed variants) and by how the
-// compiler contracts mul+add to FMA in each loop shape. kernels_test
-// checks exactly this split, and batching_diff_test is the end-to-end
-// proof of the row-stability clause.
+// no scalar remainder path for rows or columns.
+//
+// Operands may be strided (GemmAccStrided): rows of A, B and C sit lda,
+// ldb and ldc floats apart, so a GEMM can read one head's columns of a
+// wider matrix and write into a sub-block of a wider C. A non-transposed A
+// is read in place, row by row; a transposed A is packed first. Neither
+// changes a single product or its order, so strides, packing and where C
+// lives do not touch the bits either. Splitting k (kKc blocking, or a
+// caller summing two GEMMs into one C) stores and reloads an exact fp32
+// partial sum, so it is bitwise the unsplit chain.
+//
+// The P2 serving scheduler's byte-identity guarantee rests on this
+// row-stability (all other forward ops are row-wise by construction).
+// Parity with the naive GemmAccRef is 1e-5 relative, not bitwise: the
+// reference's rounding differs by accumulation seeding (transposed
+// variants) and by how the compiler contracts mul+add to FMA in each loop
+// shape. kernels_test checks exactly this split, and batching_diff_test is
+// the end-to-end proof of the row-stability clause.
 
 #ifndef TASTE_TENSOR_KERNELS_H_
 #define TASTE_TENSOR_KERNELS_H_
@@ -44,6 +58,15 @@ namespace taste::tensor::kernels {
 
 // -- GEMM ---------------------------------------------------------------------
 
+/// Rows of C computed side by side in one register band: 8 on AVX-512 (one
+/// zmm accumulator per row, of 32 registers) and 4 elsewhere (16 ymm
+/// registers hold 4 rows as two 8-float halves each, plus the operands).
+#if defined(__AVX512F__)
+inline constexpr int64_t kGemmBandRows = 8;
+#else
+inline constexpr int64_t kGemmBandRows = 4;
+#endif
+
 /// C += op(A) * op(B) where op(A) is (m,k) and op(B) is (k,n), C is (m,n)
 /// row-major. If trans_a, A is stored as (k,m); if trans_b, B is stored as
 /// (n,k). Naive triple-loop reference: kept as the parity oracle and as the
@@ -52,7 +75,7 @@ void GemmAccRef(const float* a, const float* b, float* c, int64_t m,
                 int64_t n, int64_t k, bool trans_a, bool trans_b);
 
 /// Same contract as GemmAccRef, computed with cache blocking and panel
-/// packing (transposition is absorbed by the packing step, so all four
+/// packing (op(B) is always packed, A only when transposed, so all four
 /// variants share one register-blocked micro kernel). Results match
 /// GemmAccRef to 1e-5 relative (see the determinism note above). When
 /// `pool` is non-null and the problem is large enough, rows of C are
@@ -64,6 +87,15 @@ void GemmAccRef(const float* a, const float* b, float* c, int64_t m,
 void GemmAcc(const float* a, const float* b, float* c, int64_t m, int64_t n,
              int64_t k, bool trans_a, bool trans_b,
              ThreadPool* pool = nullptr);
+
+/// Serial GemmAcc over strided operands: row r of A's storage starts at
+/// a + r * lda (A stored (m, k), or (k, m) if trans_a), row r of B's at
+/// b + r * ldb (B stored (k, n), or (n, k) if trans_b), and row i of C at
+/// c + i * ldc. Each stride must be at least its row's length. Every
+/// element's bits equal GemmAcc's on dense copies of the same operands.
+void GemmAccStrided(const float* a, int64_t lda, const float* b, int64_t ldb,
+                    float* c, int64_t ldc, int64_t m, int64_t n, int64_t k,
+                    bool trans_a, bool trans_b);
 
 // -- Row-wise normalization / softmax ----------------------------------------
 

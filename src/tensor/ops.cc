@@ -489,12 +489,16 @@ namespace {
 /// serially even when an intra-op pool is bound; same bar as GemmAcc's.
 constexpr int64_t kMinParallelAttentionFlops = 1 << 21;
 
-/// Per-thread tiles of one (span, head) block. They grow to the largest
-/// block the thread has seen and are reused: at the serving shape a score
-/// tile is one column segment's 27 x 157 floats (~17 KiB).
+/// Per-thread tiles, grown to the largest block the thread has seen and
+/// reused. The forward uses only `scores`, one (group, head) block's
+/// rows x width score tile: at the serving shape a whole table's content
+/// rows, 11 columns x 31 rows over 124 + 31 keys (~210 KiB), or one row per
+/// column in the anchor-only last layer. The backward runs per (span,
+/// head) on gathered operands.
 struct AttentionScratch {
-  std::vector<float> q, k, v, scores, ctx;   // forward (backward reuses)
-  std::vector<float> dscores, dq, dk, dv;    // backward only
+  std::vector<float> scores;              // forward and backward
+  std::vector<float> q, k, v, ctx;        // backward gathers
+  std::vector<float> dscores, dq, dk, dv;
 };
 
 AttentionScratch& AttnScratch() {
@@ -557,39 +561,87 @@ void ScatterAddHeadKv(const float* src, const AttentionDims& d, int64_t col,
   ScatterAddHead(src + s.kv[0].rows * d.head_dim, d, col, s.kv[1], x);
 }
 
-/// One (span, head) block: writes that head's columns of the span's output
-/// rows. The probabilities go to `probs` (seg x width) when it is non-null,
-/// else they overwrite the score tile in place.
-void AttentionBlockForward(const float* q, const float* k, const float* v,
-                           const AttentionSpan& s, int64_t head,
-                           const AttentionDims& d, float* probs, float* out) {
-  AttentionScratch& t = AttnScratch();
-  const int64_t seg = s.query.rows;
-  const int64_t width = SpanWidth(s);
-  const int64_t hd = d.head_dim;
-  const int64_t col = head * hd;
-  float* qh = Tile(t.q, seg * hd);
-  float* kh = Tile(t.k, width * hd);
-  float* vh = Tile(t.v, width * hd);
-  GatherHead(q, d, col, s.query, qh);
-  GatherHeadKv(k, d, col, s, kh);
-  GatherHeadKv(v, d, col, s, vh);
-  // Scores, then scale -> mask -> softmax -> AV: the unfused chain's order
-  // on the same values. A trans_b pack of kh is the panel a materialized
-  // kh^T would pack, so the scores' bits are the same too.
-  float* scores = ZeroTile(t.scores, seg * width);
-  kernels::GemmAcc(qh, kh, scores, seg, width, hd, false, true);
-  kernels::ScaleSpan(scores, d.scale, scores, seg * width);
-  if (s.mask != nullptr) {
-    kernels::AddSpan(scores, s.mask->data() + s.mask_row * width, scores,
-                     seg * width);
+/// A maximal run of consecutive spans [first, last) that share kv[0], the
+/// mask tensor and the width, with contiguous query rows starting at
+/// `row0`, `rows` in all. Its spans' scores form one rows x width tile whose
+/// first sm = kv[0].rows columns come from one shared-memory GEMM.
+struct AttentionGroup {
+  size_t first = 0;
+  size_t last = 0;
+  int64_t row0 = 0;
+  int64_t rows = 0;
+};
+
+std::vector<AttentionGroup> GroupSpans(
+    const std::vector<AttentionSpan>& spans) {
+  std::vector<AttentionGroup> groups;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const AttentionSpan& s = spans[i];
+    if (!groups.empty()) {
+      AttentionGroup& g = groups.back();
+      const AttentionSpan& head = spans[g.first];
+      if (s.kv[0].begin == head.kv[0].begin &&
+          s.kv[0].rows == head.kv[0].rows && s.mask == head.mask &&
+          SpanWidth(s) == SpanWidth(head) &&
+          s.query.begin == g.row0 + g.rows) {
+        g.last = i + 1;
+        g.rows += s.query.rows;
+        continue;
+      }
+    }
+    groups.push_back({i, i + 1, s.query.begin, s.query.rows});
   }
-  float* p = probs != nullptr ? probs : scores;
-  kernels::SoftmaxRows(scores, p, seg, width);
-  float* ctx = ZeroTile(t.ctx, seg * hd);
-  kernels::GemmAcc(p, vh, ctx, seg, hd, width, false, false);
-  for (int64_t r = 0; r < seg; ++r) {
-    CopyFloats(out + (s.query.begin + r) * d.hidden + col, ctx + r * hd, hd);
+  return groups;
+}
+
+/// One (group, head) block: writes that head's columns of the group's
+/// output rows, which must be zero on entry. `tile` (rows x width) receives
+/// the probabilities. Each score and context element runs the unfused
+/// chain's FMA sequence on the same values (kernels.h), so splitting the
+/// columns at sm, and k at sm, leaves its bits unchanged.
+void AttentionGroupForward(const float* q, const float* k, const float* v,
+                           const std::vector<AttentionSpan>& spans,
+                           const AttentionGroup& g, int64_t head,
+                           const AttentionDims& d, float* tile, float* out) {
+  const AttentionSpan& first = spans[g.first];
+  const int64_t width = SpanWidth(first);
+  const int64_t sm = first.kv[0].rows;
+  const int64_t hd = d.head_dim;
+  const int64_t ld = d.hidden;
+  const int64_t col = head * hd;
+  std::fill(tile, tile + g.rows * width, 0.0f);
+  // Scores: one GEMM against the shared memory keys, then each span's own.
+  kernels::GemmAccStrided(q + g.row0 * ld + col, ld,
+                          k + first.kv[0].begin * ld + col, ld, tile, width,
+                          g.rows, sm, hd, false, true);
+  for (size_t i = g.first; i < g.last; ++i) {
+    const AttentionSpan& s = spans[i];
+    kernels::GemmAccStrided(q + s.query.begin * ld + col, ld,
+                            k + s.kv[1].begin * ld + col, ld,
+                            tile + (s.query.begin - g.row0) * width + sm,
+                            width, s.query.rows, width - sm, hd, false, true);
+  }
+  // Scale -> mask -> softmax: the unfused chain's elementwise order.
+  kernels::ScaleSpan(tile, d.scale, tile, g.rows * width);
+  if (first.mask != nullptr) {
+    for (size_t i = g.first; i < g.last; ++i) {
+      const AttentionSpan& s = spans[i];
+      float* rows = tile + (s.query.begin - g.row0) * width;
+      kernels::AddSpan(rows, s.mask->data() + s.mask_row * width, rows,
+                       s.query.rows * width);
+    }
+  }
+  kernels::SoftmaxRows(tile, tile, g.rows, width);
+  // Context: k split at sm, the memory part in one GEMM.
+  kernels::GemmAccStrided(tile, width, v + first.kv[0].begin * ld + col, ld,
+                          out + g.row0 * ld + col, ld, g.rows, hd, sm, false,
+                          false);
+  for (size_t i = g.first; i < g.last; ++i) {
+    const AttentionSpan& s = spans[i];
+    kernels::GemmAccStrided(tile + (s.query.begin - g.row0) * width + sm,
+                            width, v + s.kv[1].begin * ld + col, ld,
+                            out + s.query.begin * ld + col, ld, s.query.rows,
+                            hd, width - sm, false, false);
   }
 }
 
@@ -657,13 +709,8 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
   const int64_t head_dim = hidden / num_heads;
   const AttentionDims dims{hidden, head_dim,
                            1.0f / std::sqrt(static_cast<float>(head_dim))};
-  // Block b = i * num_heads + a is span i, head a. When an edge is
-  // recorded, its probabilities are saved at probs_off[b].
-  const int64_t blocks = static_cast<int64_t>(spans.size()) * num_heads;
-  std::vector<int64_t> probs_off(static_cast<size_t>(blocks) + 1, 0);
   int64_t flops = 0;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const AttentionSpan& s = spans[i];
+  for (const AttentionSpan& s : spans) {
     const int64_t width = SpanWidth(s);
     TASTE_CHECK_MSG(RangeWithin(s.query, q.dim(0)) &&
                         RangeWithin(s.kv[0], k.dim(0)) &&
@@ -679,30 +726,48 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
       TASTE_CHECK_MSG(!s.mask->requires_grad(),
                       "Attention masks are constants");
     }
-    for (int64_t a = 0; a < num_heads; ++a) {
-      const size_t b = i * static_cast<size_t>(num_heads) + a;
-      probs_off[b + 1] = probs_off[b] + s.query.rows * width;
-    }
     flops += 4 * num_heads * s.query.rows * width * head_dim;
+  }
+  // Forward block b = g * num_heads + a is group g, head a. When an edge is
+  // recorded, its probabilities stay at probs + group_off[b] (rows x width,
+  // laid out [group][head][rows x width]), so span i's head-a slice is the
+  // contiguous seg x width at probs_off[i * num_heads + a], the backward's
+  // per-(span, head) operand.
+  const std::vector<AttentionGroup> groups = GroupSpans(spans);
+  const int64_t blocks = static_cast<int64_t>(groups.size()) * num_heads;
+  std::vector<int64_t> group_off(static_cast<size_t>(blocks) + 1, 0);
+  std::vector<int64_t> probs_off(spans.size() * num_heads, 0);
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    const AttentionGroup& g = groups[gi];
+    const int64_t width = SpanWidth(spans[g.first]);
+    for (int64_t a = 0; a < num_heads; ++a) {
+      const size_t b = gi * static_cast<size_t>(num_heads) + a;
+      group_off[b + 1] = group_off[b] + g.rows * width;
+      for (size_t i = g.first; i < g.last; ++i) {
+        probs_off[i * num_heads + a] =
+            group_off[b] + (spans[i].query.begin - g.row0) * width;
+      }
+    }
   }
   const bool record = GradEnabled() && AnyRequiresGrad({&q, &k, &v});
   auto probs = record ? std::make_shared<std::vector<float>>(
-                            static_cast<size_t>(probs_off.back()))
+                            static_cast<size_t>(group_off.back()))
                       : nullptr;
   auto out = NewImpl({q.dim(0), hidden});
   {
     OpTimer timer(&ExecStats::attention);
     auto run = [&](int64_t b0, int64_t b1) {
       for (int64_t b = b0; b < b1; ++b) {
-        const AttentionSpan& s = spans[static_cast<size_t>(b / num_heads)];
-        if (s.query.rows == 0) continue;
-        AttentionBlockForward(
-            q.data(), k.data(), v.data(), s, b % num_heads, dims,
-            probs != nullptr ? probs->data() + probs_off[b] : nullptr,
-            out->data.data());
+        const AttentionGroup& g = groups[static_cast<size_t>(b / num_heads)];
+        if (g.rows == 0) continue;
+        const int64_t n = group_off[b + 1] - group_off[b];
+        float* tile = probs != nullptr ? probs->data() + group_off[b]
+                                       : Tile(AttnScratch().scores, n);
+        AttentionGroupForward(q.data(), k.data(), v.data(), spans, g,
+                              b % num_heads, dims, tile, out->data.data());
       }
     };
-    // Blocks write disjoint outputs from their own scratch, so spreading
+    // Blocks write disjoint outputs from their own tiles, so spreading
     // them over the pool cannot change a bit.
     ThreadPool* pool = CurrentIntraPool();
     if (pool == nullptr || pool->size() <= 1 || blocks < 2 ||
@@ -734,7 +799,7 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
     auto vi = v.impl();
     internal::TensorImpl* oi = out.get();
     SetEdge(out, {&q, &k, &v}, [qi, ki, vi, oi, geometry, probs, probs_off,
-                                num_heads, dims, blocks] {
+                                num_heads, dims] {
       auto grad = [](internal::TensorImpl* t) {
         return t->requires_grad ? t->MutableGrad().data() : nullptr;
       };
@@ -742,6 +807,8 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
       float* dk = grad(ki.get());
       float* dv = grad(vi.get());
       const float* dout = oi->MutableGrad().data();
+      const int64_t blocks =
+          static_cast<int64_t>(geometry.size()) * num_heads;
       for (int64_t b = 0; b < blocks; ++b) {
         const AttentionSpan& s = geometry[static_cast<size_t>(b / num_heads)];
         if (s.query.rows == 0) continue;

@@ -100,13 +100,18 @@ struct AttentionSpan {
 /// columns [a*head_dim, (a+1)*head_dim). For each (span, head) it computes
 /// softmax(q_h k_hᵀ / sqrt(head_dim) + mask) v_h into that head's columns of
 /// the span's query rows; rows no span covers stay zero. Query ranges must
-/// not overlap. Each (span, head) block runs on cache-sized per-thread
-/// scratch and depends only on its own rows, so the result is independent
-/// of the other spans and of how the blocks are spread over the intra-op
-/// pool. The bits equal the unfused composition (GatherRows, TransposeLast2,
-/// BatchedMatMul, Scale, AddBroadcastMat, Softmax, BatchedMatMul): the same
-/// kernels run in the same order on the same values. Records one autograd
-/// edge to q, k and v; the probabilities are kept only when it does.
+/// not overlap. Consecutive spans that share kv[0], the mask and the width
+/// and whose query rows are contiguous run as one (group, head) block: one
+/// GEMM against the shared kv[0] rows for all of them, then each span's
+/// kv[1] rows. A block reads q, k and v in place, works on one per-thread
+/// score tile and depends only on its own rows, so the result is
+/// independent of the other spans, of the grouping and of how the blocks
+/// are spread over the intra-op pool. The bits equal the unfused
+/// composition (GatherRows, TransposeLast2, BatchedMatMul, Scale,
+/// AddBroadcastMat, Softmax, BatchedMatMul): every element runs the same
+/// kernel arithmetic in the same order on the same values. Records one
+/// autograd edge to q, k and v; the probabilities are kept only when it
+/// does.
 Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
                  int64_t num_heads, const std::vector<AttentionSpan>& spans);
 

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -238,6 +239,239 @@ TEST(AttentionOpTest, IntraOpPoolMatchesSerialBitwise) {
   EXPECT_EQ(st.attention.calls, 1);
   EXPECT_EQ(st.gemm.calls, 0);  // the products run inside the op
   EXPECT_EQ(st.softmax.calls, 0);
+}
+
+/// The op's output, serially and with a 4-thread intra-op pool bound, must
+/// equal the unfused chain's bytes. (The pool forks only above the op's
+/// flop threshold; PooledAnchorGroupsMatchBitwise is large enough.)
+void ExpectMatchesReference(const Tensor& q, const Tensor& k, const Tensor& v,
+                            int64_t heads,
+                            const std::vector<AttentionSpan>& spans,
+                            const char* what) {
+  const Tensor want = ReferenceAttention(q, k, v, heads, spans);
+  EXPECT_TRUE(SameBytes(Attention(q, k, v, heads, spans), want))
+      << what << " (serial)";
+  ExecContext::Options opt;
+  opt.intra_op_threads = 4;
+  ExecContext ctx(opt);
+  ScopedExecContext bind(&ctx);
+  EXPECT_TRUE(SameBytes(Attention(q, k, v, heads, spans), want))
+      << what << " (pooled)";
+}
+
+/// Anchor-form spans of one group: segment j's first query row is row
+/// q_off + j; it attends over the memory and segment j's own rows (at
+/// kv_own + j * seg), with mask row j * seg. The mask rows are not
+/// contiguous, so each span must add its own.
+std::vector<AttentionSpan> Anchors(int64_t q_off, int64_t memory_begin,
+                                   int64_t memory_rows, int64_t kv_own,
+                                   int64_t segments, int64_t seg,
+                                   const Tensor* mask) {
+  std::vector<AttentionSpan> spans;
+  for (int64_t j = 0; j < segments; ++j) {
+    AttentionSpan s;
+    s.query = {q_off + j, 1};
+    s.kv[0] = {memory_begin, memory_rows};
+    s.kv[1] = {kv_own + j * seg, seg};
+    s.mask = mask;
+    s.mask_row = j * seg;
+    spans.push_back(s);
+  }
+  return spans;
+}
+
+TEST(AttentionOpTest, SpanListsThatBreakGroupingMatchBitwise) {
+  // Consecutive spans form one (group, head) block only when they share
+  // kv[0], the mask and the width and their query rows are contiguous.
+  // Each list below breaks or stresses one of those conditions.
+  Rng rng(29);
+  const int64_t heads = 4, hidden = 4 * 12;
+  const Tensor q = Tensor::Randn({64, hidden}, rng);
+  const Tensor k = Tensor::Randn({160, hidden}, rng);
+  const Tensor v = Tensor::Randn({160, hidden}, rng);
+  const Tensor mask = RandomMask(40, 30 + 6, rng);
+  const Tensor other_mask = RandomMask(40, 30 + 6, rng);
+  const Tensor wide_mask = RandomMask(40, 45 + 9, rng);
+  auto span = [](RowRange query, RowRange kv0, RowRange kv1,
+                 const Tensor* m, int64_t mask_row) {
+    AttentionSpan s;
+    s.query = query;
+    s.kv[0] = kv0;
+    s.kv[1] = kv1;
+    s.mask = m;
+    s.mask_row = mask_row;
+    return s;
+  };
+  struct Case {
+    const char* what;
+    std::vector<AttentionSpan> spans;
+  };
+  const std::vector<Case> cases = {
+      {"non-contiguous query rows",
+       {span({0, 6}, {0, 30}, {100, 6}, &mask, 0),
+        span({8, 6}, {0, 30}, {106, 6}, &mask, 6),
+        span({14, 6}, {0, 30}, {112, 6}, &mask, 12)}},
+      {"consecutive spans with different kv[0]",
+       {span({0, 6}, {0, 30}, {100, 6}, &mask, 0),
+        span({6, 6}, {2, 30}, {106, 6}, &mask, 6),
+        span({12, 6}, {2, 30}, {112, 6}, &mask, 12)}},
+      {"consecutive spans with different masks",
+       {span({0, 6}, {0, 30}, {100, 6}, &mask, 0),
+        span({6, 6}, {0, 30}, {106, 6}, &other_mask, 6),
+        span({12, 6}, {0, 30}, {112, 6}, nullptr, 0)}},
+      {"0-row spans inside a run",
+       {span({0, 6}, {0, 30}, {100, 6}, &mask, 0),
+        span({6, 0}, {0, 30}, {106, 6}, &mask, 6),
+        span({6, 6}, {0, 30}, {106, 6}, &mask, 12),
+        span({50, 0}, {0, 30}, {112, 6}, &mask, 18),
+        span({12, 6}, {0, 30}, {118, 6}, &mask, 24)}},
+      {"empty kv[0]",
+       {span({0, 6}, {0, 0}, {100, 6}, nullptr, 0),
+        span({6, 6}, {0, 0}, {106, 6}, nullptr, 0),
+        span({12, 1}, {0, 0}, {112, 6}, nullptr, 0)}},
+      {"empty kv[1]",
+       {span({0, 5}, {10, 36}, {0, 0}, &mask, 0),
+        span({5, 7}, {10, 36}, {0, 0}, &mask, 5),
+        span({12, 3}, {10, 36}, {0, 0}, &mask, 21)}},
+      {"anchor form",
+       Anchors(3, 0, 30, 100, 6, 6, &mask)},
+      {"two items of different widths",
+       [&] {
+         std::vector<AttentionSpan> a = Anchors(0, 0, 30, 100, 5, 6, &mask);
+         const std::vector<AttentionSpan> b =
+             Anchors(5, 30, 45, 130, 3, 9, &wide_mask);
+         a.insert(a.end(), b.begin(), b.end());
+         for (int64_t j = 0; j < 3; ++j) {
+           a.push_back(span({8 + 6 * j, 6}, {30, 45}, {130 + 9 * j, 9},
+                            &wide_mask, 9 * j));
+         }
+         return a;
+       }()},
+  };
+  for (const Case& c : cases) {
+    ExpectMatchesReference(q, k, v, heads, c.spans, c.what);
+  }
+}
+
+TEST(AttentionOpTest, PooledAnchorGroupsMatchBitwise) {
+  // Large enough to spread (group, head) blocks over the pool: two tables'
+  // anchor rows, 64 and 40 columns over 130 and 111 memory rows.
+  Rng rng(31);
+  const int64_t heads = 4, hd = 26, hidden = heads * hd, seg = 27;
+  const int64_t memory = 130 + 111, own = (64 + 40) * seg;
+  const Tensor q = Tensor::Randn({64 + 40, hidden}, rng);
+  const Tensor k = Tensor::Randn({memory + own, hidden}, rng);
+  const Tensor v = Tensor::Randn({memory + own, hidden}, rng);
+  const Tensor mask0 = RandomMask(64 * seg, 130 + seg, rng);
+  const Tensor mask1 = RandomMask(40 * seg, 111 + seg, rng);
+  std::vector<AttentionSpan> spans =
+      Anchors(0, 0, 130, memory, 64, seg, &mask0);
+  const std::vector<AttentionSpan> second =
+      Anchors(64, 130, 111, memory + 64 * seg, 40, seg, &mask1);
+  spans.insert(spans.end(), second.begin(), second.end());
+  ExpectMatchesReference(q, k, v, heads, spans, "anchors of two tables");
+}
+
+/// The unfused autograd chain for spans of one query length and one width:
+/// every (span, head) block is one batch entry, span-major, so a key or
+/// value row that several spans read accumulates its gradient in span
+/// order, as the op's backward does. Returns sum(out * w) over the spans'
+/// query rows.
+Tensor ReferenceLoss(const Tensor& q, const Tensor& k, const Tensor& v,
+                     int64_t heads, const std::vector<AttentionSpan>& spans,
+                     const Tensor& w) {
+  const int64_t hd = q.dim(1) / heads;
+  const int64_t seg = spans[0].query.rows;
+  const int64_t width = spans[0].kv[0].rows + spans[0].kv[1].rows;
+  const int64_t batch = static_cast<int64_t>(spans.size()) * heads;
+  std::vector<int> q_rows;
+  std::vector<int> kv_rows;
+  Tensor mask = Tensor::Zeros({batch, seg, width});
+  for (const AttentionSpan& s : spans) {
+    EXPECT_EQ(s.query.rows, seg);
+    EXPECT_EQ(s.kv[0].rows + s.kv[1].rows, width);
+    for (int64_t a = 0; a < heads; ++a) {
+      for (int64_t r = 0; r < seg; ++r) {
+        q_rows.push_back(static_cast<int>((s.query.begin + r) * heads + a));
+      }
+      for (const RowRange& range : s.kv) {
+        for (int64_t r = 0; r < range.rows; ++r) {
+          kv_rows.push_back(static_cast<int>((range.begin + r) * heads + a));
+        }
+      }
+      const int64_t b = static_cast<int64_t>(q_rows.size()) / seg - 1;
+      std::memcpy(mask.data() + b * seg * width,
+                  s.mask->data() + s.mask_row * width,
+                  sizeof(float) * seg * width);
+    }
+  }
+  auto view = [&](const Tensor& x, const std::vector<int>& rows,
+                  int64_t len) {
+    return Reshape(GatherRows(Reshape(x, {x.dim(0) * heads, hd}), rows),
+                   {batch, len, hd});
+  };
+  Tensor scores = BatchedMatMul(view(q, q_rows, seg),
+                                TransposeLast2(view(k, kv_rows, width)));
+  scores = Scale(scores, 1.0f / std::sqrt(static_cast<float>(hd)));
+  scores = Add(scores, mask);
+  const Tensor ctx = BatchedMatMul(Softmax(scores), view(v, kv_rows, width));
+  return SumAll(Mul(ctx, view(w, q_rows, seg)));
+}
+
+TEST(AttentionOpTest, RecordedGradientsMatchUnfusedChainBitwise) {
+  // The backward reads each (span, head) probability slice out of the
+  // forward's [group][head][rows x width] tiles; a wrong offset would feed
+  // it another block's probabilities. Two tables' anchor rows (one group
+  // each, mask rows not contiguous) and one table's full segments.
+  const int64_t heads = 2, hd = 12, hidden = heads * hd;
+  struct Case {
+    const char* what;
+    int64_t q_rows;
+    std::vector<AttentionSpan> spans;
+  };
+  Rng mask_rng(37);
+  const Tensor mask0 = RandomMask(5 * 7, 20 + 7, mask_rng);
+  const Tensor mask1 = RandomMask(3 * 7, 20 + 7, mask_rng);
+  const Tensor mask2 = RandomMask(4 * 7, 20 + 7, mask_rng);
+  std::vector<AttentionSpan> anchors = Anchors(0, 0, 20, 40, 5, 7, &mask0);
+  const std::vector<AttentionSpan> more = Anchors(5, 27, 20, 75, 3, 7, &mask1);
+  anchors.insert(anchors.end(), more.begin(), more.end());
+  // Equal widths across the two tables: 20 + 7 both.
+  for (AttentionSpan& s : anchors) ASSERT_EQ(s.kv[0].rows, 20);
+  std::vector<AttentionSpan> segments;
+  for (int64_t j = 0; j < 4; ++j) {
+    AttentionSpan s;
+    s.query = {j * 7, 7};
+    s.kv[0] = {0, 20};
+    s.kv[1] = {40 + j * 7, 7};
+    s.mask = &mask2;
+    s.mask_row = j * 7;
+    segments.push_back(s);
+  }
+  const std::vector<Case> cases = {{"anchor rows of two tables", 8, anchors},
+                                   {"full segments", 28, segments}};
+  for (const Case& c : cases) {
+    // The op's and the reference's leaves: equal values, separate grads.
+    Rng rng(41);
+    Rng ref_rng(41);
+    const Tensor q = Tensor::Randn({c.q_rows, hidden}, rng, 1.0f, true);
+    const Tensor k = Tensor::Randn({100, hidden}, rng, 1.0f, true);
+    const Tensor v = Tensor::Randn({100, hidden}, rng, 1.0f, true);
+    const Tensor rq = Tensor::Randn({c.q_rows, hidden}, ref_rng, 1.0f, true);
+    const Tensor rk = Tensor::Randn({100, hidden}, ref_rng, 1.0f, true);
+    const Tensor rv = Tensor::Randn({100, hidden}, ref_rng, 1.0f, true);
+    const Tensor w = Tensor::Randn({c.q_rows, hidden}, rng);
+    SumAll(Mul(Attention(q, k, v, heads, c.spans), w)).Backward();
+    ReferenceLoss(rq, rk, rv, heads, c.spans, w).Backward();
+    for (const auto& [got, want, name] :
+         {std::tuple{&q, &rq, "q"}, std::tuple{&k, &rk, "k"},
+          std::tuple{&v, &rv, "v"}}) {
+      ASSERT_EQ(got->grad().size(), want->grad().size());
+      EXPECT_EQ(0, std::memcmp(got->grad().data(), want->grad().data(),
+                               sizeof(float) * got->grad().size()))
+          << c.what << ": d" << name;
+    }
+  }
 }
 
 TEST(AttentionOpTest, NoTapeUnderNoGradGuard) {

@@ -146,6 +146,7 @@ TEST(GeneratorValueTest, ValuesFromDifferentGroupMembersDiffer) {
   std::regex cc_re(R"(\d{4} \d{4} \d{4} \d{4})");
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(std::regex_match(Reg().GenerateValue(phone, rng), cc_re));
+    EXPECT_TRUE(std::regex_match(Reg().GenerateValue(cc, rng), cc_re));
   }
 }
 

@@ -33,8 +33,9 @@ struct GemmShape {
   int64_t m, n, k;
 };
 
-// Covers the register tile (4x16), its remainders, cache-block boundaries
-// (KC=256, MC=64, NC=512 in kernels.cc), and degenerate dims.
+// Covers the register tile (kGemmBandRows x 16), its remainders,
+// cache-block boundaries (KC=256, MC=64, NC=512 in kernels.cc), and
+// degenerate dims.
 const GemmShape kShapes[] = {
     {1, 1, 1},    {1, 16, 7},   {4, 16, 3},   {5, 17, 9},  {3, 1, 64},
     {1, 33, 1},   {7, 7, 7},    {64, 16, 48}, {13, 40, 21}, {65, 513, 12},
@@ -218,6 +219,117 @@ TEST(KernelsGemmTest, ZeroSizedProblemsAreNoOps) {
   // k = 0: C unchanged (the sum over p is empty).
   std::vector<float> c = {1.0f, 2.0f};
   GemmAcc(nullptr, nullptr, c.data(), 1, 2, 0, false, false);
+  EXPECT_EQ(c[0], 1.0f);
+  EXPECT_EQ(c[1], 2.0f);
+}
+
+// -- Strided operands (GemmAccStrided) --------------------------------------
+
+/// `rows` x `cols` of `dense` copied into storage whose rows are `ld` apart,
+/// the gaps filled with `fill`. The allocation is exactly rows * ld floats,
+/// so a read past the last row trips AddressSanitizer.
+std::vector<float> Strided(const std::vector<float>& dense, int64_t rows,
+                           int64_t cols, int64_t ld, float fill) {
+  std::vector<float> out(static_cast<size_t>(rows * ld), fill);
+  for (int64_t r = 0; r < rows; ++r) {
+    std::copy(dense.begin() + r * cols, dense.begin() + (r + 1) * cols,
+              out.begin() + r * ld);
+  }
+  return out;
+}
+
+TEST(KernelsGemmTest, StridedMatchesDenseCopiesBitwise) {
+  // Every stride wider than its natural one; C sits inside a wider buffer
+  // with guard words before it, between its rows and after it. The gaps of
+  // A and B hold NaN, so reading one would poison a live result.
+  constexpr float kGuard = -12345.5f;
+  const float kNan = std::nanf("");
+  constexpr int64_t kPad = 16;  // a whole register tile of guards
+  const GemmShape shapes[] = {{1, 12, 12},  {3, 130, 12}, {9, 12, 157},
+                              {17, 47, 48}, {31, 27, 12}, {70, 20, 300}};
+  for (const GemmShape& s : shapes) {
+    for (bool trans_a : {false, true}) {
+      for (bool trans_b : {false, true}) {
+        Rng rng(s.m * 131 + s.n * 7 + s.k + (trans_a ? 2 : 0) +
+                (trans_b ? 1 : 0));
+        // Storage shapes: A (m, k) or (k, m); B (k, n) or (n, k).
+        const int64_t a_rows = trans_a ? s.k : s.m;
+        const int64_t a_cols = trans_a ? s.m : s.k;
+        const int64_t b_rows = trans_b ? s.n : s.k;
+        const int64_t b_cols = trans_b ? s.k : s.n;
+        const std::vector<float> a = RandomVec(a_rows * a_cols, rng);
+        const std::vector<float> b = RandomVec(b_rows * b_cols, rng);
+        const std::vector<float> c0 = RandomVec(s.m * s.n, rng);
+        std::vector<float> want = c0;
+        GemmAcc(a.data(), b.data(), want.data(), s.m, s.n, s.k, trans_a,
+                trans_b);
+
+        const int64_t lda = a_cols + 5, ldb = b_cols + 3, ldc = s.n + 7;
+        const std::vector<float> sa = Strided(a, a_rows, a_cols, lda, kNan);
+        const std::vector<float> sb = Strided(b, b_rows, b_cols, ldb, kNan);
+        std::vector<float> sc(static_cast<size_t>(kPad + s.m * ldc + kPad),
+                              kGuard);
+        for (int64_t i = 0; i < s.m; ++i) {
+          std::copy(c0.begin() + i * s.n, c0.begin() + (i + 1) * s.n,
+                    sc.begin() + kPad + i * ldc);
+        }
+        GemmAccStrided(sa.data(), lda, sb.data(), ldb, sc.data() + kPad, ldc,
+                       s.m, s.n, s.k, trans_a, trans_b);
+        for (int64_t i = 0; i < s.m; ++i) {
+          EXPECT_EQ(0, std::memcmp(want.data() + i * s.n,
+                                   sc.data() + kPad + i * ldc,
+                                   sizeof(float) * static_cast<size_t>(s.n)))
+              << "m=" << s.m << " n=" << s.n << " k=" << s.k << " "
+              << VariantName(trans_a, trans_b) << " row " << i;
+        }
+        // Guards: before C, in every row gap, and after C.
+        for (size_t g = 0; g < sc.size(); ++g) {
+          const int64_t off = static_cast<int64_t>(g) - kPad;
+          const bool live = off >= 0 && off < s.m * ldc && off % ldc < s.n;
+          if (!live) {
+            ASSERT_EQ(sc[g], kGuard)
+                << "m=" << s.m << " n=" << s.n << " "
+                << VariantName(trans_a, trans_b) << " guard at " << off;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsGemmTest, RowBitsIndependentOfBandOffset) {
+  // m = 1 .. 2 bands + 1, every row placed at every offset: a row computed
+  // inside a taller problem, at any position relative to the register band
+  // edges, is bitwise the row computed alone. A is strided and sits in an
+  // allocation of exactly m * lda floats, so a padding row that reads past
+  // the live rows trips AddressSanitizer; its row gaps hold NaN.
+  constexpr int64_t kBand = kGemmBandRows;
+  const int64_t n = 27, k = 48, lda = k + 4;
+  Rng rng(kBand);
+  const std::vector<float> b = RandomVec(k * n, rng);
+  for (int64_t m = 1; m <= 2 * kBand + 1; ++m) {
+    const std::vector<float> a_dense = RandomVec(m * k, rng);
+    const std::vector<float> a = Strided(a_dense, m, k, lda, std::nanf(""));
+    ASSERT_EQ(a.size(), static_cast<size_t>(m * lda));
+    const std::vector<float> c0 = RandomVec(m * n, rng);
+    std::vector<float> tall = c0;
+    GemmAccStrided(a.data(), lda, b.data(), n, tall.data(), n, m, n, k,
+                   false, false);
+    for (int64_t i = 0; i < m; ++i) {
+      std::vector<float> solo(c0.begin() + i * n, c0.begin() + (i + 1) * n);
+      GemmAcc(a_dense.data() + i * k, b.data(), solo.data(), 1, n, k, false,
+              false);
+      EXPECT_EQ(0, std::memcmp(solo.data(), tall.data() + i * n,
+                               sizeof(float) * static_cast<size_t>(n)))
+          << "m=" << m << " row " << i;
+    }
+  }
+}
+
+TEST(KernelsGemmTest, ZeroSizedStridedProblemsAreNoOps) {
+  std::vector<float> c = {1.0f, 2.0f};
+  GemmAccStrided(nullptr, 7, nullptr, 9, c.data(), 5, 1, 2, 0, false, true);
+  GemmAccStrided(nullptr, 7, nullptr, 9, c.data(), 5, 0, 2, 4, true, false);
   EXPECT_EQ(c[0], 1.0f);
   EXPECT_EQ(c[1], 2.0f);
 }
