@@ -44,7 +44,8 @@ TasteDetector::TasteDetector(const AdtdModel* model,
       input_config_(ApplyOverrides(model->config().input, options)),
       encoder_(tokenizer, input_config_),
       cache_(std::make_unique<model::LatentCache>(
-          options.cache_capacity, std::max(1, options.cache_shards))) {
+          options.cache_capacity, std::max(1, options.cache_shards))),
+      exec_contexts_(std::make_unique<tensor::ExecContextPool>()) {
   TASTE_CHECK(model_ != nullptr && tokenizer_ != nullptr);
   TASTE_CHECK_MSG(options_.alpha >= 0 && options_.alpha <= options_.beta &&
                       options_.beta <= 1.0,

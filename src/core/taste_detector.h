@@ -169,7 +169,8 @@ class TasteDetector {
   // context is bound for the duration of the stage so the model forward
   // gets buffer pooling / intra-op parallelism / timing; nullptr preserves
   // the historical behaviour exactly. Each context must be used by one
-  // thread at a time — the pipeline executor owns one per infer worker.
+  // thread at a time — the pipeline executor leases one per infer stage
+  // from exec_contexts().
 
   /// S1 of P1: fetch metadata, split wide tables, encode.
   Status PrepareP1(clouddb::Connection* conn, const std::string& table_name,
@@ -216,6 +217,11 @@ class TasteDetector {
 
   const TasteOptions& options() const { return options_; }
   model::LatentCache& cache() const { return *cache_; }
+  /// Serving contexts shared by every executor of this detector. They live
+  /// as long as the detector, as the cache's latents do, so the buffers
+  /// their pools recycle survive from one batch (or request) to the next
+  /// instead of each batch building pools that cached latents then pin.
+  tensor::ExecContextPool& exec_contexts() const { return *exec_contexts_; }
   const model::AdtdModel& model() const { return *model_; }
 
   /// Per-table circuit breakers (present iff resilience is enabled with
@@ -251,6 +257,7 @@ class TasteDetector {
   model::InputConfig input_config_;  // model config + serving overrides
   model::InputEncoder encoder_;
   std::unique_ptr<model::LatentCache> cache_;
+  std::unique_ptr<tensor::ExecContextPool> exec_contexts_;
   std::unique_ptr<BreakerRegistry> breakers_;  // null unless enabled
 };
 

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 
 #include "common/stopwatch.h"
 #include "obs/export.h"
@@ -110,10 +109,10 @@ struct PipelineMetrics {
   }
 };
 
-/// Folds one serving context's per-op timings and pool counters into the
-/// registry. Contexts live for exactly one RunBatch, so each fold
-/// contributes that batch's totals: op histograms get one observation per
-/// (context, op) — the op's cumulative ms in that batch.
+/// Folds one serving context's per-op timings and pool counters since its
+/// lease began into the registry. Each lease covers one infer stage (or one
+/// sequential batch), so op histograms get one observation per (stage, op):
+/// the op's cumulative ms in that stage.
 void FoldExecStats(const tensor::ExecContext& ctx) {
   if (!obs::MetricsEnabled()) return;
   PipelineMetrics& m = PipelineMetrics::Get();
@@ -126,6 +125,37 @@ void FoldExecStats(const tensor::ExecContext& ctx) {
   m.pool_acquires->Inc(s.pool.acquires);
   m.pool_reuses->Inc(s.pool.reuses);
 }
+
+/// The options of every serving context this executor leases: no-grad,
+/// pooled, profiled when metrics are on, with its own intra-op pool when
+/// the clamp leaves room for one.
+tensor::ExecContext::Options ServingContextOptions(
+    const PipelineOptions& options) {
+  tensor::ExecContext::Options ctx;
+  ctx.no_grad = true;
+  ctx.profile = obs::MetricsEnabled();
+  ctx.intra_op_threads = EffectiveIntraOpThreads(options);
+  ctx.p2_dtype = options.p2_dtype;
+  return ctx;
+}
+
+/// A serving context leased from the detector for one infer stage (or one
+/// sequential batch). At scope exit its stats fold into the registry, then
+/// the lease hands it back to the detector with its stats reset.
+class LeasedContext {
+ public:
+  LeasedContext(const TasteDetector& detector,
+                const tensor::ExecContext::Options& options)
+      : lease_(detector.exec_contexts().Acquire(options)) {}
+  ~LeasedContext() { FoldExecStats(*lease_.get()); }
+  LeasedContext(const LeasedContext&) = delete;
+  LeasedContext& operator=(const LeasedContext&) = delete;
+
+  tensor::ExecContext* get() const { return lease_.get(); }
+
+ private:
+  tensor::ExecContextPool::Lease lease_;
+};
 
 }  // namespace
 
@@ -283,12 +313,7 @@ void PipelineExecutor::RunSequential(
   // failing table is recorded and skipped; the rest of the batch runs.
   // One serving context for the whole batch: activation buffers are reused
   // across tables, and no_grad structurally forbids tape construction.
-  tensor::ExecContext::Options ctx_options;
-  ctx_options.no_grad = true;
-  ctx_options.profile = obs::MetricsEnabled();
-  ctx_options.intra_op_threads = EffectiveIntraOpThreads(options_);
-  ctx_options.p2_dtype = options_.p2_dtype;
-  tensor::ExecContext ctx(ctx_options);
+  LeasedContext ctx(*detector_, ServingContextOptions(options_));
   auto conn = db_->Connect();
   const bool metrics = obs::MetricsEnabled();
   // The batch latency budget (shared absolute expiry, as in the pipelined
@@ -307,7 +332,7 @@ void PipelineExecutor::RunSequential(
     if (out->tables[i].outcome == TableOutcome::kShed) continue;
     TASTE_SPAN("pipeline.detect_table");
     Stopwatch table_sw;
-    auto res = detector_->DetectTable(conn.get(), table_names[i], &ctx,
+    auto res = detector_->DetectTable(conn.get(), table_names[i], ctx.get(),
                                       token ? &*token : nullptr);
     if (metrics) {
       PipelineMetrics::Get().table_ms->Observe(table_sw.ElapsedMillis());
@@ -322,7 +347,6 @@ void PipelineExecutor::RunSequential(
                       token && token->Cancelled());
     if (stats_.max_tables_in_flight == 0) stats_.max_tables_in_flight = 1;
   }
-  FoldExecStats(ctx);
 }
 
 namespace {
@@ -423,31 +447,14 @@ void PipelineExecutor::RunPipelined(
     }
   }
 
-  // Each TP2 infer worker owns a private ExecContext (buffer pool, no-grad
-  // enforcement, optionally an intra-op GEMM pool of its own). Owning the
-  // intra-op pool per worker keeps intra-op parallelism composable with
-  // inter-table parallelism: a worker never forks GEMM bands onto the pool
-  // it runs on (the deadlock rule of tensor/exec_context.h), and
-  // EffectiveIntraOpThreads caps the total thread product. Declared before
-  // the pools so contexts outlive every worker task.
-  const int intra_threads = EffectiveIntraOpThreads(options_);
-  const tensor::P2Dtype p2_dtype = options_.p2_dtype;
-  std::mutex ctx_mu;
-  std::unordered_map<std::thread::id, std::unique_ptr<tensor::ExecContext>>
-      infer_contexts;
-  auto infer_context = [&ctx_mu, &infer_contexts, intra_threads, p2_dtype] {
-    std::lock_guard<std::mutex> lock(ctx_mu);
-    auto& slot = infer_contexts[std::this_thread::get_id()];
-    if (slot == nullptr) {
-      tensor::ExecContext::Options ctx_options;
-      ctx_options.no_grad = true;
-      ctx_options.profile = obs::MetricsEnabled();
-      ctx_options.intra_op_threads = intra_threads;
-      ctx_options.p2_dtype = p2_dtype;
-      slot = std::make_unique<tensor::ExecContext>(ctx_options);
-    }
-    return slot.get();
-  };
+  // Each P1/P2 infer stage leases a serving context from the detector for
+  // its duration (buffer pool, no-grad enforcement, optionally an intra-op
+  // GEMM pool of its own). A lease is exclusive, so a stage never forks
+  // GEMM bands onto the pool it runs on (the deadlock rule of
+  // tensor/exec_context.h), and EffectiveIntraOpThreads caps the total
+  // thread product.
+  const tensor::ExecContext::Options ctx_options =
+      ServingContextOptions(options_);
 
   // The continuous-batching serving scheduler: one queue shared by all TP2
   // workers owns P2 batch formation, deadline shedding, lane priority, and
@@ -565,9 +572,11 @@ void PipelineExecutor::RunPipelined(
           connections.Release(std::move(conn));
           break;
         }
-        case Stage::kP1Infer:
-          status = detector_->InferP1(&st.job, infer_context());
+        case Stage::kP1Infer: {
+          LeasedContext ctx(*detector_, ctx_options);
+          status = detector_->InferP1(&st.job, ctx.get());
           break;
+        }
         case Stage::kP2Prep: {
           auto conn = connections.Acquire();
           if (st.cancel != nullptr) conn->SetDeadline(st.cancel->deadline());
@@ -576,10 +585,12 @@ void PipelineExecutor::RunPipelined(
           connections.Release(std::move(conn));
           break;
         }
-        case Stage::kP2Infer:
-          status = detector_->InferP2(&st.job, infer_context(),
+        case Stage::kP2Infer: {
+          LeasedContext ctx(*detector_, ctx_options);
+          status = detector_->InferP2(&st.job, ctx.get(),
                                       p2_client ? &*p2_client : nullptr);
           break;
+        }
         case Stage::kDone:
           break;
       }
@@ -724,13 +735,6 @@ void PipelineExecutor::RunPipelined(
   lock.unlock();
   tp1.WaitIdle();
   tp2.WaitIdle();
-
-  // Workers are idle: surface every infer context's op timings and pool
-  // counters (this batch's totals) as registry metrics.
-  {
-    std::lock_guard<std::mutex> ctx_lock(ctx_mu);
-    for (const auto& [tid, ctx] : infer_contexts) FoldExecStats(*ctx);
-  }
 
   for (size_t i = 0; i < states.size(); ++i) {
     TableState& st = states[i];

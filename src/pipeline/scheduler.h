@@ -62,8 +62,8 @@ struct PipelineOptions {
   int prep_threads = 2;   // |TP1|
   int infer_threads = 2;  // |TP2|
   bool pipelined = true;  // false = paper's "sequential mode" baseline
-  /// Intra-op GEMM workers EACH TP2 infer worker may own (via its private
-  /// ExecContext), composing intra-op with inter-table parallelism. The
+  /// Intra-op GEMM workers EACH infer stage may use (via the ExecContext it
+  /// leases), composing intra-op with inter-table parallelism. The
   /// executor clamps the value so infer_threads * intra_op_threads never
   /// exceeds the hardware concurrency (see EffectiveIntraOpThreads);
   /// <= 1 means serial kernels — the default, byte-identical to the
@@ -212,7 +212,7 @@ struct BatchResult {
   }
 };
 
-/// The intra-op pool size each TP2 infer worker actually gets: the
+/// The intra-op pool size each infer stage's context actually gets: the
 /// requested PipelineOptions::intra_op_threads clamped so that
 /// infer_threads * intra_op_threads <= hardware concurrency (no
 /// oversubscription; DESIGN.md §6). Returns 0 when the request (or the

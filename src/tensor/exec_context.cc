@@ -1,8 +1,11 @@
 #include "tensor/exec_context.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
 
+#include "common/status.h"
 #include "common/thread_pool.h"
 
 namespace taste::tensor {
@@ -13,7 +16,7 @@ thread_local ExecContext* g_current_context = nullptr;
 
 BufferPool::BufferPool(int64_t max_bytes) : max_bytes_(max_bytes) {}
 
-std::vector<float> BufferPool::Acquire(size_t n) {
+std::vector<float> BufferPool::Acquire(size_t n, BufferInit init) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.acquires;
@@ -23,7 +26,9 @@ std::vector<float> BufferPool::Acquire(size_t n) {
       it->second.pop_back();
       ++stats_.reuses;
       stats_.bytes_pooled -= static_cast<int64_t>(n * sizeof(float));
-      std::memset(buf.data(), 0, n * sizeof(float));
+      if (init == BufferInit::kZeroed) {
+        std::memset(buf.data(), 0, n * sizeof(float));
+      }
       return buf;
     }
   }
@@ -64,11 +69,19 @@ ThreadPool* ExecContext::intra_pool() const {
 
 ExecStats ExecContext::stats() const {
   ExecStats s = stats_;
-  if (pool_ != nullptr) s.pool = pool_->stats();
+  if (pool_ != nullptr) {
+    s.pool = pool_->stats();
+    s.pool.acquires -= pool_base_.acquires;
+    s.pool.reuses -= pool_base_.reuses;
+    s.pool.releases -= pool_base_.releases;
+  }
   return s;
 }
 
-void ExecContext::ResetStats() { stats_ = ExecStats{}; }
+void ExecContext::ResetStats() {
+  stats_ = ExecStats{};
+  if (pool_ != nullptr) pool_base_ = pool_->stats();
+}
 
 void ExecContext::RecordOp(OpTiming ExecStats::* t, double ms) {
   OpTiming& bucket = stats_.*t;
@@ -77,6 +90,63 @@ void ExecContext::RecordOp(OpTiming ExecStats::* t, double ms) {
 }
 
 ExecContext* ExecContext::Current() { return g_current_context; }
+
+ExecContextPool::Lease::~Lease() {
+  if (ctx_ != nullptr) pool_->Return(ctx_);
+}
+
+ExecContextPool::ExecContextPool() : pid_(::getpid()) {}
+
+ExecContextPool::~ExecContextPool() {
+  TASTE_CHECK_MSG(leased() == 0, "ExecContextPool destroyed with a lease out");
+}
+
+ExecContextPool::Lease ExecContextPool::Acquire(
+    const ExecContext::Options& options) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (pid_ != ::getpid()) {
+    // A fork()ed replica inherits the parent's contexts, but not the
+    // threads of their intra-op pools; a GEMM forked onto one would wait
+    // forever, and destroying one would join threads that do not exist
+    // here. Abandon them: their pages stay shared copy-on-write.
+    for (auto& ctx : contexts_) (void)ctx.release();
+    contexts_.clear();
+    idle_.clear();
+    pid_ = ::getpid();
+  }
+  ExecContext* ctx = nullptr;
+  for (auto it = idle_.rbegin(); it != idle_.rend(); ++it) {
+    if ((*it)->options() == options) {
+      ctx = *it;
+      idle_.erase(std::next(it).base());
+      break;
+    }
+  }
+  if (ctx == nullptr) {
+    contexts_.push_back(std::make_unique<ExecContext>(options));
+    ctx = contexts_.back().get();
+  }
+  TASTE_CHECK_MSG(!ctx->leased_, "ExecContext leased twice at once");
+  ctx->leased_ = true;
+  return Lease(this, ctx);
+}
+
+void ExecContextPool::Return(ExecContext* ctx) {
+  ctx->ResetStats();  // still exclusively ours: the lease has not ended
+  std::lock_guard<std::mutex> lock(mu_);
+  ctx->leased_ = false;
+  idle_.push_back(ctx);
+}
+
+size_t ExecContextPool::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return contexts_.size();
+}
+
+size_t ExecContextPool::leased() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return contexts_.size() - idle_.size();
+}
 
 ScopedExecContext::ScopedExecContext(ExecContext* ctx)
     : prev_(g_current_context), bound_(ctx != nullptr) {

@@ -15,6 +15,10 @@
 //  * An ExecContext is bound to ONE thread at a time via ScopedExecContext;
 //    it is not safe to bind the same context on two threads concurrently
 //    (the stats counters and scratch state are unsynchronized by design).
+//  * Serving contexts live in an ExecContextPool owned by the detector, so
+//    a context and the buffers its pool has recycled outlive any one
+//    batch. A stage leases a context for its duration; a lease is
+//    exclusive, which keeps the one-thread rule above.
 //  * Tensors allocated under a context share ownership of its BufferPool:
 //    a tensor may outlive the context (e.g. latents parked in the
 //    LatentCache) and still return its buffer to the pool — which stays
@@ -22,7 +26,7 @@
 //    the last reference. The pool itself is thread-safe.
 //  * The intra-op pool must never be the pool the current task runs on,
 //    or the fork/join inside GemmAcc can deadlock. PipelineExecutor gives
-//    every TP2 infer worker its own context (and own intra-op pool) for
+//    every infer stage a context (and intra-op pool) of its own for
 //    exactly this reason.
 //
 // A null / unbound context preserves the historical behaviour exactly:
@@ -35,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -44,6 +49,16 @@ class ThreadPool;
 }
 
 namespace taste::tensor {
+
+/// What a buffer handed out by BufferPool::Acquire holds.
+enum class BufferInit : uint8_t {
+  /// Every element is 0.0f.
+  kZeroed = 0,
+  /// A recycled buffer keeps its previous contents (a fresh one is still
+  /// zeroed). Only for callers that write every element before reading
+  /// any, so the stale values can never reach a result.
+  kUninitialized = 1,
+};
 
 /// Thread-safe free-list of float buffers keyed by exact element count.
 /// Model forwards request identical shapes every call, so exact-size
@@ -61,8 +76,9 @@ class BufferPool {
   /// the cap simply free the buffer.
   explicit BufferPool(int64_t max_bytes = 256ll << 20);
 
-  /// A zero-filled buffer of exactly `n` elements (reused when possible).
-  std::vector<float> Acquire(size_t n);
+  /// A buffer of exactly `n` elements (reused when possible), zero-filled
+  /// unless `init` is kUninitialized.
+  std::vector<float> Acquire(size_t n, BufferInit init = BufferInit::kZeroed);
 
   /// Returns a buffer to the free list (or drops it past the byte cap).
   void Release(std::vector<float> buf);
@@ -128,6 +144,9 @@ class ExecContext {
     /// (P1, latents, epilogues) stays fp32. Deterministic but not
     /// fp32-identical — see DESIGN.md §12.
     P2Dtype p2_dtype = P2Dtype::kFp32;
+
+    /// ExecContextPool hands out only contexts built from equal options.
+    bool operator==(const Options&) const = default;
   };
 
   ExecContext();
@@ -148,6 +167,8 @@ class ExecContext {
   const std::shared_ptr<BufferPool>& buffer_pool() const { return pool_; }
 
   /// Timing + pool counters since construction / the last ResetStats().
+  /// The pool's acquires, reuses and releases count from that point too;
+  /// bytes_pooled is the level parked in the pool now.
   ExecStats stats() const;
   void ResetStats();
 
@@ -177,6 +198,7 @@ class ExecContext {
 
  private:
   friend class ScopedExecContext;
+  friend class ExecContextPool;
 
   Options options_;
   std::shared_ptr<BufferPool> pool_;             // null when pooling is off
@@ -184,6 +206,58 @@ class ExecContext {
   const CancelToken* cancel_ = nullptr;           // not owned
   bool quant_active_ = false;  // inside a ScopedQuantRegion w/ int8 dtype
   ExecStats stats_;
+  BufferPool::Stats pool_base_;  // pool counters at the last ResetStats()
+  bool leased_ = false;          // checked out of an ExecContextPool
+};
+
+/// Thread-safe free list of ExecContexts, so that serving contexts, their
+/// intra-op pools and the activation buffers their BufferPools recycle
+/// outlive any one batch. TasteDetector owns one; every executor that
+/// shares the detector leases from it (DESIGN.md §6).
+class ExecContextPool {
+ public:
+  /// Exclusive use of one context until the lease is destroyed, which
+  /// resets the context's stats and parks it for the next lease with equal
+  /// options. A context is never leased twice at once.
+  class Lease {
+   public:
+    Lease(Lease&& other) noexcept
+        : pool_(other.pool_), ctx_(std::exchange(other.ctx_, nullptr)) {}
+    Lease& operator=(Lease&&) = delete;
+    ~Lease();
+
+    ExecContext* get() const { return ctx_; }
+    ExecContext* operator->() const { return ctx_; }
+
+   private:
+    friend class ExecContextPool;
+    Lease(ExecContextPool* pool, ExecContext* ctx) : pool_(pool), ctx_(ctx) {}
+
+    ExecContextPool* pool_;
+    ExecContext* ctx_;
+  };
+
+  ExecContextPool();
+  ~ExecContextPool();  // every lease must have ended
+  ExecContextPool(const ExecContextPool&) = delete;
+  ExecContextPool& operator=(const ExecContextPool&) = delete;
+
+  /// The most recently returned idle context built from `options`, or a new
+  /// one when every such context is leased.
+  Lease Acquire(const ExecContext::Options& options);
+
+  /// Contexts built so far, leased or idle.
+  size_t size() const;
+  /// Contexts currently leased.
+  size_t leased() const;
+
+ private:
+  void Return(ExecContext* ctx);
+
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<ExecContext>> contexts_;  // owns every context
+  std::vector<ExecContext*> idle_;                      // most recent last
+  int pid_;  // the process that built contexts_ (see Acquire)
 };
 
 /// RAII binder making `ctx` the calling thread's current context. Binding

@@ -458,10 +458,10 @@ void LayerNormRows(const float* x, const float* gamma, const float* beta,
     }
     var /= static_cast<float>(h);
     float inv = 1.0f / std::sqrt(var + eps);
-    inv_std[r] = inv;
+    if (inv_std != nullptr) inv_std[r] = inv;
     for (int64_t j = 0; j < h; ++j) {
       float xh = (row[j] - mean) * inv;
-      xhat[r * h + j] = xh;
+      if (xhat != nullptr) xhat[r * h + j] = xh;
       y[r * h + j] = gamma[j] * xh + beta[j];
     }
   }

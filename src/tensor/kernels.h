@@ -108,7 +108,8 @@ void SoftmaxGradRows(const float* y, const float* dy, float* dx,
 
 /// Per-row layer normalization with affine parameters gamma/beta (length h):
 /// y = gamma * xhat + beta with xhat = (x - mean) / sqrt(var + eps).
-/// `xhat` (rows*h) and `inv_std` (rows) are saved for the backward pass.
+/// `xhat` (rows*h) and `inv_std` (rows) are saved for the backward pass;
+/// pass null for both to skip them (inference). y is the same either way.
 void LayerNormRows(const float* x, const float* gamma, const float* beta,
                    float eps, int64_t rows, int64_t h, float* y, float* xhat,
                    float* inv_std);

@@ -17,7 +17,13 @@ namespace {
 
 using internal::TensorImpl;
 
-std::shared_ptr<TensorImpl> NewImpl(Shape shape) {
+/// A tensor of `shape` for an op's output, from the bound context's buffer
+/// pool when there is one. Ops pass kUninitialized only when their kernel
+/// writes every element from the inputs alone: a recycled buffer then skips
+/// the zero fill, and its stale values are overwritten before any read.
+/// Heap and fresh pool buffers are zeroed either way.
+std::shared_ptr<TensorImpl> NewImpl(Shape shape,
+                                    BufferInit init = BufferInit::kZeroed) {
   // Subnormal floats cripple throughput on x86 (see common/fpu.h); arm
   // flush-to-zero once per thread that performs tensor math.
   thread_local FlushDenormalsScope flush_denormals;
@@ -25,7 +31,7 @@ std::shared_ptr<TensorImpl> NewImpl(Shape shape) {
   const size_t n = static_cast<size_t>(NumElements(shape));
   ExecContext* ctx = ExecContext::Current();
   if (ctx != nullptr && ctx->buffer_pool() != nullptr) {
-    impl->data = ctx->buffer_pool()->Acquire(n);
+    impl->data = ctx->buffer_pool()->Acquire(n, init);
     impl->pool = ctx->buffer_pool();
   } else {
     impl->data.assign(n, 0.0f);
@@ -81,7 +87,7 @@ class OpTimer {
 /// Generic unary elementwise op: y = f(x), dx += df(x, y) * dy.
 template <typename F, typename DF>
 Tensor UnaryOp(const Tensor& x, F f, DF df) {
-  auto out = NewImpl(x.shape());
+  auto out = NewImpl(x.shape(), BufferInit::kUninitialized);
   const float* xd = x.data();
   for (int64_t i = 0; i < x.numel(); ++i) out->data[i] = f(xd[i]);
   auto xi = x.impl();
@@ -117,7 +123,7 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Add");
-  auto out = NewImpl(a.shape());
+  auto out = NewImpl(a.shape(), BufferInit::kUninitialized);
   kernels::AddSpan(a.data(), b.data(), out->data.data(), a.numel());
   auto ai = a.impl();
   auto bi = b.impl();
@@ -140,7 +146,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Sub");
-  auto out = NewImpl(a.shape());
+  auto out = NewImpl(a.shape(), BufferInit::kUninitialized);
   kernels::SubSpan(a.data(), b.data(), out->data.data(), a.numel());
   auto ai = a.impl();
   auto bi = b.impl();
@@ -163,7 +169,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Mul");
-  auto out = NewImpl(a.shape());
+  auto out = NewImpl(a.shape(), BufferInit::kUninitialized);
   kernels::MulSpan(a.data(), b.data(), out->data.data(), a.numel());
   auto ai = a.impl();
   auto bi = b.impl();
@@ -185,7 +191,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Scale(const Tensor& x, float s) {
-  auto out = NewImpl(x.shape());
+  auto out = NewImpl(x.shape(), BufferInit::kUninitialized);
   kernels::ScaleSpan(x.data(), s, out->data.data(), x.numel());
   auto xi = x.impl();
   internal::TensorImpl* oi = out.get();
@@ -228,7 +234,7 @@ Tensor Relu(const Tensor& x) {
 }
 
 Tensor Gelu(const Tensor& x) {
-  auto out = NewImpl(x.shape());
+  auto out = NewImpl(x.shape(), BufferInit::kUninitialized);
   {
     OpTimer timer(&ExecStats::gelu);
     kernels::GeluRows(x.data(), out->data.data(), x.numel());
@@ -259,7 +265,7 @@ Tensor Tanh(const Tensor& x) {
 Tensor Dropout(const Tensor& x, float p, Rng& rng, bool training) {
   if (!training || p <= 0.0f) return x;
   TASTE_CHECK(p < 1.0f);
-  auto out = NewImpl(x.shape());
+  auto out = NewImpl(x.shape(), BufferInit::kUninitialized);
   auto mask = std::make_shared<std::vector<float>>(x.numel());
   const float scale = 1.0f / (1.0f - p);
   const float* xd = x.data();
@@ -284,7 +290,7 @@ Tensor AddBias(const Tensor& x, const Tensor& bias) {
   TASTE_CHECK(bias.rank() == 1);
   int64_t h = bias.dim(0);
   TASTE_CHECK_MSG(x.dim(-1) == h, "AddBias last-dim mismatch");
-  auto out = NewImpl(x.shape());
+  auto out = NewImpl(x.shape(), BufferInit::kUninitialized);
   const float* xd = x.data();
   const float* bd = bias.data();
   int64_t rows = x.numel() / h;
@@ -317,7 +323,7 @@ Tensor AddBroadcastMat(const Tensor& x, const Tensor& m2) {
   int64_t batch = x.dim(0), m = x.dim(1), n = x.dim(2);
   TASTE_CHECK_MSG(m2.dim(0) == m && m2.dim(1) == n,
                   "AddBroadcastMat shape mismatch");
-  auto out = NewImpl(x.shape());
+  auto out = NewImpl(x.shape(), BufferInit::kUninitialized);
   const float* xd = x.data();
   const float* md = m2.data();
   for (int64_t b = 0; b < batch; ++b) {
@@ -829,14 +835,21 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   int64_t h = x.dim(-1);
   TASTE_CHECK(gamma.dim(0) == h && beta.dim(0) == h);
   int64_t rows = x.numel() / h;
-  auto out = NewImpl(x.shape());
-  auto xhat = std::make_shared<std::vector<float>>(x.numel());
-  auto inv_std = std::make_shared<std::vector<float>>(rows);
+  auto out = NewImpl(x.shape(), BufferInit::kUninitialized);
+  // Only the backward reads xhat and inv_std; without an edge, skip them.
+  const bool record = GradEnabled() && AnyRequiresGrad({&x, &gamma, &beta});
+  std::shared_ptr<std::vector<float>> xhat, inv_std;
+  if (record) {
+    xhat = std::make_shared<std::vector<float>>(x.numel());
+    inv_std = std::make_shared<std::vector<float>>(rows);
+  }
   {
     OpTimer timer(&ExecStats::layernorm);
     kernels::LayerNormRows(x.data(), gamma.data(), beta.data(), eps, rows, h,
-                           out->data.data(), xhat->data(), inv_std->data());
+                           out->data.data(), record ? xhat->data() : nullptr,
+                           record ? inv_std->data() : nullptr);
   }
+  if (!record) return Tensor(out);
   auto xi = x.impl();
   auto gi = gamma.impl();
   auto bi = beta.impl();
@@ -859,7 +872,7 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 Tensor Softmax(const Tensor& x) {
   int64_t h = x.dim(-1);
   int64_t rows = x.numel() / h;
-  auto out = NewImpl(x.shape());
+  auto out = NewImpl(x.shape(), BufferInit::kUninitialized);
   {
     OpTimer timer(&ExecStats::softmax);
     kernels::SoftmaxRows(x.data(), out->data.data(), rows, h);
@@ -880,7 +893,7 @@ Tensor Softmax(const Tensor& x) {
 Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int>& ids) {
   TASTE_CHECK(weight.rank() == 2);
   int64_t v = weight.dim(0), h = weight.dim(1);
-  auto out = NewImpl({static_cast<int64_t>(ids.size()), h});
+  auto out = NewImpl({static_cast<int64_t>(ids.size()), h}, BufferInit::kUninitialized);
   const float* wd = weight.data();
   for (size_t i = 0; i < ids.size(); ++i) {
     TASTE_CHECK_MSG(ids[i] >= 0 && ids[i] < v, "EmbeddingLookup id range");
@@ -904,7 +917,7 @@ Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int>& ids) {
 Tensor GatherRows(const Tensor& x, const std::vector<int>& rows) {
   TASTE_CHECK(x.rank() == 2);
   int64_t n = x.dim(0), h = x.dim(1);
-  auto out = NewImpl({static_cast<int64_t>(rows.size()), h});
+  auto out = NewImpl({static_cast<int64_t>(rows.size()), h}, BufferInit::kUninitialized);
   const float* xd = x.data();
   for (size_t i = 0; i < rows.size(); ++i) {
     TASTE_CHECK_MSG(rows[i] >= 0 && rows[i] < n, "GatherRows index range");
@@ -933,7 +946,7 @@ Tensor ConcatRows(const std::vector<Tensor>& xs) {
     TASTE_CHECK(t.rank() == 2 && t.dim(1) == h);
     total += t.dim(0);
   }
-  auto out = NewImpl({total, h});
+  auto out = NewImpl({total, h}, BufferInit::kUninitialized);
   int64_t offset = 0;
   for (const Tensor& t : xs) {
     CopyFloats(out->data.data() + offset, t.data(), t.numel());
@@ -970,7 +983,7 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   int64_t n = a.dim(0);
   TASTE_CHECK(b.dim(0) == n);
   int64_t wa = a.dim(1), wb = b.dim(1);
-  auto out = NewImpl({n, wa + wb});
+  auto out = NewImpl({n, wa + wb}, BufferInit::kUninitialized);
   const float* ad = a.data();
   const float* bd = b.data();
   for (int64_t r = 0; r < n; ++r) {
@@ -1006,7 +1019,7 @@ Tensor SliceRows(const Tensor& x, int64_t begin, int64_t end) {
   TASTE_CHECK(x.rank() == 2);
   int64_t n = x.dim(0), h = x.dim(1);
   TASTE_CHECK(begin >= 0 && begin <= end && end <= n);
-  auto out = NewImpl({end - begin, h});
+  auto out = NewImpl({end - begin, h}, BufferInit::kUninitialized);
   CopyFloats(out->data.data(), x.data() + begin * h, (end - begin) * h);
   auto xi = x.impl();
   internal::TensorImpl* oi = out.get();

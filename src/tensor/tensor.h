@@ -53,7 +53,11 @@ struct TensorImpl {
   // When `data` was acquired from an ExecContext's buffer pool, the pool it
   // must be returned to. Shared ownership keeps the pool alive until the
   // last pooled tensor dies, so tensors may safely outlive their context
-  // (e.g. latents parked in the LatentCache).
+  // (e.g. latents parked in the LatentCache). Serving contexts live as long
+  // as their detector, so a parked latent holds its own buffer and nothing
+  // more. An op whose kernel writes every element may take a recycled
+  // buffer without the zero fill; its result cannot depend on the stale
+  // values (DESIGN.md §6).
   std::shared_ptr<BufferPool> pool;
 
   TensorImpl() = default;

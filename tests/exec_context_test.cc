@@ -9,6 +9,8 @@
 
 #include <future>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <vector>
 
 #include "clouddb/database.h"
@@ -201,6 +203,90 @@ TEST(ExecContextTest, ProfilingOffRecordsNothing) {
     Tensor y = MatMul(a, b);
   }
   EXPECT_EQ(ctx.stats().gemm.calls, 0);
+}
+
+// ---- ExecContextPool --------------------------------------------------------
+
+TEST(ExecContextPoolTest, ReturnedContextServesTheNextEqualLease) {
+  ExecContextPool pool;
+  ExecContext::Options serving;
+  serving.no_grad = true;
+  ExecContext* first = nullptr;
+  {
+    ExecContextPool::Lease lease = pool.Acquire(serving);
+    first = lease.get();
+    EXPECT_EQ(pool.leased(), 1u);
+  }
+  EXPECT_EQ(pool.leased(), 0u);
+  {
+    ExecContextPool::Lease again = pool.Acquire(serving);
+    EXPECT_EQ(again.get(), first);
+    // Different options never share a context.
+    ExecContextPool::Lease profiled = pool.Acquire({.profile = true});
+    EXPECT_NE(profiled.get(), first);
+    EXPECT_TRUE(profiled->profiling());
+  }
+  EXPECT_EQ(pool.size(), 2u);
+}
+
+TEST(ExecContextPoolTest, ConcurrentLeasesGetDistinctContexts) {
+  ExecContextPool pool;
+  ExecContextPool::Lease a = pool.Acquire({});
+  ExecContextPool::Lease b = pool.Acquire({});
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(pool.leased(), 2u);
+
+  // Stress: no context is ever held by two threads at once.
+  std::mutex mu;
+  std::set<ExecContext*> held;
+  ThreadPool workers(4);
+  std::vector<std::future<void>> futs;
+  for (int t = 0; t < 4; ++t) {
+    futs.push_back(workers.Submit([&] {
+      for (int i = 0; i < 200; ++i) {
+        ExecContextPool::Lease lease = pool.Acquire({});
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          EXPECT_TRUE(held.insert(lease.get()).second);
+        }
+        Tensor t = Tensor::Zeros({4});
+        {
+          ScopedExecContext bind(lease.get());
+          t = AddScalar(t, 1.0f);
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        held.erase(lease.get());
+      }
+    }));
+  }
+  for (auto& f : futs) f.get();
+  EXPECT_EQ(pool.leased(), 2u);  // a and b
+  EXPECT_LE(pool.size(), 6u);
+}
+
+TEST(ExecContextPoolTest, ReturnResetsStatsAndKeepsTheBuffers) {
+  ExecContextPool pool;
+  Rng rng(12);
+  Tensor a = Tensor::Randn({4, 8}, rng);
+  Tensor b = Tensor::Randn({8, 4}, rng);
+  const ExecContext::Options opt{.profile = true};
+  {
+    ExecContextPool::Lease lease = pool.Acquire(opt);
+    ScopedExecContext bind(lease.get());
+    Tensor y = MatMul(a, b);
+  }
+  ExecContextPool::Lease lease = pool.Acquire(opt);
+  ExecStats st = lease->stats();
+  EXPECT_EQ(st.gemm.calls, 0);
+  EXPECT_EQ(st.pool.acquires, 0);
+  {
+    ScopedExecContext bind(lease.get());
+    Tensor y = MatMul(a, b);
+  }
+  st = lease->stats();
+  EXPECT_EQ(st.gemm.calls, 1);
+  EXPECT_EQ(st.pool.acquires, 1);
+  EXPECT_EQ(st.pool.reuses, 1);  // the first lease's output buffer
 }
 
 // ---- arena vs heap parity on the real model ---------------------------------

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "core/result_json.h"
+#include "data/semantic_types.h"
 #include "data/table_generator.h"
 #include "obs/metrics.h"
 #include "pipeline/scheduler.h"
@@ -197,6 +201,132 @@ TEST(PipelineTest, ExportsAttentionOpBucket) {
   EXPECT_GT(op_calls(after, before, "attention"), 0);
   EXPECT_GT(op_calls(after, before, "gemm"), 0);
   EXPECT_EQ(op_calls(after, before, "softmax"), 0);
+}
+
+/// What one or more batches left behind: the results as JSON (with
+/// probabilities) and the registry deltas of the serving contexts.
+struct BatchTrace {
+  std::vector<std::string> json;
+  int64_t op_calls = 0;  // summed over every taste_op_calls_total{op}
+  int64_t acquires = 0;
+  int64_t reuses = 0;
+};
+
+BatchTrace TraceSince(const obs::MetricsSnapshot& before) {
+  const obs::MetricsSnapshot after = obs::MetricsSnapshot::Capture();
+  BatchTrace t;
+  for (const char* op :
+       {"gemm", "quant_gemm", "softmax", "layernorm", "gelu", "attention"}) {
+    t.op_calls += after.CounterDelta(
+        before, obs::LabeledName("taste_op_calls_total", "op", op));
+  }
+  t.acquires = after.CounterDelta(before, "taste_pool_acquires_total");
+  t.reuses = after.CounterDelta(before, "taste_pool_reuses_total");
+  return t;
+}
+
+std::string BatchJson(const BatchResult& batch) {
+  std::vector<core::TableDetectionResult> results;
+  for (const TableRunResult& t : batch.tables) {
+    EXPECT_TRUE(t.status.ok()) << t.status.ToString();
+    results.push_back(t.result);
+  }
+  return core::ResultsToJson(results, data::SemanticTypeRegistry::Default(),
+                             {.include_probabilities = true});
+}
+
+BatchTrace RunTraced(PipelineExecutor& exec,
+                     const std::vector<std::string>& tables) {
+  const obs::MetricsSnapshot before = obs::MetricsSnapshot::Capture();
+  const std::string json = BatchJson(exec.RunBatch(tables));
+  BatchTrace t = TraceSince(before);
+  t.json.push_back(json);
+  return t;
+}
+
+TEST(PipelineTest, ServingContextsOutliveExecutors) {
+  // The detector owns the serving contexts, so executors built per batch
+  // or per request, one after another or side by side, lease the same
+  // contexts and recycle the buffers earlier batches left in their pools.
+  // Not a bit of output may move.
+  obs::SetMetricsEnabled(true);
+  Env e = Env::Make(4, 0.0);
+  PipelineOptions opt;
+  opt.infer_threads = 1;
+  // Direct P2 dispatch: the serving scheduler coalesces tables' forwards
+  // by timing, which would make per-batch op counts vary.
+  opt.scheduling.enabled = false;
+
+  // Reference: a fresh detector, sequential mode. Its first batch computes
+  // every metadata forward; later batches hit the latent cache.
+  core::TasteDetector fresh(e.model.get(), e.tokenizer.get(), {});
+  PipelineExecutor seq(&fresh, e.db.get(), {.pipelined = false});
+  const BatchTrace cold = RunTraced(seq, e.table_names);
+  const BatchTrace warm = RunTraced(seq, e.table_names);
+  ASSERT_GT(warm.op_calls, 0);
+  const std::string& want = cold.json[0];
+  ASSERT_EQ(warm.json[0], want);
+
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
+  std::vector<BatchTrace> later;  // batches after the detector's first
+  int64_t cold_misses = 0;        // pool misses of the detector's first
+
+  // One executor, three batches.
+  {
+    PipelineExecutor exec(&det, e.db.get(), opt);
+    for (int b = 0; b < 3; ++b) {
+      BatchTrace t = RunTraced(exec, e.table_names);
+      EXPECT_EQ(t.json[0], want) << "batch " << b;
+      EXPECT_EQ(t.op_calls, b == 0 ? cold.op_calls : warm.op_calls)
+          << "batch " << b;
+      if (b == 0) cold_misses = t.acquires - t.reuses;
+      if (b > 0) later.push_back(t);
+    }
+  }
+  // Three executors, one per request (serve/worker.cc builds one each).
+  for (int b = 0; b < 3; ++b) {
+    PipelineExecutor exec(&det, e.db.get(), opt);
+    BatchTrace t = RunTraced(exec, e.table_names);
+    EXPECT_EQ(t.json[0], want) << "request " << b;
+    EXPECT_EQ(t.op_calls, warm.op_calls) << "request " << b;
+    later.push_back(t);
+  }
+  int64_t acquires = 0, reuses = 0;
+  for (const BatchTrace& t : later) {
+    acquires += t.acquires;
+    reuses += t.reuses;
+  }
+  ASSERT_GT(acquires, 0);
+  EXPECT_GE(static_cast<double>(reuses) / static_cast<double>(acquires), 0.99)
+      << reuses << " of " << acquires << " acquires reused";
+  EXPECT_EQ(det.exec_contexts().size(), 1u);  // one infer stage at a time
+
+  // Two executors running batches at once on two threads. The second
+  // context this needs starts cold, once: its misses can be no more than
+  // the detector's first batch had.
+  {
+    constexpr int kBatches = 3;
+    std::vector<std::string> json[2];
+    const obs::MetricsSnapshot before = obs::MetricsSnapshot::Capture();
+    auto serve = [&](int side) {
+      PipelineExecutor exec(&det, e.db.get(), opt);
+      for (int b = 0; b < kBatches; ++b) {
+        json[side].push_back(BatchJson(exec.RunBatch(e.table_names)));
+      }
+    };
+    std::thread other(serve, 1);
+    serve(0);
+    other.join();
+    BatchTrace t = TraceSince(before);
+    EXPECT_EQ(t.op_calls, 2 * kBatches * warm.op_calls);
+    EXPECT_LE(t.acquires - t.reuses, cold_misses);
+    for (const auto& side : json) {
+      for (const std::string& j : side) EXPECT_EQ(j, want);
+    }
+  }
+  // One context per concurrent infer stage, all back in the detector.
+  EXPECT_EQ(det.exec_contexts().leased(), 0u);
+  EXPECT_LE(det.exec_contexts().size(), 2u);
 }
 
 }  // namespace

@@ -1,10 +1,19 @@
 // Forward-pass unit tests for the tensor library: factories, shape
 // contracts, and operator values.
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/exec_context.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -319,6 +328,137 @@ TEST(OpsTest, DropoutTrainingScalesSurvivors) {
     }
   }
   EXPECT_NEAR(zeros / 10000.0, 0.25, 0.03);
+}
+
+// ---- ExecContext stats and recycled buffers ---------------------------------
+
+TEST(ExecContextTest, ResetStatsAlsoResetsPoolCounters) {
+  Rng rng(4);
+  Tensor a = Tensor::Randn({4, 4}, rng);
+  ExecContext ctx;
+  auto add_once = [&] {
+    ScopedExecContext bind(&ctx);
+    Tensor y = Add(a, a);  // one acquire; the release follows at scope end
+  };
+  add_once();
+  ASSERT_EQ(ctx.stats().pool.acquires, 1);
+  ASSERT_EQ(ctx.stats().pool.releases, 1);
+  ctx.ResetStats();
+  BufferPool::Stats st = ctx.stats().pool;
+  EXPECT_EQ(st.acquires, 0);
+  EXPECT_EQ(st.reuses, 0);
+  EXPECT_EQ(st.releases, 0);
+  EXPECT_EQ(st.bytes_pooled, 16 * 4);  // a level, not a counter
+  add_once();
+  st = ctx.stats().pool;
+  EXPECT_EQ(st.acquires, 1);
+  EXPECT_EQ(st.reuses, 1);
+  EXPECT_EQ(st.releases, 1);
+}
+
+struct OverwriteCase {
+  std::string name;
+  std::function<Tensor()> run;
+};
+
+/// One case per op that takes recycled buffers without the zero fill, on
+/// inputs with `rows` rows (0 gives empty outputs).
+std::vector<OverwriteCase> OverwritingOps(int64_t rows) {
+  constexpr int64_t h = 6;
+  Rng rng(21 + rows);
+  const Tensor x = Tensor::Randn({rows, h}, rng);
+  const Tensor y = Tensor::Randn({rows, h}, rng);
+  const Tensor pos = Tensor::Uniform({rows, h}, rng, 0.5f, 2.0f);
+  const Tensor x3 = Tensor::Randn({2, rows, h}, rng);
+  const Tensor narrow = Tensor::Randn({rows, 3}, rng);
+  const Tensor bias = Tensor::Randn({h}, rng);
+  const Tensor gamma = Tensor::Randn({h}, rng);
+  const Tensor beta = Tensor::Randn({h}, rng);
+  const Tensor table = Tensor::Randn({7, h}, rng);
+  std::vector<int> ids;
+  for (int64_t i = 0; i < rows; ++i) {
+    ids.push_back(static_cast<int>(i * 3 % 7));
+  }
+  return {
+      {"AddScalar", [=] { return AddScalar(x, 0.5f); }},
+      {"Square", [=] { return Square(x); }},
+      {"Log", [=] { return Log(pos); }},
+      {"Reciprocal", [=] { return Reciprocal(pos); }},
+      {"Relu", [=] { return Relu(x); }},
+      {"Sigmoid", [=] { return Sigmoid(x); }},
+      {"Tanh", [=] { return Tanh(x); }},
+      {"Add", [=] { return Add(x, y); }},
+      {"Sub", [=] { return Sub(x, y); }},
+      {"Mul", [=] { return Mul(x, y); }},
+      {"Scale", [=] { return Scale(x, 0.3f); }},
+      {"Gelu", [=] { return Gelu(x); }},
+      {"Dropout",
+       [=] {
+         Rng r(17);
+         return Dropout(x, 0.5f, r, /*training=*/true);
+       }},
+      {"AddBias", [=] { return AddBias(x, bias); }},
+      {"AddBroadcastMat", [=] { return AddBroadcastMat(x3, x); }},
+      {"LayerNorm", [=] { return LayerNorm(x, gamma, beta, 1e-5f); }},
+      {"Softmax", [=] { return Softmax(x); }},
+      {"EmbeddingLookup", [=] { return EmbeddingLookup(table, ids); }},
+      {"GatherRows", [=] { return GatherRows(table, ids); }},
+      {"ConcatRows", [=] { return ConcatRows({x, y}); }},
+      {"ConcatRowsWithEmptyPart",
+       [=] { return ConcatRows({SliceRows(table, 2, 2), x}); }},
+      {"ConcatCols", [=] { return ConcatCols(x, narrow); }},
+      {"SliceRows", [=] { return SliceRows(table, 1, 1 + rows); }},
+  };
+}
+
+TEST(RecycledBufferTest, OverwritingOpsIgnorePoisonedBuffers) {
+  // These ops take a recycled pool buffer without the zero fill. Park
+  // NaN-filled buffers of the output's exact size in the bound context's
+  // pool: an element the op fails to write stays NaN and breaks the memcmp
+  // against the same op with no context bound.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t rows : {5, 0}) {
+    for (const OverwriteCase& c : OverwritingOps(rows)) {
+      SCOPED_TRACE(c.name + " rows=" + std::to_string(rows));
+      NoGradGuard no_grad;
+      const Tensor want = c.run();
+      const size_t n = static_cast<size_t>(want.numel());
+      ExecContext ctx;
+      for (int i = 0; i < 2; ++i) {
+        ctx.buffer_pool()->Release(std::vector<float>(n, nan));
+      }
+      ScopedExecContext bind(&ctx);
+      const Tensor got = c.run();
+      ASSERT_EQ(got.shape(), want.shape());
+      if (n == 0) continue;  // empty buffers are never pooled
+      EXPECT_GE(ctx.stats().pool.reuses, 1);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0);
+    }
+  }
+}
+
+TEST(ExecContextPoolTest, ForkedChildBuildsItsOwnContexts) {
+  // A replica fork()ed from a serving process inherits its detector's
+  // parked contexts but not the threads of their intra-op pools, so it
+  // must not hand those contexts out.
+  ExecContextPool pool;
+  const ExecContext::Options opt{.intra_op_threads = 2};
+  ExecContext* parent_ctx = pool.Acquire(opt).get();  // returned at once
+  ASSERT_EQ(pool.size(), 1u);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ExecContextPool::Lease lease = pool.Acquire(opt);
+    const bool fresh = lease.get() != parent_ctx && pool.size() == 1 &&
+                       lease->intra_pool() != parent_ctx->intra_pool();
+    ::_exit(fresh ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  // The parent keeps its own.
+  EXPECT_EQ(pool.Acquire(opt).get(), parent_ctx);
 }
 
 }  // namespace
