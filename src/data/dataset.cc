@@ -156,6 +156,17 @@ Dataset RemapLabels(const Dataset& dataset, const TypeRemap& remap,
   return out;
 }
 
+std::string TableDocument(const TableSpec& table) {
+  std::string doc = table.name + " " + table.comment;
+  for (const auto& c : table.columns) {
+    doc += " " + c.name + " " + c.comment + " " + c.sql_type;
+    // A handful of cell values per column suffices for subword coverage.
+    size_t limit = std::min<size_t>(c.values.size(), 8);
+    for (size_t v = 0; v < limit; ++v) doc += " " + c.values[v];
+  }
+  return doc;
+}
+
 std::vector<std::string> BuildCorpusDocuments(const Dataset& dataset,
                                               size_t max_tables) {
   size_t n = dataset.tables.size();
@@ -163,15 +174,7 @@ std::vector<std::string> BuildCorpusDocuments(const Dataset& dataset,
   std::vector<std::string> docs;
   docs.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const TableSpec& t = dataset.tables[i];
-    std::string doc = t.name + " " + t.comment;
-    for (const auto& c : t.columns) {
-      doc += " " + c.name + " " + c.comment + " " + c.sql_type;
-      // A handful of cell values per column suffices for subword coverage.
-      size_t limit = std::min<size_t>(c.values.size(), 8);
-      for (size_t v = 0; v < limit; ++v) doc += " " + c.values[v];
-    }
-    docs.push_back(std::move(doc));
+    docs.push_back(TableDocument(dataset.tables[i]));
   }
   return docs;
 }

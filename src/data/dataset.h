@@ -94,8 +94,12 @@ Dataset ApplyRetainedTypes(const Dataset& dataset,
                            const std::vector<int>& retained,
                            const SemanticTypeRegistry& registry);
 
-/// Extracts text documents (names, comments, cell values) for tokenizer
-/// training and MLM pre-training. One document per table.
+/// The text of one table for tokenizer training and MLM pre-training: its
+/// name and comment, then each column's name, comment, SQL type and first
+/// few cell values, space-separated.
+std::string TableDocument(const TableSpec& table);
+
+/// TableDocument of each of the first `max_tables` tables (all when 0).
 std::vector<std::string> BuildCorpusDocuments(const Dataset& dataset,
                                               size_t max_tables = 0);
 

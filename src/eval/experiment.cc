@@ -67,23 +67,19 @@ Result<TrainedStack> BuildStackFromDataset(const std::string& name,
   stack.name = name;
   stack.dataset = std::move(dataset);
 
-  // Tokenizer: trained on the *training split* corpus (deterministic, so
-  // it is recomputed rather than cached).
+  // Corpus documents of the training split: the tokenizer trains on them
+  // (deterministic, so it is recomputed rather than cached), and so does
+  // MLM pre-training.
+  std::vector<std::string> docs;
+  docs.reserve(stack.dataset.train.size());
+  for (int idx : stack.dataset.train) {
+    docs.push_back(data::TableDocument(stack.dataset.tables[idx]));
+  }
   Stopwatch sw;
   {
     text::WordPieceTrainer trainer(
         {.vocab_size = options.vocab_size, .min_pair_frequency = 2});
-    for (int idx : stack.dataset.train) {
-      const data::TableSpec& t = stack.dataset.tables[idx];
-      std::string doc = t.name + " " + t.comment;
-      for (const auto& c : t.columns) {
-        doc += " " + c.name + " " + c.comment + " " + c.sql_type;
-        for (size_t v = 0; v < std::min<size_t>(c.values.size(), 8); ++v) {
-          doc += " " + c.values[v];
-        }
-      }
-      trainer.AddDocument(doc);
-    }
+    for (const std::string& doc : docs) trainer.AddDocument(doc);
     stack.tokenizer =
         std::make_unique<text::WordPieceTokenizer>(trainer.Train());
   }
@@ -94,20 +90,6 @@ Result<TrainedStack> BuildStackFromDataset(const std::string& name,
   const int vocab = stack.tokenizer->vocab().size();
   const int num_types = registry.size();
   const std::string base_key = StackKey(name, options);
-
-  // Corpus documents for MLM pre-training (training split only).
-  std::vector<std::string> docs;
-  for (int idx : stack.dataset.train) {
-    const data::TableSpec& t = stack.dataset.tables[idx];
-    std::string doc = t.name + " " + t.comment;
-    for (const auto& c : t.columns) {
-      doc += " " + c.name + " " + c.comment + " " + c.sql_type;
-      for (size_t v = 0; v < std::min<size_t>(c.values.size(), 8); ++v) {
-        doc += " " + c.values[v];
-      }
-    }
-    docs.push_back(std::move(doc));
-  }
 
   auto train_adtd = [&](bool with_hist) -> Result<
                         std::unique_ptr<model::AdtdModel>> {

@@ -1,5 +1,6 @@
 #include "text/vocab.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -20,16 +21,22 @@ int Vocab::AddToken(const std::string& token) {
   int id = static_cast<int>(tokens_.size());
   tokens_.push_back(token);
   index_.emplace(token, id);
+  max_token_length_ = std::max(max_token_length_, token.size());
   return id;
 }
 
-int Vocab::Id(const std::string& token) const {
+int Vocab::Find(std::string_view token) const {
   auto it = index_.find(token);
-  return it == index_.end() ? kUnkId : it->second;
+  return it == index_.end() ? -1 : it->second;
 }
 
-bool Vocab::Contains(const std::string& token) const {
-  return index_.count(token) != 0;
+int Vocab::Id(std::string_view token) const {
+  int id = Find(token);
+  return id < 0 ? kUnkId : id;
+}
+
+bool Vocab::Contains(std::string_view token) const {
+  return Find(token) >= 0;
 }
 
 const std::string& Vocab::Token(int id) const {

@@ -3,7 +3,10 @@
 #ifndef TASTE_TEXT_VOCAB_H_
 #define TASTE_TEXT_VOCAB_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -28,16 +31,22 @@ class Vocab {
   /// Adds a token if absent; returns its id either way.
   int AddToken(const std::string& token);
 
+  /// Id for `token`, or -1 if absent. One hash lookup, no allocation.
+  int Find(std::string_view token) const;
+
   /// Id for `token`, or kUnkId if unknown.
-  int Id(const std::string& token) const;
+  int Id(std::string_view token) const;
 
   /// True if `token` is present.
-  bool Contains(const std::string& token) const;
+  bool Contains(std::string_view token) const;
 
   /// Token for `id`; id must be in range.
   const std::string& Token(int id) const;
 
   int size() const { return static_cast<int>(tokens_.size()); }
+
+  /// Length in bytes of the longest token; no longer string can match.
+  size_t max_token_length() const { return max_token_length_; }
 
   /// Serializes one token per line.
   Status Save(const std::string& path) const;
@@ -45,8 +54,18 @@ class Vocab {
   static Result<Vocab> Load(const std::string& path);
 
  private:
+  /// Lets `index_` be probed with a string_view (C++20 heterogeneous
+  /// lookup), so candidates need not be materialized as std::string.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> tokens_;
-  std::unordered_map<std::string, int> index_;
+  std::unordered_map<std::string, int, Hash, std::equal_to<>> index_;
+  size_t max_token_length_ = 0;
 };
 
 }  // namespace taste::text

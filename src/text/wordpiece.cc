@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <map>
+#include <queue>
+#include <tuple>
+#include <unordered_map>
 
 #include "common/string_util.h"
 
@@ -55,10 +59,19 @@ void WordPieceTrainer::AddDocument(const std::string& text) {
 }
 
 Vocab WordPieceTrainer::Train() const {
+  // Symbols are interned to ints: `names[id]` is the symbol's string.
+  std::vector<std::string> names;
+  std::unordered_map<std::string, int> symbol_ids;
+  auto intern = [&](const std::string& s) {
+    auto [it, inserted] =
+        symbol_ids.try_emplace(s, static_cast<int>(names.size()));
+    if (inserted) names.push_back(s);
+    return it->second;
+  };
   // Represent each distinct word as a sequence of symbols: first character
   // bare, continuation characters prefixed with "##".
   struct Word {
-    std::vector<std::string> symbols;
+    std::vector<int> symbols;
     int64_t count;
   };
   std::vector<Word> words;
@@ -73,45 +86,116 @@ Vocab WordPieceTrainer::Train() const {
     for (size_t i = 0; i < w.size(); ++i) {
       std::string sym = i == 0 ? std::string(1, w[i])
                                : "##" + std::string(1, w[i]);
-      word.symbols.push_back(sym);
       vocab.AddToken(sym);
+      word.symbols.push_back(intern(sym));
     }
     words.push_back(std::move(word));
   }
 
-  // Merge loop: repeatedly fuse the most frequent adjacent symbol pair.
-  while (vocab.size() < options_.vocab_size) {
-    std::map<std::pair<std::string, std::string>, int64_t> pair_counts;
-    for (const Word& w : words) {
-      for (size_t i = 0; i + 1 < w.symbols.size(); ++i) {
-        pair_counts[{w.symbols[i], w.symbols[i + 1]}] += w.count;
-      }
+  // Pair statistics are kept current across merges instead of recounted:
+  // a merge touches only the words that hold the winning pair. A pair is
+  // the key (left << 32 | right); `pair_words[key]` lists every word that
+  // holds it (and possibly some that no longer do).
+  auto key_of = [](int left, int right) {
+    return static_cast<uint64_t>(left) << 32 | static_cast<uint32_t>(right);
+  };
+  auto left_of = [](uint64_t key) { return static_cast<int>(key >> 32); };
+  auto right_of = [](uint64_t key) {
+    return static_cast<int>(key & 0xffffffffu);
+  };
+  std::unordered_map<uint64_t, int64_t> pair_counts;
+  std::unordered_map<uint64_t, std::vector<int>> pair_words;
+  for (size_t w = 0; w < words.size(); ++w) {
+    const std::vector<int>& s = words[w].symbols;
+    for (size_t i = 0; i + 1 < s.size(); ++i) {
+      const uint64_t key = key_of(s[i], s[i + 1]);
+      pair_counts[key] += words[w].count;
+      pair_words[key].push_back(static_cast<int>(w));
     }
-    if (pair_counts.empty()) break;
-    auto best = pair_counts.begin();
-    for (auto it = pair_counts.begin(); it != pair_counts.end(); ++it) {
-      if (it->second > best->second) best = it;
+  }
+
+  // The winner is the highest count, ties broken by the smallest
+  // (left, right) in std::pair<std::string, std::string> order. A max-heap
+  // holds (count, pair) entries; an entry whose count is no longer the
+  // pair's current count is stale and skipped when it surfaces.
+  struct Entry {
+    int64_t count;
+    uint64_t key;
+  };
+  auto lower_priority = [&](const Entry& a, const Entry& b) {
+    if (a.count != b.count) return a.count < b.count;
+    return std::tie(names[left_of(b.key)], names[right_of(b.key)]) <
+           std::tie(names[left_of(a.key)], names[right_of(a.key)]);
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(lower_priority)>
+      heap(lower_priority);
+  for (const auto& [key, count] : pair_counts) heap.push({count, key});
+
+  std::vector<int> visited(words.size(), -1);
+  std::vector<uint64_t> touched;
+  for (int merge = 0; vocab.size() < options_.vocab_size; ++merge) {
+    while (!heap.empty()) {
+      auto it = pair_counts.find(heap.top().key);
+      if (it != pair_counts.end() && it->second == heap.top().count) break;
+      heap.pop();
     }
-    if (best->second < options_.min_pair_frequency) break;
-    const auto [left, right] = best->first;
+    if (heap.empty()) break;
+    const Entry best = heap.top();
+    if (best.count < options_.min_pair_frequency) break;
+    heap.pop();
+    const int left = left_of(best.key);
+    const int right = right_of(best.key);
     // "ab" + "##cd" -> "abcd"; "##ab" + "##cd" -> "##abcd".
-    std::string merged = left + (StartsWith(right, "##")
-                                     ? right.substr(2)
-                                     : right);
+    const std::string& right_name = names[right];
+    std::string merged = names[left] + (StartsWith(right_name, "##")
+                                            ? right_name.substr(2)
+                                            : right_name);
     vocab.AddToken(merged);
-    for (Word& w : words) {
-      std::vector<std::string> out;
-      out.reserve(w.symbols.size());
-      for (size_t i = 0; i < w.symbols.size(); ++i) {
-        if (i + 1 < w.symbols.size() && w.symbols[i] == left &&
-            w.symbols[i + 1] == right) {
-          out.push_back(merged);
+    const int m = intern(merged);
+    // After the rewrite no word holds (left, right) any more; a later merge
+    // that recreates it re-registers its words below.
+    const std::vector<int> holders = std::move(pair_words[best.key]);
+    pair_words.erase(best.key);
+    touched.clear();
+    for (int w : holders) {
+      if (visited[w] == merge) continue;
+      visited[w] = merge;
+      Word& word = words[w];
+      std::vector<int>& s = word.symbols;
+      for (size_t i = 0; i + 1 < s.size(); ++i) {
+        const uint64_t key = key_of(s[i], s[i + 1]);
+        pair_counts[key] -= word.count;
+        touched.push_back(key);
+      }
+      // Left to right without overlaps: "a a a" -> "aa a".
+      size_t out = 0;
+      for (size_t i = 0; i < s.size(); ++i) {
+        if (i + 1 < s.size() && s[i] == left && s[i + 1] == right) {
+          s[out++] = m;
           ++i;
         } else {
-          out.push_back(w.symbols[i]);
+          s[out++] = s[i];
         }
       }
-      w.symbols = std::move(out);
+      s.resize(out);
+      for (size_t i = 0; i + 1 < s.size(); ++i) {
+        const uint64_t key = key_of(s[i], s[i + 1]);
+        pair_counts[key] += word.count;
+        touched.push_back(key);
+        // Pairs without the new symbol were adjacent before the rewrite,
+        // so this word is already on their lists.
+        if (s[i] == m || s[i + 1] == m) pair_words[key].push_back(w);
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (uint64_t key : touched) {
+      auto it = pair_counts.find(key);
+      if (it->second > 0) {
+        heap.push({it->second, key});
+      } else {
+        pair_counts.erase(it);
+      }
     }
   }
   return vocab;
@@ -119,41 +203,56 @@ Vocab WordPieceTrainer::Train() const {
 
 void WordPieceTokenizer::EncodeWord(const std::string& word,
                                     std::vector<int>* out) const {
+  // No candidate longer than the vocabulary's longest token can match, so
+  // max-munch starts there rather than at the whole remaining word.
+  const size_t max_len = vocab_.max_token_length();
+  // Each position's longest candidate is copied once behind a "##"
+  // prefix; every shorter candidate is a prefix of it, with or without
+  // the "##".
+  std::string buf(2 + std::min(word.size(), max_len), '#');
+  const size_t first = out->size();
   size_t pos = 0;
-  std::vector<int> pieces;
   while (pos < word.size()) {
-    size_t len = word.size() - pos;
-    bool found = false;
-    while (len > 0) {
-      std::string candidate =
-          (pos == 0 ? "" : "##") + word.substr(pos, len);
-      if (vocab_.Contains(candidate)) {
-        pieces.push_back(vocab_.Id(candidate));
-        pos += len;
-        found = true;
-        break;
-      }
-      --len;
+    const size_t prefix = pos == 0 ? 0 : 2;
+    size_t len =
+        max_len > prefix ? std::min(word.size() - pos, max_len - prefix) : 0;
+    word.copy(buf.data() + 2, len, pos);
+    const char* candidate = buf.data() + 2 - prefix;
+    int id = -1;
+    for (; len > 0; --len) {
+      id = vocab_.Find(std::string_view(candidate, prefix + len));
+      if (id >= 0) break;
     }
-    if (!found) {
+    if (id < 0) {
       // Whole word becomes [UNK] (BERT semantics).
+      out->resize(first);
       out->push_back(Vocab::kUnkId);
       return;
     }
+    out->push_back(id);
+    pos += len;
   }
-  out->insert(out->end(), pieces.begin(), pieces.end());
+}
+
+void WordPieceTokenizer::EncodeInto(const std::string& text, size_t limit,
+                                    std::vector<int>* out) const {
+  for (const std::string& w : PreTokenize(text)) {
+    if (out->size() >= limit) return;
+    EncodeWord(w, out);
+  }
 }
 
 std::vector<int> WordPieceTokenizer::Encode(const std::string& text) const {
   std::vector<int> out;
-  for (const std::string& w : PreTokenize(text)) EncodeWord(w, &out);
+  EncodeInto(text, SIZE_MAX, &out);
   return out;
 }
 
 std::vector<int> WordPieceTokenizer::EncodeFixed(const std::string& text,
                                                  int len) const {
   TASTE_CHECK(len >= 0);
-  std::vector<int> ids = Encode(text);
+  std::vector<int> ids;
+  EncodeInto(text, static_cast<size_t>(len), &ids);
   ids.resize(static_cast<size_t>(len), Vocab::kPadId);
   return ids;
 }

@@ -8,7 +8,10 @@
 #ifndef TASTE_TEXT_WORDPIECE_H_
 #define TASTE_TEXT_WORDPIECE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -68,6 +71,11 @@ class WordPieceTokenizer {
  private:
   /// WordPiece max-munch over one pre-token; appends ids.
   void EncodeWord(const std::string& word, std::vector<int>* out) const;
+
+  /// Appends the ids of `text`'s pre-tokens, stopping before the first
+  /// pre-token that starts once `out` holds `limit` ids.
+  void EncodeInto(const std::string& text, size_t limit,
+                  std::vector<int>* out) const;
 
   Vocab vocab_;
 };

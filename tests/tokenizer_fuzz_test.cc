@@ -1,0 +1,184 @@
+// Seeded property/fuzz test of the WordPiece encoder on tenant-controlled
+// text: arbitrary bytes (NUL, bytes >= 0x80, control characters, invalid
+// UTF-8), a 1 MB identifier and a 100k-word cell. Ids must stay in range,
+// EncodeFixed must return exactly `len` ids, and Encode must equal the
+// reference max-munch below, which builds every candidate string from the
+// whole remaining word down.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "text/vocab.h"
+#include "text/wordpiece.h"
+
+namespace taste::text {
+namespace {
+
+/// The reference encoder: for each position, tries every candidate length
+/// from the rest of the word down to 1.
+void ReferenceEncodeWord(const Vocab& vocab, const std::string& word,
+                         std::vector<int>* out) {
+  size_t pos = 0;
+  std::vector<int> pieces;
+  while (pos < word.size()) {
+    size_t len = word.size() - pos;
+    bool found = false;
+    while (len > 0) {
+      std::string candidate = (pos == 0 ? "" : "##") + word.substr(pos, len);
+      if (vocab.Contains(candidate)) {
+        pieces.push_back(vocab.Id(candidate));
+        pos += len;
+        found = true;
+        break;
+      }
+      --len;
+    }
+    if (!found) {
+      out->push_back(Vocab::kUnkId);
+      return;
+    }
+  }
+  out->insert(out->end(), pieces.begin(), pieces.end());
+}
+
+std::vector<int> ReferenceEncode(const Vocab& vocab, const std::string& text) {
+  std::vector<int> out;
+  for (const std::string& w : PreTokenize(text)) {
+    ReferenceEncodeWord(vocab, w, &out);
+  }
+  return out;
+}
+
+const WordPieceTokenizer& Tokenizer() {
+  static const WordPieceTokenizer* tok = [] {
+    WordPieceTrainer trainer({.vocab_size = 400, .min_pair_frequency = 2});
+    for (int i = 0; i < 20; ++i) {
+      trainer.AddDocument("customer_email_address city country name zip");
+      trainer.AddDocument("phone number credit card user id date 555 0199");
+      trainer.AddDocument("orders order_id item_sku total_price created_at");
+      trainer.AddDocument("abcabcabc aaaa bbbbbb abab baba cab");
+    }
+    return new WordPieceTokenizer(trainer.Train());
+  }();
+  return *tok;
+}
+
+void ExpectIdsInRange(const std::vector<int>& ids, int vocab_size) {
+  for (int id : ids) {
+    ASSERT_GE(id, 0);
+    ASSERT_LT(id, vocab_size);
+  }
+}
+
+/// Random bytes drawn mostly from word characters, so pre-tokens get long,
+/// with the rest spread over every byte value.
+std::string RandomBytes(Rng& rng, size_t len) {
+  static const char kWordy[] = "abcdeilmnorstuyz0159_ -";
+  std::string s(len, '\0');
+  for (char& c : s) {
+    c = rng.NextBelow(4) == 0
+            ? static_cast<char>(rng.NextBelow(256))
+            : kWordy[rng.NextBelow(sizeof(kWordy) - 1)];
+  }
+  return s;
+}
+
+TEST(TokenizerFuzzTest, ArbitraryBytesMatchReference) {
+  const WordPieceTokenizer& tok = Tokenizer();
+  const int vocab_size = tok.vocab().size();
+  Rng rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::string text = RandomBytes(rng, rng.NextBelow(trial < 1900
+                                                                ? 200
+                                                                : 4000));
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::vector<int> ids = tok.Encode(text);
+    ExpectIdsInRange(ids, vocab_size);
+    ASSERT_EQ(ids, ReferenceEncode(tok.vocab(), text));
+    const int len = static_cast<int>(rng.NextBelow(40));
+    std::vector<int> fixed = tok.EncodeFixed(text, len);
+    ASSERT_EQ(fixed.size(), static_cast<size_t>(len));
+    std::vector<int> want = ids;
+    want.resize(static_cast<size_t>(len), Vocab::kPadId);
+    ASSERT_EQ(fixed, want);
+  }
+}
+
+TEST(TokenizerFuzzTest, WordsOfVocabPiecesMatchReference) {
+  // Words glued from the vocabulary's own pieces put its longest tokens at
+  // the start and in the middle of words, where max-munch's cap binds.
+  const WordPieceTokenizer& tok = Tokenizer();
+  const Vocab& vocab = tok.vocab();
+  Rng rng(13);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string text;
+    const int words = 1 + static_cast<int>(rng.NextBelow(4));
+    for (int w = 0; w < words; ++w) {
+      const int pieces = 1 + static_cast<int>(rng.NextBelow(6));
+      for (int p = 0; p < pieces; ++p) {
+        const std::string& t = vocab.Token(
+            Vocab::kNumSpecialTokens +
+            static_cast<int>(rng.NextBelow(vocab.size() -
+                                           Vocab::kNumSpecialTokens)));
+        text += t.compare(0, 2, "##") == 0 ? t.substr(2) : t;
+      }
+      text += ' ';
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + text);
+    ASSERT_EQ(tok.Encode(text), ReferenceEncode(vocab, text));
+  }
+}
+
+TEST(TokenizerFuzzTest, EdgeBytesMatchReference) {
+  const WordPieceTokenizer& tok = Tokenizer();
+  const std::vector<std::string> cases = {
+      std::string("email\0address", 13),
+      "\xff\xfe\x80\xc3\x28 email",  // invalid UTF-8
+      "caf\xc3\xa9 na\xc3\xafve",    // valid UTF-8, bytes >= 0x80
+      "\x01\x02\x1b[31mred\x7f",
+      std::string(300, 'a') + std::string(300, 'b'),
+      "abcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcx",
+  };
+  for (const std::string& text : cases) {
+    const std::vector<int> ids = tok.Encode(text);
+    ExpectIdsInRange(ids, tok.vocab().size());
+    EXPECT_EQ(ids, ReferenceEncode(tok.vocab(), text));
+  }
+}
+
+TEST(TokenizerFuzzTest, OneMegabyteIdentifier) {
+  const WordPieceTokenizer& tok = Tokenizer();
+  Rng rng(11);
+  std::string word(1 << 20, 'a');
+  for (char& c : word) c = "abcdeilmnorstu"[rng.NextBelow(14)];
+  const std::vector<int> ids = tok.Encode(word);
+  ExpectIdsInRange(ids, tok.vocab().size());
+  ASSERT_GE(ids.size(), 16u);
+  const std::vector<int> fixed = tok.EncodeFixed(word, 16);
+  EXPECT_EQ(fixed, std::vector<int>(ids.begin(), ids.begin() + 16));
+  // One letter the vocabulary lacks turns the whole identifier into [UNK].
+  ASSERT_FALSE(tok.vocab().Contains("##q"));
+  word[word.size() / 2] = 'q';
+  EXPECT_EQ(tok.Encode(word), std::vector<int>{Vocab::kUnkId});
+}
+
+TEST(TokenizerFuzzTest, HundredThousandWordCell) {
+  const WordPieceTokenizer& tok = Tokenizer();
+  std::string cell;
+  for (int i = 0; i < 100000; ++i) cell += i % 3 == 0 ? "email " : "zip ";
+  const std::vector<int> ids = tok.Encode(cell);
+  ExpectIdsInRange(ids, tok.vocab().size());
+  EXPECT_GE(ids.size(), 100000u);
+  for (int len : {0, 8, 512}) {
+    std::vector<int> fixed = tok.EncodeFixed(cell, len);
+    ASSERT_EQ(fixed.size(), static_cast<size_t>(len));
+    EXPECT_TRUE(std::equal(fixed.begin(), fixed.end(), ids.begin()));
+  }
+}
+
+}  // namespace
+}  // namespace taste::text
