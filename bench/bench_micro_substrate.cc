@@ -342,17 +342,16 @@ void WriteSubstrateJson() {
     const tensor::Tensor memory = tensor::Tensor::Randn({memory_rows, 48}, arng);
     const tensor::Tensor seg_mask =
         tensor::Tensor::Zeros({segments * seg, memory_rows + seg});
-    const std::vector<nn::SegmentGroup> groups = {
-        {&memory, &seg_mask, segments, seg}};
+    const nn::SegmentGroup group = {&memory, &seg_mask, segments, seg};
     const tensor::Tensor y = tensor::Tensor::Randn({dense, 48}, arng);
     const tensor::Tensor dense_mask = tensor::Tensor::Zeros({dense, dense});
     const double segmented_ms = TimeGemmMs(
-        [&] { benchmark::DoNotOptimize(attn.ForwardSegmented(x, groups)); },
+        [&] { benchmark::DoNotOptimize(attn.ForwardSegmented(x, group)); },
         50);
     const double anchor_ms = TimeGemmMs(
         [&] {
           benchmark::DoNotOptimize(attn.ForwardSegmented(
-              x, groups, nn::SegmentQueries::kFirstRows));
+              x, group, nn::SegmentQueries::kFirstRows));
         },
         50);
     const double dense_ms = TimeGemmMs(
@@ -381,8 +380,8 @@ void WriteSubstrateJson() {
 
   // Both ADTD tower forwards at the perfbench wide_batch shape: a batch of
   // four 11-column tables, every column scanned (11 segments of 31 rows).
-  // "p1" is the batch's four ForwardMetadata calls, "p2" one
-  // ForwardContentBatch over its four items. Ungated: they track the
+  // "p1" is the batch's four ForwardMetadata calls, "p2" its four
+  // ForwardContent calls, one after another. Ungated: they track the
   // towers' forward time, which the end-to-end row below mixes with
   // detection and scheduling.
   {
@@ -413,10 +412,6 @@ void WriteSubstrateJson() {
     }
     std::vector<model::AdtdModel::MetadataEncoding> encs;
     for (const auto& em : metas) encs.push_back(f.model->ForwardMetadata(em));
-    std::vector<model::AdtdModel::P2BatchItem> items;
-    for (size_t j = 0; j < metas.size(); ++j) {
-      items.push_back({&contents[j], &metas[j], &encs[j]});
-    }
     const double p1_ms = TimeGemmMs(
         [&] {
           for (const auto& em : metas) {
@@ -425,7 +420,12 @@ void WriteSubstrateJson() {
         },
         20);
     const double p2_ms = TimeGemmMs(
-        [&] { benchmark::DoNotOptimize(f.model->ForwardContentBatch(items)); },
+        [&] {
+          for (size_t j = 0; j < metas.size(); ++j) {
+            benchmark::DoNotOptimize(
+                f.model->ForwardContent(contents[j], metas[j], encs[j]));
+          }
+        },
         20);
     json.BeginArray("adtd_forward");
     json.BeginObject();
@@ -438,7 +438,7 @@ void WriteSubstrateJson() {
     json.EndObject();
     json.EndArray();
     std::printf("ADTD forwards (4 tables x 11 columns): P1 %.3f ms, "
-                "P2 batch %.3f ms\n",
+                "P2 %.3f ms\n",
                 p1_ms, p2_ms);
   }
 
@@ -460,99 +460,57 @@ void WriteSubstrateJson() {
   json.Field("pipelined_wall_ms", pip.stats().wall_ms);
   json.EndObject();
 
-  // Cross-table P2 micro-batching: one packed content-tower forward over B
-  // column-chunks vs B sequential forwards — byte-identical outputs (see
-  // tests/batching_diff_test.cc), so the only question is throughput. The
-  // model-level sweep isolates the packed-GEMM amortization (one B-panel
-  // pack serves every batched row); the serving rows measure the same knob
-  // end to end through the serving scheduler at 4 infer workers.
+  // The serving cost model's fit: B content chunks at the model's default
+  // input profile, forwarded one after another through ForwardContent, for
+  // B in {1, 2, 4, 8, 16}. ms(B items) = overhead_ms + ms_per_token *
+  // total_tokens, by least squares; the router's hedge threshold
+  // (core/cost_model.h) starts from parameters fit by this section.
   {
+    tensor::NoGradGuard ng;
     struct Chunk {
       model::EncodedMetadata em;
       model::EncodedContent ec;
       model::AdtdModel::MetadataEncoding enc;
     };
-    // Two chunk profiles: the model default (compute-bound sequences, the
-    // packed GEMMs are already saturated) and the paper Sec. 6.8 small-n/
-    // small-l serving point (n=2, l=2: many short chunks, where per-op
-    // dispatch overhead dominates and coalescing pays).
-    auto harvest = [&](const model::InputConfig& icfg, int l) {
-      model::InputEncoder encoder(f.tokenizer.get(), icfg);
-      std::vector<std::unique_ptr<Chunk>> chunks;
-      auto conn = f.db->Connect();
-      for (int t = 0; t < 16 && chunks.size() < 16; ++t) {
-        auto meta = conn->GetTableMetadata(f.dataset.tables[t].name);
-        TASTE_CHECK(meta.ok());
-        for (const auto& part : model::SplitWideTable(*meta, l)) {
-          if (chunks.size() >= 16) break;
-          auto ch = std::make_unique<Chunk>();
-          ch->em = encoder.EncodeMetadata(part);
-          std::map<int, std::vector<std::string>> content;
-          for (int c = 0; c < ch->em.num_columns; ++c) {
-            content[c] =
-                f.dataset.tables[t].columns[ch->em.column_ordinals[c]].values;
-          }
-          ch->ec = encoder.EncodeContent(ch->em, content);
-          ch->enc = f.model->ForwardMetadata(ch->em);
-          chunks.push_back(std::move(ch));
+    model::InputEncoder encoder(f.tokenizer.get(), f.model->config().input);
+    std::vector<std::unique_ptr<Chunk>> chunks;
+    auto conn = f.db->Connect();
+    for (int t = 0; t < 16 && chunks.size() < 16; ++t) {
+      auto meta = conn->GetTableMetadata(f.dataset.tables[t].name);
+      TASTE_CHECK(meta.ok());
+      for (const auto& part : model::SplitWideTable(
+               *meta, f.model->config().input.column_split_threshold)) {
+        if (chunks.size() >= 16) break;
+        auto ch = std::make_unique<Chunk>();
+        ch->em = encoder.EncodeMetadata(part);
+        std::map<int, std::vector<std::string>> content;
+        for (int c = 0; c < ch->em.num_columns; ++c) {
+          content[c] =
+              f.dataset.tables[t].columns[ch->em.column_ordinals[c]].values;
         }
+        ch->ec = encoder.EncodeContent(ch->em, content);
+        ch->enc = f.model->ForwardMetadata(ch->em);
+        chunks.push_back(std::move(ch));
       }
-      return chunks;
-    };
-    // (total_tokens, batched_ms) pairs harvested from the sweeps below;
-    // feeds the serving cost model's least-squares calibration.
+    }
     std::vector<std::pair<int64_t, double>> cost_samples;
-    auto sweep = [&](const char* key,
-                     const std::vector<std::unique_ptr<Chunk>>& chunks) {
-      std::printf("P2 micro-batching %s (packed batch vs sequential):\n", key);
-      json.BeginArray(key);
-      for (int bsize : {1, 2, 4, 8, 16}) {
-        std::vector<model::AdtdModel::P2BatchItem> items;
-        for (int i = 0; i < bsize; ++i) {
-          Chunk& ch = *chunks[static_cast<size_t>(i) % chunks.size()];
-          items.push_back({&ch.ec, &ch.em, &ch.enc});
-        }
-        const int reps = std::max(1, 32 / bsize);  // ~constant work/batch
-        const double seq_ms = TimeGemmMs(
-            [&] {
-              for (const auto& it : items) {
-                benchmark::DoNotOptimize(f.model->ForwardContent(
-                    *it.content, *it.meta, *it.meta_encoding));
-              }
-            },
-            reps);
-        const double batch_ms = TimeGemmMs(
-            [&] {
-              benchmark::DoNotOptimize(f.model->ForwardContentBatch(items));
-            },
-            reps);
-        int64_t total_tokens = 0;
-        for (const auto& it : items) {
-          total_tokens += static_cast<int64_t>(it.content->token_ids.size());
-        }
-        cost_samples.emplace_back(total_tokens, batch_ms);
-        json.BeginObject();
-        json.Field("batch_size", static_cast<int64_t>(bsize));
-        json.Field("sequential_ms", seq_ms);
-        json.Field("batched_ms", batch_ms);
-        json.Field("speedup", seq_ms / batch_ms);
-        json.EndObject();
-        std::printf("  B=%-3d sequential %8.3f ms  batched %8.3f ms  %.2fx\n",
-                    bsize, seq_ms, batch_ms, seq_ms / batch_ms);
+    for (int bsize : {1, 2, 4, 8, 16}) {
+      std::vector<const Chunk*> items;
+      int64_t total_tokens = 0;
+      for (int i = 0; i < bsize; ++i) {
+        items.push_back(chunks[static_cast<size_t>(i) % chunks.size()].get());
+        total_tokens += static_cast<int64_t>(items.back()->ec.token_ids.size());
       }
-      json.EndArray();
-    };
-    tensor::NoGradGuard ng;
-    sweep("p2_batch", harvest(f.model->config().input,
-                              f.model->config().input.column_split_threshold));
-    model::InputConfig small = f.model->config().input;
-    small.cells_per_column = 2;
-    sweep("p2_batch_small", harvest(small, /*l=*/2));
-
-    // Calibrate the serving cost model from the sweep samples and emit the
-    // fit: ms(batch) = overhead_ms + ms_per_token * total_tokens. The
-    // scheduler's defaults (core/cost_model.h) were fit from exactly this
-    // section of a committed BENCH_substrate.json.
+      const double ms = TimeGemmMs(
+          [&] {
+            for (const Chunk* ch : items) {
+              benchmark::DoNotOptimize(
+                  f.model->ForwardContent(ch->ec, ch->em, ch->enc));
+            }
+          },
+          std::max(1, 32 / bsize));  // ~constant work per timing batch
+      cost_samples.emplace_back(total_tokens, ms);
+    }
     core::P2CostModel cm;
     const bool calibrated = cm.Calibrate(cost_samples);
     json.BeginObject("cost_model");
@@ -571,9 +529,10 @@ void WriteSubstrateJson() {
   // tower shape (L=4, H=312, I=1200 — the Tiny fixture's GEMMs are too
   // small to show the kernel, and the paper shape is what serving runs).
   // Weights are prepacked once (PrepackQuantWeights, as model load does);
-  // the sweep times the same ForwardContentBatch under an fp32 vs an int8
-  // ExecContext. tools/bench_check.py gates the speedup (hard floor 2.5x,
-  // advisory 3x) when a SIMD kernel is compiled in. The int8 timing samples
+  // the sweep times the same B chunks, forwarded one after another through
+  // ForwardContent, under an fp32 vs an int8 ExecContext.
+  // tools/bench_check.py gates the speedup (hard floor 2.5x, advisory 3x)
+  // when a SIMD kernel is compiled in. The int8 timing samples
   // also refit the serving cost model; DefaultInt8Params (core/cost_model.h)
   // were taken from the "cost_model_int8" section of a committed run.
   {
@@ -590,9 +549,9 @@ void WriteSubstrateJson() {
       model::EncodedContent ec;
       model::AdtdModel::MetadataEncoding enc;
     };
-    // The Sec. 6.8 serving profile (n=2, l=2): short chunks, the shape the
-    // scheduler actually batches. Latents come from THIS model's metadata
-    // tower — cross-attention reads them during the content forward.
+    // The Sec. 6.8 serving profile (n=2, l=2): short chunks. Latents come
+    // from THIS model's metadata tower — cross-attention reads them during
+    // the content forward.
     model::InputConfig icfg = pcfg.input;
     icfg.cells_per_column = 2;
     model::InputEncoder encoder(f.tokenizer.get(), icfg);
@@ -634,26 +593,21 @@ void WriteSubstrateJson() {
     json.Field("packed_kib", packed_bytes / 1024);
     json.BeginArray("sweep");
     for (int bsize : {1, 2, 4, 8}) {
-      std::vector<model::AdtdModel::P2BatchItem> items;
+      std::vector<const Chunk*> items;
       int64_t total_tokens = 0;
       for (int i = 0; i < bsize; ++i) {
-        Chunk& ch = *chunks[static_cast<size_t>(i) % chunks.size()];
-        items.push_back({&ch.ec, &ch.em, &ch.enc});
-        total_tokens += static_cast<int64_t>(ch.ec.token_ids.size());
+        items.push_back(chunks[static_cast<size_t>(i) % chunks.size()].get());
+        total_tokens += static_cast<int64_t>(items.back()->ec.token_ids.size());
       }
       const int reps = std::max(1, 8 / bsize);
-      const double fp32_ms = TimeGemmMs(
-          [&] {
-            benchmark::DoNotOptimize(
-                pmodel.ForwardContentBatch(items, &fp32_ctx));
-          },
-          reps);
-      const double int8_ms = TimeGemmMs(
-          [&] {
-            benchmark::DoNotOptimize(
-                pmodel.ForwardContentBatch(items, &int8_ctx));
-          },
-          reps);
+      auto forward_all = [&](tensor::ExecContext* ctx) {
+        for (const Chunk* ch : items) {
+          benchmark::DoNotOptimize(
+              pmodel.ForwardContent(ch->ec, ch->em, ch->enc, ctx));
+        }
+      };
+      const double fp32_ms = TimeGemmMs([&] { forward_all(&fp32_ctx); }, reps);
+      const double int8_ms = TimeGemmMs([&] { forward_all(&int8_ctx); }, reps);
       fp32_total += fp32_ms;
       int8_total += int8_ms;
       int8_samples.emplace_back(total_tokens, int8_ms);
@@ -687,67 +641,6 @@ void WriteSubstrateJson() {
         int8_calibrated ? "" : " (fit failed; defaults kept)");
   }
 
-  // Serving level: the pipelined executor at 4 infer workers with the
-  // latent cache sharded + continuous-batching scheduler armed, vs the
-  // exact legacy dispatch — identical result bytes either way, wall clock
-  // is the whole story. Uses the small-chunk serving profile (n=2, l=2
-  // overrides) over a WIDE-table corpus: cloud tables are wide (paper
-  // Sec. 1), wide tables split into many short P2 chunks, and those chunks
-  // are exactly what the scheduler's group submission packs into shared
-  // forwards. The fixture's 2-8 column corpus stays with the other
-  // sections; serving gets its own 40 wide tables.
-  {
-    data::DatasetProfile wide = data::DatasetProfile::WikiLike(40);
-    wide.min_columns = 6;
-    wide.max_columns = 16;
-    wide.seed = 11;
-    data::Dataset wide_ds = data::GenerateDataset(wide);
-    clouddb::CostModel wide_cost;
-    wide_cost.time_scale = 0.0;
-    clouddb::SimulatedDatabase wide_db(wide_cost);
-    TASTE_CHECK(wide_db.IngestDataset(wide_ds).ok());
-    std::vector<std::string> wide_tables;
-    for (const auto& t : wide_ds.tables) wide_tables.push_back(t.name);
-
-    json.BeginObject("p2_serving");
-    double off_ms = 0.0, on_ms = 0.0;
-    for (const bool batching : {false, true}) {
-      core::TasteOptions topt;
-      topt.override_cells_per_column = 2;  // n
-      topt.override_split_threshold = 2;   // l
-      topt.cache_shards = batching ? 4 : 1;
-      core::TasteDetector sdet(f.model.get(), f.tokenizer.get(), topt);
-      pipeline::PipelineOptions popt;
-      popt.prep_threads = 2;
-      popt.infer_threads = 4;
-      popt.scheduling.enabled = batching;
-      // Default knobs: group submission means one table can contribute
-      // several chunks to a forward, so batches larger than the worker
-      // count DO materialize.
-      popt.scheduling.max_items = 8;
-      popt.scheduling.max_inflight_batches = 0;  // auto (profitable count)
-      // Best of three runs: a single pass on a shared box is dominated by
-      // scheduler noise.
-      double best = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        pipeline::PipelineExecutor exec(&sdet, &wide_db, popt);
-        TASTE_CHECK(exec.Run(wide_tables).ok());
-        const double wall = exec.stats().wall_ms;
-        if (rep == 0 || wall < best) best = wall;
-      }
-      (batching ? on_ms : off_ms) = best;
-    }
-    json.Field("infer_threads", static_cast<int64_t>(4));
-    json.Field("tables", static_cast<int64_t>(wide_tables.size()));
-    json.Field("batching_off_wall_ms", off_ms);
-    json.Field("batching_on_wall_ms", on_ms);
-    json.Field("speedup", off_ms / on_ms);
-    json.EndObject();
-    std::printf(
-        "serving @4 infer workers (n=2, l=2): batching off %.1f ms, "
-        "on %.1f ms (%.2fx)\n",
-        off_ms, on_ms, off_ms / on_ms);
-  }
   // Multi-process serving tier (DESIGN.md §10): the same batch scattered
   // across forked replica workers by the supervising router. Runs here, in
   // main() before benchmark::Initialize, so fork happens at a known-safe

@@ -212,13 +212,10 @@ class CircuitBreaker {
 
   /// Const peek at what Allow() would return, consuming NOTHING: no
   /// rejection is counted toward the open→half-open cooldown and no
-  /// half-open probe slot is claimed. This extends the PR 7 fast-fail
-  /// const-read contract (BreakerRegistry::Find) from the registry to the
-  /// breaker itself: observers — the serving scheduler's fast-fail gate,
-  /// the serve-tier router's dispatch admissibility check — read through
-  /// here, while the single component that owns the probe lifecycle (the
-  /// health scorer driving quarantine→probe→readmit) is the only caller of
-  /// Allow(). Without this split, every dispatch-time check on a half-open
+  /// half-open probe slot is claimed. Observers — the serve-tier
+  /// router's dispatch admissibility check — read through here, while the
+  /// single component that owns the probe lifecycle (the health scorer
+  /// driving quarantine→probe→readmit) is the only caller of Allow(). Without this split, every dispatch-time check on a half-open
   /// breaker would steal the one probe slot the scorer's readmit probe
   /// needs, and quarantined replicas could never rejoin the ring.
   bool WouldAllow() const {
@@ -281,16 +278,6 @@ class BreakerRegistry {
     auto& slot = breakers_[key];
     if (slot == nullptr) slot = std::make_unique<CircuitBreaker>(options_);
     return slot.get();
-  }
-
-  /// Const lookup: the breaker for `key` if one was ever created, else
-  /// null. Used by the serving scheduler's fast-fail gate, which must
-  /// observe breaker state without creating breakers for healthy tables
-  /// (and without consuming Allow() probes).
-  const CircuitBreaker* Find(const std::string& key) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = breakers_.find(key);
-    return it == breakers_.end() ? nullptr : it->second.get();
   }
 
   /// Sum of trips across all breakers.

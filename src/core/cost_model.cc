@@ -4,38 +4,6 @@
 
 namespace taste::core {
 
-double P2CostModel::EstimateSequentialMs(
-    const std::vector<int64_t>& item_tokens) const {
-  double ms = 0.0;
-  for (int64_t t : item_tokens) ms += EstimateBatchMs(t);
-  return ms;
-}
-
-double P2CostModel::PredictedSpeedup(
-    const std::vector<int64_t>& item_tokens) const {
-  if (item_tokens.empty()) return 1.0;
-  int64_t total = 0;
-  for (int64_t t : item_tokens) total += t;
-  const double batched = EstimateBatchMs(total);
-  return batched > 0.0 ? EstimateSequentialMs(item_tokens) / batched : 1.0;
-}
-
-int P2CostModel::MaxItemsUnderCap(const std::vector<int64_t>& item_tokens,
-                                  double cap_ms, int max_items) const {
-  const int bound =
-      std::min<int>(std::max(1, max_items),
-                    static_cast<int>(item_tokens.size()));
-  if (cap_ms <= 0.0) return bound;
-  int n = 0;
-  int64_t tokens = 0;
-  while (n < bound) {
-    tokens += item_tokens[static_cast<size_t>(n)];
-    if (n > 0 && EstimateBatchMs(tokens) > cap_ms) break;
-    ++n;  // the first item is always admitted, cap or no cap
-  }
-  return std::max(1, n);
-}
-
 bool P2CostModel::Calibrate(
     const std::vector<std::pair<int64_t, double>>& samples) {
   if (samples.size() < 2) return false;
@@ -68,10 +36,6 @@ P2CostModel::Params P2CostModel::DefaultInt8Params() {
   // defaults; the per-forward fixed cost vanishes into the token term at
   // paper shape (the OLS intercept clamps to zero).
   return {.overhead_ms = 0.0, .ms_per_token = 0.2886};
-}
-
-int P2CostModel::ProfitableInflightBatches(int hardware_threads) {
-  return std::max(1, hardware_threads / 2);
 }
 
 }  // namespace taste::core

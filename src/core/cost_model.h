@@ -1,29 +1,20 @@
-// Analytic cost model of the packed P2 content-tower forward.
+// Analytic cost model of one P2 content-tower forward.
 //
-// The continuous-batching scheduler (pipeline/serving_scheduler.h) needs
-// two throughput judgments it cannot make from queue state alone:
+// The serving router (serve/router.h) needs one throughput judgment it
+// cannot make from its own state: how long a replica leg carrying a given
+// number of content tokens should take, so that a leg still outstanding
+// well past that is presumed gray-failed and hedged. That reduces to a
+// linear model of one forward's wall time:
 //
-//   1. how expensive the batch it is about to form will be — a packed
-//      forward blocks every request that joins it, so an interactive-lane
-//      request must not be welded onto a forward whose estimated runtime
-//      exceeds its latency tolerance (head-of-line protection); and
-//   2. how many packed forwards it is profitable to keep in flight at
-//      once — too few leaves cores idle, too many fragments the queue
-//      into single-item forwards that pay per-op dispatch overhead for
-//      nothing.
+//   ms(forward) = overhead_ms + ms_per_token * content_tokens
 //
-// Both reduce to a linear model of one forward's wall time:
-//
-//   ms(batch) = overhead_ms + ms_per_token * total_content_tokens
-//
-// which matches how ForwardContentBatch actually spends time: the packed
-// projections/LN/FFN/classifier GEMMs concatenate items row-wise with NO
-// padding waste, so marginal cost is per token, while per-op dispatch,
-// panel packing, and buffer churn are per forward. The defaults are fit by
-// least squares from the committed p2_batch / p2_batch_small bench sweeps
-// (BENCH_substrate.json); bench_micro_substrate re-fits on every run and
-// emits the fresh parameters in its "cost_model" section, so drift between
-// the defaults and the current hardware is visible in review.
+// Per-op dispatch, panel packing and buffer churn are paid per forward;
+// the projections, FFN and classifier GEMMs grow with the tokens. The
+// router re-fits the parameters from its own observed legs (Calibrate);
+// bench_micro_substrate fits them from timed ForwardContent calls and
+// emits the fit in its "cost_model" and "cost_model_int8" sections, so
+// drift between the defaults and the current hardware is visible in
+// review.
 //
 // The model deliberately predicts SERVING cost, not GEMM FLOPs: it is
 // calibrated on end-to-end forward timings, so cache effects and op
@@ -41,17 +32,15 @@ namespace taste::core {
 class P2CostModel {
  public:
   struct Params {
-    /// Fixed cost of one packed forward: op dispatch, B-panel packing,
-    /// activation-buffer acquisition. Paid once per batch however many
-    /// items join it.
+    /// Fixed cost of one forward: op dispatch, B-panel packing,
+    /// activation-buffer acquisition.
     double overhead_ms = 0.05;
-    /// Marginal cost per packed content token (row-concatenated GEMMs make
-    /// cost linear in tokens, not in items).
+    /// Marginal cost per content token.
     double ms_per_token = 0.012;
     /// Multiplicative tail inflation turning the mean estimate into a
     /// p99-flavoured one. Serving wall times are right-skewed (allocator
     /// churn, scheduler preemption, cold caches), but not unboundedly so:
-    /// the committed p2_serving sweeps put p99/mean under ~3x, so 4x keeps
+    /// p99/mean stays under ~3x on the bench's serving runs, so 4x keeps
     /// headroom without tolerating order-of-magnitude stragglers.
     double tail_p99_factor = 4.0;
   };
@@ -59,8 +48,7 @@ class P2CostModel {
   P2CostModel() = default;
   explicit P2CostModel(Params params) : params_(params) {}
 
-  /// Predicted wall time of one packed forward over `total_tokens` content
-  /// tokens (summed across the batch's items).
+  /// Predicted wall time of forwarding `total_tokens` content tokens.
   double EstimateBatchMs(int64_t total_tokens) const {
     return params_.overhead_ms +
            params_.ms_per_token * static_cast<double>(total_tokens);
@@ -75,22 +63,6 @@ class P2CostModel {
     return params_.tail_p99_factor * EstimateBatchMs(total_tokens);
   }
 
-  /// Predicted wall time of dispatching each item alone: every item pays
-  /// the per-forward overhead again.
-  double EstimateSequentialMs(const std::vector<int64_t>& item_tokens) const;
-
-  /// Predicted speedup of one packed forward over per-item dispatch for
-  /// this batch composition. > 1 whenever the batch has >= 2 items (the
-  /// packed path only saves overhead; it never pads).
-  double PredictedSpeedup(const std::vector<int64_t>& item_tokens) const;
-
-  /// Greedy batch sizing under a cost cap: how many queue-front items (in
-  /// order) fit so that EstimateBatchMs stays <= cap_ms. Always admits at
-  /// least one item — a request larger than the cap still has to run, just
-  /// alone. cap_ms <= 0 means uncapped (bounded by max_items only).
-  int MaxItemsUnderCap(const std::vector<int64_t>& item_tokens, double cap_ms,
-                       int max_items) const;
-
   /// Least-squares fit of (total_tokens, measured_ms) samples onto the
   /// linear model. Returns false (keeping the current parameters) when the
   /// system is degenerate: fewer than two samples, no token-count spread,
@@ -102,21 +74,10 @@ class P2CostModel {
   /// model, fit on the int8_p2 sweep of bench_micro_substrate. Per-token
   /// cost drops roughly with the kernel speedup (the int8 GEMMs dominate a
   /// content forward), while per-forward overhead barely moves — dispatch
-  /// and activation-quantization setup are dtype-independent. The serving
-  /// scheduler swaps these in when PipelineOptions::p2_dtype is kInt8 so
-  /// max_batch_cost_ms keeps describing wall time, not fp32-equivalents.
+  /// and activation-quantization setup are dtype-independent. The router
+  /// starts from these when its replicas serve P2 in int8, so its hedge
+  /// verdicts keep describing wall time, not fp32-equivalents.
   static Params DefaultInt8Params();
-
-  /// The profitable number of concurrently in-flight packed forwards for a
-  /// machine with `hardware_threads`, used when
-  /// SchedulingOptions::max_inflight_batches is 0 (auto). One compute-bound
-  /// packed forward saturates roughly two hardware threads worth of GEMM
-  /// (the committed gemm sweep shows intra-op parallelism past that barely
-  /// pays), so: hardware_threads / 2, floored at 1. On a single-core box
-  /// this is 1 — exactly the configuration that maximizes coalescing,
-  /// because every request arriving during the in-flight forward must join
-  /// the next one instead of fragmenting into its own.
-  static int ProfitableInflightBatches(int hardware_threads);
 
   const Params& params() const { return params_; }
 

@@ -33,51 +33,6 @@
 
 namespace taste::core {
 
-/// Abstract sink for P2 content-tower forwards. The detector's InferP2
-/// hands each (content, metadata, latents) triple to the installed service
-/// instead of calling the model directly; the serving tier plugs in the
-/// continuous-batching scheduler (pipeline/serving_scheduler.h), which may
-/// coalesce the forward with other tables' chunks, shed it on an expired
-/// deadline, or fast-fail it on an open circuit breaker. The contract the
-/// detector relies on: an OK result's logits are BYTE-IDENTICAL to
-/// AdtdModel::ForwardContent(content, meta, enc) — a service may change
-/// throughput and admission, never bytes (tests/batching_diff_test.cc).
-/// Implementations must be safe for concurrent ForwardP2 calls.
-class P2ForwardService {
- public:
-  virtual ~P2ForwardService() = default;
-
-  /// Runs (or rejects) one content forward. `table` names the requesting
-  /// table — services key breaker state and lane accounting off it. A
-  /// non-OK status surfaces from InferP2 unchanged, so the pipeline's
-  /// expire/degrade/fail routing applies to scheduler rejections exactly
-  /// as it does to model-path errors.
-  virtual Result<tensor::Tensor> ForwardP2(
-      const std::string& table, const model::EncodedContent& content,
-      const model::EncodedMetadata& meta,
-      const model::AdtdModel::MetadataEncoding& enc, const CancelToken* cancel,
-      tensor::ExecContext* ctx) = 0;
-
-  /// Group submission: all pending content forwards of one table, handed
-  /// over together so they can pack into shared batched forwards instead
-  /// of trickling in one at a time (on few-core machines a table's own
-  /// chunks are the densest coalescing opportunity there is). Returns one
-  /// entry per item, in order; per-item semantics are exactly ForwardP2's.
-  /// The default loops ForwardP2 — only the serving scheduler overrides.
-  virtual std::vector<Result<tensor::Tensor>> ForwardP2Many(
-      const std::string& table,
-      const std::vector<model::AdtdModel::P2BatchItem>& items,
-      const CancelToken* cancel, tensor::ExecContext* ctx) {
-    std::vector<Result<tensor::Tensor>> out;
-    out.reserve(items.size());
-    for (const auto& it : items) {
-      out.push_back(ForwardP2(table, *it.content, *it.meta,
-                              *it.meta_encoding, cancel, ctx));
-    }
-    return out;
-  }
-};
-
 /// Fault-tolerance behaviour of the serving path (DESIGN.md §5).
 /// Disabled by default: with `enabled == false` the detector is
 /// byte-identical to the historical happy-path implementation.
@@ -181,12 +136,11 @@ class TasteDetector {
   /// S1 of P2: scan content of uncertain columns only.
   Status PrepareP2(clouddb::Connection* conn, Job* job) const;
   /// S2 of P2: content-tower inference over cached metadata latents and
-  /// final A^c merge. With `service` set, each content forward is routed
-  /// through the installed P2ForwardService (the serving scheduler)
-  /// instead of running alone; an OK result is byte-identical either way,
-  /// so this only changes throughput and admission, never output bytes.
-  Status InferP2(Job* job, tensor::ExecContext* ctx = nullptr,
-                 P2ForwardService* service = nullptr) const;
+  /// final A^c merge, one content forward per content batch on the calling
+  /// thread. A fired token stops it between forwards (and discards a
+  /// forward it interrupted); batches already applied keep their P2
+  /// predictions.
+  Status InferP2(Job* job, tensor::ExecContext* ctx = nullptr) const;
 
   /// Deadline-expiry degrade: serves every uncertain column that has no P2
   /// prediction yet from its P1 metadata-only probabilities (provenance
@@ -239,8 +193,8 @@ class TasteDetector {
   void ClassifyP1Chunk(const model::EncodedMetadata& chunk,
                        const std::vector<float>& probs, Job* job) const;
   /// Writes one content batch's sigmoid probabilities into the job result
-  /// (A^c = A2^c admission) — shared by the sequential and micro-batched
-  /// InferP2 paths. `result_offset` is the chunk's first column index.
+  /// (A^c = A2^c admission). `result_offset` is the chunk's first column
+  /// index.
   void ApplyContentProbs(const model::EncodedContent& content,
                          const std::vector<float>& probs, int result_offset,
                          Job* job) const;

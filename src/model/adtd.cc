@@ -67,12 +67,6 @@ Tensor AdtdModel::Embed(const std::vector<int>& ids) const {
       "sequence exceeds max_seq_len");
   std::vector<int> positions(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) positions[i] = static_cast<int>(i);
-  return EmbedWithPositions(ids, positions);
-}
-
-Tensor AdtdModel::EmbedWithPositions(const std::vector<int>& ids,
-                                     const std::vector<int>& positions) const {
-  TASTE_CHECK(ids.size() == positions.size());
   Tensor tok = token_embedding_.Forward(ids);
   Tensor pos = position_embedding_.Forward(positions);
   return embedding_norm_.Forward(tensor::Add(tok, pos));
@@ -168,7 +162,7 @@ Tensor AdtdModel::ForwardContent(
     // K = V = Encode_{i-1}^{M} (+) Encode_{i-1}^{D}; Q = Encode_{i-1}^{D},
     // each column's queries seeing only its own content keys.
     c = encoder_.block(i).ForwardSegmented(
-        c, {ContentGroup(content, meta_encoding, i)},
+        c, ContentGroup(content, meta_encoding, i),
         ContentQueries(i, num_layers));
   }
   // c is Encode_L^{D} at the content anchors, one row per scanned column.
@@ -178,77 +172,6 @@ Tensor AdtdModel::ForwardContent(
   Tensor feats = tensor::GatherRows(meta.features, content.scanned);
   Tensor clf_in = tensor::ConcatCols(tensor::ConcatCols(c, meta_anchors), feats);
   return content_classifier_.Forward(clf_in);
-}
-
-std::vector<Tensor> AdtdModel::ForwardContentBatch(
-    const std::vector<P2BatchItem>& items, tensor::ExecContext* ctx) const {
-  tensor::ScopedExecContext scope(ctx);
-  tensor::ScopedQuantRegion quant_region(tensor::ExecContext::Current());
-  TASTE_CHECK(!items.empty());
-  TASTE_CHECK_MSG(!training(), "batched P2 forward is inference-only");
-  const int64_t num_layers = encoder_.num_layers();
-
-  // Validate items and build the packed embedding input: all token
-  // sequences concatenated, positions restarting at 0 per item (each item
-  // embeds exactly as it would alone).
-  std::vector<int> ids;
-  std::vector<int> positions;
-  for (const P2BatchItem& item : items) {
-    TASTE_CHECK(item.content != nullptr && item.meta != nullptr &&
-                item.meta_encoding != nullptr);
-    TASTE_CHECK_MSG(!item.content->scanned.empty(),
-                    "ForwardContentBatch requires scanned columns per item");
-    TASTE_CHECK(static_cast<int64_t>(
-                    item.meta_encoding->layer_latents.size()) == num_layers);
-    const auto& item_ids = item.content->token_ids;
-    TASTE_CHECK_MSG(
-        static_cast<int64_t>(item_ids.size()) <= config_.encoder.max_seq_len,
-        "sequence exceeds max_seq_len");
-    ids.insert(ids.end(), item_ids.begin(), item_ids.end());
-    for (size_t p = 0; p < item_ids.size(); ++p) {
-      positions.push_back(static_cast<int>(p));
-    }
-  }
-  Tensor c = EmbedWithPositions(ids, positions);  // (sum of lengths, H)
-
-  // Encoder layers: packed residual stream, one attention group per item
-  // against its own metadata latents and cross_mask. The last layer's
-  // output rows are the packed content anchors: one row per scanned column
-  // across all items, in item order.
-  std::vector<nn::SegmentGroup> groups(items.size());
-  for (int64_t i = 0; i < num_layers; ++i) {
-    for (size_t j = 0; j < items.size(); ++j) {
-      groups[j] = ContentGroup(*items[j].content, *items[j].meta_encoding, i);
-    }
-    c = encoder_.block(i).ForwardSegmented(c, groups,
-                                           ContentQueries(i, num_layers));
-  }
-
-  // The classifier runs packed over the same rows.
-  std::vector<Tensor> meta_anchor_parts;
-  std::vector<Tensor> feat_parts;
-  meta_anchor_parts.reserve(items.size());
-  feat_parts.reserve(items.size());
-  for (const P2BatchItem& item : items) {
-    meta_anchor_parts.push_back(tensor::GatherRows(
-        item.meta_encoding->anchor_states, item.content->scanned));
-    feat_parts.push_back(
-        tensor::GatherRows(item.meta->features, item.content->scanned));
-  }
-  Tensor clf_in = tensor::ConcatCols(
-      tensor::ConcatCols(c, tensor::ConcatRows(meta_anchor_parts)),
-      tensor::ConcatRows(feat_parts));
-  Tensor logits = content_classifier_.Forward(clf_in);
-
-  std::vector<Tensor> out;
-  out.reserve(items.size());
-  int64_t row = 0;
-  for (const P2BatchItem& item : items) {
-    const int64_t n = static_cast<int64_t>(item.content->scanned.size());
-    out.push_back(tensor::SliceRows(logits, row, row + n));
-    row += n;
-  }
-  return out;
 }
 
 namespace {

@@ -6,16 +6,12 @@ namespace taste::nn {
 
 namespace {
 
-/// The row of x at which each segment of `groups` starts, in segment
-/// order.
-std::vector<int> SegmentFirstRows(const std::vector<SegmentGroup>& groups) {
+/// The row of x at which each segment of `group` starts, in segment order.
+std::vector<int> SegmentFirstRows(const SegmentGroup& group) {
   std::vector<int> rows;
-  int64_t off = 0;
-  for (const SegmentGroup& g : groups) {
-    for (int64_t j = 0; j < g.segments; ++j) {
-      rows.push_back(static_cast<int>(off + j * g.segment_len));
-    }
-    off += g.segments * g.segment_len;
+  rows.reserve(static_cast<size_t>(group.segments));
+  for (int64_t j = 0; j < group.segments; ++j) {
+    rows.push_back(static_cast<int>(j * group.segment_len));
   }
   return rows;
 }
@@ -57,57 +53,41 @@ Tensor MultiHeadAttention::Forward(const Tensor& q_input,
   return out_proj_.Forward(tensor::Attention(q, k, v, num_heads_, {span}));
 }
 
-Tensor MultiHeadAttention::ForwardSegmented(
-    const Tensor& x, const std::vector<SegmentGroup>& groups,
-    SegmentQueries queries, ExecContext* exec_ctx) const {
+Tensor MultiHeadAttention::ForwardSegmented(const Tensor& x,
+                                            const SegmentGroup& group,
+                                            SegmentQueries queries,
+                                            ExecContext* exec_ctx) const {
   tensor::ScopedExecContext scope(exec_ctx);
-  TASTE_CHECK(!groups.empty());
-  // Key/value rows: every group's memory, then x.
-  std::vector<Tensor> kv_parts;
-  kv_parts.reserve(groups.size() + 1);
-  int64_t memory_rows = 0;
-  int64_t query_rows = 0;
-  for (const SegmentGroup& g : groups) {
-    TASTE_CHECK(g.memory != nullptr && g.mask != nullptr && g.segments > 0 &&
-                g.segment_len > 0);
-    TASTE_CHECK_MSG(g.mask->dim(0) == g.segments * g.segment_len &&
-                        g.mask->dim(1) == g.memory->dim(0) + g.segment_len,
-                    "segment mask shape mismatch");
-    kv_parts.push_back(*g.memory);
-    memory_rows += g.memory->dim(0);
-    query_rows += g.segments * g.segment_len;
-  }
+  TASTE_CHECK(group.memory != nullptr && group.mask != nullptr &&
+              group.segments > 0 && group.segment_len > 0);
+  const int64_t sm = group.memory->dim(0);
+  const int64_t query_rows = group.segments * group.segment_len;
+  TASTE_CHECK_MSG(group.mask->dim(0) == query_rows &&
+                      group.mask->dim(1) == sm + group.segment_len,
+                  "segment mask shape mismatch");
   TASTE_CHECK_MSG(x.dim(0) == query_rows,
-                  "query rows must equal the groups' segment rows");
-  kv_parts.push_back(x);
+                  "query rows must equal the group's segment rows");
 
-  // One span per segment: its query rows attend over [its group's memory ;
-  // its own rows] of the key/value rows, with its rows of the group mask.
-  // A first-row span is query row i alone (segment i's first row, gathered
+  // One span per segment: its query rows attend over [memory ; its own
+  // rows] of the key/value rows [memory ; x], with its rows of the mask.
+  // A first-row span is query row j alone (segment j's first row, gathered
   // below), with the mask row of that first row.
   const bool first_rows = queries == SegmentQueries::kFirstRows;
   std::vector<tensor::AttentionSpan> spans;
-  int64_t memory_off = 0;
-  int64_t query_off = 0;
-  for (const SegmentGroup& g : groups) {
-    const int64_t sm = g.memory->dim(0);
-    for (int64_t j = 0; j < g.segments; ++j) {
-      const int64_t own = query_off + j * g.segment_len;
-      tensor::AttentionSpan span;
-      span.query = first_rows
-                       ? tensor::RowRange{static_cast<int64_t>(spans.size()), 1}
-                       : tensor::RowRange{own, g.segment_len};
-      span.kv[0] = {memory_off, sm};
-      span.kv[1] = {memory_rows + own, g.segment_len};
-      span.mask = g.mask;
-      span.mask_row = j * g.segment_len;
-      spans.push_back(span);
-    }
-    memory_off += sm;
-    query_off += g.segments * g.segment_len;
+  spans.reserve(static_cast<size_t>(group.segments));
+  for (int64_t j = 0; j < group.segments; ++j) {
+    const int64_t own = j * group.segment_len;
+    tensor::AttentionSpan span;
+    span.query = first_rows ? tensor::RowRange{j, 1}
+                            : tensor::RowRange{own, group.segment_len};
+    span.kv[0] = {0, sm};
+    span.kv[1] = {sm + own, group.segment_len};
+    span.mask = group.mask;
+    span.mask_row = own;
+    spans.push_back(span);
   }
-  const Tensor kv_input = tensor::ConcatRows(kv_parts);
-  const Tensor q = QueryProjection(x, first_rows ? SegmentFirstRows(groups)
+  const Tensor kv_input = tensor::ConcatRows({*group.memory, x});
+  const Tensor q = QueryProjection(x, first_rows ? SegmentFirstRows(group)
                                                  : std::vector<int>{});
   const Tensor k = k_proj_.Forward(kv_input);
   const Tensor v = v_proj_.Forward(kv_input);
@@ -203,13 +183,14 @@ Tensor TransformerBlock::ForwardRows(const Tensor& x,
   return Finish(x, attention_.ForwardRows(x, rows, mask), &rows);
 }
 
-Tensor TransformerBlock::ForwardSegmented(
-    const Tensor& x, const std::vector<SegmentGroup>& groups,
-    SegmentQueries queries, ExecContext* ctx) const {
+Tensor TransformerBlock::ForwardSegmented(const Tensor& x,
+                                          const SegmentGroup& group,
+                                          SegmentQueries queries,
+                                          ExecContext* ctx) const {
   tensor::ScopedExecContext scope(ctx);
-  const Tensor attn = attention_.ForwardSegmented(x, groups, queries);
+  const Tensor attn = attention_.ForwardSegmented(x, group, queries);
   if (queries == SegmentQueries::kAllRows) return Finish(x, attn);
-  const std::vector<int> rows = SegmentFirstRows(groups);
+  const std::vector<int> rows = SegmentFirstRows(group);
   return Finish(x, attn, &rows);
 }
 

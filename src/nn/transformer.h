@@ -33,7 +33,7 @@
 
 namespace taste::nn {
 
-/// One run of equal-length segments that share a key/value memory. Its
+/// A run of equal-length segments that share a key/value memory. Its
 /// `segments * segment_len` input rows are consecutive; segment j's queries
 /// attend over [memory ; its own rows] with rows of `mask`
 /// [j*segment_len, (j+1)*segment_len) as the additive mask. Pointees must
@@ -62,19 +62,14 @@ class MultiHeadAttention : public Module {
                  const Tensor* mask = nullptr,
                  ExecContext* ctx = nullptr) const;
 
-  /// Column-segmented form: x (sum of segments*segment_len over groups, H)
-  /// is the row-concatenation of the groups' segment rows (see
-  /// SegmentGroup). Every segment attends over its group's memory and its
-  /// own rows only, so no attention crosses a segment or a group. Returns
-  /// (x.rows, H) for kAllRows, and for kFirstRows one row per segment, in
-  /// segment order: bitwise the first rows of the kAllRows result.
-  /// Byte-identical per group to calling it on that group alone: every
-  /// projection output row depends only on its own input row (fixed-k
-  /// accumulation, see tensor/kernels.h), and each segment is its own
-  /// tensor::Attention span, whose (span, head) blocks see bitwise the
-  /// same operands either way and whose rows depend on nothing else.
-  Tensor ForwardSegmented(const Tensor& x,
-                          const std::vector<SegmentGroup>& groups,
+  /// Column-segmented form: x (segments*segment_len, H) holds the group's
+  /// segment rows (see SegmentGroup). Every segment attends over the
+  /// group's memory and its own rows only, so no attention crosses a
+  /// segment. Returns (x.rows, H) for kAllRows, and for kFirstRows one row
+  /// per segment, in segment order: bitwise the first rows of the kAllRows
+  /// result, since each segment is its own tensor::Attention span whose
+  /// rows depend on nothing else.
+  Tensor ForwardSegmented(const Tensor& x, const SegmentGroup& group,
                           SegmentQueries queries = SegmentQueries::kAllRows,
                           ExecContext* ctx = nullptr) const;
 
@@ -144,15 +139,11 @@ class TransformerBlock : public Module {
                      ExecContext* ctx = nullptr) const;
 
   /// Column-segmented form (see MultiHeadAttention::ForwardSegmented);
-  /// x's query rows are also the residual stream. Residual/LayerNorm/FFN
-  /// are row-wise, so they run over all groups' query rows at once.
-  /// kFirstRows returns bitwise the first rows of kAllRows, and without
-  /// dropout a training step's gradients through it are bitwise those
-  /// through kAllRows (see Finish). In training, dropout draws one mask
-  /// over the query rows, so the per-group byte identity of the attention
-  /// form holds at inference only.
-  Tensor ForwardSegmented(const Tensor& x,
-                          const std::vector<SegmentGroup>& groups,
+  /// x's query rows are also the residual stream. kFirstRows returns
+  /// bitwise the first rows of kAllRows, and without dropout a training
+  /// step's gradients through it are bitwise those through kAllRows (see
+  /// Finish).
+  Tensor ForwardSegmented(const Tensor& x, const SegmentGroup& group,
                           SegmentQueries queries = SegmentQueries::kAllRows,
                           ExecContext* ctx = nullptr) const;
 

@@ -456,35 +456,6 @@ void PipelineExecutor::RunPipelined(
   const tensor::ExecContext::Options ctx_options =
       ServingContextOptions(options_);
 
-  // The continuous-batching serving scheduler: one queue shared by all TP2
-  // workers owns P2 batch formation, deadline shedding, lane priority, and
-  // (when enabled) breaker fast-fail. nullopt = off, legacy per-chunk
-  // dispatch. Declared before the pools so every worker task that outlives
-  // it sees a live scheduler.
-  std::optional<ServingScheduler> p2_scheduler;
-  std::optional<ServingScheduler::LaneClient> p2_client;
-  if (options_.scheduling.enabled) {
-    ServingScheduler::Options sopt;
-    sopt.scheduling = options_.scheduling;
-    sopt.breakers = detector_->breakers();
-    // Int8 forwards are ~3x cheaper per token, so batch sizing under
-    // max_batch_cost_ms must use the int8-regime fit or the leader drains
-    // batches a third of the profitable size. Only swap when the caller
-    // left the fp32 default in place (a custom model stays authoritative).
-    if (options_.p2_dtype == tensor::P2Dtype::kInt8) {
-      const core::P2CostModel::Params fp32_default;
-      const core::P2CostModel::Params& cur =
-          options_.scheduling.cost_model.params();
-      if (cur.overhead_ms == fp32_default.overhead_ms &&
-          cur.ms_per_token == fp32_default.ms_per_token) {
-        sopt.scheduling.cost_model =
-            core::P2CostModel(core::P2CostModel::DefaultInt8Params());
-      }
-    }
-    p2_scheduler.emplace(&detector_->model(), std::move(sopt));
-    p2_client.emplace(&*p2_scheduler, options_.lane);
-  }
-
   // max_extra_queued = 0: TrySubmit admits a stage only when a worker slot
   // is free, so the dispatch gate is exactly Algorithm 1's "pool not full".
   ThreadPool tp1(static_cast<size_t>(options_.prep_threads),
@@ -587,8 +558,7 @@ void PipelineExecutor::RunPipelined(
         }
         case Stage::kP2Infer: {
           LeasedContext ctx(*detector_, ctx_options);
-          status = detector_->InferP2(&st.job, ctx.get(),
-                                      p2_client ? &*p2_client : nullptr);
+          status = detector_->InferP2(&st.job, ctx.get());
           break;
         }
         case Stage::kDone:

@@ -248,10 +248,6 @@ struct DetectRequest {
   /// Remaining budget at encode time; 0 = no deadline (mirrors
   /// PipelineOptions::deadline_ms, including < 0 = already expired).
   double deadline_remaining_ms = 0.0;
-  /// Serving-scheduler priority lane of the leg's P2 forwards:
-  /// 0 = interactive, 1 = bulk (pipeline::Lane). Rides every frame so a
-  /// replica schedules a backfill leg's forwards behind interactive ones.
-  uint8_t lane = 0;
   /// Numeric mode of the leg's P2 forwards: 0 = fp32, 1 = int8
   /// (tensor::P2Dtype). Rides every frame so all replicas of a scattered
   /// batch run the same kernels — int8 determinism is per dtype, so a

@@ -209,9 +209,6 @@ DetectResponse HandleDetect(const WorkerEnv& env, const DetectRequest& req) {
   // router and worker clocks cannot stretch it. A non-positive remainder
   // arrives pre-expired, exactly like deadline_ms < 0.
   popt.deadline_ms = req.deadline_remaining_ms;
-  // The leg's lane rides the wire: a backfill router's forwards queue as
-  // bulk on this replica's scheduler, behind any interactive legs.
-  popt.lane = req.lane == 1 ? pipeline::Lane::kBulk : pipeline::Lane::kInteractive;
   // The numeric mode rides the wire too: every replica of a scattered
   // batch must run the same kernels for replica byte-agreement to hold.
   popt.p2_dtype = req.p2_dtype == 1 ? tensor::P2Dtype::kInt8

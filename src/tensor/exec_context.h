@@ -300,8 +300,7 @@ class ScopedCancelToken {
 /// RAII marker for the P2 content-forward region: while alive, a context
 /// whose options request kInt8 has quant_active() == true, and prepacked
 /// Linear layers route through the int8 micro-kernel. Installed by
-/// AdtdModel::ForwardContent / ForwardContentBatch only — never by the
-/// metadata tower — so the dtype switch cannot leak into P1 or the latent
+/// AdtdModel::ForwardContent only — never by the metadata tower — so the dtype switch cannot leak into P1 or the latent
 /// cache. A null context is a no-op.
 class ScopedQuantRegion {
  public:

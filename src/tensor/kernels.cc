@@ -298,8 +298,7 @@ namespace {
 /// Lane masks for a [0, 8) element tail: kTailMask + 8 - n yields n active
 /// (all-ones) low lanes. Masked load/store keeps every active element on
 /// the same instruction path as full vectors, so results cannot depend on
-/// where a row's tail happens to fall — the batch-composition stability
-/// the serving byte contract needs.
+/// where a row's tail happens to fall, or on how many rows share the call.
 alignas(32) constexpr int32_t kTailMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                                0,  0,  0,  0,  0,  0,  0,  0};
 

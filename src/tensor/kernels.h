@@ -37,12 +37,13 @@
 // caller summing two GEMMs into one C) stores and reloads an exact fp32
 // partial sum, so it is bitwise the unsplit chain.
 //
-// The P2 serving scheduler's byte-identity guarantee rests on this
-// row-stability (all other forward ops are row-wise by construction).
-// Parity with the naive GemmAccRef is 1e-5 relative, not bitwise: the
-// reference's rounding differs by accumulation seeding (transposed
-// variants) and by how the compiler contracts mul+add to FMA in each loop
-// shape. kernels_test checks exactly this split, and batching_diff_test is
+// The anchor-only last layer, the grouped attention op and the intra-op
+// bands all rest on this row-stability (every other forward op is
+// row-wise by construction; DESIGN.md §9). Parity with the naive
+// GemmAccRef is 1e-5 relative, not bitwise: the reference's rounding
+// differs by accumulation seeding (transposed variants) and by how the
+// compiler contracts mul+add to FMA in each loop shape. kernels_test checks
+// exactly this split, and content_attention_test's anchor-layer cases are
 // the end-to-end proof of the row-stability clause.
 
 #ifndef TASTE_TENSOR_KERNELS_H_

@@ -13,8 +13,8 @@
 //      scale[r] = max_j |x[r,j]| / 127
 //    so one outlier row cannot crush the resolution of its batch mates —
 //    and, critically, a row's quantized bytes depend only on that row, which
-//    preserves the batch-composition independence the serving scheduler's
-//    byte-identity contract rests on (see tensor/kernels.h).
+//    preserves the GEMM row stability the exact forward forms rest on (see
+//    tensor/kernels.h).
 //  * ACCUMULATION is int32 and therefore EXACT: at the paper's largest
 //    depth (k = 1200) the worst-case |acc| is 1200·127² ≈ 1.94e7 ≪ 2³¹, so
 //    every kernel flavour — portable, SSE4.1, AVX2 — produces bitwise

@@ -23,39 +23,51 @@ bool IsSeparator(char c) {
          std::isspace(static_cast<unsigned char>(c));
 }
 
-}  // namespace
-
-std::vector<std::string> PreTokenize(const std::string& text) {
-  std::string lower = ToLowerAscii(text);
-  std::vector<std::string> out;
+/// Walks `text`'s pre-tokens (see PreTokenize) in order, lowercasing as it
+/// goes, and hands each to `visit` as a view that is valid only during
+/// the call. Stops early, without looking at the rest of `text`, as soon
+/// as `visit` returns false.
+template <typename Visit>
+void ForEachPreToken(std::string_view text, Visit&& visit) {
   std::string cur;
   auto flush = [&] {
-    if (!cur.empty()) {
-      out.push_back(cur);
-      cur.clear();
-    }
+    if (cur.empty()) return true;
+    const bool more = visit(std::string_view(cur));
+    cur.clear();
+    return more;
   };
-  for (char c : lower) {
+  for (char c : text) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
     if (IsSeparator(c)) {
-      flush();
+      if (!flush()) return;
     } else if (IsWordChar(c)) {
       cur.push_back(c);
     } else {
       // Other punctuation becomes its own single-character token.
-      flush();
-      out.emplace_back(1, c);
+      if (!flush() || !visit(std::string_view(&c, 1))) return;
     }
   }
   flush();
+}
+
+}  // namespace
+
+std::vector<std::string> PreTokenize(const std::string& text) {
+  std::vector<std::string> out;
+  ForEachPreToken(text, [&](std::string_view w) {
+    out.emplace_back(w);
+    return true;
+  });
   return out;
 }
 
 void WordPieceTrainer::AddDocument(const std::string& text) {
-  for (const std::string& w : PreTokenize(text)) {
+  ForEachPreToken(text, [&](std::string_view w) {
     if (static_cast<int>(w.size()) <= options_.max_word_length) {
-      ++word_counts_[w];
+      ++word_counts_[std::string(w)];
     }
-  }
+    return true;
+  });
 }
 
 Vocab WordPieceTrainer::Train() const {
@@ -201,7 +213,7 @@ Vocab WordPieceTrainer::Train() const {
   return vocab;
 }
 
-void WordPieceTokenizer::EncodeWord(const std::string& word,
+void WordPieceTokenizer::EncodeWord(std::string_view word,
                                     std::vector<int>* out) const {
   // No candidate longer than the vocabulary's longest token can match, so
   // max-munch starts there rather than at the whole remaining word.
@@ -236,10 +248,11 @@ void WordPieceTokenizer::EncodeWord(const std::string& word,
 
 void WordPieceTokenizer::EncodeInto(const std::string& text, size_t limit,
                                     std::vector<int>* out) const {
-  for (const std::string& w : PreTokenize(text)) {
-    if (out->size() >= limit) return;
+  if (out->size() >= limit) return;
+  ForEachPreToken(text, [&](std::string_view w) {
     EncodeWord(w, out);
-  }
+    return out->size() < limit;
+  });
 }
 
 std::vector<int> WordPieceTokenizer::Encode(const std::string& text) const {

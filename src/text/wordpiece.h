@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -70,10 +71,11 @@ class WordPieceTokenizer {
 
  private:
   /// WordPiece max-munch over one pre-token; appends ids.
-  void EncodeWord(const std::string& word, std::vector<int>* out) const;
+  void EncodeWord(std::string_view word, std::vector<int>* out) const;
 
   /// Appends the ids of `text`'s pre-tokens, stopping before the first
-  /// pre-token that starts once `out` holds `limit` ids.
+  /// pre-token that starts once `out` holds `limit` ids: the rest of the
+  /// text is never lowercased or split.
   void EncodeInto(const std::string& text, size_t limit,
                   std::vector<int>* out) const;
 

@@ -536,26 +536,8 @@ TEST(CachePlaneDiffTest, CorruptPublishedEntryIsRejectedNotServed) {
 
 // Misshapen entries: CRC-valid, under the right key and built from exactly
 // this chunk's input, but not in the shapes this model's metadata tower
-// returns. Every site that reads the cache (P1's lookup, P2's direct and
-// service paths) must treat one as a miss.
-
-/// Serves every P2 forward with a direct ForwardContent call, so InferP2
-/// takes its service path.
-class DirectP2Service : public core::P2ForwardService {
- public:
-  explicit DirectP2Service(const model::AdtdModel* model) : model_(model) {}
-
-  Result<tensor::Tensor> ForwardP2(
-      const std::string& /*table*/, const model::EncodedContent& content,
-      const model::EncodedMetadata& meta,
-      const model::AdtdModel::MetadataEncoding& enc,
-      const CancelToken* /*cancel*/, tensor::ExecContext* ctx) override {
-    return model_->ForwardContent(content, meta, enc, ctx);
-  }
-
- private:
-  const model::AdtdModel* model_;
-};
+// returns. Every site that reads the cache (P1's lookup and P2's latent
+// read) must treat one as a miss.
 
 /// A remote tier holding one entry.
 class OneEntryRemoteStore : public model::RemoteLatentStore {
@@ -616,31 +598,26 @@ TEST(CacheEntryShapeTest, MisshapenEntriesAreRecomputedNotTrusted) {
         serve::DecodeCachedMetadata(serve::EncodeCachedMetadata(bad));
     ASSERT_TRUE(decoded.ok()) << what;
     for (const bool remote : {false, true}) {
-      for (const bool service : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << what << (remote ? ", decoded remote" : ", local")
-                     << (service ? ", service path" : ", direct path"));
-        auto det = env.MakeDetector();
-        OneEntryRemoteStore store(key, *decoded);
-        const model::CachedMetadata& plant = remote ? *decoded : bad;
-        if (remote) {
-          det->cache().SetRemoteStore(&store);
-        } else {
-          det->cache().Put(key, plant);
-        }
-        core::TasteDetector::Job job;
-        ASSERT_TRUE(det->PrepareP1(conn.get(), table, &job).ok());
-        ASSERT_TRUE(det->InferP1(&job).ok());
-        // P1 replaced the entry with its own compute; plant it again for
-        // P2's reads.
+      SCOPED_TRACE(::testing::Message()
+                   << what << (remote ? ", decoded remote" : ", local"));
+      auto det = env.MakeDetector();
+      OneEntryRemoteStore store(key, *decoded);
+      const model::CachedMetadata& plant = remote ? *decoded : bad;
+      if (remote) {
+        det->cache().SetRemoteStore(&store);
+      } else {
         det->cache().Put(key, plant);
-        ASSERT_TRUE(det->PrepareP2(conn.get(), &job).ok());
-        DirectP2Service direct(env.model.get());
-        ASSERT_TRUE(
-            det->InferP2(&job, nullptr, service ? &direct : nullptr).ok());
-        ExpectResultsIdentical(job.result, want);
-        det->cache().SetRemoteStore(nullptr);
       }
+      core::TasteDetector::Job job;
+      ASSERT_TRUE(det->PrepareP1(conn.get(), table, &job).ok());
+      ASSERT_TRUE(det->InferP1(&job).ok());
+      // P1 replaced the entry with its own compute; plant it again for
+      // P2's read.
+      det->cache().Put(key, plant);
+      ASSERT_TRUE(det->PrepareP2(conn.get(), &job).ok());
+      ASSERT_TRUE(det->InferP2(&job).ok());
+      ExpectResultsIdentical(job.result, want);
+      det->cache().SetRemoteStore(nullptr);
     }
   }
 }

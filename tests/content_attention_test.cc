@@ -22,11 +22,13 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "model/adtd.h"
 #include "model/input_encoding.h"
+#include "model/latent_cache.h"
 #include "tensor/exec_context.h"
 #include "tensor/ops.h"
 
@@ -184,7 +186,7 @@ class DenseReference : public nn::Module {
           .mask = &ec.cross_mask,
           .segments = segments,
           .segment_len = c.dim(0) / segments};
-      c = encoder_.block(i).ForwardSegmented(c, {group});
+      c = encoder_.block(i).ForwardSegmented(c, group);
     }
     return Classify(tensor::GatherRows(c, ec.column_anchors), ec, em, menc);
   }
@@ -352,36 +354,6 @@ TEST(ContentAttentionTest, TrainingStepGradientsMatchDenseReference) {
   EXPECT_GE(compared, 30);
 }
 
-TEST(ContentAttentionTest, BatchedItemsMatchSoloBytes) {
-  // Items of different widths (one all-PAD column among them) share one
-  // ForwardContentBatch; each item's logits equal its solo forward's.
-  Rig rig;
-  const EncodedMetadata wide = rig.encoder->EncodeMetadata(MakeTable(16));
-  const EncodedMetadata narrow = rig.encoder->EncodeMetadata(MakeTable(3));
-  const EncodedContent wide_c =
-      rig.encoder->EncodeContent(wide, MakeContent(16));
-  const EncodedContent narrow_c =
-      rig.encoder->EncodeContent(narrow, MakeContent(3, {0}));
-  tensor::NoGradGuard no_grad;
-  const AdtdModel::MetadataEncoding wide_m = rig.model->ForwardMetadata(wide);
-  const AdtdModel::MetadataEncoding narrow_m =
-      rig.model->ForwardMetadata(narrow);
-  const std::vector<Tensor> batch = rig.model->ForwardContentBatch(
-      {{&narrow_c, &narrow, &narrow_m}, {&wide_c, &wide, &wide_m},
-       {&narrow_c, &narrow, &narrow_m}});
-  ASSERT_EQ(batch.size(), 3u);
-  const Tensor solo[] = {rig.model->ForwardContent(narrow_c, narrow, narrow_m),
-                         rig.model->ForwardContent(wide_c, wide, wide_m),
-                         rig.model->ForwardContent(narrow_c, narrow, narrow_m)};
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(batch[i].shape(), solo[i].shape());
-    EXPECT_EQ(std::memcmp(batch[i].data(), solo[i].data(),
-                          sizeof(float) * static_cast<size_t>(solo[i].numel())),
-              0)
-        << "item " << i;
-  }
-}
-
 // -- The last layer at the anchors -------------------------------------------
 
 bool SameBytes(const Tensor& a, const Tensor& b) {
@@ -481,46 +453,6 @@ TEST(AnchorLayerTest, ChunkedTableMatchesFullLastLayerBits) {
   }
 }
 
-TEST(AnchorLayerTest, BatchMatchesFullLastLayerBits) {
-  // Items of 16, 3 (one all-PAD column) and 1 columns in one
-  // ForwardContentBatch: each item's logits equal the reference's.
-  Rig rig(/*prepack=*/true);
-  std::vector<EncodedMetadata> metas;
-  std::vector<EncodedContent> contents;
-  const std::vector<std::pair<int, std::vector<int>>> widths = {
-      {16, {}}, {3, {0}}, {1, {}}};
-  for (const auto& [ncols, empty] : widths) {
-    metas.push_back(rig.encoder->EncodeMetadata(MakeTable(ncols)));
-    contents.push_back(
-        rig.encoder->EncodeContent(metas.back(), MakeContent(ncols, empty)));
-  }
-  for (tensor::P2Dtype dtype : {tensor::P2Dtype::kFp32, tensor::P2Dtype::kInt8}) {
-    SCOPED_TRACE(tensor::P2DtypeName(dtype));
-    tensor::ExecContext ctx(CtxOptions(dtype));
-    tensor::ExecContext ref_ctx(CtxOptions(dtype));
-    tensor::NoGradGuard no_grad;
-    std::vector<AdtdModel::MetadataEncoding> encs;
-    std::vector<AdtdModel::MetadataEncoding> ref_encs;
-    for (const EncodedMetadata& em : metas) {
-      encs.push_back(rig.model->ForwardMetadata(em, &ctx));
-      ref_encs.push_back(rig.reference->ForwardMetadata(em));
-    }
-    std::vector<AdtdModel::P2BatchItem> items;
-    for (size_t j = 0; j < metas.size(); ++j) {
-      items.push_back({&contents[j], &metas[j], &encs[j]});
-    }
-    const std::vector<Tensor> batch =
-        rig.model->ForwardContentBatch(items, &ctx);
-    ASSERT_EQ(batch.size(), items.size());
-    for (size_t j = 0; j < items.size(); ++j) {
-      EXPECT_TRUE(SameBytes(batch[j], rig.reference->ForwardContentSegmented(
-                                          contents[j], metas[j], ref_encs[j],
-                                          &ref_ctx)))
-          << "item " << j;
-    }
-  }
-}
-
 TEST(AnchorLayerTest, TrainingStepGradientsMatchFullLastLayerBits) {
   // Both towers' BCE losses: the metadata loss reaches the metadata
   // tower's last layer and classifier, the content loss every parameter
@@ -571,6 +503,107 @@ TEST(AnchorLayerTest, TrainingStepGradientsMatchFullLastLayerBits) {
   }
   // Embeddings, both encoder layers' attention/FFN/norms, both classifiers.
   EXPECT_EQ(compared, 44);
+}
+
+// -- Content-forward bytes across contexts, dtypes and latent sources --------
+//
+// The int8 contract (DESIGN.md §12) is weaker than fp32 identity but just
+// as hard: the same bytes across runs, contexts and replicas, never the
+// fp32 bytes. And the latents P2 attends over must not matter by source:
+// a latent-cache hit and a metadata-tower recompute give the same logits.
+
+/// The content batches of 1, 3 (one all-PAD column) and 16 columns.
+struct WidthCase {
+  EncodedMetadata em;
+  EncodedContent ec;
+};
+
+std::vector<WidthCase> WidthCases(const Rig& rig) {
+  std::vector<WidthCase> cases;
+  for (const auto& [ncols, empty] :
+       std::vector<std::pair<int, std::vector<int>>>{
+           {1, {}}, {3, {1}}, {16, {}}}) {
+    WidthCase wc;
+    wc.em = rig.encoder->EncodeMetadata(MakeTable(ncols));
+    wc.ec = rig.encoder->EncodeContent(wc.em, MakeContent(ncols, empty));
+    cases.push_back(std::move(wc));
+  }
+  return cases;
+}
+
+TEST(ContentForwardBytesTest, Int8RunToRunBytesStableAcrossContexts) {
+  // Replica byte-agreement proxy: independent int8 contexts (fresh buffer
+  // pools, as two forked replicas would have), with or without an intra-op
+  // pool, produce the same bytes for the same content batches.
+  Rig rig(/*prepack=*/true);
+  tensor::ExecContext ctx_a(CtxOptions(tensor::P2Dtype::kInt8));
+  tensor::ExecContext ctx_b(CtxOptions(tensor::P2Dtype::kInt8));
+  tensor::ExecContext ctx_c(
+      CtxOptions(tensor::P2Dtype::kInt8, /*intra_op_threads=*/2));
+  tensor::NoGradGuard no_grad;
+  for (const WidthCase& wc : WidthCases(rig)) {
+    SCOPED_TRACE(::testing::Message() << wc.em.num_columns << " columns");
+    const AdtdModel::MetadataEncoding menc = rig.model->ForwardMetadata(wc.em);
+    const Tensor run_a = rig.model->ForwardContent(wc.ec, wc.em, menc, &ctx_a);
+    EXPECT_TRUE(SameBytes(
+        run_a, rig.model->ForwardContent(wc.ec, wc.em, menc, &ctx_b)));
+    EXPECT_TRUE(SameBytes(
+        run_a, rig.model->ForwardContent(wc.ec, wc.em, menc, &ctx_c)))
+        << "pooled";
+    // A second run on a context whose pool now holds recycled buffers.
+    EXPECT_TRUE(SameBytes(
+        run_a, rig.model->ForwardContent(wc.ec, wc.em, menc, &ctx_a)))
+        << "rerun";
+  }
+}
+
+TEST(ContentForwardBytesTest, Int8P1AndCacheBytesAreDtypeIndependent) {
+  // The quant region only covers content forwards: P1 metadata latents —
+  // what the latent cache stores — must be byte-identical under an int8
+  // context, so cache entries written by an fp32 process are valid in an
+  // int8 one and vice versa.
+  Rig rig(/*prepack=*/true);
+  tensor::ExecContext int8_ctx(CtxOptions(tensor::P2Dtype::kInt8));
+  tensor::NoGradGuard no_grad;
+  for (const WidthCase& wc : WidthCases(rig)) {
+    SCOPED_TRACE(::testing::Message() << wc.em.num_columns << " columns");
+    const AdtdModel::MetadataEncoding fp32 = rig.model->ForwardMetadata(wc.em);
+    const AdtdModel::MetadataEncoding int8 =
+        rig.model->ForwardMetadata(wc.em, &int8_ctx);
+    ASSERT_EQ(fp32.layer_latents.size(), int8.layer_latents.size());
+    for (size_t l = 0; l < fp32.layer_latents.size(); ++l) {
+      EXPECT_TRUE(SameBytes(fp32.layer_latents[l], int8.layer_latents[l]))
+          << "layer " << l;
+    }
+    EXPECT_TRUE(SameBytes(fp32.anchor_states, int8.anchor_states));
+    EXPECT_TRUE(SameBytes(fp32.logits, int8.logits));
+  }
+}
+
+TEST(ContentForwardBytesTest, CacheHitAndMissLatentsProduceSameBytes) {
+  // The latents a content forward attends over come from the latent cache
+  // (hit) or a metadata-tower recompute (miss after eviction). Both hold
+  // bitwise-equal tensors, so P2's logits must not depend on which one is
+  // plugged in, in fp32 or int8.
+  Rig rig(/*prepack=*/true);
+  tensor::NoGradGuard no_grad;
+  for (tensor::P2Dtype dtype :
+       {tensor::P2Dtype::kFp32, tensor::P2Dtype::kInt8}) {
+    SCOPED_TRACE(tensor::P2DtypeName(dtype));
+    tensor::ExecContext ctx(CtxOptions(dtype));
+    for (const WidthCase& wc : WidthCases(rig)) {
+      SCOPED_TRACE(::testing::Message() << wc.em.num_columns << " columns");
+      LatentCache cache(/*capacity=*/4);
+      cache.Put("t#0", {wc.em, rig.model->ForwardMetadata(wc.em)});
+      const std::optional<CachedMetadata> hit = cache.Get("t#0");
+      ASSERT_TRUE(hit.has_value());
+      const AdtdModel::MetadataEncoding miss =
+          rig.model->ForwardMetadata(wc.em);
+      EXPECT_TRUE(SameBytes(
+          rig.model->ForwardContent(wc.ec, wc.em, hit->encoding, &ctx),
+          rig.model->ForwardContent(wc.ec, wc.em, miss, &ctx)));
+    }
+  }
 }
 
 }  // namespace

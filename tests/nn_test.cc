@@ -186,22 +186,25 @@ TEST(TransformerBlockTest, ForwardRowsAreThoseRowsOfForward) {
 }
 
 TEST(TransformerBlockTest, FirstRowsAreThoseRowsOfAllRows) {
-  // Two groups with their own memories, segment lengths and row-varying
-  // masks; kFirstRows returns each segment's first row of kAllRows.
+  // Groups with their own memories, segment lengths and row-varying masks;
+  // kFirstRows returns each segment's first row of kAllRows.
   Rng rng(15);
   TransformerBlock block(48, 4, 64, 0.0f, rng);
   const Tensor mem_a = Tensor::Randn({7, 48}, rng);
   const Tensor mem_b = Tensor::Randn({4, 48}, rng);
   const Tensor mask_a = RowVaryingMask(3 * 5, 7 + 5);
   const Tensor mask_b = RowVaryingMask(2 * 3, 4 + 3);
-  const std::vector<SegmentGroup> groups = {{&mem_a, &mask_a, 3, 5},
-                                            {&mem_b, &mask_b, 2, 3}};
-  const Tensor x = Tensor::Randn({15 + 6, 48}, rng);
+  const Tensor x_a = Tensor::Randn({15, 48}, rng);
+  const Tensor x_b = Tensor::Randn({6, 48}, rng);
   tensor::NoGradGuard no_grad;
-  const Tensor all = block.ForwardSegmented(x, groups);
+  const SegmentGroup group_a{&mem_a, &mask_a, 3, 5};
   EXPECT_TRUE(SameBytes(
-      block.ForwardSegmented(x, groups, SegmentQueries::kFirstRows),
-      tensor::GatherRows(all, {0, 5, 10, 15, 18})));
+      block.ForwardSegmented(x_a, group_a, SegmentQueries::kFirstRows),
+      tensor::GatherRows(block.ForwardSegmented(x_a, group_a), {0, 5, 10})));
+  const SegmentGroup group_b{&mem_b, &mask_b, 2, 3};
+  EXPECT_TRUE(SameBytes(
+      block.ForwardSegmented(x_b, group_b, SegmentQueries::kFirstRows),
+      tensor::GatherRows(block.ForwardSegmented(x_b, group_b), {0, 3})));
 }
 
 TEST(TransformerEncoderTest, StackForward) {

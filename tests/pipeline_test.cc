@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
 #include "core/result_json.h"
@@ -89,18 +90,21 @@ TEST(PipelineTest, PipelinedMatchesSequentialPredictions) {
   }
 }
 
-TEST(PipelineTest, RunOutputByteIdenticalToDirectDetection) {
-  // The executor's per-worker ExecContexts (buffer pool + structural
-  // no-grad) must not perturb a single bit of the predictions relative to
-  // calling the detector directly with no context at all.
-  Env e = Env::Make(6, 0.0);
-  core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
-  PipelineExecutor exec(&det, e.db.get(), {.pipelined = true});
+/// Runs `popt` over every table and expects each table's admitted types
+/// and probabilities to equal, bit for bit, direct sequential detection
+/// under a fresh context of `direct_options` (nullopt = no context).
+void ExpectExecutorMatchesDirect(
+    const Env& e, const core::TasteDetector& det, const PipelineOptions& popt,
+    const std::optional<tensor::ExecContext::Options>& direct_options) {
+  PipelineExecutor exec(&det, e.db.get(), popt);
   auto got = exec.Run(e.table_names);
   ASSERT_TRUE(got.ok());
   auto conn = e.db->Connect();
   for (size_t i = 0; i < e.table_names.size(); ++i) {
-    auto want = det.DetectTable(conn.get(), e.table_names[i]);
+    std::optional<tensor::ExecContext> ctx;
+    if (direct_options) ctx.emplace(*direct_options);
+    auto want = det.DetectTable(conn.get(), e.table_names[i],
+                                ctx ? &*ctx : nullptr);
     ASSERT_TRUE(want.ok());
     ASSERT_EQ(want->columns.size(), (*got)[i].columns.size());
     for (size_t c = 0; c < want->columns.size(); ++c) {
@@ -114,6 +118,62 @@ TEST(PipelineTest, RunOutputByteIdenticalToDirectDetection) {
       }
     }
   }
+}
+
+TEST(PipelineTest, RunOutputByteIdenticalToDirectDetection) {
+  // The executor's per-worker ExecContexts (buffer pool + structural
+  // no-grad) must not perturb a single bit of the predictions relative to
+  // calling the detector directly with no context at all.
+  Env e = Env::Make(6, 0.0);
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
+  ExpectExecutorMatchesDirect(e, det, {.pipelined = true}, std::nullopt);
+}
+
+TEST(PipelineTest, FourInferWorkersByteIdenticalToSequential) {
+  // Four infer workers run P2 content forwards concurrently on a sharded
+  // latent cache; the probabilities must still be bit for bit those of
+  // direct sequential detection.
+  Env e = Env::Make(8, 0.0);
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(),
+                          {.cache_shards = 4});
+  PipelineOptions popt;
+  popt.infer_threads = 4;
+  ExpectExecutorMatchesDirect(e, det, popt, std::nullopt);
+}
+
+TEST(PipelineTest, Int8ExecutorByteIdenticalToInt8Sequential) {
+  // End to end via PipelineOptions::p2_dtype: the pipelined executor in
+  // int8 mode must reproduce direct int8 sequential detection bit for bit,
+  // and actually diverge from the fp32 run somewhere (the flag reached the
+  // kernels).
+  Env e = Env::Make(6, 0.0);
+  ASSERT_GT(e.model->PrepackQuantWeights(), 0);
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(),
+                          {.cache_shards = 2});
+  PipelineOptions popt;
+  popt.infer_threads = 3;
+  popt.p2_dtype = tensor::P2Dtype::kInt8;
+  tensor::ExecContext::Options int8;
+  int8.no_grad = true;
+  int8.p2_dtype = tensor::P2Dtype::kInt8;
+  ExpectExecutorMatchesDirect(e, det, popt, int8);
+
+  auto conn = e.db->Connect();
+  bool any_prob_diff_from_fp32 = false;
+  for (const std::string& name : e.table_names) {
+    tensor::ExecContext int8_ctx(int8);
+    auto int8_run = det.DetectTable(conn.get(), name, &int8_ctx);
+    auto fp32_run = det.DetectTable(conn.get(), name);
+    ASSERT_TRUE(int8_run.ok() && fp32_run.ok());
+    for (size_t c = 0; c < int8_run->columns.size(); ++c) {
+      if (int8_run->columns[c].probabilities !=
+          fp32_run->columns[c].probabilities) {
+        any_prob_diff_from_fp32 = true;
+      }
+    }
+  }
+  EXPECT_TRUE(any_prob_diff_from_fp32)
+      << "int8 executor run matched fp32 bytes everywhere — flag unused?";
 }
 
 TEST(PipelineTest, UnknownTableSurfacesError) {
@@ -253,9 +313,6 @@ TEST(PipelineTest, ServingContextsOutliveExecutors) {
   Env e = Env::Make(4, 0.0);
   PipelineOptions opt;
   opt.infer_threads = 1;
-  // Direct P2 dispatch: the serving scheduler coalesces tables' forwards
-  // by timing, which would make per-batch op counts vary.
-  opt.scheduling.enabled = false;
 
   // Reference: a fresh detector, sequential mode. Its first batch computes
   // every metadata forward; later batches hit the latent cache.

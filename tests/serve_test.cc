@@ -19,10 +19,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cost_model.h"
 #include "core/taste_detector.h"
 #include "data/table_generator.h"
 #include "model/adtd.h"
@@ -44,14 +46,12 @@ TEST(WireTest, DetectRequestRoundTrip) {
   serve::DetectRequest req;
   req.request_id = 0xDEADBEEFCAFEull;
   req.deadline_remaining_ms = 123.456;
-  req.lane = 1;     // bulk
   req.p2_dtype = 1; // int8
   req.tables = {"users", "事件", "", std::string("a\0b", 3)};
   auto back = serve::DecodeDetectRequest(serve::EncodeDetectRequest(req));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->request_id, req.request_id);
   EXPECT_EQ(back->deadline_remaining_ms, req.deadline_remaining_ms);
-  EXPECT_EQ(back->lane, req.lane);
   EXPECT_EQ(back->p2_dtype, req.p2_dtype);
   EXPECT_EQ(back->tables, req.tables);
 }
@@ -515,6 +515,27 @@ TEST(RouterTest, ScrapeAggregatesReplicaRegistries) {
 
 // ---------------------------------------------------------------------------
 // Gray failures: wedge (SIGSTOP), corruption, slow drip
+
+TEST(P2CostModelTest, CalibrateRecoversLinearFit) {
+  // The router's straggler verdict rests on this fit of observed legs.
+  core::P2CostModel cm;
+  // ms = 0.5 + 0.02 * tokens, exactly.
+  std::vector<std::pair<int64_t, double>> samples;
+  for (int64_t t : {10, 50, 100, 400, 1000}) {
+    samples.emplace_back(t, 0.5 + 0.02 * static_cast<double>(t));
+  }
+  ASSERT_TRUE(cm.Calibrate(samples));
+  EXPECT_NEAR(cm.params().overhead_ms, 0.5, 1e-9);
+  EXPECT_NEAR(cm.params().ms_per_token, 0.02, 1e-12);
+  EXPECT_NEAR(cm.EstimateBatchMs(200), 4.5, 1e-9);
+  // Degenerate inputs keep the previous parameters.
+  core::P2CostModel untouched;
+  const double before = untouched.params().ms_per_token;
+  EXPECT_FALSE(untouched.Calibrate({}));
+  EXPECT_FALSE(untouched.Calibrate({{100, 1.0}}));
+  EXPECT_FALSE(untouched.Calibrate({{100, 1.0}, {100, 2.0}}));  // det == 0
+  EXPECT_EQ(untouched.params().ms_per_token, before);
+}
 
 TEST(RouterTest, SigstoppedReplicaIsHedgedByteIdentical) {
   const ServeEnv& env = ServeEnv::Get();

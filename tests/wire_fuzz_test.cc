@@ -276,7 +276,6 @@ TEST(WireFuzzTest, CountFieldLiesDoNotOverAllocate) {
   serve::WireWriter dr;
   dr.U64(1);      // request id
   dr.F64(0.0);    // deadline
-  dr.U8(0);       // lane
   dr.U8(0);       // dtype
   dr.U32(0x7FFFFFFFu);  // table count lie
   dr.Str("only one actual table");
