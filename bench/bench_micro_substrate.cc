@@ -533,8 +533,9 @@ void WriteSubstrateJson() {
   // ForwardContent, under an fp32 vs an int8 ExecContext.
   // tools/bench_check.py gates the speedup (hard floor 2.5x, advisory 3x)
   // when a SIMD kernel is compiled in. The int8 timing samples
-  // also refit the serving cost model; DefaultInt8Params (core/cost_model.h)
-  // were taken from the "cost_model_int8" section of a committed run.
+  // also refit the cost model ("cost_model_int8"), for reference only: the
+  // router starts from the same default parameters for both dtypes and
+  // refits online.
   {
     tensor::NoGradGuard ng;
     model::AdtdConfig pcfg = model::AdtdConfig::Paper(
@@ -777,73 +778,6 @@ void WriteSubstrateJson() {
     json.Field("wedge_hedge_wasted_tables", hedge_wasted_tables);
     json.Field("hedge_waste_fraction", hedge_waste_fraction);
     json.Field("wedge_recovery_ms", wedge_recovery_ms);
-
-    // Cache-plane rows (DESIGN.md §14): the same 4-replica fleet with the
-    // cross-replica cache plane armed. Batch 1 populates the plane, the
-    // ring owner of the first table is SIGKILLed, and batch 2 re-runs on
-    // the recovered fleet — once warm (peer warm-up pushes armed; remote
-    // lookups should be unnecessary) and once cold (warmup_keys = 0, so
-    // every local miss pays a remote lookup — whose hit rate is the
-    // cross-replica reuse measurement). Recovery time is the supervisor's
-    // kill-observed → respawned-and-serving sample, which for the warm
-    // run includes the warm-up push itself.
-    auto plane_run = [&](int warmup_keys, double* batch2_wall,
-                         double* recovery_ms, double* plane_hit_rate,
-                         int64_t* warmup_entries) {
-      serve::WorkerEnv penv = env;
-      penv.cache_plane = true;
-      penv.cache_plane_timeout_ms = 2000;
-      serve::RouterOptions plopt;
-      plopt.supervisor.replicas = 4;
-      plopt.warmup_keys = warmup_keys;
-      serve::Router prouter(penv, plopt);
-      TASTE_CHECK(prouter.Start().ok());
-      pipeline::BatchResult b1 = prouter.RunBatch(tables);
-      for (const auto& t : b1.tables) {
-        TASTE_CHECK(t.outcome == pipeline::TableOutcome::kComplete);
-      }
-      const int victim = ring.NodeFor(tables[0], [](int) { return true; });
-      const serve::Replica* vr = prouter.supervisor().replica(victim);
-      TASTE_CHECK(vr != nullptr && vr->pid > 0);
-      ::kill(vr->pid, SIGKILL);
-      for (int spin = 0; spin < 400; ++spin) {
-        if (!prouter.supervisor().ReapDead().empty()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      TASTE_CHECK(prouter.MaintainUntilAllUp(5000.0));
-      const auto& prec = prouter.supervisor().recovery_times_ms();
-      TASTE_CHECK(!prec.empty());
-      *recovery_ms = prec.back();
-      const serve::CachePlane::Stats before = prouter.cache_plane().stats();
-      pipeline::BatchResult b2 = prouter.RunBatch(tables);
-      for (const auto& t : b2.tables) {
-        TASTE_CHECK(t.outcome == pipeline::TableOutcome::kComplete);
-      }
-      *batch2_wall = prouter.stats().wall_ms;
-      const serve::CachePlane::Stats after = prouter.cache_plane().stats();
-      const int64_t lookups =
-          (after.hits - before.hits) + (after.misses - before.misses);
-      *plane_hit_rate =
-          lookups > 0
-              ? static_cast<double>(after.hits - before.hits) / lookups
-              : 1.0;
-      *warmup_entries = after.warmup_pushes;
-      prouter.Shutdown();
-    };
-    double warm_wall = 0.0, warm_recovery = 0.0, warm_rate = 0.0;
-    double cold_wall = 0.0, cold_recovery = 0.0, cold_rate = 0.0;
-    int64_t warm_pushed = 0, cold_pushed = 0;
-    plane_run(serve::RouterOptions().warmup_keys, &warm_wall, &warm_recovery,
-              &warm_rate, &warm_pushed);
-    plane_run(0, &cold_wall, &cold_recovery, &cold_rate, &cold_pushed);
-    TASTE_CHECK(warm_pushed >= 1);
-    TASTE_CHECK(cold_pushed == 0);
-    json.Field("cache_plane_cold_hit_rate", cold_rate);
-    json.Field("cache_plane_cold_batch2_wall_ms", cold_wall);
-    json.Field("cache_plane_warm_batch2_wall_ms", warm_wall);
-    json.Field("cache_plane_warm_recovery_ms", warm_recovery);
-    json.Field("cache_plane_cold_recovery_ms", cold_recovery);
-    json.Field("cache_plane_warmup_entries", warm_pushed);
     json.EndObject();
     std::printf("  scaling 1->4: %.2fx;  kill->respawn recovery %.1f ms\n",
                 wall1 / wall4, recovery_ms);
@@ -853,11 +787,6 @@ void WriteSubstrateJson() {
         static_cast<long long>(hedged_tables),
         static_cast<long long>(hedge_wasted_tables),
         100.0 * hedge_waste_fraction, tables.size(), wedge_recovery_ms);
-    std::printf(
-        "  cache plane: cold remote hit rate %.2f (batch2 %.1f ms), warm "
-        "batch2 %.1f ms, warm respawn %.1f ms incl. %lld pushed entries\n",
-        cold_rate, cold_wall, warm_wall, warm_recovery,
-        static_cast<long long>(warm_pushed));
   }
 
   // The unified-observability view of the same two runs: stage latency

@@ -30,12 +30,4 @@ bool P2CostModel::Calibrate(
   return true;
 }
 
-P2CostModel::Params P2CostModel::DefaultInt8Params() {
-  // Fit from the int8_p2 sweep (BENCH_substrate.json, "cost_model_int8"):
-  // the quantized GEMMs cut the marginal token cost ~2.6x vs the fp32
-  // defaults; the per-forward fixed cost vanishes into the token term at
-  // paper shape (the OLS intercept clamps to zero).
-  return {.overhead_ms = 0.0, .ms_per_token = 0.2886};
-}
-
 }  // namespace taste::core

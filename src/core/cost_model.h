@@ -70,15 +70,6 @@ class P2CostModel {
   /// narrow to resolve the marginal cost must not poison scheduling.
   bool Calibrate(const std::vector<std::pair<int64_t, double>>& samples);
 
-  /// Default parameters for the int8 P2 path (DESIGN.md §12): same linear
-  /// model, fit on the int8_p2 sweep of bench_micro_substrate. Per-token
-  /// cost drops roughly with the kernel speedup (the int8 GEMMs dominate a
-  /// content forward), while per-forward overhead barely moves — dispatch
-  /// and activation-quantization setup are dtype-independent. The router
-  /// starts from these when its replicas serve P2 in int8, so its hedge
-  /// verdicts keep describing wall time, not fp32-equivalents.
-  static Params DefaultInt8Params();
-
   const Params& params() const { return params_; }
 
  private:

@@ -163,9 +163,9 @@ bool SameEncodedInput(const EncodedMetadata& a, const EncodedMetadata& b) {
 /// True when a cache entry can stand in for ForwardMetadata(chunk): its
 /// input is exactly `chunk` and its tensors have the shapes that forward
 /// returns (L latents of (tokens, H), anchors (ncols, H), logits
-/// (ncols, |S|)). An entry in another layout — a CRC-valid one with another
-/// latent count or torn shapes — is a miss and gets recomputed, never
-/// handed to the content tower's shape checks.
+/// (ncols, |S|)). An entry in another layout — another latent count or
+/// torn shapes — is a miss and gets recomputed, never handed to the content
+/// tower's shape checks.
 bool UsableEntry(const model::CachedMetadata& entry,
                  const EncodedMetadata& chunk, const model::AdtdConfig& cfg) {
   if (!SameEncodedInput(entry.input, chunk)) return false;
@@ -222,14 +222,12 @@ Status TasteDetector::InferP1(Job* job, tensor::ExecContext* ctx) const {
     AdtdModel::MetadataEncoding enc;
     bool reused = false;
     if (options_.use_latent_cache) {
-      // Consult the cache — local shards, then the cross-replica plane
-      // (DESIGN.md §14) — before paying for the metadata tower. Reuse is
+      // Consult the cache before paying for the metadata tower. Reuse is
       // byte-identical by construction: ForwardMetadata is deterministic,
       // and UsableEntry proves the cached latents came from exactly these
-      // input bits, in this model's shapes. Any miss, timeout, or mismatch
+      // input bits, in this model's shapes. Any miss or mismatch
       // recomputes.
-      if (auto cached = cache_->GetOrFetch(ChunkCacheKey(job->table_name, i),
-                                           job->cancel);
+      if (auto cached = cache_->Get(ChunkCacheKey(job->table_name, i));
           cached && UsableEntry(*cached, chunk, model_->config())) {
         enc = std::move(cached->encoding);
         reused = true;
@@ -248,12 +246,9 @@ Status TasteDetector::InferP1(Job* job, tensor::ExecContext* ctx) const {
     ClassifyP1Chunk(chunk, probs, job);
     if (options_.use_latent_cache) {
       if (!reused) {
-        // A genuine compute: park it locally and offer it to the plane.
-        // Cache-sourced entries are deliberately not re-Put or republished
-        // (GetOrFetch already refreshed recency; no echo loops).
-        const std::string key = ChunkCacheKey(job->table_name, i);
-        cache_->Put(key, {chunk, enc});
-        cache_->PublishToRemote(key, {chunk, enc});
+        // A genuine compute: park it. Cache-sourced entries are not re-Put
+        // (Get already refreshed their recency).
+        cache_->Put(ChunkCacheKey(job->table_name, i), {chunk, enc});
       }
       job->encodings.push_back(std::move(enc));
     }

@@ -29,7 +29,6 @@
 #ifndef TASTE_MODEL_LATENT_CACHE_H_
 #define TASTE_MODEL_LATENT_CACHE_H_
 
-#include <atomic>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -38,7 +37,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/deadline.h"
 #include "model/adtd.h"
 #include "obs/metrics.h"
 
@@ -49,28 +47,6 @@ namespace taste::model {
 struct CachedMetadata {
   EncodedMetadata input;
   AdtdModel::MetadataEncoding encoding;
-};
-
-/// A second cache tier behind the local shards — the cross-replica cache
-/// plane of the serving tier (DESIGN.md §14). The model layer only sees
-/// this interface; serve/ implements it over the worker's router socket.
-/// Both calls are strictly best-effort: Fetch returning nullopt (miss,
-/// timeout, corrupt entry — indistinguishable by design) degrades to a
-/// local recompute, and Publish may drop the entry silently. Implementations
-/// must be safe to call from multiple pipeline threads at once.
-class RemoteLatentStore {
- public:
-  virtual ~RemoteLatentStore() = default;
-
-  /// Looks `key` up in the plane. `cancel` (nullable) bounds the wait: an
-  /// expired or near-expired budget must shorten or skip the fetch — an
-  /// overdue cache frame never blocks the request.
-  virtual std::optional<CachedMetadata> Fetch(const std::string& key,
-                                              const CancelToken* cancel) = 0;
-
-  /// Offers a freshly computed entry to the plane. Fire-and-forget.
-  virtual void Publish(const std::string& key,
-                       const CachedMetadata& value) = 0;
 };
 
 /// Bounded LRU cache of metadata-tower latents, sharded by key hash.
@@ -92,31 +68,6 @@ class LatentCache {
 
   /// Returns the entry and marks it most-recently-used, or nullopt.
   std::optional<CachedMetadata> Get(const std::string& key);
-
-  /// Installs (or clears, with nullptr) the remote tier consulted by
-  /// GetOrFetch on local miss. Not owned. Installed once per process
-  /// (worker post-fork) before serving; the pointer itself is atomic so a
-  /// late install cannot tear against in-flight gets.
-  void SetRemoteStore(RemoteLatentStore* store) {
-    remote_.store(store, std::memory_order_release);
-  }
-  RemoteLatentStore* remote_store() const {
-    return remote_.load(std::memory_order_acquire);
-  }
-
-  /// Two-tier lookup: local shards first, then the remote plane (when one
-  /// is installed). A remote hit is inserted locally before returning, so
-  /// repeats are local. The fetch happens OUTSIDE any shard lock — a slow
-  /// or dead plane can delay this key only, never block the cache — and is
-  /// bounded by `cancel`'s remaining budget. Counted on
-  /// taste_cache_remote_{hits,misses}_total.
-  std::optional<CachedMetadata> GetOrFetch(const std::string& key,
-                                           const CancelToken* cancel);
-
-  /// Offers an entry to the remote plane, if one is installed. Called by
-  /// the detector only after a genuine compute (never for entries that
-  /// arrived FROM the plane — no echo loops).
-  void PublishToRemote(const std::string& key, const CachedMetadata& value);
 
   /// Removes everything. Locks all shards before dropping any entry.
   void Clear();
@@ -160,7 +111,6 @@ class LatentCache {
 
   size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<RemoteLatentStore*> remote_{nullptr};
 };
 
 }  // namespace taste::model

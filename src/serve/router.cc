@@ -17,6 +17,11 @@ namespace taste::serve {
 
 namespace {
 
+/// Token-volume stand-in per table fed to the straggler cost model (the
+/// router never sees content sizes; online calibration against completed
+/// legs absorbs the approximation).
+constexpr int64_t kHedgeTokensPerTable = 600;
+
 obs::Counter* RedispatchCounter() {
   static obs::Counter* c =
       obs::Registry::Global().GetCounter("taste_redispatched_tables_total");
@@ -102,22 +107,7 @@ Router::Router(WorkerEnv env, RouterOptions options)
     : env_(std::move(env)),
       options_(options),
       supervisor_(env_, options_.supervisor),
-      ring_(options_.supervisor.replicas, options_.vnodes),
-      cost_model_(env_.pipeline_options.p2_dtype == tensor::P2Dtype::kInt8
-                      ? core::P2CostModel::DefaultInt8Params()
-                      : core::P2CostModel::Params()),
-      plane_(CachePlane::Options{options_.cache_plane_max_bytes}) {
-  if (env_.cache_plane) {
-    // Trust rules of the plane (DESIGN.md §14): a QUARANTINED replica's
-    // published entries are dropped (gray bytes are not trusted even under
-    // a valid CRC), while a fail-stop crash keeps them — determinism plus
-    // the entry CRC make them byte-identical to any recompute, and they
-    // are exactly what warms the replica after respawn.
-    supervisor_.SetQuarantineObserver(
-        [this](int id) { plane_.InvalidateFromPublisher(id); });
-    supervisor_.SetRespawnObserver([this](int id) { WarmReplica(id); });
-  }
-}
+      ring_(options_.supervisor.replicas, options_.vnodes) {}
 
 Router::~Router() { Shutdown(); }
 
@@ -166,80 +156,14 @@ bool Router::SendLeg(int replica_id, std::vector<size_t> indices,
 double Router::StragglerThresholdMs(size_t leg_tables) const {
   if (options_.hedge_multiplier <= 0.0) return 0.0;
   const int64_t tokens = static_cast<int64_t>(leg_tables) *
-                         static_cast<int64_t>(options_.hedge_tokens_per_table);
+                         kHedgeTokensPerTable;
   return std::max(options_.hedge_floor_ms,
                   cost_model_.EstimateP99Ms(tokens) * options_.hedge_multiplier);
 }
 
-bool Router::HandleCacheLookup(int replica_id, const std::string& payload) {
-  auto msg = DecodeCacheLookup(payload);
-  if (!msg.ok()) {
-    TASTE_LOG(Warn) << "replica " << replica_id << ": bad cache lookup: "
-                    << msg.status().ToString();
-    return false;
-  }
-  CacheFill fill;
-  fill.lookup_id = msg->lookup_id;
-  fill.key = msg->key;
-  if (auto entry = plane_.Lookup(msg->key)) {
-    fill.hit = 1;
-    fill.entry = std::move(*entry);
-  }
-  Replica* r = supervisor_.replica(replica_id);
-  if (r == nullptr || !ProcessAlive(r->state)) return true;
-  // The worker is blocked (bounded by its fetch timeout) on this answer;
-  // a failed write means the socket is gone — dead replica either way.
-  return WriteFrame(r->fd, FrameType::kCacheFill, EncodeCacheFill(fill)).ok();
-}
-
-bool Router::HandleCacheFill(int replica_id, const std::string& payload) {
-  auto msg = DecodeCacheFill(payload);
-  if (!msg.ok()) {
-    TASTE_LOG(Warn) << "replica " << replica_id << ": bad cache fill: "
-                    << msg.status().ToString();
-    return false;
-  }
-  // Workers only send unsolicited publishes (lookup_id 0, hit 1). Admit
-  // revalidates the entry CRC: a poisoned publish is rejected and counted,
-  // never parked — and crucially it is NOT a stream fault (the frame CRC
-  // held), so the replica lives on and its request degrades to the local
-  // recompute it already performed.
-  if (msg->lookup_id == 0 && msg->hit != 0) {
-    plane_.Admit(msg->key, std::move(msg->entry), replica_id);
-  }
-  return true;
-}
-
-void Router::WarmReplica(int replica_id) {
-  if (options_.warmup_keys <= 0) return;
-  Replica* r = supervisor_.replica(replica_id);
-  if (r == nullptr || !ProcessAlive(r->state)) return;
-  // Ownership comes from the same ring + dispatchability predicate the
-  // scatter path uses, so the pushed keys are exactly the ones the next
-  // batches will route to this replica.
-  auto owner_of = [this](const std::string& table) {
-    return ring_.NodeFor(table,
-                         [this](int id) { return supervisor_.Dispatchable(id); });
-  };
-  const auto entries = plane_.WarmupEntriesFor(
-      replica_id, owner_of, static_cast<size_t>(options_.warmup_keys));
-  for (const auto& [key, bytes] : entries) {
-    CacheFill fill;
-    fill.lookup_id = 0;
-    fill.hit = 1;
-    fill.key = key;
-    fill.entry = bytes;
-    if (!WriteFrame(r->fd, FrameType::kCacheFill, EncodeCacheFill(fill))
-             .ok()) {
-      supervisor_.MarkDead(replica_id);
-      return;
-    }
-  }
-}
-
 void Router::RecordLegSample(size_t leg_tables, double wall_ms) {
   const int64_t tokens = static_cast<int64_t>(leg_tables) *
-                         static_cast<int64_t>(options_.hedge_tokens_per_table);
+                         kHedgeTokensPerTable;
   cost_samples_.emplace_back(tokens, wall_ms);
   if (cost_samples_.size() > 256) {
     cost_samples_.erase(
@@ -455,12 +379,6 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
           legs.erase(leg);
           break;
         }
-        case FrameType::kCacheLookup:
-          if (!HandleCacheLookup(id, frame.payload)) return false;
-          break;
-        case FrameType::kCacheFill:
-          if (!HandleCacheFill(id, frame.payload)) return false;
-          break;
         default:
           break;  // scrape responses etc. outside a scrape are stale
       }
@@ -764,20 +682,6 @@ Result<obs::Registry::Snapshot> Router::Scrape() {
           waiting.erase(id);
         } else if (frame.type == FrameType::kHeartbeatAck) {
           supervisor_.HandleHeartbeatAck(id, frame.payload);
-        } else if (frame.type == FrameType::kCacheLookup) {
-          // A worker still racing a leg may fetch mid-scrape; answer it so
-          // the scrape never forces cache misses.
-          if (!HandleCacheLookup(id, frame.payload)) {
-            supervisor_.MarkDead(id);
-            waiting.erase(id);
-            break;
-          }
-        } else if (frame.type == FrameType::kCacheFill) {
-          if (!HandleCacheFill(id, frame.payload)) {
-            supervisor_.MarkDead(id);
-            waiting.erase(id);
-            break;
-          }
         }
       }
     }

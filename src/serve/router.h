@@ -60,7 +60,6 @@
 #include "core/cost_model.h"
 #include "obs/metrics.h"
 #include "pipeline/scheduler.h"
-#include "serve/cache_plane.h"
 #include "serve/supervisor.h"
 #include "serve/worker.h"
 
@@ -135,10 +134,6 @@ struct RouterOptions {
   /// Lower bound on the straggler threshold, so a cold cost model or a
   /// tiny leg does not hedge on scheduling noise.
   double hedge_floor_ms = 25.0;
-  /// Token-volume stand-in per table fed to the cost model (the router
-  /// never sees content sizes; online calibration against completed legs
-  /// absorbs the approximation).
-  int hedge_tokens_per_table = 600;
   /// Cap on speculatively duplicated tables per batch, as a fraction of
   /// the batch size (minimum 1 once hedging triggers). Bounds duplicate
   /// work under a gray storm.
@@ -151,15 +146,6 @@ struct RouterOptions {
   /// 0 derives 4× the leg's straggler threshold when hedging is enabled;
   /// with hedging also disabled the watchdog is off.
   double watchdog_ms = 0.0;
-
-  // -- Cache plane (DESIGN.md §14; armed by WorkerEnv::cache_plane) ----------
-
-  /// Hottest plane entries pushed to a respawned replica that the ring
-  /// assigns to it (warm-from-peers instead of cold-start). 0 disables the
-  /// warm-up push while leaving lookup/publish traffic on.
-  int warmup_keys = 32;
-  /// Byte budget of the router-resident plane store.
-  int64_t cache_plane_max_bytes = 64ll << 20;
 };
 
 /// Cumulative fault-handling activity across the router's lifetime.
@@ -209,10 +195,6 @@ class Router {
   const RouterStats& stats() const { return stats_; }
   Supervisor& supervisor() { return supervisor_; }
 
-  /// The router-resident cache-plane store (DESIGN.md §14). Populated only
-  /// when env.cache_plane is on; exposed for tests and the bench report.
-  const CachePlane& cache_plane() const { return plane_; }
-
  private:
   struct Leg;  // one in-flight DetectRequest to one replica
 
@@ -235,23 +217,6 @@ class Router {
   /// cost-model calibration so the straggler threshold tracks the machine.
   void RecordLegSample(size_t leg_tables, double wall_ms);
 
-  // -- Cache-plane frame handling (router main thread only) ------------------
-
-  /// Answers a worker's kCacheLookup with a kCacheFill carrying the same
-  /// lookup_id. Returns false when the frame is malformed or the reply
-  /// write failed — either way the caller must treat the stream as dead.
-  bool HandleCacheLookup(int replica_id, const std::string& payload);
-
-  /// Admits a worker's unsolicited kCacheFill publish into the plane (the
-  /// entry CRC gate lives in CachePlane::Admit). Returns false only on a
-  /// malformed payload.
-  bool HandleCacheFill(int replica_id, const std::string& payload);
-
-  /// Pushes the hottest plane entries owned by the (freshly respawned)
-  /// replica down its socket as lookup_id=0 fills. Fired by the
-  /// supervisor's respawn observer.
-  void WarmReplica(int replica_id);
-
   WorkerEnv env_;
   RouterOptions options_;
   Supervisor supervisor_;
@@ -260,8 +225,6 @@ class Router {
   /// Straggler-threshold model, online-calibrated from completed legs.
   core::P2CostModel cost_model_;
   std::vector<std::pair<int64_t, double>> cost_samples_;
-  /// The plane store. Only ever touched from the router's main thread.
-  CachePlane plane_;
   /// Request ids abandoned with their race already resolved (hedge or
   /// fallback won): a late response is counted as wasted hedge work
   /// instead of warned about as stale. Bounded.

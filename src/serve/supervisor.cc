@@ -312,9 +312,6 @@ std::vector<int> Supervisor::RespawnEligible() {
     recovery_ms_.push_back(recovery);
     RecoveryHistogram()->Observe(recovery);
     up.push_back(r.id);
-    // After the replica is fully up: the observer may write to its socket
-    // (the router's cache warm-up push does exactly that).
-    if (respawn_observer_) respawn_observer_(r.id);
   }
   return up;
 }
@@ -481,7 +478,6 @@ void Supervisor::Quarantine(Replica* r) {
   // open→half-open cooldown instead of firing on every heartbeat tick.
   r->health_breaker->RecordFailure();
   QuarantineCounter()->Inc();
-  if (quarantine_observer_) quarantine_observer_(r->id);
   TASTE_LOG(Warn) << "replica " << r->id << " quarantined (error EWMA "
                   << r->ewma_error_rate << " over " << r->health_samples
                   << " samples); ring membership revoked";

@@ -52,8 +52,8 @@ BufferPool::Stats BufferPool::stats() const {
 
 ExecContext::ExecContext() : ExecContext(Options{}) {}
 
-ExecContext::ExecContext(const Options& options) : options_(options) {
-  if (options_.use_buffer_pool) pool_ = std::make_shared<BufferPool>();
+ExecContext::ExecContext(const Options& options)
+    : options_(options), pool_(std::make_shared<BufferPool>()) {
   if (options_.intra_op_pool == nullptr && options_.intra_op_threads > 1) {
     owned_intra_pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(options_.intra_op_threads));
@@ -69,18 +69,16 @@ ThreadPool* ExecContext::intra_pool() const {
 
 ExecStats ExecContext::stats() const {
   ExecStats s = stats_;
-  if (pool_ != nullptr) {
-    s.pool = pool_->stats();
-    s.pool.acquires -= pool_base_.acquires;
-    s.pool.reuses -= pool_base_.reuses;
-    s.pool.releases -= pool_base_.releases;
-  }
+  s.pool = pool_->stats();
+  s.pool.acquires -= pool_base_.acquires;
+  s.pool.reuses -= pool_base_.reuses;
+  s.pool.releases -= pool_base_.releases;
   return s;
 }
 
 void ExecContext::ResetStats() {
   stats_ = ExecStats{};
-  if (pool_ != nullptr) pool_base_ = pool_->stats();
+  pool_base_ = pool_->stats();
 }
 
 void ExecContext::RecordOp(OpTiming ExecStats::* t, double ms) {

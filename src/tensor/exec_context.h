@@ -124,8 +124,6 @@ inline const char* P2DtypeName(P2Dtype d) {
 class ExecContext {
  public:
   struct Options {
-    /// Recycle forward-activation buffers through a BufferPool.
-    bool use_buffer_pool = true;
     /// Record per-op timings (kernel wall time) into stats().
     bool profile = false;
     /// Enforce no-grad: while this context is bound, ops never record
@@ -163,7 +161,8 @@ class ExecContext {
   /// The intra-op pool for kernels, or nullptr for serial execution.
   ThreadPool* intra_pool() const;
 
-  /// The activation pool, or nullptr when pooling is disabled.
+  /// The activation pool every tensor allocated under this context draws
+  /// from. Never null.
   const std::shared_ptr<BufferPool>& buffer_pool() const { return pool_; }
 
   /// Timing + pool counters since construction / the last ResetStats().
@@ -201,7 +200,7 @@ class ExecContext {
   friend class ExecContextPool;
 
   Options options_;
-  std::shared_ptr<BufferPool> pool_;             // null when pooling is off
+  std::shared_ptr<BufferPool> pool_;             // never null
   std::unique_ptr<ThreadPool> owned_intra_pool_;  // null unless owned
   const CancelToken* cancel_ = nullptr;           // not owned
   bool quant_active_ = false;  // inside a ScopedQuantRegion w/ int8 dtype

@@ -18,7 +18,7 @@ namespace {
 using internal::TensorImpl;
 
 /// A tensor of `shape` for an op's output, from the bound context's buffer
-/// pool when there is one. Ops pass kUninitialized only when their kernel
+/// pool when a context is bound. Ops pass kUninitialized only when their kernel
 /// writes every element from the inputs alone: a recycled buffer then skips
 /// the zero fill, and its stale values are overwritten before any read.
 /// Heap and fresh pool buffers are zeroed either way.
@@ -30,7 +30,7 @@ std::shared_ptr<TensorImpl> NewImpl(Shape shape,
   auto impl = std::make_shared<TensorImpl>();
   const size_t n = static_cast<size_t>(NumElements(shape));
   ExecContext* ctx = ExecContext::Current();
-  if (ctx != nullptr && ctx->buffer_pool() != nullptr) {
+  if (ctx != nullptr) {
     impl->data = ctx->buffer_pool()->Acquire(n, init);
     impl->pool = ctx->buffer_pool();
   } else {

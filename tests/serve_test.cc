@@ -13,10 +13,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +36,7 @@
 #include "serve/supervisor.h"
 #include "serve/wire.h"
 #include "serve/worker.h"
+#include "tensor/ops.h"
 #include "text/wordpiece.h"
 
 namespace taste {
@@ -305,6 +308,8 @@ struct ServeEnv {
           data::SemanticTypeRegistry::Default().size());
       Rng rng(21);
       e->model = std::make_unique<model::AdtdModel>(cfg, rng);
+      // Prepacked so the int8 cases can run; inert for fp32 contexts.
+      TASTE_CHECK(e->model->PrepackQuantWeights() > 0);
       core::TasteOptions topt;  // faults off, defaults everywhere
       e->detector = std::make_unique<core::TasteDetector>(
           e->model.get(), e->tokenizer.get(), topt);
@@ -323,6 +328,13 @@ struct ServeEnv {
     EXPECT_TRUE(db->IngestDataset(dataset).ok());
     return db;
   }
+
+  /// A detector with a cold latent cache of its own, for a router under
+  /// test: its replicas then fork no entry the oracle computed.
+  std::unique_ptr<core::TasteDetector> MakeDetector() const {
+    return std::make_unique<core::TasteDetector>(model.get(), tokenizer.get(),
+                                                 core::TasteOptions{});
+  }
 };
 
 pipeline::PipelineOptions WorkerPipelineOptions() {
@@ -330,6 +342,32 @@ pipeline::PipelineOptions WorkerPipelineOptions() {
   popt.prep_threads = 2;
   popt.infer_threads = 2;
   return popt;
+}
+
+/// Bit-exact comparison of two table results.
+void ExpectResultsIdentical(const core::TableDetectionResult& g,
+                            const core::TableDetectionResult& w) {
+  EXPECT_EQ(g.table_name, w.table_name);
+  EXPECT_EQ(g.columns_scanned, w.columns_scanned);
+  EXPECT_EQ(g.degraded_columns, w.degraded_columns);
+  ASSERT_EQ(g.columns.size(), w.columns.size()) << w.table_name;
+  for (size_t c = 0; c < w.columns.size(); ++c) {
+    const auto& gc = g.columns[c];
+    const auto& wc = w.columns[c];
+    EXPECT_EQ(gc.column_name, wc.column_name);
+    EXPECT_EQ(gc.ordinal, wc.ordinal);
+    EXPECT_EQ(gc.went_to_p2, wc.went_to_p2);
+    EXPECT_EQ(gc.provenance, wc.provenance);
+    EXPECT_EQ(gc.admitted_types, wc.admitted_types);
+    ASSERT_EQ(gc.probabilities.size(), wc.probabilities.size());
+    if (!wc.probabilities.empty()) {
+      EXPECT_EQ(std::memcmp(gc.probabilities.data(), wc.probabilities.data(),
+                            wc.probabilities.size() * sizeof(float)),
+                0)
+          << g.table_name << "." << gc.column_name
+          << ": probabilities differ bitwise";
+    }
+  }
 }
 
 /// Bit-exact comparison of two batch results (the idempotency oracle).
@@ -341,36 +379,39 @@ void ExpectBatchesIdentical(const pipeline::BatchResult& got,
     const auto& w = want.tables[i];
     EXPECT_EQ(g.outcome, w.outcome) << i;
     EXPECT_EQ(g.status.ToString(), w.status.ToString()) << i;
-    EXPECT_EQ(g.result.table_name, w.result.table_name);
-    EXPECT_EQ(g.result.columns_scanned, w.result.columns_scanned);
-    EXPECT_EQ(g.result.degraded_columns, w.result.degraded_columns);
-    ASSERT_EQ(g.result.columns.size(), w.result.columns.size()) << i;
-    for (size_t c = 0; c < w.result.columns.size(); ++c) {
-      const auto& gc = g.result.columns[c];
-      const auto& wc = w.result.columns[c];
-      EXPECT_EQ(gc.column_name, wc.column_name);
-      EXPECT_EQ(gc.ordinal, wc.ordinal);
-      EXPECT_EQ(gc.went_to_p2, wc.went_to_p2);
-      EXPECT_EQ(gc.provenance, wc.provenance);
-      EXPECT_EQ(gc.admitted_types, wc.admitted_types);
-      ASSERT_EQ(gc.probabilities.size(), wc.probabilities.size());
-      if (!wc.probabilities.empty()) {
-        EXPECT_EQ(std::memcmp(gc.probabilities.data(), wc.probabilities.data(),
-                              wc.probabilities.size() * sizeof(float)),
-                  0)
-            << g.result.table_name << "." << gc.column_name
-            << ": probabilities differ bitwise";
-      }
-    }
+    ExpectResultsIdentical(g.result, w.result);
   }
 }
 
-pipeline::BatchResult OracleRun(const ServeEnv& env,
-                                const std::vector<std::string>& tables) {
+/// The same tables through a single-process executor on the shared
+/// detector.
+pipeline::BatchResult OracleRun(
+    const ServeEnv& env, const std::vector<std::string>& tables,
+    tensor::P2Dtype dtype = tensor::P2Dtype::kFp32) {
   auto db = env.MakeDb();
-  pipeline::PipelineExecutor exec(env.detector.get(), db.get(),
-                                  WorkerPipelineOptions());
+  pipeline::PipelineOptions popt = WorkerPipelineOptions();
+  popt.p2_dtype = dtype;
+  pipeline::PipelineExecutor exec(env.detector.get(), db.get(), popt);
   return exec.RunBatch(tables);
+}
+
+/// A counter's value in `snap`, 0 when the series was never created.
+int64_t CounterValue(const obs::Registry::Snapshot& snap,
+                     const std::string& name) {
+  auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+/// SIGKILLs a replica and drives the supervisor until it is respawned.
+/// Returns false if recovery did not complete inside the budget.
+bool KillAndRespawn(serve::Router* router, int id) {
+  const pid_t victim = router->supervisor().replica(id)->pid;
+  if (::kill(victim, SIGKILL) != 0) return false;
+  for (int spin = 0; spin < 400; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (!router->supervisor().ReapDead().empty()) break;
+  }
+  return router->MaintainUntilAllUp(10000.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -511,6 +552,153 @@ TEST(RouterTest, ScrapeAggregatesReplicaRegistries) {
   }
   EXPECT_EQ(per_replica, 2);
   router.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Each replica keeps its own latent cache. Whatever mix of cache hits, cold
+// misses and recomputes a fleet serves a batch from, in fp32 or int8, the
+// bytes must be the single-process oracle's.
+
+/// 50 randomized batches (duplicates allowed, random order) through one
+/// 3-replica fleet whose caches warm up as it goes.
+void RunRandomizedMixes(tensor::P2Dtype dtype) {
+  const ServeEnv& env = ServeEnv::Get();
+  auto det = env.MakeDetector();
+  auto db = env.MakeDb();
+  serve::WorkerEnv wenv;
+  wenv.detector = det.get();
+  wenv.db = db.get();
+  wenv.pipeline_options = WorkerPipelineOptions();
+  wenv.pipeline_options.p2_dtype = dtype;
+  serve::RouterOptions ropt;
+  ropt.supervisor.replicas = 3;
+  serve::Router router(wenv, ropt);
+  ASSERT_TRUE(router.Start().ok());
+
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 7919);
+    const size_t n = 1 + rng.NextU64() % 4;
+    std::vector<std::string> tables;
+    for (size_t k = 0; k < n; ++k) {
+      tables.push_back(env.table_names[rng.NextU64() % env.table_names.size()]);
+    }
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ExpectBatchesIdentical(router.RunBatch(tables),
+                           OracleRun(env, tables, dtype));
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  EXPECT_EQ(router.stats().replica_deaths, 0);
+  router.Shutdown();
+}
+
+TEST(RouterTest, RandomizedMixesMatchOracleAcross50SeedsFp32) {
+  RunRandomizedMixes(tensor::P2Dtype::kFp32);
+}
+
+TEST(RouterTest, RandomizedMixesMatchOracleAcross50SeedsInt8) {
+  RunRandomizedMixes(tensor::P2Dtype::kInt8);
+}
+
+/// Batch 1 warms every replica's cache; the ring owner of the first table is
+/// then SIGKILLed and respawned as a fresh fork of the router's cold image,
+/// so batch 2 recomputes that replica's P1 latents while its peers hit.
+void RunSigkillBetweenBatches(tensor::P2Dtype dtype) {
+  const ServeEnv& env = ServeEnv::Get();
+  auto det = env.MakeDetector();
+  auto db = env.MakeDb();
+  serve::WorkerEnv wenv;
+  wenv.detector = det.get();
+  wenv.db = db.get();
+  wenv.pipeline_options = WorkerPipelineOptions();
+  wenv.pipeline_options.p2_dtype = dtype;
+  serve::RouterOptions ropt;
+  ropt.supervisor.replicas = 2;
+  serve::Router router(wenv, ropt);
+  ASSERT_TRUE(router.Start().ok());
+
+  const pipeline::BatchResult want = OracleRun(env, env.table_names, dtype);
+  ExpectBatchesIdentical(router.RunBatch(env.table_names), want);
+
+  serve::ConsistentHashRing ring(ropt.supervisor.replicas, ropt.vnodes);
+  const int victim =
+      ring.NodeFor(env.table_names[0], [](int) { return true; });
+  ASSERT_GE(victim, 0);
+  ASSERT_TRUE(KillAndRespawn(&router, victim));
+
+  const std::string misses = obs::LabeledName(
+      "taste_cache_misses_total", "replica", std::to_string(victim));
+  auto before = router.Scrape();
+  ASSERT_TRUE(before.ok());
+  ExpectBatchesIdentical(router.RunBatch(env.table_names), want);
+  auto after = router.Scrape();
+  ASSERT_TRUE(after.ok());
+  EXPECT_GT(CounterValue(*after, misses), CounterValue(*before, misses))
+      << "the respawned replica served batch 2 without recomputing";
+  EXPECT_EQ(router.stats().local_fallback_tables, 0);
+  router.Shutdown();
+}
+
+TEST(RouterTest, SigkillBetweenBatchesRecomputesByteIdenticalFp32) {
+  RunSigkillBetweenBatches(tensor::P2Dtype::kFp32);
+}
+
+TEST(RouterTest, SigkillBetweenBatchesRecomputesByteIdenticalInt8) {
+  RunSigkillBetweenBatches(tensor::P2Dtype::kInt8);
+}
+
+// Misshapen entries: under the right key and built from exactly this
+// chunk's input, but not in the shapes this model's metadata tower returns.
+// Both reads of the latent cache (P1's lookup and P2's latent read) must
+// treat one as a miss and recompute.
+
+TEST(CacheEntryShapeTest, MisshapenEntriesAreRecomputedNotTrusted) {
+  const ServeEnv& env = ServeEnv::Get();
+  auto db = env.MakeDb();
+  auto conn = db->Connect();
+
+  // A table that reaches P2, its cold result and its first chunk's entry.
+  auto cold = env.MakeDetector();
+  std::string table;
+  core::TableDetectionResult want;
+  for (const std::string& name : env.table_names) {
+    auto r = cold->DetectTable(conn.get(), name);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r->columns_scanned > 0) {
+      table = name;
+      want = *r;
+      break;
+    }
+  }
+  ASSERT_FALSE(table.empty());
+  const std::string key = table + "#0";
+  const std::optional<model::CachedMetadata> good = cold->cache().Get(key);
+  ASSERT_TRUE(good.has_value());
+
+  // One latent too many (an entry that also holds Encode_L^M), and a first
+  // latent one row short.
+  model::CachedMetadata extra_latent = *good;
+  extra_latent.encoding.layer_latents.push_back(
+      good->encoding.layer_latents.back());
+  model::CachedMetadata short_latent = *good;
+  tensor::Tensor& first = short_latent.encoding.layer_latents.front();
+  first = tensor::SliceRows(first, 0, first.dim(0) - 1);
+
+  for (const auto& [what, bad] :
+       {std::pair{"extra latent", extra_latent},
+        std::pair{"short latent", short_latent}}) {
+    SCOPED_TRACE(what);
+    auto det = env.MakeDetector();
+    det->cache().Put(key, bad);
+    core::TasteDetector::Job job;
+    ASSERT_TRUE(det->PrepareP1(conn.get(), table, &job).ok());
+    ASSERT_TRUE(det->InferP1(&job).ok());
+    // P1 replaced the entry with its own compute; plant it again for P2's
+    // read.
+    det->cache().Put(key, bad);
+    ASSERT_TRUE(det->PrepareP2(conn.get(), &job).ok());
+    ASSERT_TRUE(det->InferP2(&job).ok());
+    ExpectResultsIdentical(job.result, want);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -44,18 +44,6 @@
 //                            int8 SIMD kernels (~3x faster on AVX2);
 //                            deterministic bytes per dtype, F1 delta vs
 //                            fp32 bounded by the CI accuracy gate
-//     --cache-plane          share metadata-tower latents across replicas
-//                            through the router's cache plane (DESIGN.md
-//                            §14): workers consult the plane on local miss
-//                            before running the P1 tower, and a respawned
-//                            replica warms from ring peers. Byte-identical
-//                            output; only meaningful with --replicas
-//     --warmup-keys N        hottest plane entries pushed to a respawned
-//                            replica that the ring assigns to it (0 turns
-//                            the warm-up push off; default 32)
-//     --cache-plane-timeout-ms X
-//                            upper bound on one plane fetch; an overdue
-//                            fill degrades to a local recompute (default 20)
 //
 // Exit codes: 0 = every table completed (possibly degraded), 1 = at least
 // one table failed, 2 = bad usage, 3 = at least one table was shed by
@@ -100,9 +88,6 @@ struct CliOptions {
   double quarantine_threshold = 0.5;   // SupervisorOptions default
   double watchdog_ms = 0.0;            // 0 = derive from hedge threshold
   tensor::P2Dtype p2_dtype = tensor::P2Dtype::kFp32;
-  bool cache_plane = false;            // cross-replica latent cache plane
-  int warmup_keys = 32;                // RouterOptions default
-  int cache_plane_timeout_ms = 20;     // WorkerEnv default
 };
 
 bool ParseArgs(int argc, char** argv, CliOptions* out) {
@@ -195,24 +180,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
         std::fprintf(stderr, "--watchdog-ms must be >= 0\n");
         return false;
       }
-    } else if (arg == "--cache-plane") {
-      out->cache_plane = true;
-    } else if (arg == "--warmup-keys") {
-      const char* v = need_value("--warmup-keys");
-      if (v == nullptr) return false;
-      out->warmup_keys = std::atoi(v);
-      if (out->warmup_keys < 0) {
-        std::fprintf(stderr, "--warmup-keys must be >= 0\n");
-        return false;
-      }
-    } else if (arg == "--cache-plane-timeout-ms") {
-      const char* v = need_value("--cache-plane-timeout-ms");
-      if (v == nullptr) return false;
-      out->cache_plane_timeout_ms = std::atoi(v);
-      if (out->cache_plane_timeout_ms < 1) {
-        std::fprintf(stderr, "--cache-plane-timeout-ms must be >= 1\n");
-        return false;
-      }
     } else if (arg == "--p2-dtype") {
       const char* v = need_value("--p2-dtype");
       if (v == nullptr) return false;
@@ -250,9 +217,7 @@ void PrintUsage() {
       "          [--metrics-out FILE] [--deadline-ms X] [--max-inflight N]\n"
       "          [--cache-shards N] [--replicas N]\n"
       "          [--hedge-multiplier X] [--quarantine-threshold X]\n"
-      "          [--watchdog-ms X] [--p2-dtype fp32|int8]\n"
-      "          [--cache-plane] [--warmup-keys N]\n"
-      "          [--cache-plane-timeout-ms X]\n");
+      "          [--watchdog-ms X] [--p2-dtype fp32|int8]\n");
 }
 
 void PrintText(const core::TableDetectionResult& r,
@@ -367,14 +332,11 @@ int main(int argc, char** argv) {
       env.detector = &detector;
       env.db = db->get();
       env.pipeline_options = popt;
-      env.cache_plane = cli.cache_plane;
-      env.cache_plane_timeout_ms = cli.cache_plane_timeout_ms;
       serve::RouterOptions ropt;
       ropt.supervisor.replicas = cli.replicas;
       ropt.hedge_multiplier = cli.hedge_multiplier;
       ropt.watchdog_ms = cli.watchdog_ms;
       ropt.supervisor.quarantine_error_threshold = cli.quarantine_threshold;
-      ropt.warmup_keys = cli.warmup_keys;
       router = std::make_unique<serve::Router>(env, ropt);
       if (Status st = router->Start(); !st.ok()) {
         std::fprintf(stderr, "replica startup failed: %s\n",
