@@ -21,7 +21,6 @@
 #include "clouddb/database.h"
 #include "obs/export.h"
 #include "common/thread_pool.h"
-#include "core/cost_model.h"
 #include "core/taste_detector.h"
 #include "data/table_generator.h"
 #include "model/adtd.h"
@@ -460,71 +459,6 @@ void WriteSubstrateJson() {
   json.Field("pipelined_wall_ms", pip.stats().wall_ms);
   json.EndObject();
 
-  // The serving cost model's fit: B content chunks at the model's default
-  // input profile, forwarded one after another through ForwardContent, for
-  // B in {1, 2, 4, 8, 16}. ms(B items) = overhead_ms + ms_per_token *
-  // total_tokens, by least squares; the router's hedge threshold
-  // (core/cost_model.h) starts from parameters fit by this section.
-  {
-    tensor::NoGradGuard ng;
-    struct Chunk {
-      model::EncodedMetadata em;
-      model::EncodedContent ec;
-      model::AdtdModel::MetadataEncoding enc;
-    };
-    model::InputEncoder encoder(f.tokenizer.get(), f.model->config().input);
-    std::vector<std::unique_ptr<Chunk>> chunks;
-    auto conn = f.db->Connect();
-    for (int t = 0; t < 16 && chunks.size() < 16; ++t) {
-      auto meta = conn->GetTableMetadata(f.dataset.tables[t].name);
-      TASTE_CHECK(meta.ok());
-      for (const auto& part : model::SplitWideTable(
-               *meta, f.model->config().input.column_split_threshold)) {
-        if (chunks.size() >= 16) break;
-        auto ch = std::make_unique<Chunk>();
-        ch->em = encoder.EncodeMetadata(part);
-        std::map<int, std::vector<std::string>> content;
-        for (int c = 0; c < ch->em.num_columns; ++c) {
-          content[c] =
-              f.dataset.tables[t].columns[ch->em.column_ordinals[c]].values;
-        }
-        ch->ec = encoder.EncodeContent(ch->em, content);
-        ch->enc = f.model->ForwardMetadata(ch->em);
-        chunks.push_back(std::move(ch));
-      }
-    }
-    std::vector<std::pair<int64_t, double>> cost_samples;
-    for (int bsize : {1, 2, 4, 8, 16}) {
-      std::vector<const Chunk*> items;
-      int64_t total_tokens = 0;
-      for (int i = 0; i < bsize; ++i) {
-        items.push_back(chunks[static_cast<size_t>(i) % chunks.size()].get());
-        total_tokens += static_cast<int64_t>(items.back()->ec.token_ids.size());
-      }
-      const double ms = TimeGemmMs(
-          [&] {
-            for (const Chunk* ch : items) {
-              benchmark::DoNotOptimize(
-                  f.model->ForwardContent(ch->ec, ch->em, ch->enc));
-            }
-          },
-          std::max(1, 32 / bsize));  // ~constant work per timing batch
-      cost_samples.emplace_back(total_tokens, ms);
-    }
-    core::P2CostModel cm;
-    const bool calibrated = cm.Calibrate(cost_samples);
-    json.BeginObject("cost_model");
-    json.Field("calibrated", calibrated);
-    json.Field("samples", static_cast<int64_t>(cost_samples.size()));
-    json.Field("overhead_ms", cm.params().overhead_ms);
-    json.Field("ms_per_token", cm.params().ms_per_token);
-    json.EndObject();
-    std::printf(
-        "cost model fit (%zu samples): overhead %.4f ms + %.5f ms/token%s\n",
-        cost_samples.size(), cm.params().overhead_ms, cm.params().ms_per_token,
-        calibrated ? "" : " (fit failed; defaults kept)");
-  }
-
   // Int8 P2: the --p2-dtype=int8 content forward against fp32 at the PAPER
   // tower shape (L=4, H=312, I=1200 — the Tiny fixture's GEMMs are too
   // small to show the kernel, and the paper shape is what serving runs).
@@ -532,10 +466,7 @@ void WriteSubstrateJson() {
   // the sweep times the same B chunks, forwarded one after another through
   // ForwardContent, under an fp32 vs an int8 ExecContext.
   // tools/bench_check.py gates the speedup (hard floor 2.5x, advisory 3x)
-  // when a SIMD kernel is compiled in. The int8 timing samples
-  // also refit the cost model ("cost_model_int8"), for reference only: the
-  // router starts from the same default parameters for both dtypes and
-  // refits online.
+  // when a SIMD kernel is compiled in.
   {
     tensor::NoGradGuard ng;
     model::AdtdConfig pcfg = model::AdtdConfig::Paper(
@@ -582,7 +513,6 @@ void WriteSubstrateJson() {
     int8_opt.p2_dtype = tensor::P2Dtype::kInt8;
     tensor::ExecContext int8_ctx(int8_opt);
 
-    std::vector<std::pair<int64_t, double>> int8_samples;
     double fp32_total = 0.0, int8_total = 0.0;
     std::printf("P2 int8 vs fp32 at paper shape (kernel %s, %lld KiB packed):\n",
                 tensor::quant::QuantKernelName(tensor::quant::BestQuantKernel()),
@@ -611,7 +541,6 @@ void WriteSubstrateJson() {
       const double int8_ms = TimeGemmMs([&] { forward_all(&int8_ctx); }, reps);
       fp32_total += fp32_ms;
       int8_total += int8_ms;
-      int8_samples.emplace_back(total_tokens, int8_ms);
       json.BeginObject();
       json.Field("batch_size", static_cast<int64_t>(bsize));
       json.Field("tokens", total_tokens);
@@ -626,20 +555,6 @@ void WriteSubstrateJson() {
     json.Field("speedup", fp32_total / int8_total);
     json.EndObject();
     std::printf("  overall int8 speedup %.2fx\n", fp32_total / int8_total);
-
-    core::P2CostModel icm;
-    const bool int8_calibrated = icm.Calibrate(int8_samples);
-    json.BeginObject("cost_model_int8");
-    json.Field("calibrated", int8_calibrated);
-    json.Field("samples", static_cast<int64_t>(int8_samples.size()));
-    json.Field("overhead_ms", icm.params().overhead_ms);
-    json.Field("ms_per_token", icm.params().ms_per_token);
-    json.EndObject();
-    std::printf(
-        "int8 cost model fit (%zu samples): overhead %.4f ms + %.5f "
-        "ms/token%s\n",
-        int8_samples.size(), icm.params().overhead_ms, icm.params().ms_per_token,
-        int8_calibrated ? "" : " (fit failed; defaults kept)");
   }
 
   // Multi-process serving tier (DESIGN.md §10): the same batch scattered

@@ -65,7 +65,7 @@ Result<core::TableDetectionResult> RegexDetector::DetectTable(
   for (const auto& c : meta.columns) names.push_back(c.column_name);
   TASTE_ASSIGN_OR_RETURN(
       auto values,
-      conn->ScanColumns(table_name, names, {.limit_rows = options_.scan_rows}));
+      conn->ScanColumns(table_name, names, clouddb::ScanOptions{}));
   result.columns_scanned = static_cast<int>(names.size());
   result.total_columns = static_cast<int>(names.size());
   for (size_t c = 0; c < names.size(); ++c) {
@@ -134,7 +134,7 @@ Result<core::TableDetectionResult> DictionaryDetector::DetectTable(
   for (const auto& c : meta.columns) names.push_back(c.column_name);
   TASTE_ASSIGN_OR_RETURN(
       auto values,
-      conn->ScanColumns(table_name, names, {.limit_rows = options_.scan_rows}));
+      conn->ScanColumns(table_name, names, clouddb::ScanOptions{}));
   result.columns_scanned = static_cast<int>(names.size());
   result.total_columns = static_cast<int>(names.size());
   for (size_t c = 0; c < names.size(); ++c) {

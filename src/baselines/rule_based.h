@@ -20,7 +20,6 @@ namespace taste::baselines {
 
 /// Options shared by the rule-based detectors.
 struct RuleBasedOptions {
-  int scan_rows = 50;
   /// A type is admitted when at least this fraction of the sampled
   /// non-empty values matches.
   double match_threshold = 0.7;

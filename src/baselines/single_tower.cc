@@ -210,8 +210,7 @@ Result<core::TableDetectionResult> SingleTowerDetector::DetectTable(
       TASTE_ASSIGN_OR_RETURN(
           auto values,
           conn->ScanColumns(table_name, names,
-                            {.limit_rows = options_.scan_rows,
-                             .random_sample = options_.random_sample,
+                            {.random_sample = options_.random_sample,
                              .sample_seed = options_.sample_seed}));
       for (size_t i = 0; i < values.size(); ++i) {
         content[static_cast<int>(i)] = std::move(values[i]);
@@ -291,8 +290,7 @@ Result<double> TrainSingleTower(SingleTowerModel* model,
         for (const auto& c : chunk.columns) names.push_back(c.column_name);
         auto scan = conn->ScanColumns(
             spec.name, names,
-            {.limit_rows = options.scan_rows,
-             .random_sample = options.random_sample,
+            {.random_sample = options.random_sample,
              .sample_seed = options.sample_seed});
         TASTE_RETURN_IF_ERROR(scan.status());
         std::map<int, std::vector<std::string>> content;

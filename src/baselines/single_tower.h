@@ -112,7 +112,6 @@ class SingleTowerModel : public nn::Module {
 
 /// Serving options of the single-phase baselines.
 struct SingleTowerOptions {
-  int scan_rows = 50;
   bool random_sample = false;
   uint64_t sample_seed = 0;
   bool include_content = true;  // false = privacy setting (empty content)

@@ -4,8 +4,7 @@
 
 namespace taste {
 
-ThreadPool::ThreadPool(size_t num_threads, size_t max_extra_queued)
-    : max_extra_queued_(max_extra_queued) {
+ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
@@ -37,9 +36,7 @@ std::optional<std::future<void>> ThreadPool::TrySubmit(
   std::future<void> fut = item.done.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return std::nullopt;
-    if (max_extra_queued_ != std::numeric_limits<size_t>::max() &&
-        queue_.size() + running_ >= threads_.size() + max_extra_queued_) {
+    if (stop_ || queue_.size() + running_ >= threads_.size()) {
       return std::nullopt;
     }
     queue_.push_back(std::move(item));

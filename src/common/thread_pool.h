@@ -6,12 +6,12 @@
 // std::function<void()>; completion can be awaited per-task via the returned
 // future or globally via WaitIdle().
 //
-// Admission control: TrySubmit() refuses work past a bounded in-flight
-// budget (size() + max_extra_queued) instead of queueing without limit, so
-// overload surfaces at the submission edge where the caller can shed load
-// (DESIGN.md §8). Shutdown(drain_pending) tears the pool down gracefully:
-// either draining the queue or discarding it, then joining — teardown under
-// cancellation never aborts the process.
+// Admission control: TrySubmit() admits a task only when a worker is free
+// instead of queueing without limit, so overload surfaces at the
+// submission edge where the caller can shed load (DESIGN.md §8).
+// Shutdown(drain_pending) tears the pool down gracefully: either draining
+// the queue or discarding it, then joining — teardown under cancellation
+// never aborts the process.
 
 #ifndef TASTE_COMMON_THREAD_POOL_H_
 #define TASTE_COMMON_THREAD_POOL_H_
@@ -21,7 +21,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -32,15 +31,8 @@ namespace taste {
 /// A simple fixed-size thread pool.
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (at least 1). `max_extra_queued` bounds
-  /// how far TrySubmit() may overcommit beyond the worker count: TrySubmit
-  /// refuses once (queued + running) >= num_threads + max_extra_queued.
-  /// The default (unbounded) keeps Submit/TrySubmit equivalent for legacy
-  /// callers; the pipeline executor passes 0 so its dispatch gate is
-  /// exactly "a worker slot is free".
-  explicit ThreadPool(size_t num_threads,
-                      size_t max_extra_queued =
-                          std::numeric_limits<size_t>::max());
+  /// Starts `num_threads` workers (at least 1).
+  explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -50,10 +42,10 @@ class ThreadPool {
   /// Unbounded — never refuses (asserts the pool is not shut down).
   std::future<void> Submit(std::function<void()> task);
 
-  /// Bounded admission: enqueues only when in-flight work is below
-  /// size() + max_extra_queued and the pool is not shut down; otherwise
-  /// returns nullopt and the task is NOT queued. The caller decides
-  /// whether to shed, retry, or block.
+  /// Bounded admission: enqueues only when the pool is not Full() and not
+  /// shut down, so the task starts on a free worker; otherwise returns
+  /// nullopt and the task is NOT queued. The caller decides whether to
+  /// shed, retry, or block.
   std::optional<std::future<void>> TrySubmit(std::function<void()> task);
 
   /// True when every worker is busy AND no free capacity remains, i.e.
@@ -94,7 +86,6 @@ class ThreadPool {
 
   void WorkerLoop();
 
-  const size_t max_extra_queued_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;

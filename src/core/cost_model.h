@@ -10,11 +10,7 @@
 //
 // Per-op dispatch, panel packing and buffer churn are paid per forward;
 // the projections, FFN and classifier GEMMs grow with the tokens. The
-// router re-fits the parameters from its own observed legs (Calibrate);
-// bench_micro_substrate fits them from timed ForwardContent calls and
-// emits the fit in its "cost_model" and "cost_model_int8" sections, so
-// drift between the defaults and the current hardware is visible in
-// review.
+// router re-fits the parameters from its own observed legs (Calibrate).
 //
 // The model deliberately predicts SERVING cost, not GEMM FLOPs: it is
 // calibrated on end-to-end forward timings, so cache effects and op

@@ -16,6 +16,9 @@ using model::EncodedMetadata;
 
 namespace {
 
+/// P2 admission threshold on the content classifier's probabilities.
+constexpr double kP2AdmitThreshold = 0.5;
+
 model::InputConfig ApplyOverrides(model::InputConfig config,
                                   const TasteOptions& options) {
   if (options.override_cells_per_column > 0) {
@@ -317,7 +320,6 @@ Status TasteDetector::PrepareP2(clouddb::Connection* conn, Job* job) const {
       names.push_back(job->chunks[i].column_names[static_cast<size_t>(c)]);
     }
     const clouddb::ScanOptions scan_options = {
-        .limit_rows = options_.scan_rows,
         .random_sample = options_.random_sample,
         .sample_seed = options_.sample_seed};
     auto scan = [&] {
@@ -388,8 +390,7 @@ void TasteDetector::ApplyContentProbs(const EncodedContent& content,
         probs.begin() + static_cast<int64_t>(k) * num_types,
         probs.begin() + static_cast<int64_t>(k + 1) * num_types);
     for (int s = 0; s < num_types; ++s) {
-      if (pred.probabilities[static_cast<size_t>(s)] >=
-          options_.p2_admit_threshold) {
+      if (pred.probabilities[static_cast<size_t>(s)] >= kP2AdmitThreshold) {
         pred.admitted_types.push_back(s);
       }
     }

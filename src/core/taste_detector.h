@@ -61,13 +61,12 @@ struct ResilienceOptions {
 struct TasteOptions {
   double alpha = 0.1;   // lower uncertainty threshold
   double beta = 0.9;    // upper uncertainty threshold
-  int scan_rows = 50;           // m rows fetched per scanned table
+  /// m rows fetched per scanned table: ScanOptions' default, read-only.
+  static constexpr int scan_rows = clouddb::ScanOptions{}.limit_rows;
   bool random_sample = false;   // first-m vs random sampling
   uint64_t sample_seed = 0;
   bool use_latent_cache = true;   // reuse metadata latents in P2
   bool enable_p2 = true;          // privacy mode: false = never scan
-  /// P2 admission threshold on the content classifier's probabilities.
-  double p2_admit_threshold = 0.5;
   size_t cache_capacity = 4096;
   /// Lock shards of the latent cache (see model/latent_cache.h). 1 keeps
   /// the historical single-mutex behaviour; pipeline deployments set this

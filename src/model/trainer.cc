@@ -174,8 +174,7 @@ Result<double> FineTuner::Train(const data::Dataset& dataset,
         for (const auto& c : chunk.columns) col_names.push_back(c.column_name);
         auto scan = conn->ScanColumns(
             spec.name, col_names,
-            {.limit_rows = options.scan_rows,
-             .random_sample = options.random_sample,
+            {.random_sample = options.random_sample,
              .sample_seed = options.sample_seed});
         TASTE_RETURN_IF_ERROR(scan.status());
         std::map<int, std::vector<std::string>> content_map;

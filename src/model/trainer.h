@@ -60,7 +60,6 @@ struct FineTuneOptions {
   float final_lr_fraction = 0.15f;
   float clip_norm = 1.0f;
   uint64_t seed = 11;
-  int scan_rows = 50;          // m: rows retrieved per table
   bool random_sample = false;  // first-m vs random sampling
   uint64_t sample_seed = 0;
   int log_every = 0;           // tables between progress logs; 0 = silent

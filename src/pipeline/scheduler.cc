@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <iterator>
 #include <mutex>
-#include <optional>
-#include <thread>
 
+#include "common/retry.h"
 #include "common/stopwatch.h"
 #include "obs/export.h"
 #include "tensor/exec_context.h"
@@ -127,16 +125,23 @@ void FoldExecStats(const tensor::ExecContext& ctx) {
 }
 
 /// The options of every serving context this executor leases: no-grad,
-/// pooled, profiled when metrics are on, with its own intra-op pool when
-/// the clamp leaves room for one.
+/// pooled, serial kernels, profiled when metrics are on.
 tensor::ExecContext::Options ServingContextOptions(
     const PipelineOptions& options) {
   tensor::ExecContext::Options ctx;
   ctx.no_grad = true;
   ctx.profile = obs::MetricsEnabled();
-  ctx.intra_op_threads = EffectiveIntraOpThreads(options);
   ctx.p2_dtype = options.p2_dtype;
   return ctx;
+}
+
+/// The batch latency budget: one token whose deadline is anchored at batch
+/// entry, so every table observes the same absolute expiry (and the
+/// caller's external cancel, when given). With deadline_ms == 0 the
+/// deadline is infinite and never reads the clock.
+Deadline BatchDeadline(const PipelineOptions& options) {
+  return options.deadline_ms != 0.0 ? Deadline::AfterMillis(options.deadline_ms)
+                                    : Deadline();
 }
 
 /// A serving context leased from the detector for one infer stage (or one
@@ -166,17 +171,6 @@ PipelineExecutor::PipelineExecutor(const TasteDetector* detector,
   TASTE_CHECK(detector_ != nullptr && db_ != nullptr);
   TASTE_CHECK(options_.prep_threads >= 1 && options_.infer_threads >= 1);
   PipelineMetrics::Get();  // register the pipeline metric families eagerly
-}
-
-int EffectiveIntraOpThreads(const PipelineOptions& options) {
-  if (options.intra_op_threads <= 1) return 0;
-  const int hw =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  // Each of the infer_threads TP2 workers would own a pool this size;
-  // never let the product oversubscribe the machine.
-  const int budget = std::max(1, hw / std::max(1, options.infer_threads));
-  const int clamped = std::min(options.intra_op_threads, budget);
-  return clamped > 1 ? clamped : 0;
 }
 
 BatchResult PipelineExecutor::RunBatch(
@@ -316,24 +310,14 @@ void PipelineExecutor::RunSequential(
   LeasedContext ctx(*detector_, ServingContextOptions(options_));
   auto conn = db_->Connect();
   const bool metrics = obs::MetricsEnabled();
-  // The batch latency budget (shared absolute expiry, as in the pipelined
-  // mode). Null token = deadlines off = exact legacy behaviour.
-  const bool budget_active =
-      options_.deadline_ms != 0.0 || options_.cancel != nullptr;
-  std::optional<CancelToken> token;
-  if (budget_active) {
-    token.emplace(options_.deadline_ms != 0.0
-                      ? Deadline::AfterMillis(options_.deadline_ms)
-                      : Deadline(),
-                  options_.cancel);
-    conn->SetDeadline(token->deadline());
-  }
+  const CancelToken token(BatchDeadline(options_), options_.cancel);
+  conn->SetDeadline(token.deadline());
   for (size_t i = 0; i < table_names.size(); ++i) {
     if (out->tables[i].outcome == TableOutcome::kShed) continue;
     TASTE_SPAN("pipeline.detect_table");
     Stopwatch table_sw;
-    auto res = detector_->DetectTable(conn.get(), table_names[i], ctx.get(),
-                                      token ? &*token : nullptr);
+    auto res =
+        detector_->DetectTable(conn.get(), table_names[i], ctx.get(), &token);
     if (metrics) {
       PipelineMetrics::Get().table_ms->Observe(table_sw.ElapsedMillis());
     }
@@ -344,7 +328,7 @@ void PipelineExecutor::RunSequential(
     }
     out->tables[i].outcome =
         DeriveOutcome(out->tables[i].status, out->tables[i].result,
-                      token && token->Cancelled());
+                      token.Cancelled());
     if (stats_.max_tables_in_flight == 0) stats_.max_tables_in_flight = 1;
   }
 }
@@ -365,14 +349,13 @@ struct TableState {
   bool in_flight = false;
   int stage_attempts = 0;  // failed tries of the CURRENT stage
   Status error;            // sticky first (permanent) error
-  /// The table's budget/cancel token (points at the batch token when the
-  /// run has one; nullptr = deadlines off, exact legacy behaviour).
-  const CancelToken* cancel = nullptr;
   bool started = false;   // first stage dispatched (the table was admitted)
-  bool shed = false;      // rejected by admission (entry or queue-wait)
   bool expired = false;   // parked by deadline/cancel before P1 finished
   double admit_ms = 0.0;  // TraceNowMs() at first dispatch
 };
+
+/// Retry policy for opening the prep pool's database connections.
+constexpr RetryPolicy kConnectRetry{};
 
 /// A small free-list of connections shared by the prep workers. Connect
 /// faults are retried; if the database stays unreachable the pool falls
@@ -380,11 +363,11 @@ struct TableState {
 class ConnectionPool {
  public:
   ConnectionPool(clouddb::SimulatedDatabase* db, int n,
-                 const RetryPolicy& connect_retry, int64_t* retries_out) {
+                 int64_t* retries_out) {
     for (int i = 0; i < n; ++i) {
       RetryObservation obs;
       auto conn = RetryCall(
-          connect_retry, /*salt=*/static_cast<uint64_t>(i) + 1,
+          kConnectRetry, /*salt=*/static_cast<uint64_t>(i) + 1,
           /*sleep_ms=*/{}, [db] { return db->TryConnect(); }, &obs);
       *retries_out += obs.retries;
       free_.push_back(conn.ok() ? std::move(*conn) : db->Connect());
@@ -411,61 +394,36 @@ class ConnectionPool {
 
 void PipelineExecutor::RunPipelined(
     const std::vector<std::string>& table_names, BatchResult* out) {
-  static const bool kDebug = std::getenv("TASTE_PIPELINE_DEBUG") != nullptr;
   // NOTE: mu/cv/states are declared BEFORE the thread pools so that pool
   // destruction (which joins workers, including any still inside their
   // task-complete callback) happens while they are alive.
   std::mutex mu;
   std::condition_variable cv;
-  Stopwatch batch_sw;  // anchor for deadlines and queue-wait shedding
-
-  // The batch latency budget: one token whose deadline is anchored here at
-  // batch entry; every table observes the same absolute expiry (and the
-  // caller's external cancel, when given). No token when both knobs are
-  // off — table states keep a null cancel and every code path below is
-  // byte-identical to the legacy executor.
-  const bool budget_active =
-      options_.deadline_ms != 0.0 || options_.cancel != nullptr;
-  std::optional<CancelToken> batch_token;
-  if (budget_active) {
-    batch_token.emplace(options_.deadline_ms != 0.0
-                            ? Deadline::AfterMillis(options_.deadline_ms)
-                            : Deadline(),
-                        options_.cancel);
-  }
+  const CancelToken batch_token(BatchDeadline(options_), options_.cancel);
 
   std::vector<TableState> states(table_names.size());
   for (size_t i = 0; i < table_names.size(); ++i) {
     states[i].name = table_names[i];
-    states[i].cancel = batch_token ? &*batch_token : nullptr;
-    states[i].job.cancel = states[i].cancel;
+    states[i].job.cancel = &batch_token;
     if (out->tables[i].outcome == TableOutcome::kShed) {
       // Shed at batch entry (RunBatch); never enters the scheduler loop.
       states[i].next = Stage::kDone;
-      states[i].shed = true;
-      states[i].error = out->tables[i].status;
     }
   }
 
   // Each P1/P2 infer stage leases a serving context from the detector for
-  // its duration (buffer pool, no-grad enforcement, optionally an intra-op
-  // GEMM pool of its own). A lease is exclusive, so a stage never forks
-  // GEMM bands onto the pool it runs on (the deadlock rule of
-  // tensor/exec_context.h), and EffectiveIntraOpThreads caps the total
-  // thread product.
+  // its duration (buffer pool, no-grad enforcement). A lease is exclusive,
+  // which keeps the one-thread-per-context rule of tensor/exec_context.h.
   const tensor::ExecContext::Options ctx_options =
       ServingContextOptions(options_);
 
-  // max_extra_queued = 0: TrySubmit admits a stage only when a worker slot
-  // is free, so the dispatch gate is exactly Algorithm 1's "pool not full".
-  ThreadPool tp1(static_cast<size_t>(options_.prep_threads),
-                 /*max_extra_queued=*/0);
-  ThreadPool tp2(static_cast<size_t>(options_.infer_threads),
-                 /*max_extra_queued=*/0);
+  // TrySubmit admits a stage only when a worker slot is free, so the
+  // dispatch gate is exactly Algorithm 1's "pool not full".
+  ThreadPool tp1(static_cast<size_t>(options_.prep_threads));
+  ThreadPool tp2(static_cast<size_t>(options_.infer_threads));
   // Connections are created once and reused across the batch (the paper
   // recommends batching tables per database to amortize connection cost).
   ConnectionPool connections(db_, options_.prep_threads,
-                             options_.connect_retry,
                              &resilience_.connect_retries);
 
   // The scheduler blocks on `cv` when both pools are full or no stage is
@@ -511,7 +469,7 @@ void PipelineExecutor::RunPipelined(
       detector_->DegradeRemainingToMetadataOnly(&st.job);
       st.error = Status::OK();
     } else {
-      st.error = st.cancel->ToStatus("table " + st.name);
+      st.error = batch_token.ToStatus("table " + st.name);
       st.expired = true;
     }
     st.next = Stage::kDone;
@@ -537,9 +495,8 @@ void PipelineExecutor::RunPipelined(
       switch (stage) {
         case Stage::kP1Prep: {
           auto conn = connections.Acquire();
-          if (st.cancel != nullptr) conn->SetDeadline(st.cancel->deadline());
+          conn->SetDeadline(batch_token.deadline());
           status = detector_->PrepareP1(conn.get(), st.name, &st.job);
-          if (st.cancel != nullptr) conn->SetDeadline(Deadline());
           connections.Release(std::move(conn));
           break;
         }
@@ -550,9 +507,8 @@ void PipelineExecutor::RunPipelined(
         }
         case Stage::kP2Prep: {
           auto conn = connections.Acquire();
-          if (st.cancel != nullptr) conn->SetDeadline(st.cancel->deadline());
+          conn->SetDeadline(batch_token.deadline());
           status = detector_->PrepareP2(conn.get(), &st.job);
-          if (st.cancel != nullptr) conn->SetDeadline(Deadline());
           connections.Release(std::move(conn));
           break;
         }
@@ -570,13 +526,9 @@ void PipelineExecutor::RunPipelined(
       }
     }
     std::lock_guard<std::mutex> lock(mu);
-    if (kDebug) {
-      std::fprintf(stderr, "[pipe] done t=%zu stage=%d ok=%d\n", idx,
-                   static_cast<int>(stage), status.ok());
-    }
     st.in_flight = false;
     if (!status.ok()) {
-      if (st.cancel != nullptr && st.cancel->Cancelled()) {
+      if (batch_token.Cancelled()) {
         // The table's own budget fired. This MUST be checked before the
         // transient-retry branch: kDeadlineExceeded is transient for the
         // per-call server timeouts the fault injector raises, but a table
@@ -591,7 +543,7 @@ void PipelineExecutor::RunPipelined(
         ++resilience_.stage_retries;
         if (stage == Stage::kP1Prep) {
           st.job = TasteDetector::Job();
-          st.job.cancel = st.cancel;  // the reset wiped the token
+          st.job.cancel = &batch_token;  // the reset wiped the token
         }
         st.next = stage;
       } else {
@@ -636,29 +588,18 @@ void PipelineExecutor::RunPipelined(
       // burns a pool slot on a stage that would only discover the expiry
       // itself (this is also where a pre-expired deadline_ms < 0 parks
       // every table without running anything).
-      if (st.cancel != nullptr && st.cancel->Cancelled()) {
+      if (batch_token.Cancelled()) {
         expire_table(st);
         dispatched = true;  // state advanced; rescan before sleeping
         continue;
       }
-      if (!st.started && options_.admission.enabled) {
-        // Admission gate for a table's FIRST dispatch: cap the tables in
-        // flight, and optionally shed a table that has already queued
-        // longer than the policy allows.
-        if (options_.admission.max_queue_wait_ms > 0.0 &&
-            batch_sw.ElapsedMillis() > options_.admission.max_queue_wait_ms) {
-          st.error = Status::Unavailable(
-              "admission queue wait exceeded for table " + st.name);
-          st.shed = true;
-          st.next = Stage::kDone;
-          dispatched = true;
-          continue;
-        }
-        // Clamped to >= 1 so a degenerate policy can never wedge the batch.
-        if (inflight_tables >=
-            std::max(1, options_.admission.max_inflight_tables)) {
-          continue;  // wait for an in-flight table to reach a terminal state
-        }
+      // Admission gate for a table's FIRST dispatch: cap the tables in
+      // flight. Clamped to >= 1 so a degenerate policy can never wedge the
+      // batch.
+      if (!st.started && options_.admission.enabled &&
+          inflight_tables >=
+              std::max(1, options_.admission.max_inflight_tables)) {
+        continue;  // wait for an in-flight table to reach a terminal state
       }
       Stage stage = st.next;
       ThreadPool& pool = IsPrepStage(stage) ? tp1 : tp2;
@@ -675,10 +616,6 @@ void PipelineExecutor::RunPipelined(
         stats_.max_tables_in_flight =
             std::max(stats_.max_tables_in_flight, inflight_tables);
       }
-      if (kDebug) {
-        std::fprintf(stderr, "[pipe] dispatch t=%zu stage=%d\n", i,
-                     static_cast<int>(stage));
-      }
       dispatched = true;
     }
     if (all_done) break;
@@ -690,11 +627,8 @@ void PipelineExecutor::RunPipelined(
       // dispatchable table was already expired above — only in-flight
       // stages remain, and their completions notify — so a plain wait is
       // correct (and avoids spinning on a zero remaining budget).
-      double remaining = -1.0;
-      if (batch_token && !batch_token->deadline().IsInfinite()) {
-        remaining = batch_token->deadline().RemainingMillis();
-      }
-      if (remaining > 0.0) {
+      const double remaining = batch_token.deadline().RemainingMillis();
+      if (remaining > 0.0 && !batch_token.deadline().IsInfinite()) {
         cv.wait_for(lock,
                     std::chrono::duration<double, std::milli>(remaining));
       } else {
@@ -716,12 +650,8 @@ void PipelineExecutor::RunPipelined(
     if (out->tables[i].result.table_name.empty()) {
       out->tables[i].result.table_name = st.name;
     }
-    if (st.shed) {
-      out->tables[i].outcome = TableOutcome::kShed;
-    } else {
-      out->tables[i].outcome =
-          DeriveOutcome(st.error, out->tables[i].result, st.expired);
-    }
+    out->tables[i].outcome =
+        DeriveOutcome(st.error, out->tables[i].result, st.expired);
   }
 }
 

@@ -30,7 +30,6 @@
 
 #include "clouddb/database.h"
 #include "common/deadline.h"
-#include "common/retry.h"
 #include "common/thread_pool.h"
 #include "core/taste_detector.h"
 
@@ -49,39 +48,21 @@ struct AdmissionPolicy {
   /// tail), so overload surfaces immediately instead of queueing without
   /// bound.
   int max_queued_tables = 8;
-  /// When > 0, a queued table still waiting for its first dispatch after
-  /// this many wall-clock ms is shed with kUnavailable instead of being
-  /// started late. 0 disables the wait bound (queued tables only shed via
-  /// max_queued_tables). Wall-clock dependent — keep 0 where determinism
-  /// matters (the chaos harness does).
-  double max_queue_wait_ms = 0.0;
 };
 
 struct PipelineOptions {
   int prep_threads = 2;   // |TP1|
   int infer_threads = 2;  // |TP2|
   bool pipelined = true;  // false = paper's "sequential mode" baseline
-  /// Intra-op GEMM workers EACH infer stage may use (via the ExecContext it
-  /// leases), composing intra-op with inter-table parallelism. The
-  /// executor clamps the value so infer_threads * intra_op_threads never
-  /// exceeds the hardware concurrency (see EffectiveIntraOpThreads);
-  /// <= 1 means serial kernels — the default, byte-identical to the
-  /// historical behaviour.
-  int intra_op_threads = 0;
   /// Pipeline-level re-runs of a failed stage while its error is transient
   /// (the re-run is dispatched back to the stage's own pool). These sit on
   /// top of whatever call-level retries the detector's ResilienceOptions
   /// configure; 0 disables.
   int max_stage_retries = 1;
-  /// Retry policy for acquiring the prep pool's database connections
-  /// (transient connect failures). A connection that still cannot be
-  /// opened after these attempts falls back to the infallible legacy
-  /// connect path so the batch can always run.
-  RetryPolicy connect_retry;
   /// Per-table latency budget in milliseconds, anchored at batch entry
   /// (every table of the batch shares the same absolute expiry instant).
-  /// 0 disables deadlines entirely — byte-identical legacy behaviour.
-  /// > 0 arms the budget; < 0 produces an already-expired deadline (a
+  /// 0 means no budget: the batch token's deadline is infinite and never
+  /// fires. > 0 arms the budget; < 0 produces an already-expired deadline (a
   /// deterministic hook for tests and the chaos harness). On expiry a
   /// table whose P1 classification finished degrades its remaining
   /// uncertain columns to the metadata-only path (outcome kDegraded with
@@ -196,13 +177,6 @@ struct BatchResult {
     return true;
   }
 };
-
-/// The intra-op pool size each infer stage's context actually gets: the
-/// requested PipelineOptions::intra_op_threads clamped so that
-/// infer_threads * intra_op_threads <= hardware concurrency (no
-/// oversubscription; DESIGN.md §6). Returns 0 when the request (or the
-/// clamp) leaves no room for a pool — serial kernels.
-int EffectiveIntraOpThreads(const PipelineOptions& options);
 
 /// Runs a batch of tables (from one database, reusing its connections)
 /// through a TasteDetector, pipelined or sequentially.

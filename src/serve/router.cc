@@ -22,6 +22,11 @@ namespace {
 /// legs absorbs the approximation).
 constexpr int64_t kHedgeTokensPerTable = 600;
 
+/// Poll granularity when no timer is pending.
+constexpr double kPollSlackMs = 50.0;
+/// How long Scrape() waits for the replicas' metric snapshots.
+constexpr double kScrapeTimeoutMs = 1000.0;
+
 obs::Counter* RedispatchCounter() {
   static obs::Counter* c =
       obs::Registry::Global().GetCounter("taste_redispatched_tables_total");
@@ -107,7 +112,7 @@ Router::Router(WorkerEnv env, RouterOptions options)
     : env_(std::move(env)),
       options_(options),
       supervisor_(env_, options_.supervisor),
-      ring_(options_.supervisor.replicas, options_.vnodes) {}
+      ring_(options_.supervisor.replicas, kRingVnodes) {}
 
 Router::~Router() { Shutdown(); }
 
@@ -423,7 +428,7 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
         owner.push_back(id);
       }
     }
-    double wait = options_.poll_slack_ms;
+    double wait = kPollSlackMs;
     const double timer = supervisor_.NextTimerMillis(/*idle_heartbeats=*/true);
     if (timer >= 0.0) wait = std::min(wait, timer);
     {
@@ -607,7 +612,7 @@ bool Router::MaintainUntilAllUp(double budget_ms) {
     }
     if (all_up) return true;
     if (dl.Expired()) return false;
-    double wait = options_.poll_slack_ms;
+    double wait = kPollSlackMs;
     const double timer = supervisor_.NextTimerMillis(/*idle_heartbeats=*/false);
     if (timer >= 0.0) wait = std::min(wait, timer);
     wait = std::min(wait, dl.RemainingMillis());
@@ -634,7 +639,7 @@ Result<obs::Registry::Snapshot> Router::Scrape() {
     }
   }
 
-  const Deadline dl = Deadline::AfterMillis(options_.scrape_timeout_ms);
+  const Deadline dl = Deadline::AfterMillis(kScrapeTimeoutMs);
   while (!waiting.empty() && !dl.Expired()) {
     std::vector<pollfd> pfds;
     std::vector<int> owner;

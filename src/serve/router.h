@@ -70,6 +70,9 @@ namespace taste::serve {
 /// std::hash.
 uint64_t HashTableName(const std::string& name);
 
+/// Virtual nodes per replica on the router's ring.
+inline constexpr int kRingVnodes = 64;
+
 /// Consistent hash ring over replica ids with virtual nodes. Placement is
 /// a pure function of (replica count, vnodes, table name); failover walks
 /// the ring to the first ACCEPTABLE node, so surviving assignments do not
@@ -118,10 +121,6 @@ class ConsistentHashRing {
 
 struct RouterOptions {
   SupervisorOptions supervisor;
-  int vnodes = 64;
-  /// Poll granularity when no timer is pending (ms).
-  double poll_slack_ms = 50.0;
-  double scrape_timeout_ms = 1000.0;
 
   // -- Hedged re-dispatch (gray stragglers) ----------------------------------
 
@@ -142,7 +141,7 @@ struct RouterOptions {
   // -- Wedged-replica watchdog -----------------------------------------------
 
   /// Leg age at which the replica holding it is condemned as wedged
-  /// (SIGTERM → SIGKILL → respawn; supervisor.watchdog_term_grace_ms).
+  /// (SIGTERM → 20 ms grace → SIGKILL → respawn).
   /// 0 derives 4× the leg's straggler threshold when hedging is enabled;
   /// with hedging also disabled the watchdog is off.
   double watchdog_ms = 0.0;

@@ -19,6 +19,30 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Respawn backoff (only its BackoffMillis is used): deterministic ±20%
+/// jitter, doubling per death. Recovery is fast (first respawn ~5 ms after
+/// death) while a crash-looping replica backs off to 250 ms between
+/// attempts.
+constexpr RetryPolicy kRespawnBackoff{.initial_backoff_ms = 5.0,
+                                      .max_backoff_ms = 250.0,
+                                      .jitter_seed = 0x5EBAull};
+
+/// Weight of the newest sample in the per-replica latency/error EWMAs.
+constexpr double kHealthEwmaAlpha = 0.25;
+/// Outcomes observed before the error EWMA is trusted (a single failed
+/// first leg must not quarantine a cold replica).
+constexpr int kHealthMinSamples = 3;
+/// Per-replica quarantine breaker: trips on the quarantine verdict
+/// (threshold 1 — the EWMA already did the counting) and spaces readmit
+/// probes by two probe ticks.
+constexpr CircuitBreakerOptions kQuarantineBreaker{
+    .failure_threshold = 1, .open_cooldown_rejections = 2};
+/// Grace between SIGTERM and the SIGKILL escalation when condemning a
+/// wedged replica. Bounded and short: a SIGSTOPped process never runs its
+/// SIGTERM handler anyway, and the router loop blocks for at most this
+/// long per condemnation.
+constexpr double kWatchdogTermGraceMs = 20.0;
+
 double MillisBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
@@ -128,7 +152,7 @@ Supervisor::Supervisor(WorkerEnv env, SupervisorOptions options)
   for (int i = 0; i < options_.replicas; ++i) {
     replicas_[i].id = i;
     replicas_[i].health_breaker =
-        std::make_unique<CircuitBreaker>(options_.quarantine_breaker);
+        std::make_unique<CircuitBreaker>(kQuarantineBreaker);
   }
 }
 
@@ -229,9 +253,8 @@ void Supervisor::MarkDead(int id) {
   }
   r->state = ReplicaState::kDead;
   UpdateHealthGauges(*r);
-  const double backoff =
-      options_.respawn_backoff.BackoffMillis(r->deaths + 1,
-                                             static_cast<uint64_t>(r->id));
+  const double backoff = kRespawnBackoff.BackoffMillis(
+      r->deaths + 1, static_cast<uint64_t>(r->id));
   r->respawn_at =
       r->died_at + std::chrono::duration_cast<Clock::duration>(
                        std::chrono::duration<double, std::milli>(backoff));
@@ -250,9 +273,7 @@ void Supervisor::CondemnWedged(int id) {
     // so after the bounded grace SIGKILL finishes the job (SIGKILL
     // terminates even stopped processes).
     ::kill(r->pid, SIGTERM);
-    const Deadline grace = Deadline::AfterMillis(
-        options_.watchdog_term_grace_ms > 0.0 ? options_.watchdog_term_grace_ms
-                                              : 1.0);
+    const Deadline grace = Deadline::AfterMillis(kWatchdogTermGraceMs);
     for (;;) {
       int wstatus = 0;
       const pid_t got = ::waitpid(r->pid, &wstatus, WNOHANG);
@@ -301,7 +322,7 @@ std::vector<int> Supervisor::RespawnEligible() {
       r.deaths += 1;
       r.respawn_at = now + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
-                                   options_.respawn_backoff.BackoffMillis(
+                                   kRespawnBackoff.BackoffMillis(
                                        r.deaths + 1,
                                        static_cast<uint64_t>(r.id))));
       continue;
@@ -402,7 +423,7 @@ void Supervisor::HandleHeartbeatAck(int id, const std::string& payload) {
   if (r->state == ReplicaState::kQuarantined) {
     r->health_breaker->RecordSuccess();
     r->readmit_streak += 1;
-    if (r->readmit_streak >= options_.readmit_probes) Readmit(r);
+    if (r->readmit_streak >= kReadmitProbes) Readmit(r);
   }
 }
 
@@ -441,7 +462,7 @@ const Replica* Supervisor::replica(int id) const {
 void Supervisor::RecordLegSuccess(int id, double latency_ms) {
   Replica* r = replica(id);
   if (r == nullptr) return;
-  const double a = options_.health_ewma_alpha;
+  const double a = kHealthEwmaAlpha;
   r->ewma_latency_ms = r->health_samples == 0
                            ? latency_ms
                            : (1.0 - a) * r->ewma_latency_ms + a * latency_ms;
@@ -453,12 +474,12 @@ void Supervisor::RecordLegSuccess(int id, double latency_ms) {
 void Supervisor::RecordLegError(int id) {
   Replica* r = replica(id);
   if (r == nullptr) return;
-  const double a = options_.health_ewma_alpha;
+  const double a = kHealthEwmaAlpha;
   r->ewma_error_rate = (1.0 - a) * r->ewma_error_rate + a;  // outcome = 1
   r->health_samples += 1;
   if (r->state == ReplicaState::kUp &&
       options_.quarantine_error_threshold > 0.0 &&
-      r->health_samples >= options_.health_min_samples &&
+      r->health_samples >= kHealthMinSamples &&
       r->ewma_error_rate >= options_.quarantine_error_threshold) {
     Quarantine(r);
   }
@@ -492,7 +513,7 @@ void Supervisor::Readmit(Replica* r) {
   ReadmitCounter()->Inc();
   UpdateHealthGauges(*r);
   TASTE_LOG(Info) << "replica " << r->id << " readmitted after "
-                  << options_.readmit_probes << " clean probes";
+                  << kReadmitProbes << " clean probes";
 }
 
 void Supervisor::UpdateHealthGauges(const Replica& r) const {

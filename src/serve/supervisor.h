@@ -11,26 +11,28 @@
 //     handler writes one byte; waitpid(WNOHANG) reaping happens on the
 //     router thread) AND socket EOF/POLLHUP, whichever fires first;
 //   * respawn with capped deterministic backoff — RetryPolicy::
-//     BackoffMillis(deaths, replica_id) drives the delay, so respawn
-//     schedules replay exactly in tests; a replica past max_respawns is
-//     parked permanently instead of crash-looping;
+//     BackoffMillis(deaths, replica_id) drives the delay (5 ms after the
+//     first death, doubling to a 250 ms cap), so respawn schedules replay
+//     exactly in tests; a replica past max_respawns is parked permanently
+//     instead of crash-looping;
 //   * heartbeat liveness — the router sends probes to IDLE replicas at
 //     heartbeat_interval_ms; heartbeat_miss_limit consecutive unanswered
 //     probes has the replica SIGKILLed and respawned (a wedged-but-alive
 //     process looks exactly like a crash);
 //   * health scoring — every completed or failed leg updates per-replica
-//     EWMAs of latency and error rate (RecordLegSuccess/RecordLegError);
-//     a replica whose error EWMA crosses quarantine_error_threshold is
+//     EWMAs (alpha 0.25) of latency and error rate (RecordLegSuccess/
+//     RecordLegError); once it has 3 samples, a replica whose error EWMA
+//     crosses quarantine_error_threshold is
 //     QUARANTINED: its process stays alive but the router's ring predicate
 //     stops admitting it (minimal-movement: only its tables move). A
 //     per-replica CircuitBreaker then drives the probe lifecycle — the
 //     open→half-open cooldown spaces readmit probes, one heartbeat probe
-//     per half-open, and readmit_probes consecutive acks readmit it. The
+//     per half-open, and kReadmitProbes consecutive acks readmit it. The
 //     dispatch path observes the breaker only through the const
 //     WouldAllow()/state() reads (common/retry.h), so serving-path checks
 //     can never consume the scorer's probe slot;
 //   * wedged-replica watchdog — CondemnWedged() escalates SIGTERM →
-//     (watchdog_term_grace_ms) → SIGKILL for a replica whose in-flight leg
+//     (20 ms grace) → SIGKILL for a replica whose in-flight leg
 //     is overdue while its process is still alive (the SIGSTOP /
 //     stuck-syscall gray failure: no SIGCHLD thanks to SA_NOCLDSTOP, no
 //     EOF, possibly live heartbeats). SIGKILL works on stopped processes,
@@ -57,18 +59,12 @@
 
 namespace taste::serve {
 
+/// Consecutive successful readmit probes a quarantined replica needs to
+/// rejoin the ring.
+inline constexpr int kReadmitProbes = 2;
+
 struct SupervisorOptions {
   int replicas = 2;
-  /// Respawn backoff: deterministic jitter, capped. Defaults keep recovery
-  /// fast (first respawn ~5 ms after death) while a crash-looping replica
-  /// backs off to max_backoff_ms between attempts.
-  RetryPolicy respawn_backoff{.max_attempts = 1 << 30,
-                              .initial_backoff_ms = 5.0,
-                              .max_backoff_ms = 250.0,
-                              .backoff_multiplier = 2.0,
-                              .jitter_fraction = 0.2,
-                              .per_call_backoff_budget_ms = 0.0,
-                              .jitter_seed = 0x5EBAull};
   /// Deaths after which a replica is parked for good (no more respawns);
   /// re-dispatch then routes around it permanently.
   int max_respawns = 64;
@@ -78,30 +74,10 @@ struct SupervisorOptions {
 
   // -- Health scoring (quarantine → probe → readmit) -------------------------
 
-  /// Weight of the newest sample in the per-replica latency/error EWMAs.
-  double health_ewma_alpha = 0.25;
   /// Error-rate EWMA at or above which an up replica is quarantined.
   /// Errors are leg-level gray verdicts: straggling past the hedge
   /// threshold, corrupt frames, deaths. <= 0 disables quarantining.
   double quarantine_error_threshold = 0.5;
-  /// Outcomes observed before the error EWMA is trusted (a single failed
-  /// first leg must not quarantine a cold replica).
-  int health_min_samples = 3;
-  /// Consecutive successful readmit probes required to rejoin the ring.
-  int readmit_probes = 2;
-  /// Per-replica quarantine breaker: trips on the quarantine verdict
-  /// (threshold 1 — the EWMA already did the counting) and spaces readmit
-  /// probes by open_cooldown_rejections probe ticks.
-  CircuitBreakerOptions quarantine_breaker{.failure_threshold = 1,
-                                           .open_cooldown_rejections = 2};
-
-  // -- Wedged-replica watchdog ------------------------------------------------
-
-  /// Grace between SIGTERM and the SIGKILL escalation when condemning a
-  /// wedged replica. Bounded and short: a SIGSTOPped process never runs
-  /// its SIGTERM handler anyway, and the router loop blocks for at most
-  /// this long per condemnation.
-  double watchdog_term_grace_ms = 20.0;
 };
 
 enum class ReplicaState {
@@ -212,7 +188,7 @@ class Supervisor {
 
   /// Records a heartbeat ack for `id` (payload = echoed sequence). For a
   /// quarantined replica a matching ack is a successful readmit probe;
-  /// readmit_probes consecutive ones put it back in the ring.
+  /// kReadmitProbes consecutive ones put it back in the ring.
   void HandleHeartbeatAck(int id, const std::string& payload);
 
   // -- Health scoring ---------------------------------------------------------

@@ -54,18 +54,15 @@ ExecContext::ExecContext() : ExecContext(Options{}) {}
 
 ExecContext::ExecContext(const Options& options)
     : options_(options), pool_(std::make_shared<BufferPool>()) {
-  if (options_.intra_op_pool == nullptr && options_.intra_op_threads > 1) {
-    owned_intra_pool_ = std::make_unique<ThreadPool>(
+  if (options_.intra_op_threads > 1) {
+    intra_pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(options_.intra_op_threads));
   }
 }
 
 ExecContext::~ExecContext() = default;
 
-ThreadPool* ExecContext::intra_pool() const {
-  if (options_.intra_op_pool != nullptr) return options_.intra_op_pool;
-  return owned_intra_pool_.get();
-}
+ThreadPool* ExecContext::intra_pool() const { return intra_pool_.get(); }
 
 ExecStats ExecContext::stats() const {
   ExecStats s = stats_;

@@ -24,10 +24,10 @@
 //    LatentCache) and still return its buffer to the pool — which stays
 //    alive until the last such tensor dies — from whatever thread drops
 //    the last reference. The pool itself is thread-safe.
-//  * The intra-op pool must never be the pool the current task runs on,
-//    or the fork/join inside GemmAcc can deadlock. PipelineExecutor gives
-//    every infer stage a context (and intra-op pool) of its own for
-//    exactly this reason.
+//  * The intra-op pool is owned by its context, so it is never the pool
+//    the current task runs on (the fork/join inside GemmAcc would
+//    deadlock). Serving contexts are serial; intra-op pools serve kernels
+//    and tests.
 //
 // A null / unbound context preserves the historical behaviour exactly:
 // heap allocation per tensor, serial kernels, no timing.
@@ -131,11 +131,7 @@ class ExecContext {
     /// this so a forgotten guard cannot silently re-grow the tape.
     bool no_grad = false;
     /// Number of intra-op worker threads to own (<= 1 = serial kernels).
-    /// Ignored when `intra_op_pool` is supplied.
     int intra_op_threads = 0;
-    /// Externally owned intra-op pool (not owned; must outlive the
-    /// context). Must be a dedicated pool, see the deadlock rule above.
-    ThreadPool* intra_op_pool = nullptr;
     /// Numeric path for P2 content forwards executed under this context.
     /// kInt8 routes prepacked Linear layers through the int8 micro-kernel
     /// (tensor/quant.h) while inside a ScopedQuantRegion; everything else
@@ -201,7 +197,7 @@ class ExecContext {
 
   Options options_;
   std::shared_ptr<BufferPool> pool_;             // never null
-  std::unique_ptr<ThreadPool> owned_intra_pool_;  // null unless owned
+  std::unique_ptr<ThreadPool> intra_pool_;       // null = serial kernels
   const CancelToken* cancel_ = nullptr;           // not owned
   bool quant_active_ = false;  // inside a ScopedQuantRegion w/ int8 dtype
   ExecStats stats_;

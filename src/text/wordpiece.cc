@@ -215,6 +215,13 @@ Vocab WordPieceTrainer::Train() const {
 
 void WordPieceTokenizer::EncodeWord(std::string_view word,
                                     std::vector<int>* out) const {
+  // BERT's max_input_chars_per_word: a longer pre-token is one [UNK]
+  // without a max-munch pass over it, so one huge identifier in a cell
+  // cannot cost a lookup per byte however few ids are wanted.
+  if (word.size() > kMaxWordBytes) {
+    out->push_back(Vocab::kUnkId);
+    return;
+  }
   // No candidate longer than the vocabulary's longest token can match, so
   // max-munch starts there rather than at the whole remaining word.
   const size_t max_len = vocab_.max_token_length();

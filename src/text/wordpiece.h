@@ -55,6 +55,9 @@ class WordPieceTrainer {
 /// Greedy longest-match-first WordPiece encoder over a fixed vocabulary.
 class WordPieceTokenizer {
  public:
+  /// Pre-tokens longer than this many bytes encode to a single [UNK].
+  static constexpr size_t kMaxWordBytes = 100;
+
   explicit WordPieceTokenizer(Vocab vocab) : vocab_(std::move(vocab)) {}
 
   /// Encodes raw text to token ids (no special tokens added).

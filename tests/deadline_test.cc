@@ -91,7 +91,7 @@ TEST(CancelTokenTest, CancelledNowGuardsNull) {
 // ThreadPool bounded admission + graceful shutdown
 
 TEST(ThreadPoolAdmissionTest, TrySubmitRefusesPastBound) {
-  ThreadPool pool(1, /*max_extra_queued=*/0);
+  ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   auto running = std::make_shared<std::promise<void>>();
@@ -276,32 +276,36 @@ TEST(PipelineDeadlineTest, ExternalCancelTokenParksTheBatch) {
 
 TEST(PipelineDeadlineTest, GenerousDeadlineIsByteIdenticalToNone) {
   Env env = Env::Make(6);
-  core::TasteDetector plain(env.model.get(), env.tokenizer.get(), {});
-  core::TasteDetector budgeted(env.model.get(), env.tokenizer.get(), {});
-  pipeline::PipelineOptions off;  // deadline_ms = 0: fully disarmed
-  pipeline::PipelineExecutor exec_off(&plain, env.db.get(), off);
-  auto a = exec_off.RunBatch(FirstTables(env, 4));
-  pipeline::PipelineOptions on;
-  on.deadline_ms = 60000.0;  // armed but never fires on the instant clock
-  pipeline::PipelineExecutor exec_on(&budgeted, env.db.get(), on);
-  auto b = exec_on.RunBatch(FirstTables(env, 4));
-  ASSERT_EQ(a.tables.size(), b.tables.size());
-  for (size_t i = 0; i < a.tables.size(); ++i) {
-    const auto& ra = a.tables[i].result;
-    const auto& rb = b.tables[i].result;
-    ASSERT_TRUE(a.tables[i].status.ok());
-    ASSERT_TRUE(b.tables[i].status.ok());
-    EXPECT_EQ(a.tables[i].outcome, b.tables[i].outcome);
-    ASSERT_EQ(ra.columns.size(), rb.columns.size());
-    for (size_t c = 0; c < ra.columns.size(); ++c) {
-      EXPECT_EQ(ra.columns[c].went_to_p2, rb.columns[c].went_to_p2);
-      EXPECT_EQ(ra.columns[c].admitted_types, rb.columns[c].admitted_types);
-      ASSERT_EQ(ra.columns[c].probabilities.size(),
-                rb.columns[c].probabilities.size());
-      for (size_t p = 0; p < ra.columns[c].probabilities.size(); ++p) {
-        // Bit-exact: an armed-but-unfired budget must not perturb results.
-        EXPECT_EQ(ra.columns[c].probabilities[p],
-                  rb.columns[c].probabilities[p]);
+  for (const bool pipelined : {true, false}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "sequential");
+    core::TasteDetector plain(env.model.get(), env.tokenizer.get(), {});
+    core::TasteDetector budgeted(env.model.get(), env.tokenizer.get(), {});
+    pipeline::PipelineOptions off;  // deadline_ms = 0: infinite deadline
+    off.pipelined = pipelined;
+    pipeline::PipelineExecutor exec_off(&plain, env.db.get(), off);
+    auto a = exec_off.RunBatch(FirstTables(env, 4));
+    pipeline::PipelineOptions on = off;
+    on.deadline_ms = 60000.0;  // armed but never fires on the instant clock
+    pipeline::PipelineExecutor exec_on(&budgeted, env.db.get(), on);
+    auto b = exec_on.RunBatch(FirstTables(env, 4));
+    ASSERT_EQ(a.tables.size(), b.tables.size());
+    for (size_t i = 0; i < a.tables.size(); ++i) {
+      const auto& ra = a.tables[i].result;
+      const auto& rb = b.tables[i].result;
+      ASSERT_TRUE(a.tables[i].status.ok());
+      ASSERT_TRUE(b.tables[i].status.ok());
+      EXPECT_EQ(a.tables[i].outcome, b.tables[i].outcome);
+      ASSERT_EQ(ra.columns.size(), rb.columns.size());
+      for (size_t c = 0; c < ra.columns.size(); ++c) {
+        EXPECT_EQ(ra.columns[c].went_to_p2, rb.columns[c].went_to_p2);
+        EXPECT_EQ(ra.columns[c].admitted_types, rb.columns[c].admitted_types);
+        ASSERT_EQ(ra.columns[c].probabilities.size(),
+                  rb.columns[c].probabilities.size());
+        for (size_t p = 0; p < ra.columns[c].probabilities.size(); ++p) {
+          // Bit-exact: an armed-but-unfired budget must not perturb results.
+          EXPECT_EQ(ra.columns[c].probabilities[p],
+                    rb.columns[c].probabilities[p]);
+        }
       }
     }
   }

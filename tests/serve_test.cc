@@ -450,7 +450,7 @@ TEST(RouterTest, InjectedMidRequestCrashFailsOverByteIdentical) {
 
   // Aim the crash at the actual ring owner of a table so the injected
   // _exit fires deterministically on first dispatch.
-  serve::ConsistentHashRing ring(ropt.supervisor.replicas, ropt.vnodes);
+  serve::ConsistentHashRing ring(ropt.supervisor.replicas, serve::kRingVnodes);
   const std::string victim_table = env.table_names[1];
   wenv.crash_replica = ring.NodeFor(victim_table, [](int) { return true; });
   wenv.crash_table = victim_table;
@@ -619,7 +619,7 @@ void RunSigkillBetweenBatches(tensor::P2Dtype dtype) {
   const pipeline::BatchResult want = OracleRun(env, env.table_names, dtype);
   ExpectBatchesIdentical(router.RunBatch(env.table_names), want);
 
-  serve::ConsistentHashRing ring(ropt.supervisor.replicas, ropt.vnodes);
+  serve::ConsistentHashRing ring(ropt.supervisor.replicas, serve::kRingVnodes);
   const int victim =
       ring.NodeFor(env.table_names[0], [](int) { return true; });
   ASSERT_GE(victim, 0);
@@ -741,7 +741,7 @@ TEST(RouterTest, SigstoppedReplicaIsHedgedByteIdentical) {
   // Wedge the ring owner of a table mid-request: SIGSTOP means no SIGCHLD
   // (SA_NOCLDSTOP), no EOF, a process that is alive but makes no progress.
   // Without hedging this leg would stall its hash range to the deadline.
-  serve::ConsistentHashRing ring(ropt.supervisor.replicas, ropt.vnodes);
+  serve::ConsistentHashRing ring(ropt.supervisor.replicas, serve::kRingVnodes);
   const std::string victim_table = env.table_names[2];
   wenv.wedge_replica = ring.NodeFor(victim_table, [](int) { return true; });
   wenv.wedge_table = victim_table;
@@ -769,7 +769,7 @@ TEST(RouterTest, WatchdogRecoversWedgedReplicaWithoutHedging) {
   ropt.hedge_multiplier = 0.0;  // isolate the watchdog path
   ropt.watchdog_ms = 80.0;
 
-  serve::ConsistentHashRing ring(ropt.supervisor.replicas, ropt.vnodes);
+  serve::ConsistentHashRing ring(ropt.supervisor.replicas, serve::kRingVnodes);
   const std::string victim_table = env.table_names[0];
   wenv.wedge_replica = ring.NodeFor(victim_table, [](int) { return true; });
   wenv.wedge_table = victim_table;
@@ -800,7 +800,7 @@ TEST(RouterTest, CorruptResponseIsNeverSurfacedAndRedispatched) {
   serve::RouterOptions ropt;
   ropt.supervisor.replicas = 3;
 
-  serve::ConsistentHashRing ring(ropt.supervisor.replicas, ropt.vnodes);
+  serve::ConsistentHashRing ring(ropt.supervisor.replicas, serve::kRingVnodes);
   const std::string victim_table = env.table_names[1];
   wenv.corrupt_replica = ring.NodeFor(victim_table, [](int) { return true; });
   wenv.corrupt_table = victim_table;
@@ -833,7 +833,7 @@ TEST(RouterTest, SlowDripResponseReassemblesByteIdentical) {
   ropt.supervisor.replicas = 2;
   ropt.hedge_multiplier = 0.0;  // the drip alone must be harmless
 
-  serve::ConsistentHashRing ring(ropt.supervisor.replicas, ropt.vnodes);
+  serve::ConsistentHashRing ring(ropt.supervisor.replicas, serve::kRingVnodes);
   const std::string victim_table = env.table_names[3];
   wenv.drip_replica = ring.NodeFor(victim_table, [](int) { return true; });
   wenv.drip_table = victim_table;
@@ -953,7 +953,7 @@ TEST(SupervisorTest, ErrorScoreQuarantinesAndProbesReadmit) {
 
   // Drive the probe lifecycle: the quarantine breaker spends its first
   // ticks in open-state cooldown, then admits one heartbeat probe per
-  // half-open; readmit_probes consecutive acks restore ring membership.
+  // half-open; kReadmitProbes consecutive acks restore ring membership.
   auto pump_ack = [&](serve::Replica* r) {
     pollfd p{r->fd, POLLIN, 0};
     for (int spin = 0; spin < 400; ++spin) {
@@ -988,7 +988,7 @@ TEST(SupervisorTest, ErrorScoreQuarantinesAndProbesReadmit) {
   EXPECT_EQ(sup.replica(0)->state, serve::ReplicaState::kUp);
   EXPECT_TRUE(sup.Dispatchable(0));
   EXPECT_EQ(sup.quarantined_count(), 0);
-  EXPECT_EQ(probes_acked, sopt.readmit_probes);
+  EXPECT_EQ(probes_acked, serve::kReadmitProbes);
   // Readmission forgives the error record; the next single error must not
   // instantly re-quarantine.
   sup.RecordLegError(0);

@@ -3,7 +3,8 @@
 // UTF-8), a 1 MB identifier and a 100k-word cell. Ids must stay in range,
 // EncodeFixed must return exactly `len` ids, and Encode must equal the
 // reference max-munch below, which builds every candidate string from the
-// whole remaining word down.
+// whole remaining word down (and, like the encoder, maps a pre-token over
+// kMaxWordBytes to one [UNK]).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,10 @@ namespace {
 /// from the rest of the word down to 1.
 void ReferenceEncodeWord(const Vocab& vocab, const std::string& word,
                          std::vector<int>* out) {
+  if (word.size() > WordPieceTokenizer::kMaxWordBytes) {
+    out->push_back(Vocab::kUnkId);
+    return;
+  }
   size_t pos = 0;
   std::vector<int> pieces;
   while (pos < word.size()) {
@@ -153,17 +158,34 @@ TEST(TokenizerFuzzTest, EdgeBytesMatchReference) {
 TEST(TokenizerFuzzTest, OneMegabyteIdentifier) {
   const WordPieceTokenizer& tok = Tokenizer();
   Rng rng(11);
-  std::string word(1 << 20, 'a');
+  // A word of exactly kMaxWordBytes still max-munches into pieces.
+  std::string word(WordPieceTokenizer::kMaxWordBytes, 'a');
   for (char& c : word) c = "abcdeilmnorstu"[rng.NextBelow(14)];
   const std::vector<int> ids = tok.Encode(word);
   ExpectIdsInRange(ids, tok.vocab().size());
+  EXPECT_EQ(ids, ReferenceEncode(tok.vocab(), word));
   ASSERT_GE(ids.size(), 16u);
   const std::vector<int> fixed = tok.EncodeFixed(word, 16);
   EXPECT_EQ(fixed, std::vector<int>(ids.begin(), ids.begin() + 16));
   // One letter the vocabulary lacks turns the whole identifier into [UNK].
   ASSERT_FALSE(tok.vocab().Contains("##q"));
-  word[word.size() / 2] = 'q';
-  EXPECT_EQ(tok.Encode(word), std::vector<int>{Vocab::kUnkId});
+  std::string with_q = word;
+  with_q[with_q.size() / 2] = 'q';
+  EXPECT_EQ(tok.Encode(with_q), std::vector<int>{Vocab::kUnkId});
+  // A 1 MiB identifier is one [UNK], alone and inside a cell.
+  std::string huge(1 << 20, 'a');
+  for (char& c : huge) c = "abcdeilmnorstu"[rng.NextBelow(14)];
+  EXPECT_EQ(tok.Encode(huge), std::vector<int>{Vocab::kUnkId});
+  std::vector<int> want_fixed(16, Vocab::kPadId);
+  want_fixed[0] = Vocab::kUnkId;
+  EXPECT_EQ(tok.EncodeFixed(huge, 16), want_fixed);
+  const std::string cell = "email " + huge + " zip";
+  std::vector<int> want = tok.Encode("email");
+  want.push_back(Vocab::kUnkId);
+  const std::vector<int> zip = tok.Encode("zip");
+  want.insert(want.end(), zip.begin(), zip.end());
+  EXPECT_EQ(tok.Encode(cell), want);
+  EXPECT_EQ(std::count(want.begin(), want.end(), Vocab::kUnkId), 1);
 }
 
 TEST(TokenizerFuzzTest, HundredThousandWordCell) {

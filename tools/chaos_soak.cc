@@ -178,7 +178,6 @@ Scenario MakeScenario(uint64_t seed, const Env& env, bool cache_churn) {
     popt.admission.enabled = true;
     popt.admission.max_inflight_tables = rng.Range(1, 3);
     popt.admission.max_queued_tables = rng.Range(0, 4);
-    popt.admission.max_queue_wait_ms = 0.0;  // wall-clock; keep off
   }
   const double u = rng.Unit();
   if (u < 0.25) {
@@ -551,7 +550,7 @@ int RunReplicaKill(const Env& env, int seeds, uint64_t start_seed,
     ropt.supervisor.replicas = sc.replicas;
     // Deterministic mid-request crash: the ring owner of the first table
     // dies the moment its leg arrives.
-    serve::ConsistentHashRing ring(sc.replicas, ropt.vnodes);
+    serve::ConsistentHashRing ring(sc.replicas, serve::kRingVnodes);
     wenv.crash_table = sc.tables[0];
     wenv.crash_replica =
         ring.NodeFor(wenv.crash_table, [](int) { return true; });
@@ -772,7 +771,7 @@ int RunGrayStorm(const Env& env, int seeds, uint64_t start_seed,
 
     // Aim the fault at the ring owner of the target table, so the faulty
     // replica is exactly the one the router will pick first.
-    serve::ConsistentHashRing ring(sc.replicas, ropt.vnodes);
+    serve::ConsistentHashRing ring(sc.replicas, serve::kRingVnodes);
     const int owner =
         ring.NodeFor(sc.target_table, [](int) { return true; });
     switch (sc.kind) {
