@@ -80,11 +80,11 @@ struct FaultConfig {
 
   /// Hard-failed tables: scans always return Unavailable; when
   /// `unavailable_all_ops` is set, metadata queries fail too.
-  std::vector<std::string> unavailable_tables;
+  std::vector<std::string> unavailable_tables = {};
   bool unavailable_all_ops = false;
 
   /// Scripted faults on the virtual clock.
-  std::vector<FaultWindow> windows;
+  std::vector<FaultWindow> windows = {};
 };
 
 /// Outcome of consulting the injector for one operation.

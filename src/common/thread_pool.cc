@@ -57,7 +57,9 @@ size_t ThreadPool::InFlight() const {
 
 void ThreadPool::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+  idle_cv_.wait(lock, [this] {
+    return queue_.empty() && running_ == 0 && completing_ == 0;
+  });
 }
 
 void ThreadPool::Shutdown(bool drain_pending) {
@@ -67,7 +69,7 @@ void ThreadPool::Shutdown(bool drain_pending) {
     stop_ = true;
     if (!drain_pending) {
       discarded.swap(queue_);
-      if (running_ == 0) idle_cv_.notify_all();
+      NotifyIfIdleLocked();
     }
   }
   cv_.notify_all();
@@ -83,9 +85,15 @@ void ThreadPool::Shutdown(bool drain_pending) {
   // process does not abort.
 }
 
+void ThreadPool::NotifyIfIdleLocked() {
+  if (queue_.empty() && running_ == 0 && completing_ == 0) {
+    idle_cv_.notify_all();
+  }
+}
+
 void ThreadPool::SetTaskCompleteCallback(std::function<void()> callback) {
   std::lock_guard<std::mutex> lock(mu_);
-  TASTE_CHECK_MSG(queue_.empty() && running_ == 0,
+  TASTE_CHECK_MSG(queue_.empty() && running_ == 0 && completing_ == 0,
                   "SetTaskCompleteCallback with tasks in flight");
   task_complete_callback_ = std::move(callback);
 }
@@ -108,11 +116,17 @@ void ThreadPool::WorkerLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       --running_;
-      if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
+      if (on_complete) ++completing_;
+      NotifyIfIdleLocked();
     }
     // Invoked after the slot is free and without pool locks, so the
-    // callback may acquire scheduler locks safely.
-    if (on_complete) on_complete();
+    // callback may acquire scheduler locks safely. WaitIdle() waits for it.
+    if (on_complete) {
+      on_complete();
+      std::lock_guard<std::mutex> lock(mu_);
+      --completing_;
+      NotifyIfIdleLocked();
+    }
   }
 }
 

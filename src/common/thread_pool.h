@@ -59,7 +59,9 @@ class ThreadPool {
   /// Number of tasks queued or currently executing.
   size_t InFlight() const;
 
-  /// Blocks until all submitted tasks have completed.
+  /// Blocks until all submitted tasks have completed and every
+  /// task-complete callback they triggered has returned, so state the
+  /// callback captured may be destroyed once WaitIdle returns.
   void WaitIdle();
 
   /// Stops the pool and joins every worker. With `drain_pending` (the
@@ -75,7 +77,8 @@ class ThreadPool {
   /// has been released (i.e. Full() can have become false). Called with no
   /// pool locks held, so it may take arbitrary locks of its own. Schedulers
   /// that gate dispatch on Full() need this to observe slot releases.
-  /// Must be set before tasks are submitted.
+  /// Must be set (or replaced, or cleared with nullptr) while the pool is
+  /// idle, e.g. right after WaitIdle().
   void SetTaskCompleteCallback(std::function<void()> callback);
 
  private:
@@ -85,12 +88,16 @@ class ThreadPool {
   };
 
   void WorkerLoop();
+  /// Wakes WaitIdle() once nothing is queued, running or completing.
+  /// Requires mu_.
+  void NotifyIfIdleLocked();
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
   std::deque<Item> queue_;
   size_t running_ = 0;
+  size_t completing_ = 0;  // task-complete callbacks still running
   bool stop_ = false;
   std::mutex join_mu_;  // serializes Shutdown()'s join phase
   bool joined_ = false;  // guarded by join_mu_

@@ -79,7 +79,7 @@ struct TasteOptions {
   int override_split_threshold = 0;      // l
   /// Fault tolerance: retries, circuit breaking, and metadata-only
   /// degradation. Off by default (exact legacy behaviour).
-  ResilienceOptions resilience;
+  ResilienceOptions resilience = {};
 };
 
 /// Orchestrates the two phases over a trained ADTD model. Thread-safe for

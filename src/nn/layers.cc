@@ -19,7 +19,7 @@ Tensor Linear::Forward(const Tensor& x, ExecContext* ctx) const {
       return tensor::QuantLinear(x, *quant_, bias_);
     }
   }
-  return tensor::AddBias(tensor::MatMul(x, weight_), bias_);
+  return tensor::Linear(x, weight_, bias_);
 }
 
 int64_t Linear::PrepackQuant() {

@@ -29,7 +29,7 @@ class Linear : public Module {
   Linear(int64_t in_features, int64_t out_features, Rng& rng);
 
   /// x is (n, in) -> (n, out). Takes the int8 path (tensor::QuantLinear)
-  /// instead of fp32 AddBias(MatMul) when all three hold: PrepackQuant()
+  /// instead of fp32 tensor::Linear when all three hold: PrepackQuant()
   /// ran, the bound context's quant_active() window is open (i.e. an int8
   /// P2 content forward is in progress), and gradients are off.
   Tensor Forward(const Tensor& x, ExecContext* ctx = nullptr) const;

@@ -394,9 +394,9 @@ class ConnectionPool {
 
 void PipelineExecutor::RunPipelined(
     const std::vector<std::string>& table_names, BatchResult* out) {
-  // NOTE: mu/cv/states are declared BEFORE the thread pools so that pool
-  // destruction (which joins workers, including any still inside their
-  // task-complete callback) happens while they are alive.
+  // The pools outlive this batch; their task-complete callbacks capture
+  // `mu` and `cv`. WaitIdle() below returns only after every callback has
+  // returned, and the callbacks are cleared before these locals die.
   std::mutex mu;
   std::condition_variable cv;
   const CancelToken batch_token(BatchDeadline(options_), options_.cancel);
@@ -418,9 +418,16 @@ void PipelineExecutor::RunPipelined(
       ServingContextOptions(options_);
 
   // TrySubmit admits a stage only when a worker slot is free, so the
-  // dispatch gate is exactly Algorithm 1's "pool not full".
-  ThreadPool tp1(static_cast<size_t>(options_.prep_threads));
-  ThreadPool tp2(static_cast<size_t>(options_.infer_threads));
+  // dispatch gate is exactly Algorithm 1's "pool not full". The pools are
+  // started once and kept across batches.
+  if (tp1_ == nullptr) {
+    tp1_ = std::make_unique<ThreadPool>(
+        static_cast<size_t>(options_.prep_threads));
+    tp2_ = std::make_unique<ThreadPool>(
+        static_cast<size_t>(options_.infer_threads));
+  }
+  ThreadPool& tp1 = *tp1_;
+  ThreadPool& tp2 = *tp2_;
   // Connections are created once and reused across the batch (the paper
   // recommends batching tables per database to amortize connection cost).
   ConnectionPool connections(db_, options_.prep_threads,
@@ -639,6 +646,8 @@ void PipelineExecutor::RunPipelined(
   lock.unlock();
   tp1.WaitIdle();
   tp2.WaitIdle();
+  tp1.SetTaskCompleteCallback(nullptr);
+  tp2.SetTaskCompleteCallback(nullptr);
 
   for (size_t i = 0; i < states.size(); ++i) {
     TableState& st = states[i];

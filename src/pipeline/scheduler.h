@@ -74,7 +74,7 @@ struct PipelineOptions {
   /// fires first.
   const CancelToken* cancel = nullptr;
   /// Admission control / load shedding (off by default).
-  AdmissionPolicy admission;
+  AdmissionPolicy admission = {};
   /// Numeric mode of the P2 content tower (DESIGN.md §12). kInt8 runs the
   /// encoder/classifier Linears through the prepacked int8 kernels
   /// (requires AdtdModel::PrepackQuantWeights at load; falls back to fp32
@@ -179,7 +179,8 @@ struct BatchResult {
 };
 
 /// Runs a batch of tables (from one database, reusing its connections)
-/// through a TasteDetector, pipelined or sequentially.
+/// through a TasteDetector, pipelined or sequentially. One batch runs at a
+/// time: RunBatch/Run must not be called concurrently on one executor.
 class PipelineExecutor {
  public:
   PipelineExecutor(const core::TasteDetector* detector,
@@ -212,6 +213,10 @@ class PipelineExecutor {
   PipelineOptions options_;
   PipelineRunStats stats_;
   ResilienceStats resilience_;
+  /// TP1 and TP2, started by the first pipelined batch and kept for the
+  /// executor's lifetime: every later batch runs on the same workers.
+  std::unique_ptr<ThreadPool> tp1_;
+  std::unique_ptr<ThreadPool> tp2_;
 };
 
 }  // namespace taste::pipeline

@@ -16,11 +16,12 @@ namespace taste::tensor::kernels {
 namespace {
 
 // Blocking parameters. MR x NR is the register tile of the micro kernel:
-// kGemmBandRows x 16 floats, one accumulator register per row on AVX-512
-// (8 zmm) and two per row on AVX2 (4 x 2 ymm), leaving room for the A
-// broadcasts and B loads. KC x NC bounds the packed B panel (512 KiB) so it
-// stays cache-resident while the row sweep reuses it; MC bounds the rows
-// one panel sweep covers (and a transposed A's packed panel).
+// kGemmBandRows x 16 floats, two ymm accumulators per row (GCC emits
+// 256-bit FMAs for the 16-float row even under AVX-512: 8 x 2 ymm there,
+// 4 x 2 on AVX2), leaving room for the A broadcasts and B loads. KC x NC
+// bounds the packed B panel (512 KiB) so it stays cache-resident while the
+// row sweep reuses it; MC bounds the rows one panel sweep covers (and a
+// transposed A's packed panel).
 constexpr int64_t kMr = kGemmBandRows;
 constexpr int64_t kNr = 16;
 constexpr int64_t kKc = 256;
@@ -67,94 +68,177 @@ void PackB(float* __restrict dst, const float* b, int64_t ldb, int64_t p0,
   }
 }
 
-/// C-tile update: C[.. , ..] += A * pb where A's row r (kb floats) starts
-/// at arows[r], for r < mb_pad (a multiple of kMr), and pb is (kb x nb_pad)
-/// with its row stride nb_pad a multiple of kNr. Rows at and past `live`
-/// point at a row of kb zeros and columns at and past `nb` are zero
-/// padding; their results are discarded: only the first `live` rows and
-/// `nb` columns of C are read or written. The accumulators are seeded from
-/// C and updated in increasing-p order, so each element's floating-point
-/// summation order is exactly the naive kernel's.
+/// C-tile update: C[.., ..] = seed + A * pb (+ bias) where A's row r (kb
+/// floats) starts at arows[r], for r < mb_pad (a multiple of kMr), and pb
+/// is kb rows of at least nb floats, ldb apart, whose columns past nb (up
+/// to the next multiple of kNr) are zero padding. Rows at and past `live`
+/// point at a row of kb zeros and the padding columns compute exact zeros
+/// (or NaN against a non-finite B). The seed is C when kSeedFromC, else
+/// zero (C is then only written, and may be uninitialized); with kBias,
+/// `bias` holds nb floats added to each row as it is stored. The
+/// accumulators are updated in increasing-p order, so each element's
+/// floating-point summation order is exactly the naive kernel's.
+///
+/// With kScale the stored value is the finished sum times `scale`: one
+/// more rounding, the one a separate scaling pass would make.
+///
+/// Without kWhole only the first `live` rows and `nb` columns of C are
+/// read or written: a partial column tile goes through a zero-padded
+/// staging copy. With kWhole, C is scratch with room for every band row
+/// and whole tiles (nb a multiple of kNr): all of them are read and
+/// written, with no staging and no row guard.
 ///
 /// There is deliberately NO scalar remainder path, for rows or columns:
 /// every row — padding included — flows through the one kMr-band loop, and
 /// every column — the last partial tile included — through the one
-/// kNr-wide vector accumulation. Only the seeding from C and the store back
-/// are limited to the live columns: a partial tile seeds from and stores to
-/// a zero-padded copy of them. So an element's bits depend only on its
-/// own A-row, its op(B) column and the k blocking, never on where the row
-/// sits inside M or the column inside N. (A per-loop-shape remainder would
-/// let the compiler contract mul+add differently there, making row bytes
-/// shift when rows are concatenated — exactly what the cross-table P2
-/// batcher's byte-identity guarantee forbids.)
-void MicroTile(const float* const* arows, const float* __restrict pb,
-               int64_t nb_pad, float* __restrict c, int64_t ldc,
-               int64_t mb_pad, int64_t nb, int64_t kb, int64_t live) {
+/// kNr-wide vector accumulation. Only the seeding and the store are
+/// limited to the live columns, and a partial tile's padding lanes seed
+/// from zero. So an element's bits depend only on its own A-row, its op(B)
+/// column and the k blocking, never on where the row sits inside M or the
+/// column inside N. (A per-loop-shape remainder would let the compiler
+/// contract mul+add differently there, making row bytes shift when rows
+/// are concatenated.) With AVX2 and FMA the tile is written with explicit
+/// FMA intrinsics: the instruction GCC contracted the portable loop to,
+/// on the same operands in the same order, so the bits are the same.
+/// Each instantiation stays out of line, with its own register allocation.
+template <bool kSeedFromC, bool kBias, bool kWhole, bool kScale>
+__attribute__((noinline)) void MicroTileImpl(
+    const float* const* arows, const float* __restrict pb, int64_t ldb,
+    float* __restrict c, int64_t ldc, int64_t mb_pad, int64_t nb, int64_t kb,
+    int64_t live, const float* bias, float scale) {
   for (int64_t i = 0; i < mb_pad; i += kMr) {
-    const int64_t band_live = std::min(kMr, live - i);
+    const int64_t band_live = kWhole ? kMr : std::min(kMr, live - i);
     for (int64_t j = 0; j < nb; j += kNr) {
-      // A partial tile runs on a zero-padded copy of its live C columns, so
-      // every tile — the tail included — is the same full-width code below.
-      const int64_t cols = std::min(kNr, nb - j);
+      // A partial tile runs on a zero-padded copy of its live C columns
+      // (and bias), so every tile — the tail included — is the same
+      // full-width code below.
+      const int64_t cols = kWhole ? kNr : std::min(kNr, nb - j);
       float stage[kMr][kNr];
       float* ct = c + i * ldc + j;
       int64_t ldt = ldc;
       if (cols < kNr) {
-        for (int64_t r = 0; r < band_live; ++r) {
-          std::copy(ct + r * ldc, ct + r * ldc + cols, stage[r]);
-          std::fill(stage[r] + cols, stage[r] + kNr, 0.0f);
+        if (kSeedFromC) {
+          for (int64_t r = 0; r < band_live; ++r) {
+            std::copy(ct + r * ldc, ct + r * ldc + cols, stage[r]);
+            std::fill(stage[r] + cols, stage[r] + kNr, 0.0f);
+          }
         }
         ct = &stage[0][0];
         ldt = kNr;
       }
+      float bt[kNr] = {};
+      if (kBias) std::copy(bias + j, bias + j + cols, bt);
+#if defined(__AVX2__) && defined(__FMA__)
+      // Two 8-float halves per row, held in registers for the whole tile:
+      // every loop below has a constant trip count, so nothing spills.
+      __m256 lo[kMr], hi[kMr];
+      for (int64_t r = 0; r < kMr; ++r) {
+        if (kSeedFromC && r < band_live) {
+          lo[r] = _mm256_loadu_ps(ct + r * ldt);
+          hi[r] = _mm256_loadu_ps(ct + r * ldt + 8);
+        } else {
+          lo[r] = _mm256_setzero_ps();
+          hi[r] = _mm256_setzero_ps();
+        }
+      }
+      const float* a[kMr];
+      for (int64_t r = 0; r < kMr; ++r) a[r] = arows[i + r];
+      for (int64_t p = 0; p < kb; ++p) {
+        const __m256 b_lo = _mm256_loadu_ps(pb + p * ldb + j);
+        const __m256 b_hi = _mm256_loadu_ps(pb + p * ldb + j + 8);
+        for (int64_t r = 0; r < kMr; ++r) {
+          const __m256 av = _mm256_broadcast_ss(a[r] + p);
+          lo[r] = _mm256_fmadd_ps(av, b_lo, lo[r]);
+          hi[r] = _mm256_fmadd_ps(av, b_hi, hi[r]);
+        }
+      }
+      const __m256 bias_lo = _mm256_loadu_ps(bt);
+      const __m256 bias_hi = _mm256_loadu_ps(bt + 8);
+      const __m256 vscale = _mm256_set1_ps(scale);
+      for (int64_t r = 0; r < kMr; ++r) {
+        if (r >= band_live) break;
+        __m256 out_lo = lo[r], out_hi = hi[r];
+        if (kBias) {
+          out_lo = _mm256_add_ps(out_lo, bias_lo);
+          out_hi = _mm256_add_ps(out_hi, bias_hi);
+        } else if (kScale) {
+          out_lo = _mm256_mul_ps(out_lo, vscale);
+          out_hi = _mm256_mul_ps(out_hi, vscale);
+        }
+        _mm256_storeu_ps(ct + r * ldt, out_lo);
+        _mm256_storeu_ps(ct + r * ldt + 8, out_hi);
+      }
+#else
       float acc[kMr][kNr];
       for (int64_t r = 0; r < kMr; ++r) {
-        if (r < band_live) {
+        if (kSeedFromC && r < band_live) {
           const float* crow = ct + r * ldt;
           for (int64_t t = 0; t < kNr; ++t) acc[r][t] = crow[t];
         } else {
           for (int64_t t = 0; t < kNr; ++t) acc[r][t] = 0.0f;
         }
       }
-      const float* a0 = arows[i + 0];
-      const float* a1 = arows[i + 1];
-      const float* a2 = arows[i + 2];
-      const float* a3 = arows[i + 3];
-#if defined(__AVX512F__)
-      const float* a4 = arows[i + 4];
-      const float* a5 = arows[i + 5];
-      const float* a6 = arows[i + 6];
-      const float* a7 = arows[i + 7];
-#endif
       for (int64_t p = 0; p < kb; ++p) {
-        const float* __restrict brow = pb + p * nb_pad + j;
-        const float av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
-#if defined(__AVX512F__)
-        const float av4 = a4[p], av5 = a5[p], av6 = a6[p], av7 = a7[p];
-#endif
-        for (int64_t t = 0; t < kNr; ++t) {
-          acc[0][t] += av0 * brow[t];
-          acc[1][t] += av1 * brow[t];
-          acc[2][t] += av2 * brow[t];
-          acc[3][t] += av3 * brow[t];
-#if defined(__AVX512F__)
-          acc[4][t] += av4 * brow[t];
-          acc[5][t] += av5 * brow[t];
-          acc[6][t] += av6 * brow[t];
-          acc[7][t] += av7 * brow[t];
-#endif
+        const float* __restrict brow = pb + p * ldb + j;
+        for (int64_t r = 0; r < kMr; ++r) {
+          const float av = arows[i + r][p];
+          for (int64_t t = 0; t < kNr; ++t) acc[r][t] += av * brow[t];
         }
       }
       for (int64_t r = 0; r < band_live; ++r) {
         float* crow = ct + r * ldt;
-        for (int64_t t = 0; t < kNr; ++t) crow[t] = acc[r][t];
+        for (int64_t t = 0; t < kNr; ++t) {
+          crow[t] = kBias    ? acc[r][t] + bt[t]
+                    : kScale ? acc[r][t] * scale
+                             : acc[r][t];
+        }
       }
+#endif
       if (cols < kNr) {
         for (int64_t r = 0; r < band_live; ++r) {
           std::copy(stage[r], stage[r] + cols, c + (i + r) * ldc + j);
         }
       }
     }
+  }
+}
+
+/// The C access of one MicroTile call (see MicroTileImpl). `scale` other
+/// than 1 is only taken with `whole`.
+struct TileMode {
+  bool seed_from_c = false;
+  const float* bias = nullptr;
+  bool whole = false;
+  float scale = 1.0f;
+};
+
+void MicroTile(const float* const* arows, const float* pb, int64_t ldb,
+               float* c, int64_t ldc, int64_t mb_pad, int64_t nb, int64_t kb,
+               int64_t live, TileMode mode) {
+  const float* bias = mode.bias;
+  const float scale = mode.scale;
+  if (mode.whole) {
+    if (scale != 1.0f) {
+      MicroTileImpl<false, false, true, true>(arows, pb, ldb, c, ldc, mb_pad,
+                                              nb, kb, live, bias, scale);
+    } else {
+      MicroTileImpl<false, false, true, false>(arows, pb, ldb, c, ldc, mb_pad,
+                                               nb, kb, live, bias, scale);
+    }
+  } else if (mode.seed_from_c) {
+    if (bias != nullptr) {
+      MicroTileImpl<true, true, false, false>(arows, pb, ldb, c, ldc, mb_pad,
+                                              nb, kb, live, bias, scale);
+    } else {
+      MicroTileImpl<true, false, false, false>(arows, pb, ldb, c, ldc, mb_pad,
+                                               nb, kb, live, bias, scale);
+    }
+  } else if (bias != nullptr) {
+    MicroTileImpl<false, true, false, false>(arows, pb, ldb, c, ldc, mb_pad,
+                                             nb, kb, live, bias, scale);
+  } else {
+    MicroTileImpl<false, false, false, false>(arows, pb, ldb, c, ldc, mb_pad,
+                                              nb, kb, live, bias, scale);
   }
 }
 
@@ -169,11 +253,18 @@ PackScratch& Scratch() {
   return s;
 }
 
+/// How a GEMM treats C: accumulate into it, or overwrite it (the first
+/// k-block seeds zero) and add `bias` (n floats, or null) in the last.
+struct GemmEpilogue {
+  bool overwrite = false;
+  const float* bias = nullptr;
+};
+
 /// Serial blocked GEMM over the C row range [r0, r1), strided operands.
 void GemmBlockedRows(const float* a, int64_t lda, const float* b,
                      int64_t ldb, float* c, int64_t ldc, int64_t n,
-                     int64_t k, bool trans_a, bool trans_b, int64_t r0,
-                     int64_t r1) {
+                     int64_t k, bool trans_a, bool trans_b, GemmEpilogue ep,
+                     int64_t r0, int64_t r1) {
   PackScratch& s = Scratch();
   if (trans_a) s.a.resize(static_cast<size_t>(kMc * kKc));
   s.b.resize(static_cast<size_t>(kKc * kNc));
@@ -184,7 +275,18 @@ void GemmBlockedRows(const float* a, int64_t lda, const float* b,
     const int64_t nb_pad = (nb + kNr - 1) / kNr * kNr;
     for (int64_t p0 = 0; p0 < k; p0 += kKc) {
       const int64_t kb = std::min(kKc, k - p0);
-      PackB(s.b.data(), b, ldb, p0, kb, j0, nb, nb_pad, trans_b);
+      // A non-transposed B whose live columns are whole tiles already is
+      // the panel, with row stride ldb; anything else is packed.
+      const float* panel = b + p0 * ldb + j0;
+      int64_t ld_panel = ldb;
+      if (trans_b || nb != nb_pad) {
+        PackB(s.b.data(), b, ldb, p0, kb, j0, nb, nb_pad, trans_b);
+        panel = s.b.data();
+        ld_panel = nb_pad;
+      }
+      const bool seed_from_c = !ep.overwrite || p0 > 0;
+      const float* bias =
+          ep.bias != nullptr && p0 + kb == k ? ep.bias + j0 : nullptr;
       for (int64_t i0 = r0; i0 < r1; i0 += kMc) {
         const int64_t mb = std::min(kMc, r1 - i0);
         const int64_t mb_pad = (mb + kMr - 1) / kMr * kMr;
@@ -197,12 +299,76 @@ void GemmBlockedRows(const float* a, int64_t lda, const float* b,
         // Padding rows read zeros; their (discarded) products are exact
         // zeros, and no read goes past A's last live row.
         for (int64_t r = mb; r < mb_pad; ++r) arows[r] = s.zero.data();
-        MicroTile(arows, s.b.data(), nb_pad, c + i0 * ldc + j0, ldc, mb_pad,
-                  nb, kb, mb);
+        MicroTile(arows, panel, ld_panel, c + i0 * ldc + j0, ldc, mb_pad, nb,
+                  kb, mb, TileMode{seed_from_c, bias});
       }
     }
   }
 }
+
+/// GemmAcc and Gemm: serial, or rows of C partitioned over `pool`.
+void GemmRows(const float* a, const float* b, float* c, int64_t m, int64_t n,
+              int64_t k, bool trans_a, bool trans_b, GemmEpilogue ep,
+              ThreadPool* pool) {
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    // The sum over p is empty: C keeps its value, or becomes the bias.
+    if (!ep.overwrite) return;
+    for (int64_t i = 0; i < m; ++i) {
+      float* crow = c + i * n;
+      if (ep.bias != nullptr) {
+        std::copy(ep.bias, ep.bias + n, crow);
+      } else {
+        std::fill(crow, crow + n, 0.0f);
+      }
+    }
+    return;
+  }
+  const int64_t lda = trans_a ? m : k;
+  const int64_t ldb = trans_b ? k : n;
+  const int64_t flops = 2 * m * n * k;
+  if (pool == nullptr || pool->size() <= 1 || flops < kMinParallelFlops ||
+      m < 2 * kMr) {
+    GemmBlockedRows(a, lda, b, ldb, c, n, n, k, trans_a, trans_b, ep, 0, m);
+    return;
+  }
+  // Row-partitioned fork/join: each worker runs the serial blocked kernel
+  // on a contiguous band of C rows with its own packing scratch. Bands are
+  // multiples of kMr so the fast micro-tile path applies everywhere but the
+  // final band.
+  const int64_t num_tasks =
+      std::min<int64_t>(static_cast<int64_t>(pool->size()),
+                        (m + kMr - 1) / kMr);
+  const int64_t rows_per_task =
+      ((m + num_tasks - 1) / num_tasks + kMr - 1) / kMr * kMr;
+  std::vector<std::future<void>> futures;
+  futures.reserve(static_cast<size_t>(num_tasks));
+  for (int64_t r0 = 0; r0 < m; r0 += rows_per_task) {
+    const int64_t r1 = std::min(m, r0 + rows_per_task);
+    futures.push_back(pool->Submit([a, lda, b, ldb, c, n, k, trans_a,
+                                    trans_b, ep, r0, r1] {
+      GemmBlockedRows(a, lda, b, ldb, c, n, n, k, trans_a, trans_b, ep, r0,
+                      r1);
+    }));
+  }
+  for (auto& f : futures) f.get();
+}
+
+struct AttentionScratch {
+  std::vector<float> k_mem, v_mem;  // the block's packed memory panels
+  std::vector<float> k_own, v_own;  // every span's packed own panels
+  std::vector<float> scores;        // 2 kMr rows of ld_scores floats
+  std::vector<float> ctx;           // 2 kMr rows of hd_pad floats
+  std::vector<float> zero;          // the A row of every padding row
+};
+
+/// `buf` grown to at least n floats.
+float* Grow(std::vector<float>& buf, int64_t n) {
+  if (buf.size() < static_cast<size_t>(n)) buf.resize(static_cast<size_t>(n));
+  return buf.data();
+}
+
+int64_t RoundUpToTile(int64_t n) { return (n + kNr - 1) / kNr * kNr; }
 
 }  // namespace
 
@@ -254,41 +420,22 @@ void GemmAccRef(const float* a, const float* b, float* c, int64_t m,
 
 void GemmAcc(const float* a, const float* b, float* c, int64_t m, int64_t n,
              int64_t k, bool trans_a, bool trans_b, ThreadPool* pool) {
-  if (m == 0 || n == 0 || k == 0) return;
-  const int64_t lda = trans_a ? m : k;
-  const int64_t ldb = trans_b ? k : n;
-  const int64_t flops = 2 * m * n * k;
-  if (pool == nullptr || pool->size() <= 1 || flops < kMinParallelFlops ||
-      m < 2 * kMr) {
-    GemmBlockedRows(a, lda, b, ldb, c, n, n, k, trans_a, trans_b, 0, m);
-    return;
-  }
-  // Row-partitioned fork/join: each worker runs the serial blocked kernel
-  // on a contiguous band of C rows with its own packing scratch. Bands are
-  // multiples of kMr so the fast micro-tile path applies everywhere but the
-  // final band.
-  const int64_t num_tasks =
-      std::min<int64_t>(static_cast<int64_t>(pool->size()),
-                        (m + kMr - 1) / kMr);
-  const int64_t rows_per_task =
-      ((m + num_tasks - 1) / num_tasks + kMr - 1) / kMr * kMr;
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<size_t>(num_tasks));
-  for (int64_t r0 = 0; r0 < m; r0 += rows_per_task) {
-    const int64_t r1 = std::min(m, r0 + rows_per_task);
-    futures.push_back(pool->Submit([a, lda, b, ldb, c, n, k, trans_a,
-                                    trans_b, r0, r1] {
-      GemmBlockedRows(a, lda, b, ldb, c, n, n, k, trans_a, trans_b, r0, r1);
-    }));
-  }
-  for (auto& f : futures) f.get();
+  GemmRows(a, b, c, m, n, k, trans_a, trans_b, GemmEpilogue{}, pool);
+}
+
+void Gemm(const float* a, const float* b, const float* bias, float* c,
+          int64_t m, int64_t n, int64_t k, bool trans_a, bool trans_b,
+          ThreadPool* pool) {
+  GemmRows(a, b, c, m, n, k, trans_a, trans_b, GemmEpilogue{true, bias},
+           pool);
 }
 
 void GemmAccStrided(const float* a, int64_t lda, const float* b, int64_t ldb,
                     float* c, int64_t ldc, int64_t m, int64_t n, int64_t k,
                     bool trans_a, bool trans_b) {
   if (m == 0 || n == 0 || k == 0) return;
-  GemmBlockedRows(a, lda, b, ldb, c, ldc, n, k, trans_a, trans_b, 0, m);
+  GemmBlockedRows(a, lda, b, ldb, c, ldc, n, k, trans_a, trans_b,
+                  GemmEpilogue{}, 0, m);
 }
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -347,6 +494,51 @@ inline __m256 Tanh256(__m256 u) {
       one, _mm256_div_ps(_mm256_add_ps(one, one), _mm256_add_ps(e, one)));
 }
 
+#if defined(__AVX512F__)
+// The AVX-512 code uses the zero-masked (maskz) form of the intrinsics that
+// GCC 12 builds on an undefined source vector, which -Wmaybe-uninitialized
+// flags; with an all-ones mask the result is the plain intrinsic's.
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+/// Exp256 on 16 lanes, operation for operation, so every lane's bits are
+/// Exp256's for the same input.
+inline __m512 Exp512(__m512 x) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  x = _mm512_maskz_min_ps(
+      kAll16, _mm512_maskz_max_ps(kAll16, x, _mm512_set1_ps(-87.0f)),
+      _mm512_set1_ps(88.0f));
+  const __m512 n = _mm512_maskz_roundscale_ps(
+      kAll16,
+      _mm512_fmadd_ps(x, _mm512_set1_ps(1.44269504088896341f),
+                      _mm512_set1_ps(0.5f)),
+      _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  __m512 f = _mm512_fnmadd_ps(n, _mm512_set1_ps(0.693359375f), x);
+  f = _mm512_fnmadd_ps(n, _mm512_set1_ps(-2.12194440e-4f), f);
+  __m512 p = _mm512_set1_ps(1.9875691500e-4f);
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.3981999507e-3f));
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(8.3334519073e-3f));
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(4.1665795894e-2f));
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.6666665459e-1f));
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(5.0000001201e-1f));
+  const __m512 z = _mm512_mul_ps(f, f);
+  __m512 y = _mm512_fmadd_ps(p, z, f);
+  y = _mm512_add_ps(y, one);
+  const __m512i bits = _mm512_maskz_slli_epi32(
+      kAll16,
+      _mm512_add_epi32(_mm512_maskz_cvttps_epi32(kAll16, n),
+                       _mm512_set1_epi32(127)),
+      23);
+  return _mm512_mul_ps(y, _mm512_castsi512_ps(bits));
+}
+
+/// The lower (half 0) or upper (half 1) 8 lanes of v.
+template <int kHalf>
+inline __m256 Half256(__m512 v) {
+  return _mm256_castpd_ps(
+      _mm512_maskz_extractf64x4_pd(0xF, _mm512_castps_pd(v), kHalf));
+}
+#endif  // __AVX512F__
+
 inline float HorizontalMax(__m256 v) {
   __m128 m = _mm_max_ps(_mm256_castps256_ps128(v),
                         _mm256_extractf128_ps(v, 1));
@@ -363,72 +555,137 @@ inline float HorizontalSum(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-}  // namespace
-
-void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t h) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = x + r * h;
-    float* out = y + r * h;
-    // Max reduce: fp max is exact, so mixing vector lanes and a scalar
-    // tail cannot change the result.
-    float mx = row[0];
-    int64_t j = 0;
-    if (h >= 8) {
-      __m256 vm = _mm256_loadu_ps(row);
-      for (j = 8; j + 8 <= h; j += 8) {
-        vm = _mm256_max_ps(vm, _mm256_loadu_ps(row + j));
+/// y[0, h) = x[0, h) + mask[0, h) when mask is non-null (y may be x);
+/// returns the max of the (masked) row, h >= 1. fp max is exact, so the
+/// vector widths and the scalar tail cannot change it.
+float MaskedRowMax(const float* x, const float* mask, float* y, int64_t h) {
+  float mx = x[0] + (mask != nullptr ? mask[0] : 0.0f);
+  int64_t j = 0;
+#if defined(__AVX512F__)
+  if (h >= 16) {
+    __m512 vm = _mm512_set1_ps(mx);
+    for (; j + 16 <= h; j += 16) {
+      __m512 v = _mm512_loadu_ps(x + j);
+      if (mask != nullptr) {
+        v = _mm512_add_ps(v, _mm512_loadu_ps(mask + j));
+        _mm512_storeu_ps(y + j, v);
       }
-      mx = HorizontalMax(vm);
+      vm = _mm512_maskz_max_ps(kAll16, vm, v);
     }
-    for (; j < h; ++j) mx = std::max(mx, row[j]);
-    // exp and sum. The lane-partial + horizontal reduction order is fixed
-    // by h alone, so a row's sum depends only on that row's bytes.
-    const __m256 vmx = _mm256_set1_ps(mx);
-    __m256 vsum = _mm256_setzero_ps();
-    for (j = 0; j + 8 <= h; j += 8) {
-      const __m256 e = Exp256(_mm256_sub_ps(_mm256_loadu_ps(row + j), vmx));
-      _mm256_storeu_ps(out + j, e);
-      vsum = _mm256_add_ps(vsum, e);
-    }
-    if (j < h) {
-      const __m256i mask = TailMask(h - j);
-      const __m256 v = _mm256_maskload_ps(row + j, mask);
-      // Zero the inactive lanes (maskload fed them 0, exp made that 1).
-      const __m256 e = _mm256_and_ps(Exp256(_mm256_sub_ps(v, vmx)),
-                                     _mm256_castsi256_ps(mask));
-      _mm256_maskstore_ps(out + j, mask, e);
-      vsum = _mm256_add_ps(vsum, e);
-    }
-    const float inv = 1.0f / HorizontalSum(vsum);
-    const __m256 vinv = _mm256_set1_ps(inv);
-    for (j = 0; j + 8 <= h; j += 8) {
-      _mm256_storeu_ps(out + j,
-                       _mm256_mul_ps(_mm256_loadu_ps(out + j), vinv));
-    }
-    for (; j < h; ++j) out[j] *= inv;
+    mx = HorizontalMax(_mm256_max_ps(Half256<0>(vm), Half256<1>(vm)));
   }
+#endif
+  if (h - j >= 8) {
+    __m256 vm = _mm256_set1_ps(mx);
+    for (; j + 8 <= h; j += 8) {
+      __m256 v = _mm256_loadu_ps(x + j);
+      if (mask != nullptr) {
+        v = _mm256_add_ps(v, _mm256_loadu_ps(mask + j));
+        _mm256_storeu_ps(y + j, v);
+      }
+      vm = _mm256_max_ps(vm, v);
+    }
+    mx = HorizontalMax(vm);
+  }
+  for (; j < h; ++j) {
+    float v = x[j];
+    if (mask != nullptr) {
+      v += mask[j];
+      y[j] = v;
+    }
+    mx = std::max(mx, v);
+  }
+  return mx;
 }
+
+/// out[0, h) = softmax(row[0, h)) given the row's max (out may be row).
+void SoftmaxRowWithMax(const float* row, float* out, int64_t h, float mx) {
+  // exp and sum. Element j joins lane j mod 8 of the partial sum in
+  // increasing j, then one horizontal reduction: the order is fixed by h
+  // alone, so a row's sum depends only on that row's bytes.
+  const __m256 vmx = _mm256_set1_ps(mx);
+  __m256 vsum = _mm256_setzero_ps();
+  int64_t j = 0;
+#if defined(__AVX512F__)
+  // Sixteen elements at a time; the halves join the sum in that order.
+  const __m512 vmx16 = _mm512_set1_ps(mx);
+  for (; j + 16 <= h; j += 16) {
+    const __m512 e = Exp512(_mm512_sub_ps(_mm512_loadu_ps(row + j), vmx16));
+    _mm512_storeu_ps(out + j, e);
+    vsum = _mm256_add_ps(vsum, Half256<0>(e));
+    vsum = _mm256_add_ps(vsum, Half256<1>(e));
+  }
+#endif
+  for (; j + 8 <= h; j += 8) {
+    const __m256 e = Exp256(_mm256_sub_ps(_mm256_loadu_ps(row + j), vmx));
+    _mm256_storeu_ps(out + j, e);
+    vsum = _mm256_add_ps(vsum, e);
+  }
+  if (j < h) {
+    const __m256i mask = TailMask(h - j);
+    const __m256 v = _mm256_maskload_ps(row + j, mask);
+    // Zero the inactive lanes (maskload fed them 0, exp made that 1).
+    const __m256 e = _mm256_and_ps(Exp256(_mm256_sub_ps(v, vmx)),
+                                   _mm256_castsi256_ps(mask));
+    _mm256_maskstore_ps(out + j, mask, e);
+    vsum = _mm256_add_ps(vsum, e);
+  }
+  const float inv = 1.0f / HorizontalSum(vsum);
+  j = 0;
+#if defined(__AVX512F__)
+  const __m512 vinv16 = _mm512_set1_ps(inv);
+  for (; j + 16 <= h; j += 16) {
+    _mm512_storeu_ps(out + j, _mm512_mul_ps(_mm512_loadu_ps(out + j), vinv16));
+  }
+#endif
+  const __m256 vinv = _mm256_set1_ps(inv);
+  for (; j + 8 <= h; j += 8) {
+    _mm256_storeu_ps(out + j, _mm256_mul_ps(_mm256_loadu_ps(out + j), vinv));
+  }
+  for (; j < h; ++j) out[j] *= inv;
+}
+
+}  // namespace
 
 #else  // !(__AVX2__ && __FMA__)
 
+namespace {
+
+float MaskedRowMax(const float* x, const float* mask, float* y, int64_t h) {
+  float mx = x[0] + (mask != nullptr ? mask[0] : 0.0f);
+  for (int64_t j = 0; j < h; ++j) {
+    float v = x[j];
+    if (mask != nullptr) {
+      v += mask[j];
+      y[j] = v;
+    }
+    mx = std::max(mx, v);
+  }
+  return mx;
+}
+
+void SoftmaxRowWithMax(const float* row, float* out, int64_t h, float mx) {
+  float sum = 0;
+  for (int64_t j = 0; j < h; ++j) {
+    float e = std::exp(row[j] - mx);
+    out[j] = e;
+    sum += e;
+  }
+  float inv = 1.0f / sum;
+  for (int64_t j = 0; j < h; ++j) out[j] *= inv;
+}
+
+}  // namespace
+
+#endif  // __AVX2__ && __FMA__
+
 void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t h) {
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = x + r * h;
-    float* out = y + r * h;
-    float mx = row[0];
-    for (int64_t j = 1; j < h; ++j) mx = std::max(mx, row[j]);
-    float sum = 0;
-    for (int64_t j = 0; j < h; ++j) {
-      float e = std::exp(row[j] - mx);
-      out[j] = e;
-      sum += e;
-    }
-    float inv = 1.0f / sum;
-    for (int64_t j = 0; j < h; ++j) out[j] *= inv;
+    const float mx = MaskedRowMax(row, nullptr, nullptr, h);
+    SoftmaxRowWithMax(row, y + r * h, h, mx);
   }
 }
-
-#endif  // __AVX2__ && __FMA__
 
 void SoftmaxGradRows(const float* y, const float* dy, float* dx,
                      int64_t rows, int64_t h) {
@@ -587,6 +844,131 @@ void AxpySpan(float alpha, const float* src, float* dst, int64_t n) {
 void MulAccumulateSpan(const float* a, const float* b, float* dst,
                        int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] += a[i] * b[i];
+}
+
+void AttentionBlockForward(const AttentionBlock& block, const float* q,
+                           const float* k, const float* v, float* probs,
+                           float* out) {
+  thread_local AttentionScratch s;
+  const int64_t ld = block.ld;
+  const int64_t hd = block.head_dim;
+  const int64_t sm = block.sm;
+  const int64_t width = block.width;
+  const int64_t own = width - sm;
+  const int64_t hd_pad = RoundUpToTile(hd);
+  const int64_t sm_pad = RoundUpToTile(sm);
+  const int64_t own_pad = RoundUpToTile(own);
+  // Keys are the scores' op(B) (hd x keys, packed from (keys, hd) rows),
+  // values the context's (keys x hd): the panels GemmAcc would pack.
+  float* k_mem = Grow(s.k_mem, hd * sm_pad);
+  float* v_mem = Grow(s.v_mem, sm * hd_pad);
+  PackB(k_mem, k + block.mem_begin * ld, ld, 0, hd, 0, sm, sm_pad, true);
+  PackB(v_mem, v + block.mem_begin * ld, ld, 0, sm, 0, hd, hd_pad, false);
+  const int64_t k_own_size = hd * own_pad;
+  const int64_t v_own_size = own * hd_pad;
+  float* k_own = Grow(s.k_own, block.num_spans * k_own_size);
+  float* v_own = Grow(s.v_own, block.num_spans * v_own_size);
+  int64_t rows = 0;
+  for (int64_t i = 0; i < block.num_spans; ++i) {
+    const AttentionBlockSpan& sp = block.spans[i];
+    rows += sp.rows;
+    if (sp.rows == 0 || own == 0) continue;
+    PackB(k_own + i * k_own_size, k + sp.own_begin * ld, ld, 0, hd, 0, own,
+          own_pad, true);
+    PackB(v_own + i * v_own_size, v + sp.own_begin * ld, ld, 0, own, 0, hd,
+          hd_pad, false);
+  }
+  // The band's scores and context live in scratch tiles wide enough for
+  // whole register tiles: a score row holds the memory tiles, then the own
+  // tiles from column sm (overwriting the memory tail's zero padding), so
+  // its first `width` floats are the scores. Both have 2 kMr rows because
+  // a span's share of a band may start at any band row.
+  const int64_t ld_scores = std::max(sm_pad, sm + own_pad);
+  float* scores = Grow(s.scores, 2 * kMr * ld_scores);
+  float* ctx = Grow(s.ctx, 2 * kMr * hd_pad);
+  const float* zero = Grow(s.zero, std::max(hd, width));  // only ever zeros
+  // Scores are stored scaled: the scale's rounding, then the mask's.
+  const TileMode scored{false, nullptr, true, block.scale};
+  const float* q0 = q + block.query_begin * ld;
+  float* out0 = out + block.query_begin * ld;
+  const float* arows[kMr];
+  // The span holding band row b0, and the block row it starts at.
+  int64_t first = 0;
+  int64_t first_row = 0;
+  for (int64_t b0 = 0; b0 < rows; b0 += kMr) {
+    const int64_t live = std::min(kMr, rows - b0);
+    while (first_row + block.spans[first].rows <= b0) {
+      first_row += block.spans[first].rows;
+      ++first;
+    }
+    // Calls fn(span, span index, first band row, rows, first span row) for
+    // each span's share of the band, in row order.
+    auto for_each_piece = [&](auto&& fn) {
+      int64_t start = first_row;
+      for (int64_t i = first; i < block.num_spans && start < b0 + live; ++i) {
+        const AttentionBlockSpan& sp = block.spans[i];
+        const int64_t lo = std::max(start, b0);
+        const int64_t hi = std::min(start + sp.rows, b0 + live);
+        if (hi > lo) fn(sp, i, lo - b0, hi - lo, lo - start);
+        start += sp.rows;
+      }
+    };
+    // Scores: every band row against the memory keys, then each span's
+    // rows against its own keys, scaled as they are stored. A share's
+    // whole-tile store also writes the band rows after it, which the next
+    // share then overwrites.
+    for (int64_t r = 0; r < kMr; ++r) {
+      arows[r] = r < live ? q0 + (b0 + r) * ld : zero;
+    }
+    MicroTile(arows, k_mem, sm_pad, scores, ld_scores, kMr, sm_pad, hd, live,
+              scored);
+    if (own > 0) {
+      for_each_piece([&](const AttentionBlockSpan&, int64_t i, int64_t r0,
+                         int64_t n, int64_t) {
+        for (int64_t r = 0; r < kMr; ++r) {
+          arows[r] = r < n ? q0 + (b0 + r0 + r) * ld : zero;
+        }
+        MicroTile(arows, k_own + i * k_own_size, own_pad,
+                  scores + r0 * ld_scores + sm, ld_scores, kMr, own_pad, hd, n,
+                  scored);
+      });
+    }
+    // Mask -> softmax, each its own rounding after the scale's, as the
+    // unfused chain.
+    for_each_piece([&](const AttentionBlockSpan& sp, int64_t, int64_t r0,
+                       int64_t n, int64_t sr) {
+      for (int64_t r = r0; r < r0 + n; ++r) {
+        float* row = scores + r * ld_scores;
+        const float* mask =
+            sp.mask != nullptr ? sp.mask + (sr + r - r0) * width : nullptr;
+        SoftmaxRowWithMax(row, row, width, MaskedRowMax(row, mask, row, width));
+        if (probs != nullptr) {
+          std::copy(row, row + width, probs + (b0 + r) * width);
+        }
+      }
+    });
+    // Context: P[:, :sm] V_mem for the whole band (zero seed), then each
+    // span's P[:, sm:] V_own continues every element's chain from the
+    // exact partial sum stored in between.
+    for (int64_t r = 0; r < kMr; ++r) {
+      arows[r] = r < live ? scores + r * ld_scores : zero;
+    }
+    MicroTile(arows, v_mem, hd_pad, ctx, hd_pad, kMr, hd_pad, sm, live,
+              TileMode{false, nullptr, true});
+    if (own > 0) {
+      for_each_piece([&](const AttentionBlockSpan&, int64_t i, int64_t r0,
+                         int64_t n, int64_t) {
+        for (int64_t r = 0; r < kMr; ++r) {
+          arows[r] = r < n ? scores + (r0 + r) * ld_scores + sm : zero;
+        }
+        MicroTile(arows, v_own + i * v_own_size, hd_pad, ctx + r0 * hd_pad,
+                  hd_pad, kMr, hd_pad, own, n, TileMode{true, nullptr, false});
+      });
+    }
+    for (int64_t r = 0; r < live; ++r) {
+      std::copy(ctx + r * hd_pad, ctx + r * hd_pad + hd, out0 + (b0 + r) * ld);
+    }
+  }
 }
 
 }  // namespace taste::tensor::kernels

@@ -31,13 +31,22 @@
 // Operands may be strided (GemmAccStrided): rows of A, B and C sit lda,
 // ldb and ldc floats apart, so a GEMM can read one head's columns of a
 // wider matrix and write into a sub-block of a wider C. A non-transposed A
-// is read in place, row by row; a transposed A is packed first. Neither
-// changes a single product or its order, so strides, packing and where C
-// lives do not touch the bits either. Splitting k (kKc blocking, or a
-// caller summing two GEMMs into one C) stores and reloads an exact fp32
-// partial sum, so it is bitwise the unsplit chain.
+// is read in place, row by row; a transposed A is packed first. A
+// non-transposed B is read in place too whenever its live columns fill
+// whole 16-column tiles, and packed otherwise. None of this changes a
+// single product or its order, so strides, packing and where C lives do
+// not touch the bits either. Splitting k (kKc blocking, or a caller
+// summing two GEMMs into one C) stores and reloads an exact fp32 partial
+// sum, so it is bitwise the unsplit chain.
 //
-// The anchor-only last layer, the grouped attention op and the intra-op
+// Gemm is GemmAcc with an overwrite epilogue: its first k-block seeds the
+// accumulators with zero instead of reading C, and its last k-block adds
+// an optional bias row as it stores. A zero-filled C would have seeded the
+// same +0.0, and the bias add is the same single rounding AddBias does
+// after the chain, so Gemm is bitwise a zero fill, GemmAcc and a bias add,
+// without the fill pass, the separate add pass or a C that must be zeroed.
+//
+// The anchor-only last layer, the band attention kernel and the intra-op
 // bands all rest on this row-stability (every other forward op is
 // row-wise by construction; DESIGN.md §9). Parity with the naive
 // GemmAccRef is 1e-5 relative, not bitwise: the reference's rounding
@@ -59,9 +68,12 @@ namespace taste::tensor::kernels {
 
 // -- GEMM ---------------------------------------------------------------------
 
-/// Rows of C computed side by side in one register band: 8 on AVX-512 (one
-/// zmm accumulator per row, of 32 registers) and 4 elsewhere (16 ymm
-/// registers hold 4 rows as two 8-float halves each, plus the operands).
+/// Rows of C computed side by side in one register band: 8 when AVX-512 is
+/// enabled and 4 otherwise. GCC vectorizes the 16-column tile as two
+/// 8-float ymm halves either way (it prefers 256-bit vectors under
+/// -march=native), so a band holds 2 x kGemmBandRows ymm accumulators:
+/// 16 of AVX-512's 32 vector registers, or 8 of AVX2's 16, leaving room
+/// for the broadcasts and the B loads.
 #if defined(__AVX512F__)
 inline constexpr int64_t kGemmBandRows = 8;
 #else
@@ -97,6 +109,58 @@ void GemmAcc(const float* a, const float* b, float* c, int64_t m, int64_t n,
 void GemmAccStrided(const float* a, int64_t lda, const float* b, int64_t ldb,
                     float* c, int64_t ldc, int64_t m, int64_t n, int64_t k,
                     bool trans_a, bool trans_b);
+
+/// C = op(A) * op(B) (+ bias): GemmAcc's contract and bits with C's
+/// contents on entry ignored, so C may be uninitialized (it is only
+/// written). `bias`, when non-null, holds n floats added to every row in
+/// the last k-block's store; the result is bitwise GemmAcc into a zeroed C
+/// followed by a separate bias add. k == 0 stores the bias (or zeros).
+void Gemm(const float* a, const float* b, const float* bias, float* c,
+          int64_t m, int64_t n, int64_t k, bool trans_a, bool trans_b,
+          ThreadPool* pool = nullptr);
+
+// -- Attention ----------------------------------------------------------------
+
+/// One span of an attention block: `rows` query rows, right after the
+/// previous span's, attending over the block's sm shared memory keys and
+/// then its own width - sm key/value rows from `own_begin`.
+struct AttentionBlockSpan {
+  int64_t rows = 0;
+  int64_t own_begin = 0;
+  const float* mask = nullptr;  // rows x width additive mask, or null
+};
+
+/// The geometry of one (group, head) attention block. q, k, v and out rows
+/// are `ld` floats apart; the block's query rows start at `query_begin`,
+/// its memory key/value rows at `mem_begin`.
+struct AttentionBlock {
+  int64_t ld = 0;
+  int64_t head_dim = 0;
+  float scale = 1.0f;  // multiplies every score before the mask
+  int64_t query_begin = 0;
+  int64_t mem_begin = 0;
+  int64_t sm = 0;     // shared memory keys
+  int64_t width = 0;  // sm + every span's own keys
+  const AttentionBlockSpan* spans = nullptr;
+  int64_t num_spans = 0;
+};
+
+/// Overwrites the block's query rows of `out` with
+/// softmax(q k^T * scale + mask) v over [memory ; own] keys, where q, k, v
+/// and out point at the head's first column. Packs the memory keys and
+/// values once, each span's own keys and values once, then walks the query
+/// rows kGemmBandRows at a time: a band's scores (memory, then each span's
+/// own), scale, mask and softmax stay in band-sized scratch tiles padded to
+/// whole register tiles, and one context chain per element runs
+/// P[:, :sm] V_mem then P[:, sm:] V_own. `probs`, when non-null, receives
+/// the probabilities (the block's rows x width, row-major). Every score,
+/// probability and context element runs the same FMA chain, seeded from 0
+/// in increasing k, as GemmAcc on zeroed tiles followed by ScaleSpan,
+/// AddSpan and SoftmaxRows over the whole block, so the bits do not depend
+/// on the band walk.
+void AttentionBlockForward(const AttentionBlock& block, const float* q,
+                           const float* k, const float* v, float* probs,
+                           float* out);
 
 // -- Row-wise normalization / softmax ----------------------------------------
 

@@ -352,31 +352,73 @@ Tensor AddBroadcastMat(const Tensor& x, const Tensor& m2) {
 
 // -- Linear algebra --------------------------------------------------------------
 
+namespace {
+
+/// MatMul's backward: dA += dC B^T and dB += A^T dC for C = A B, A (m, k)
+/// and B (k, n), into whichever of the two records gradients.
+void MatMulBackward(TensorImpl* a, TensorImpl* b, const float* dc, int64_t m,
+                    int64_t n, int64_t k) {
+  if (a->requires_grad) {
+    // dA = dC * B^T : (m,n) x (n,k)
+    kernels::GemmAcc(dc, b->data.data(), a->MutableGrad().data(), m, k, n,
+                     false, true, CurrentIntraPool());
+  }
+  if (b->requires_grad) {
+    // dB = A^T * dC : (k,m) x (m,n)
+    kernels::GemmAcc(a->data.data(), dc, b->MutableGrad().data(), k, n, m,
+                     true, false, CurrentIntraPool());
+  }
+}
+
+}  // namespace
+
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   TASTE_CHECK(a.rank() == 2 && b.rank() == 2);
   int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   TASTE_CHECK_MSG(b.dim(0) == k, "MatMul inner-dim mismatch");
-  auto out = NewImpl({m, n});
+  auto out = NewImpl({m, n}, BufferInit::kUninitialized);
   {
     OpTimer timer(&ExecStats::gemm);
-    kernels::GemmAcc(a.data(), b.data(), out->data.data(), m, n, k, false,
-                     false, CurrentIntraPool());
+    kernels::Gemm(a.data(), b.data(), nullptr, out->data.data(), m, n, k,
+                  false, false, CurrentIntraPool());
   }
   auto ai = a.impl();
   auto bi = b.impl();
   internal::TensorImpl* oi = out.get();
   SetEdge(out, {&a, &b}, [ai, bi, oi, m, n, k] {
+    MatMulBackward(ai.get(), bi.get(), oi->MutableGrad().data(), m, n, k);
+  });
+  return Tensor(out);
+}
+
+Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
+  TASTE_CHECK(x.rank() == 2 && w.rank() == 2 && bias.rank() == 1);
+  const int64_t m = x.dim(0), k = x.dim(1), n = w.dim(1);
+  TASTE_CHECK_MSG(w.dim(0) == k, "Linear inner-dim mismatch");
+  TASTE_CHECK_MSG(bias.dim(0) == n, "Linear bias mismatch");
+  auto out = NewImpl({m, n}, BufferInit::kUninitialized);
+  {
+    OpTimer timer(&ExecStats::gemm);
+    kernels::Gemm(x.data(), w.data(), bias.data(), out->data.data(), m, n, k,
+                  false, false, CurrentIntraPool());
+  }
+  auto xi = x.impl();
+  auto wi = w.impl();
+  auto bi = bias.impl();
+  internal::TensorImpl* oi = out.get();
+  SetEdge(out, {&x, &w, &bias}, [xi, wi, bi, oi, m, n, k] {
     const float* og = oi->MutableGrad().data();
-    if (ai->requires_grad) {
-      // dA = dC * B^T : (m,n) x (n,k)
-      kernels::GemmAcc(og, bi->data.data(), ai->MutableGrad().data(), m, k, n,
-                       false, true, CurrentIntraPool());
-    }
+    // AddBias's backward, then MatMul's: the order the two-node chain ran
+    // them in. Its intermediate gradient was +0 + og, which differs from
+    // og only in a zero's sign, and that cannot reach a GEMM chain seeded
+    // from +0 (DESIGN.md §9).
     if (bi->requires_grad) {
-      // dB = A^T * dC : (k,m) x (m,n)
-      kernels::GemmAcc(ai->data.data(), og, bi->MutableGrad().data(), k, n, m,
-                       true, false, CurrentIntraPool());
+      auto& g = bi->MutableGrad();
+      for (int64_t r = 0; r < m; ++r) {
+        for (int64_t j = 0; j < n; ++j) g[j] += og[r * n + j];
+      }
     }
+    MatMulBackward(xi.get(), wi.get(), og, m, n, k);
   });
   return Tensor(out);
 }
@@ -495,15 +537,12 @@ namespace {
 /// serially even when an intra-op pool is bound; same bar as GemmAcc's.
 constexpr int64_t kMinParallelAttentionFlops = 1 << 21;
 
-/// Per-thread tiles, grown to the largest block the thread has seen and
-/// reused. The forward uses only `scores`, one (group, head) block's
-/// rows x width score tile: at the serving shape a whole table's content
-/// rows, 11 columns x 31 rows over 124 + 31 keys (~210 KiB), or one row per
-/// column in the anchor-only last layer. The backward runs per (span,
-/// head) on gathered operands.
+/// Per-thread backward operands, grown to the largest (span, head) block
+/// the thread has seen and reused. The forward's scratch lives in
+/// kernels::AttentionBlockForward.
 struct AttentionScratch {
-  std::vector<float> scores;              // forward and backward
-  std::vector<float> q, k, v, ctx;        // backward gathers
+  std::vector<float> scores;
+  std::vector<float> q, k, v, ctx;
   std::vector<float> dscores, dq, dk, dv;
 };
 
@@ -569,8 +608,10 @@ void ScatterAddHeadKv(const float* src, const AttentionDims& d, int64_t col,
 
 /// A maximal run of consecutive spans [first, last) that share kv[0], the
 /// mask tensor and the width, with contiguous query rows starting at
-/// `row0`, `rows` in all. Its spans' scores form one rows x width tile whose
-/// first sm = kv[0].rows columns come from one shared-memory GEMM.
+/// `row0`, `rows` in all. Per head, the group is one
+/// kernels::AttentionBlockForward block: its memory keys and values are
+/// packed once for all of its spans, and its register bands run across
+/// span boundaries.
 struct AttentionGroup {
   size_t first = 0;
   size_t last = 0;
@@ -598,57 +639,6 @@ std::vector<AttentionGroup> GroupSpans(
     groups.push_back({i, i + 1, s.query.begin, s.query.rows});
   }
   return groups;
-}
-
-/// One (group, head) block: writes that head's columns of the group's
-/// output rows, which must be zero on entry. `tile` (rows x width) receives
-/// the probabilities. Each score and context element runs the unfused
-/// chain's FMA sequence on the same values (kernels.h), so splitting the
-/// columns at sm, and k at sm, leaves its bits unchanged.
-void AttentionGroupForward(const float* q, const float* k, const float* v,
-                           const std::vector<AttentionSpan>& spans,
-                           const AttentionGroup& g, int64_t head,
-                           const AttentionDims& d, float* tile, float* out) {
-  const AttentionSpan& first = spans[g.first];
-  const int64_t width = SpanWidth(first);
-  const int64_t sm = first.kv[0].rows;
-  const int64_t hd = d.head_dim;
-  const int64_t ld = d.hidden;
-  const int64_t col = head * hd;
-  std::fill(tile, tile + g.rows * width, 0.0f);
-  // Scores: one GEMM against the shared memory keys, then each span's own.
-  kernels::GemmAccStrided(q + g.row0 * ld + col, ld,
-                          k + first.kv[0].begin * ld + col, ld, tile, width,
-                          g.rows, sm, hd, false, true);
-  for (size_t i = g.first; i < g.last; ++i) {
-    const AttentionSpan& s = spans[i];
-    kernels::GemmAccStrided(q + s.query.begin * ld + col, ld,
-                            k + s.kv[1].begin * ld + col, ld,
-                            tile + (s.query.begin - g.row0) * width + sm,
-                            width, s.query.rows, width - sm, hd, false, true);
-  }
-  // Scale -> mask -> softmax: the unfused chain's elementwise order.
-  kernels::ScaleSpan(tile, d.scale, tile, g.rows * width);
-  if (first.mask != nullptr) {
-    for (size_t i = g.first; i < g.last; ++i) {
-      const AttentionSpan& s = spans[i];
-      float* rows = tile + (s.query.begin - g.row0) * width;
-      kernels::AddSpan(rows, s.mask->data() + s.mask_row * width, rows,
-                       s.query.rows * width);
-    }
-  }
-  kernels::SoftmaxRows(tile, tile, g.rows, width);
-  // Context: k split at sm, the memory part in one GEMM.
-  kernels::GemmAccStrided(tile, width, v + first.kv[0].begin * ld + col, ld,
-                          out + g.row0 * ld + col, ld, g.rows, hd, sm, false,
-                          false);
-  for (size_t i = g.first; i < g.last; ++i) {
-    const AttentionSpan& s = spans[i];
-    kernels::GemmAccStrided(tile + (s.query.begin - g.row0) * width + sm,
-                            width, v + s.kv[1].begin * ld + col, ld,
-                            out + s.query.begin * ld + col, ld, s.query.rows,
-                            hd, width - sm, false, false);
-  }
 }
 
 /// Backward of one (span, head) block, accumulating into the non-null
@@ -738,14 +728,26 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
   // recorded, its probabilities stay at probs + group_off[b] (rows x width,
   // laid out [group][head][rows x width]), so span i's head-a slice is the
   // contiguous seg x width at probs_off[i * num_heads + a], the backward's
-  // per-(span, head) operand.
+  // per-(span, head) operand. The kernel overwrites every row a span
+  // covers; the rows none covers are zeroed below, so the output buffer is
+  // taken uninitialized.
   const std::vector<AttentionGroup> groups = GroupSpans(spans);
   const int64_t blocks = static_cast<int64_t>(groups.size()) * num_heads;
   std::vector<int64_t> group_off(static_cast<size_t>(blocks) + 1, 0);
   std::vector<int64_t> probs_off(spans.size() * num_heads, 0);
+  std::vector<std::vector<kernels::AttentionBlockSpan>> block_spans(
+      groups.size());  // each group's spans in kernel form, for every head
+  std::vector<bool> covered(static_cast<size_t>(q.dim(0)), false);
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     const AttentionGroup& g = groups[gi];
     const int64_t width = SpanWidth(spans[g.first]);
+    for (size_t i = g.first; i < g.last; ++i) {
+      const AttentionSpan& s = spans[i];
+      block_spans[gi].push_back(
+          {s.query.rows, s.kv[1].begin,
+           s.mask != nullptr ? s.mask->data() + s.mask_row * width : nullptr});
+      std::fill_n(covered.begin() + s.query.begin, s.query.rows, true);
+    }
     for (int64_t a = 0; a < num_heads; ++a) {
       const size_t b = gi * static_cast<size_t>(num_heads) + a;
       group_off[b + 1] = group_off[b] + g.rows * width;
@@ -759,21 +761,39 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
   auto probs = record ? std::make_shared<std::vector<float>>(
                             static_cast<size_t>(group_off.back()))
                       : nullptr;
-  auto out = NewImpl({q.dim(0), hidden});
+  auto out = NewImpl({q.dim(0), hidden}, BufferInit::kUninitialized);
+  for (int64_t r = 0; r < q.dim(0); ++r) {
+    if (!covered[static_cast<size_t>(r)]) {
+      std::fill_n(out->data.data() + r * hidden, hidden, 0.0f);
+    }
+  }
   {
     OpTimer timer(&ExecStats::attention);
     auto run = [&](int64_t b0, int64_t b1) {
       for (int64_t b = b0; b < b1; ++b) {
-        const AttentionGroup& g = groups[static_cast<size_t>(b / num_heads)];
+        const size_t gi = static_cast<size_t>(b / num_heads);
+        const AttentionGroup& g = groups[gi];
         if (g.rows == 0) continue;
-        const int64_t n = group_off[b + 1] - group_off[b];
-        float* tile = probs != nullptr ? probs->data() + group_off[b]
-                                       : Tile(AttnScratch().scores, n);
-        AttentionGroupForward(q.data(), k.data(), v.data(), spans, g,
-                              b % num_heads, dims, tile, out->data.data());
+        const AttentionSpan& first = spans[g.first];
+        const std::vector<kernels::AttentionBlockSpan>& bs = block_spans[gi];
+        const kernels::AttentionBlock block{
+            .ld = hidden,
+            .head_dim = head_dim,
+            .scale = dims.scale,
+            .query_begin = g.row0,
+            .mem_begin = first.kv[0].begin,
+            .sm = first.kv[0].rows,
+            .width = SpanWidth(first),
+            .spans = bs.data(),
+            .num_spans = static_cast<int64_t>(bs.size())};
+        const int64_t col = (b % num_heads) * head_dim;
+        kernels::AttentionBlockForward(
+            block, q.data() + col, k.data() + col, v.data() + col,
+            probs != nullptr ? probs->data() + group_off[b] : nullptr,
+            out->data.data() + col);
       }
     };
-    // Blocks write disjoint outputs from their own tiles, so spreading
+    // Blocks write disjoint outputs from their own scratch, so spreading
     // them over the pool cannot change a bit.
     ThreadPool* pool = CurrentIntraPool();
     if (pool == nullptr || pool->size() <= 1 || blocks < 2 ||

@@ -58,10 +58,16 @@ Tensor AddBroadcastMat(const Tensor& x, const Tensor& m2);
 
 /// (m, k) x (k, n) -> (m, n).
 Tensor MatMul(const Tensor& a, const Tensor& b);
+/// The affine map x W + b: x (m, k), W (k, n), b (n) -> (m, n), in one
+/// GEMM pass whose store adds the bias (kernels::Gemm). Outputs and x/W/b
+/// gradients are bitwise AddBias(MatMul(x, W), b)'s: the backward runs
+/// AddBias's and then MatMul's kernels in the order the two-node chain
+/// ran them.
+Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias);
 /// Inference-only fused affine through a prepacked int8 weight: x (m, k)
 /// is quantized dynamically per row, multiplied against w's int8 panels
 /// with int32 accumulation, and dequantized (+ fp32 bias) in one pass —
-/// the int8 equivalent of AddBias(MatMul(x, W), b). Requires gradient
+/// the int8 equivalent of Linear(x, W, b). Requires gradient
 /// recording to be off (serving contexts set no_grad); never records an
 /// autograd edge. `bias` may be undefined for a bias-free layer.
 Tensor QuantLinear(const Tensor& x, const quant::PackedQuantWeight& w,
@@ -101,12 +107,13 @@ struct AttentionSpan {
 /// softmax(q_h k_hᵀ / sqrt(head_dim) + mask) v_h into that head's columns of
 /// the span's query rows; rows no span covers stay zero. Query ranges must
 /// not overlap. Consecutive spans that share kv[0], the mask and the width
-/// and whose query rows are contiguous run as one (group, head) block: one
-/// GEMM against the shared kv[0] rows for all of them, then each span's
-/// kv[1] rows. A block reads q, k and v in place, works on one per-thread
-/// score tile and depends only on its own rows, so the result is
-/// independent of the other spans, of the grouping and of how the blocks
-/// are spread over the intra-op pool. The bits equal the unfused
+/// and whose query rows are contiguous run as one (group, head) block
+/// (kernels::AttentionBlockForward): the shared kv[0] keys and values are
+/// packed once for all of them, and the query rows are walked in register
+/// bands across the spans, each band's scores, softmax and context done
+/// while they sit in L1. A block depends only on its own rows, so the
+/// result is independent of the other spans, of the grouping and of how
+/// the blocks are spread over the intra-op pool. The bits equal the unfused
 /// composition (GatherRows, TransposeLast2, BatchedMatMul, Scale,
 /// AddBroadcastMat, Softmax, BatchedMatMul): every element runs the same
 /// kernel arithmetic in the same order on the same values. Records one

@@ -25,10 +25,12 @@ bool IsSeparator(char c) {
 
 /// Walks `text`'s pre-tokens (see PreTokenize) in order, lowercasing as it
 /// goes, and hands each to `visit` as a view that is valid only during
-/// the call. Stops early, without looking at the rest of `text`, as soon
-/// as `visit` returns false.
+/// the call. A pre-token longer than `max_bytes` is handed over cut to its
+/// first max_bytes + 1 bytes, so it is still seen as over the cap but is
+/// never buffered whole. Stops early, without looking at the rest of
+/// `text`, as soon as `visit` returns false.
 template <typename Visit>
-void ForEachPreToken(std::string_view text, Visit&& visit) {
+void ForEachPreToken(std::string_view text, size_t max_bytes, Visit&& visit) {
   std::string cur;
   auto flush = [&] {
     if (cur.empty()) return true;
@@ -41,7 +43,7 @@ void ForEachPreToken(std::string_view text, Visit&& visit) {
     if (IsSeparator(c)) {
       if (!flush()) return;
     } else if (IsWordChar(c)) {
-      cur.push_back(c);
+      if (cur.size() <= max_bytes) cur.push_back(c);
     } else {
       // Other punctuation becomes its own single-character token.
       if (!flush() || !visit(std::string_view(&c, 1))) return;
@@ -54,7 +56,7 @@ void ForEachPreToken(std::string_view text, Visit&& visit) {
 
 std::vector<std::string> PreTokenize(const std::string& text) {
   std::vector<std::string> out;
-  ForEachPreToken(text, [&](std::string_view w) {
+  ForEachPreToken(text, SIZE_MAX, [&](std::string_view w) {
     out.emplace_back(w);
     return true;
   });
@@ -62,7 +64,8 @@ std::vector<std::string> PreTokenize(const std::string& text) {
 }
 
 void WordPieceTrainer::AddDocument(const std::string& text) {
-  ForEachPreToken(text, [&](std::string_view w) {
+  const size_t cap = static_cast<size_t>(std::max(0, options_.max_word_length));
+  ForEachPreToken(text, cap, [&](std::string_view w) {
     if (static_cast<int>(w.size()) <= options_.max_word_length) {
       ++word_counts_[std::string(w)];
     }
@@ -256,7 +259,7 @@ void WordPieceTokenizer::EncodeWord(std::string_view word,
 void WordPieceTokenizer::EncodeInto(const std::string& text, size_t limit,
                                     std::vector<int>* out) const {
   if (out->size() >= limit) return;
-  ForEachPreToken(text, [&](std::string_view w) {
+  ForEachPreToken(text, kMaxWordBytes, [&](std::string_view w) {
     EncodeWord(w, out);
     return out->size() < limit;
   });

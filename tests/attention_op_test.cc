@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -470,6 +471,74 @@ TEST(AttentionOpTest, RecordedGradientsMatchUnfusedChainBitwise) {
       EXPECT_EQ(0, std::memcmp(got->grad().data(), want->grad().data(),
                                sizeof(float) * got->grad().size()))
           << c.what << ": d" << name;
+    }
+  }
+}
+
+TEST(AttentionOpTest, BandEdgeGeometriesMatchBitwise) {
+  // The forward pads each band's scores to whole 16-column tiles, packs
+  // every span's own keys apart and walks the query rows in register bands
+  // that cross span boundaries. Widths off the tile grid, an empty own
+  // segment, no memory at all, masks on and off: the output must equal the
+  // unfused chain whether or not an edge is recorded, and the recorded
+  // probabilities must give the chain's gradients.
+  const int64_t heads = 2, hd = 12, hidden = heads * hd, segments = 4;
+  int cases = 0;
+  for (int64_t sm : {0, 5, 16, 37}) {
+    for (int64_t own : {0, 3, 16, 21}) {
+      if (sm + own == 0) continue;
+      for (bool masked : {false, true}) {
+        for (int64_t seg : {1, 5, 9}) {
+          const uint64_t seed = static_cast<uint64_t>(7000 + cases++);
+          const int64_t rows = segments * seg, width = sm + own;
+          const int64_t keys = sm + segments * own;
+          Rng mask_rng(seed);
+          const Tensor mask = RandomMask(rows, width, mask_rng);
+          std::vector<AttentionSpan> spans;
+          for (int64_t j = 0; j < segments; ++j) {
+            AttentionSpan s;
+            s.query = {j * seg, seg};
+            s.kv[0] = {0, sm};
+            s.kv[1] = {sm + j * own, own};
+            s.mask = masked ? &mask : nullptr;
+            s.mask_row = j * seg;
+            spans.push_back(s);
+          }
+          const std::string what = "sm=" + std::to_string(sm) +
+                                   " own=" + std::to_string(own) +
+                                   " seg=" + std::to_string(seg) +
+                                   (masked ? " masked" : "");
+          // Leaves for the op and for the reference: equal values.
+          Rng rng(seed), ref_rng(seed);
+          const Tensor q = Tensor::Randn({rows, hidden}, rng, 1.0f, true);
+          const Tensor k = Tensor::Randn({keys, hidden}, rng, 1.0f, true);
+          const Tensor v = Tensor::Randn({keys, hidden}, rng, 1.0f, true);
+          const Tensor rq = Tensor::Randn({rows, hidden}, ref_rng, 1.0f, true);
+          const Tensor rk = Tensor::Randn({keys, hidden}, ref_rng, 1.0f, true);
+          const Tensor rv = Tensor::Randn({keys, hidden}, ref_rng, 1.0f, true);
+          Tensor want, unrecorded;
+          {
+            NoGradGuard ng;
+            want = ReferenceAttention(rq, rk, rv, heads, spans);
+            unrecorded = Attention(q, k, v, heads, spans);
+          }
+          const Tensor recorded = Attention(q, k, v, heads, spans);
+          EXPECT_TRUE(SameBytes(unrecorded, want)) << what;
+          EXPECT_TRUE(SameBytes(recorded, want)) << what << " (recorded)";
+          if (!masked) continue;  // ReferenceLoss reads every span's mask
+          const Tensor w = Tensor::Randn({rows, hidden}, rng);
+          SumAll(Mul(recorded, w)).Backward();
+          ReferenceLoss(rq, rk, rv, heads, spans, w).Backward();
+          for (const auto& [got, ref, name] :
+               {std::tuple{&q, &rq, "q"}, std::tuple{&k, &rk, "k"},
+                std::tuple{&v, &rv, "v"}}) {
+            ASSERT_EQ(got->grad().size(), ref->grad().size());
+            EXPECT_EQ(0, std::memcmp(got->grad().data(), ref->grad().data(),
+                                     sizeof(float) * got->grad().size()))
+                << what << ": d" << name;
+          }
+        }
+      }
     }
   }
 }

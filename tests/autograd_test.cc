@@ -3,7 +3,9 @@
 // checks with the optimizers.
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -165,6 +167,56 @@ TEST(AutogradTest, AddBiasGrads) {
   CheckGradients({x, b}, [](const std::vector<Tensor>& in) {
     return SumAll(Square(AddBias(in[0], in[1])));
   });
+}
+
+TEST(AutogradTest, LinearGrads) {
+  Rng rng(12);
+  Tensor x = Tensor::Randn({3, 4}, rng, 1.0f, true);
+  Tensor w = Tensor::Randn({4, 2}, rng, 0.5f, true);
+  Tensor b = Tensor::Randn({2}, rng, 1.0f, true);
+  CheckGradients({x, w, b}, [](const std::vector<Tensor>& in) {
+    return SumAll(Square(Linear(in[0], in[1], in[2])));
+  });
+}
+
+TEST(AutogradTest, LinearGradsEqualAddBiasMatMulBitwise) {
+  // Linear is one tape node where AddBias(MatMul(x, W), b) was two; its
+  // backward runs their kernels in the order the tape ran them. With x
+  // feeding a second consumer (so its gradient sums two contributions in
+  // tape order), every gradient must match the two-node chain bit for bit,
+  // for widths on and off the 16-column grid.
+  for (int64_t n : {20, 128}) {
+    struct Leaves {
+      Tensor x0, w, b, w2;
+    };
+    auto make = [n] {
+      Rng rng(40 + n);
+      return Leaves{Tensor::Randn({9, 48}, rng, 1.0f, true),
+                    Tensor::Randn({48, n}, rng, 0.2f, true),
+                    Tensor::Randn({n}, rng, 1.0f, true),
+                    Tensor::Randn({48, 7}, rng, 0.2f, true)};
+    };
+    auto loss = [](const Leaves& l, bool fused) {
+      const Tensor x = Tanh(l.x0);
+      const Tensor y = fused ? Linear(x, l.w, l.b)
+                             : AddBias(MatMul(x, l.w), l.b);
+      return Add(SumAll(Square(y)), SumAll(Square(MatMul(x, l.w2))));
+    };
+    const Leaves fused = make();
+    const Leaves chain = make();
+    loss(fused, true).Backward();
+    loss(chain, false).Backward();
+    for (const auto& [got, want, name] :
+         {std::tuple{&fused.x0, &chain.x0, "x"},
+          std::tuple{&fused.w, &chain.w, "W"},
+          std::tuple{&fused.b, &chain.b, "b"},
+          std::tuple{&fused.w2, &chain.w2, "W2"}}) {
+      ASSERT_EQ(got->grad().size(), want->grad().size());
+      EXPECT_EQ(0, std::memcmp(got->grad().data(), want->grad().data(),
+                               sizeof(float) * got->grad().size()))
+          << "n=" << n << ": d" << name;
+    }
+  }
 }
 
 TEST(AutogradTest, AddBroadcastMatGrads) {

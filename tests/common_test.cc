@@ -2,6 +2,7 @@
 // string utilities.
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <set>
 
@@ -206,12 +207,28 @@ TEST(ThreadPoolTest, TaskCompleteCallbackFiresAfterSlotRelease) {
   for (int i = 0; i < 5; ++i) {
     pool.Submit([] {});
   }
-  pool.WaitIdle();
-  // WaitIdle can return before the final callback runs; wait for it.
-  while (calls.load() < 5) std::this_thread::yield();
+  pool.WaitIdle();  // returns only after the last callback has returned
   EXPECT_EQ(calls.load(), 5);
   // At least the last completion observed a free slot.
   EXPECT_GE(seen_not_full.load(), 1);
+}
+
+TEST(ThreadPoolTest, WaitIdleWaitsForTaskCompleteCallbacks) {
+  // A pool kept across batches may have its callback capture batch-local
+  // state; WaitIdle must not return while a callback still runs, and the
+  // callback can then be replaced for the next batch.
+  ThreadPool pool(2);
+  for (int batch = 0; batch < 3; ++batch) {
+    std::atomic<int> returned{0};
+    pool.SetTaskCompleteCallback([&returned] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      returned.fetch_add(1);
+    });
+    for (int i = 0; i < 4; ++i) pool.Submit([] {});
+    pool.WaitIdle();
+    EXPECT_EQ(returned.load(), 4) << "batch " << batch;
+    pool.SetTaskCompleteCallback(nullptr);
+  }
 }
 
 TEST(ThreadPoolTest, ZeroRequestedBecomesOne) {

@@ -334,6 +334,110 @@ TEST(KernelsGemmTest, ZeroSizedStridedProblemsAreNoOps) {
   EXPECT_EQ(c[1], 2.0f);
 }
 
+// -- Overwrite and bias epilogue (Gemm), in-place B -------------------------
+
+TEST(KernelsGemmTest, OverwriteIgnoresPoisonedCBitwise) {
+  // Gemm seeds its first k-block with zero instead of reading C: over a
+  // NaN-filled C it must equal GemmAcc into a zeroed C, bit for bit, for
+  // every variant, serially and row-partitioned over a pool.
+  ThreadPool pool(3);
+  for (const GemmShape& s : kShapes) {
+    Rng rng(s.m * 31 + s.n * 17 + s.k);
+    const std::vector<float> a = RandomVec(s.m * s.k, rng);
+    const std::vector<float> b = RandomVec(s.k * s.n, rng);
+    for (bool trans_a : {false, true}) {
+      for (bool trans_b : {false, true}) {
+        std::vector<float> want(static_cast<size_t>(s.m * s.n), 0.0f);
+        GemmAcc(a.data(), b.data(), want.data(), s.m, s.n, s.k, trans_a,
+                trans_b);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          std::vector<float> got(want.size(), std::nanf(""));
+          Gemm(a.data(), b.data(), nullptr, got.data(), s.m, s.n, s.k,
+               trans_a, trans_b, p);
+          EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                   sizeof(float) * want.size()))
+              << "m=" << s.m << " n=" << s.n << " k=" << s.k << " "
+              << VariantName(trans_a, trans_b) << (p ? " pooled" : "");
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsGemmTest, BiasEpilogueEqualsGemmAccThenAddBias) {
+  // The last k-block adds the bias as it stores. That must be bitwise a
+  // zero-seeded GemmAcc followed by a separate x + b pass (AddBias), for k
+  // inside one KC block and past it, and widths on and off the 16-column
+  // grid.
+  for (int64_t k : {12, 48, 128, 300}) {
+    for (int64_t n : {12, 48, 111, 128}) {
+      for (int64_t m : {1, 9, 31}) {
+        Rng rng(k * 7919 + n * 31 + m);
+        const std::vector<float> a = RandomVec(m * k, rng);
+        const std::vector<float> b = RandomVec(k * n, rng);
+        const std::vector<float> bias = RandomVec(n, rng);
+        for (bool trans_a : {false, true}) {
+          for (bool trans_b : {false, true}) {
+            std::vector<float> want(static_cast<size_t>(m * n), 0.0f);
+            GemmAcc(a.data(), b.data(), want.data(), m, n, k, trans_a,
+                    trans_b);
+            for (int64_t r = 0; r < m; ++r) {
+              for (int64_t j = 0; j < n; ++j) {
+                want[r * n + j] = want[r * n + j] + bias[j];
+              }
+            }
+            std::vector<float> got(want.size(), std::nanf(""));
+            Gemm(a.data(), b.data(), bias.data(), got.data(), m, n, k,
+                 trans_a, trans_b);
+            EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                     sizeof(float) * want.size()))
+                << "m=" << m << " n=" << n << " k=" << k << " "
+                << VariantName(trans_a, trans_b);
+          }
+        }
+      }
+    }
+  }
+  // k = 0: the product is empty, so C becomes the bias, or zeros.
+  const std::vector<float> bias = {1.5f, -2.0f, 0.25f};
+  std::vector<float> c(6, std::nanf(""));
+  Gemm(nullptr, nullptr, bias.data(), c.data(), 2, 3, 0, false, false);
+  EXPECT_EQ(c, (std::vector<float>{1.5f, -2.0f, 0.25f, 1.5f, -2.0f, 0.25f}));
+  Gemm(nullptr, nullptr, nullptr, c.data(), 2, 3, 0, false, false);
+  EXPECT_EQ(c, std::vector<float>(6, 0.0f));
+}
+
+TEST(KernelsGemmTest, InPlaceBMatchesPackedBBitwise) {
+  // A non-transposed B whose live columns fill whole 16-column tiles is
+  // read in place, any other B is packed. The same product through B in
+  // place (strided: its row gaps hold NaN) and through a packed transposed
+  // copy of B must agree bit for bit, also past one NC block of columns.
+  for (int64_t n : {16, 48, 128, 528}) {
+    for (int64_t k : {12, 48, 300}) {
+      for (int64_t m : {1, 9, 70}) {
+        Rng rng(n * 131 + k * 7 + m);
+        const std::vector<float> a = RandomVec(m * k, rng);
+        const std::vector<float> b = RandomVec(k * n, rng);
+        std::vector<float> b_t(b.size());
+        for (int64_t p = 0; p < k; ++p) {
+          for (int64_t j = 0; j < n; ++j) b_t[j * k + p] = b[p * n + j];
+        }
+        const std::vector<float> c0 = RandomVec(m * n, rng);
+        std::vector<float> packed = c0;
+        GemmAcc(a.data(), b_t.data(), packed.data(), m, n, k, false, true);
+        const int64_t ldb = n + 5;
+        const std::vector<float> wide = Strided(b, k, n, ldb, std::nanf(""));
+        std::vector<float> in_place = c0;
+        GemmAccStrided(a.data(), k, wide.data(), ldb, in_place.data(), n, m,
+                       n, k, false, false);
+        EXPECT_EQ(0, std::memcmp(packed.data(), in_place.data(),
+                                 sizeof(float) * packed.size()))
+            << "m=" << m << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, SoftmaxRowsMatchesManual) {
   Rng rng(7);
   const int64_t rows = 5, h = 9;

@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "core/result_json.h"
 #include "data/semantic_types.h"
 #include "data/table_generator.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pipeline/scheduler.h"
 
 namespace taste::pipeline {
@@ -384,6 +387,39 @@ TEST(PipelineTest, ServingContextsOutliveExecutors) {
   // One context per concurrent infer stage, all back in the detector.
   EXPECT_EQ(det.exec_contexts().leased(), 0u);
   EXPECT_LE(det.exec_contexts().size(), 2u);
+}
+
+TEST(PipelineTest, BatchesReuseTheExecutorsWorkers) {
+  // TP1 and TP2 are started by the executor's first pipelined batch and
+  // kept: twenty batches run every stage on the same prep_threads +
+  // infer_threads workers (trace spans carry a per-thread index that a new
+  // thread never reuses), and every batch's results equal a fresh
+  // sequential run's.
+  Env e = Env::Make(4, 0.0);
+  core::TasteDetector fresh(e.model.get(), e.tokenizer.get(), {});
+  PipelineExecutor seq(&fresh, e.db.get(), {.pipelined = false});
+  const std::string want = BatchJson(seq.RunBatch(e.table_names));
+
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
+  PipelineOptions opt;
+  opt.prep_threads = 2;
+  opt.infer_threads = 2;
+  PipelineExecutor exec(&det, e.db.get(), opt);
+  obs::SetTracingEnabled(true);
+  obs::DrainSpans();
+  std::set<uint64_t> workers;
+  for (int b = 0; b < 20; ++b) {
+    EXPECT_EQ(BatchJson(exec.RunBatch(e.table_names)), want) << "batch " << b;
+    size_t stages = 0;
+    for (const obs::SpanRecord& r : obs::DrainSpans()) {
+      if (std::strncmp(r.name, "pipeline.p", 10) != 0) continue;  // stages
+      workers.insert(r.thread_ix);
+      ++stages;
+    }
+    EXPECT_GE(stages, 2 * e.table_names.size()) << "batch " << b;
+  }
+  obs::SetTracingEnabled(false);
+  EXPECT_LE(workers.size(), 4u);
 }
 
 }  // namespace

@@ -375,9 +375,22 @@ std::vector<OverwriteCase> OverwritingOps(int64_t rows) {
   const Tensor gamma = Tensor::Randn({h}, rng);
   const Tensor beta = Tensor::Randn({h}, rng);
   const Tensor table = Tensor::Randn({7, h}, rng);
+  const Tensor w = Tensor::Randn({h, 5}, rng);
+  const Tensor w_bias = Tensor::Randn({5}, rng);
   std::vector<int> ids;
   for (int64_t i = 0; i < rows; ++i) {
     ids.push_back(static_cast<int>(i * 3 % 7));
+  }
+  // Attention over `table`'s rows: two spans that leave query row 2 (when
+  // there is one) uncovered, which must come out zero.
+  std::vector<AttentionSpan> spans;
+  for (int64_t begin : {0, 3}) {
+    if (begin + 2 > rows) continue;
+    AttentionSpan s;
+    s.query = {begin, 2};
+    s.kv[0] = {0, 4};
+    s.kv[1] = {4 - begin / 3, 3};
+    spans.push_back(s);
   }
   return {
       {"AddScalar", [=] { return AddScalar(x, 0.5f); }},
@@ -398,6 +411,9 @@ std::vector<OverwriteCase> OverwritingOps(int64_t rows) {
          return Dropout(x, 0.5f, r, /*training=*/true);
        }},
       {"AddBias", [=] { return AddBias(x, bias); }},
+      {"MatMul", [=] { return MatMul(x, w); }},
+      {"Linear", [=] { return Linear(x, w, w_bias); }},
+      {"Attention", [=] { return Attention(x, table, table, 2, spans); }},
       {"AddBroadcastMat", [=] { return AddBroadcastMat(x3, x); }},
       {"LayerNorm", [=] { return LayerNorm(x, gamma, beta, 1e-5f); }},
       {"Softmax", [=] { return Softmax(x); }},

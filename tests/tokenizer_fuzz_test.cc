@@ -188,6 +188,30 @@ TEST(TokenizerFuzzTest, OneMegabyteIdentifier) {
   EXPECT_EQ(std::count(want.begin(), want.end(), Vocab::kUnkId), 1);
 }
 
+TEST(TokenizerFuzzTest, WordsAroundTheCapMatchReference) {
+  // The pre-tokenizer stops buffering a word once it passes kMaxWordBytes;
+  // the reference sees every word whole. Their ids must agree at the cap,
+  // one byte past it and at 1 MiB, alone and between other words.
+  const WordPieceTokenizer& tok = Tokenizer();
+  Rng rng(23);
+  const size_t cap = WordPieceTokenizer::kMaxWordBytes;
+  for (size_t len : {cap, cap + 1, size_t{1} << 20}) {
+    std::string word(len, 'a');
+    for (char& c : word) c = "abcdeilmnorstu"[rng.NextBelow(14)];
+    for (const std::string& text :
+         {word, "email " + word + " zip", word + "-" + word + "_email"}) {
+      const std::vector<int> want = ReferenceEncode(tok.vocab(), text);
+      EXPECT_EQ(tok.Encode(text), want) << "word of " << len << " bytes";
+      std::vector<int> want_fixed(want.begin(),
+                                  want.begin() + std::min<size_t>(
+                                                     want.size(), 16));
+      want_fixed.resize(16, Vocab::kPadId);
+      EXPECT_EQ(tok.EncodeFixed(text, 16), want_fixed)
+          << "word of " << len << " bytes";
+    }
+  }
+}
+
 TEST(TokenizerFuzzTest, HundredThousandWordCell) {
   const WordPieceTokenizer& tok = Tokenizer();
   std::string cell;

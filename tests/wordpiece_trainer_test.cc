@@ -208,6 +208,15 @@ TEST(WordPieceTrainerDiffTest, WordsAtAndPastMaxWordLength) {
   ExpectSameVocab({"abcdef abcdefg abcde"},
                   {.vocab_size = 40, .min_pair_frequency = 1,
                    .max_word_length = 6});
+  // A 1 MiB word is skipped as well, although the pre-tokenizer buffers
+  // only its first max_word_length + 1 bytes.
+  const std::string huge(1 << 20, 'z');
+  const std::vector<std::string> huge_docs = {at + " " + huge,
+                                              huge + "-" + at + " kk"};
+  ExpectSameVocab(huge_docs, {.vocab_size = 100, .min_pair_frequency = 1});
+  WordPieceTrainer huge_trainer({.vocab_size = 100, .min_pair_frequency = 1});
+  for (const std::string& d : huge_docs) huge_trainer.AddDocument(d);
+  EXPECT_FALSE(huge_trainer.Train().Contains("z"));
 }
 
 /// FNV-1a over the tokens in id order, each followed by '\n' (the
