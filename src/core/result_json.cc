@@ -91,8 +91,9 @@ std::string ResultToJson(const TableDetectionResult& result,
     out += "\"admitted_types\": [";
     for (size_t t = 0; t < col.admitted_types.size(); ++t) {
       if (t > 0) out += ", ";
-      out += "\"" +
-             JsonEscape(registry.info(col.admitted_types[t]).name) + "\"";
+      out += '"';
+      out += JsonEscape(registry.info(col.admitted_types[t]).name);
+      out += '"';
     }
     out += "]";
     // High-probability candidates that were not admitted.

@@ -45,8 +45,7 @@ TasteDetector::TasteDetector(const AdtdModel* model,
       options_(options),
       input_config_(ApplyOverrides(model->config().input, options)),
       encoder_(tokenizer, input_config_),
-      cache_(std::make_unique<model::LatentCache>(
-          options.cache_capacity, std::max(1, options.cache_shards))),
+      cache_(std::make_unique<model::LatentCache>(options.cache_capacity)),
       exec_contexts_(std::make_unique<tensor::ExecContextPool>()) {
   TASTE_CHECK(model_ != nullptr && tokenizer_ != nullptr);
   TASTE_CHECK_MSG(options_.alpha >= 0 && options_.alpha <= options_.beta &&
@@ -189,14 +188,36 @@ bool UsableEntry(const model::CachedMetadata& entry,
          has_shape(enc.logits, chunk.num_columns, cfg.num_types);
 }
 
+/// Re-admits `pred`'s types from its P1 probabilities under the
+/// degraded-mode rule (threshold 0.5 = the paper's Table 4 privacy-mode
+/// admission). A threshold <= 0 keeps P1's admission as it is.
+void AdmitFromP1(double threshold, ColumnPrediction* pred) {
+  if (threshold <= 0.0) return;
+  pred->admitted_types.clear();
+  for (size_t s = 0; s < pred->probabilities.size(); ++s) {
+    if (pred->probabilities[s] >= threshold) {
+      pred->admitted_types.push_back(static_cast<int>(s));
+    }
+  }
+}
+
 }  // namespace
+
+std::optional<AdtdModel::MetadataEncoding> TasteDetector::CachedLatents(
+    const std::string& table, size_t index,
+    const EncodedMetadata& chunk) const {
+  if (auto hit = cache_->Get(ChunkCacheKey(table, index));
+      hit && UsableEntry(*hit, chunk, model_->config())) {
+    return std::move(hit->encoding);
+  }
+  return std::nullopt;
+}
 
 AdtdModel::MetadataEncoding TasteDetector::P2Latents(const Job& job,
                                                     size_t chunk) const {
   if (options_.use_latent_cache) {
-    if (auto hit = cache_->Get(ChunkCacheKey(job.table_name, chunk));
-        hit && UsableEntry(*hit, job.chunks[chunk], model_->config())) {
-      return std::move(hit->encoding);
+    if (auto hit = CachedLatents(job.table_name, chunk, job.chunks[chunk])) {
+      return std::move(*hit);
     }
     if (chunk < job.encodings.size()) return job.encodings[chunk];
   }
@@ -230,9 +251,8 @@ Status TasteDetector::InferP1(Job* job, tensor::ExecContext* ctx) const {
       // and UsableEntry proves the cached latents came from exactly these
       // input bits, in this model's shapes. Any miss or mismatch
       // recomputes.
-      if (auto cached = cache_->Get(ChunkCacheKey(job->table_name, i));
-          cached && UsableEntry(*cached, chunk, model_->config())) {
-        enc = std::move(cached->encoding);
+      if (auto cached = CachedLatents(job->table_name, i, chunk)) {
+        enc = std::move(*cached);
         reused = true;
       }
     }
@@ -265,7 +285,6 @@ Status TasteDetector::InferP1(Job* job, tensor::ExecContext* ctx) const {
 void TasteDetector::DegradeChunk(size_t chunk_index, int result_offset,
                                  ResultProvenance provenance,
                                  Job* job) const {
-  const double threshold = options_.resilience.degraded_admit_threshold;
   for (int c : job->uncertain_columns[chunk_index]) {
     ColumnPrediction& pred =
         job->result.columns[static_cast<size_t>(result_offset + c)];
@@ -275,16 +294,7 @@ void TasteDetector::DegradeChunk(size_t chunk_index, int result_offset,
       ++job->result.failed_columns;
       continue;
     }
-    if (threshold > 0.0) {
-      // Re-admit from the P1 probabilities under the degraded-mode rule
-      // (threshold 0.5 = the paper's Table 4 privacy-mode admission).
-      pred.admitted_types.clear();
-      for (size_t s = 0; s < pred.probabilities.size(); ++s) {
-        if (pred.probabilities[s] >= threshold) {
-          pred.admitted_types.push_back(static_cast<int>(s));
-        }
-      }
-    }
+    AdmitFromP1(options_.resilience.degraded_admit_threshold, &pred);
     ++job->result.degraded_columns;
   }
 }
@@ -442,7 +452,6 @@ Status TasteDetector::InferP2(Job* job, tensor::ExecContext* ctx) const {
 int TasteDetector::DegradeRemainingToMetadataOnly(Job* job) const {
   TASTE_CHECK(job != nullptr);
   if (!P1Complete(*job)) return 0;
-  const double threshold = options_.resilience.degraded_admit_threshold;
   int degraded = 0;
   int result_offset = 0;
   for (size_t i = 0; i < job->chunks.size(); ++i) {
@@ -452,14 +461,7 @@ int TasteDetector::DegradeRemainingToMetadataOnly(Job* job) const {
       if (pred.went_to_p2) continue;  // P2 already decided this column
       if (pred.provenance != ResultProvenance::kFull) continue;  // degraded
       pred.provenance = ResultProvenance::kDegradedMetadataOnly;
-      if (threshold > 0.0) {
-        pred.admitted_types.clear();
-        for (size_t s = 0; s < pred.probabilities.size(); ++s) {
-          if (pred.probabilities[s] >= threshold) {
-            pred.admitted_types.push_back(static_cast<int>(s));
-          }
-        }
-      }
+      AdmitFromP1(options_.resilience.degraded_admit_threshold, &pred);
       ++job->result.degraded_columns;
       ++degraded;
     }

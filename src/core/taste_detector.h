@@ -20,6 +20,7 @@
 #define TASTE_CORE_TASTE_DETECTOR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,11 +69,6 @@ struct TasteOptions {
   bool use_latent_cache = true;   // reuse metadata latents in P2
   bool enable_p2 = true;          // privacy mode: false = never scan
   size_t cache_capacity = 4096;
-  /// Lock shards of the latent cache (see model/latent_cache.h). 1 keeps
-  /// the historical single-mutex behaviour; pipeline deployments set this
-  /// to ~the number of infer workers so P1/P2 stages stop serializing on
-  /// one cache mutex.
-  int cache_shards = 1;
   /// Serving-time overrides of the model's input configuration (paper
   /// Sec. 6.8 varies l and n at detection time); 0 keeps the model default.
   int override_cells_per_column = 0;     // n
@@ -183,6 +179,11 @@ class TasteDetector {
 
  private:
   std::string ChunkCacheKey(const std::string& table, size_t chunk) const;
+  /// The latent cache's entry for chunk `index` of `table` when it can stand
+  /// in for ForwardMetadata(chunk) (see UsableEntry), else nullopt.
+  std::optional<model::AdtdModel::MetadataEncoding> CachedLatents(
+      const std::string& table, size_t index,
+      const model::EncodedMetadata& chunk) const;
   /// The metadata latents P2 attends over for `chunk`: the latent cache's
   /// entry if it is usable for this chunk, then the job's own P1 copy,
   /// otherwise a fresh metadata-tower forward (no-cache configuration).

@@ -544,14 +544,11 @@ void PipelineExecutor::RunPipelined(
         expire_table(st);
       } else if (IsTransient(status) &&
                  st.stage_attempts < options_.max_stage_retries) {
-        // Retry the same stage on the same pool. P1-prep retries restart
-        // from a clean job so chunks are not encoded twice.
+        // Retry the same stage on the same pool. The job keeps the failed
+        // attempt's counters; a failed P1-prep has encoded no chunks
+        // (PrepareP1 encodes only after its last fallible call).
         ++st.stage_attempts;
         ++resilience_.stage_retries;
-        if (stage == Stage::kP1Prep) {
-          st.job = TasteDetector::Job();
-          st.job.cancel = &batch_token;  // the reset wiped the token
-        }
         st.next = stage;
       } else {
         st.error = status;

@@ -378,7 +378,6 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
             stats_.resilience.Merge(resp->stats);
             const double leg_ms =
                 AgeMs(leg->sent_at, std::chrono::steady_clock::now());
-            supervisor_.RecordLegSuccess(id, leg_ms);
             RecordLegSample(leg->indices.size(), leg_ms);
           }
           legs.erase(leg);
@@ -421,9 +420,7 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
     owner.push_back(-1);
     for (int id = 0; id < supervisor_.configured_replicas(); ++id) {
       const Replica* r = supervisor_.replica(id);
-      // Quarantined sockets stay in the set: their probe acks and any
-      // still-racing leg responses must drain.
-      if (ProcessAlive(r->state)) {
+      if (r->state == ReplicaState::kUp) {
         pfds.push_back(pollfd{r->fd, POLLIN, 0});
         owner.push_back(id);
       }
@@ -455,17 +452,16 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
       if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const int id = owner[p];
       Replica* r = supervisor_.replica(id);
-      if (!ProcessAlive(r->state)) continue;  // died earlier this pass
+      if (r->state != ReplicaState::kUp) continue;  // died earlier this pass
       char buf[64 * 1024];
       const ssize_t got = ::read(r->fd, buf, sizeof(buf));
       if (got > 0) {
         r->frames.Append(buf, static_cast<size_t>(got));
         if (!process_frames(id)) {
           // Corrupt stream (CRC / framing fault) or protocol violation:
-          // the replica's bytes can no longer be trusted. Feed the health
-          // score, drop it, re-dispatch — a corrupted frame is never
-          // surfaced as a valid result.
-          supervisor_.RecordLegError(id);
+          // the replica's bytes can no longer be trusted. Drop it and
+          // re-dispatch — a corrupted frame is never surfaced as a valid
+          // result.
           supervisor_.MarkDead(id);
           handle_death(id);
         }
@@ -493,9 +489,6 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
         }
         if (hedging && !l.hedged && age > l.straggler_ms) {
           l.hedged = true;
-          // The straggle itself is a gray verdict whether or not budget
-          // remains to hedge it.
-          supervisor_.RecordLegError(l.replica);
           if (hedged_this_batch >= hedge_cap) continue;
           for (size_t i : l.indices) {
             if (done[i]) continue;
@@ -520,9 +513,7 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
     std::vector<int> idle;
     for (int id = 0; id < supervisor_.configured_replicas(); ++id) {
       const Replica* r = supervisor_.replica(id);
-      // Quarantined replicas are probed on the same cadence — that is the
-      // readmit path — unless a still-racing leg keeps them busy.
-      if (!ProcessAlive(r->state)) continue;
+      if (r->state != ReplicaState::kUp) continue;
       const bool busy = std::any_of(legs.begin(), legs.end(), [&](const Leg& l) {
         return l.replica == id;
       });
@@ -629,9 +620,7 @@ Result<obs::Registry::Snapshot> Router::Scrape() {
   std::set<int> waiting;
   for (int id = 0; id < supervisor_.configured_replicas(); ++id) {
     Replica* r = supervisor_.replica(id);
-    // Quarantined replicas still scrape: their gauges and counters are part
-    // of the fleet picture (that is how quarantine itself is observed).
-    if (!ProcessAlive(r->state)) continue;
+    if (r->state != ReplicaState::kUp) continue;
     if (WriteFrame(r->fd, FrameType::kScrapeRequest, std::string()).ok()) {
       waiting.insert(id);
     } else {
@@ -657,7 +646,7 @@ Result<obs::Registry::Snapshot> Router::Scrape() {
       if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const int id = owner[p];
       Replica* r = supervisor_.replica(id);
-      if (r == nullptr || !ProcessAlive(r->state)) {
+      if (r == nullptr || r->state != ReplicaState::kUp) {
         waiting.erase(id);
         continue;
       }

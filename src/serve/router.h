@@ -43,9 +43,6 @@
 //   * CORRUPT frames (CRC / framing faults from serve/wire.h) poison the
 //     stream: the replica is marked dead and its tables re-dispatched — a
 //     corrupted response is never surfaced as valid.
-//   * Every leg outcome feeds the supervisor's per-replica health score;
-//     chronically gray replicas are quarantined out of the ring (minimal
-//     movement) and probed back in.
 
 #ifndef TASTE_SERVE_ROUTER_H_
 #define TASTE_SERVE_ROUTER_H_

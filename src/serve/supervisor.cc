@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/retry.h"
 #include "obs/metrics.h"
 
 namespace taste::serve {
@@ -27,16 +28,6 @@ constexpr RetryPolicy kRespawnBackoff{.initial_backoff_ms = 5.0,
                                       .max_backoff_ms = 250.0,
                                       .jitter_seed = 0x5EBAull};
 
-/// Weight of the newest sample in the per-replica latency/error EWMAs.
-constexpr double kHealthEwmaAlpha = 0.25;
-/// Outcomes observed before the error EWMA is trusted (a single failed
-/// first leg must not quarantine a cold replica).
-constexpr int kHealthMinSamples = 3;
-/// Per-replica quarantine breaker: trips on the quarantine verdict
-/// (threshold 1 — the EWMA already did the counting) and spaces readmit
-/// probes by two probe ticks.
-constexpr CircuitBreakerOptions kQuarantineBreaker{
-    .failure_threshold = 1, .open_cooldown_rejections = 2};
 /// Grace between SIGTERM and the SIGKILL escalation when condemning a
 /// wedged replica. Bounded and short: a SIGSTOPped process never runs its
 /// SIGTERM handler anyway, and the router loop blocks for at most this
@@ -111,30 +102,18 @@ obs::Histogram* RecoveryHistogram() {
   return h;
 }
 
-obs::Counter* QuarantineCounter() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter("taste_replica_quarantines_total");
-  return c;
-}
-
-obs::Counter* ReadmitCounter() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter("taste_replica_readmits_total");
-  return c;
-}
-
 obs::Counter* WatchdogKillCounter() {
   static obs::Counter* c =
       obs::Registry::Global().GetCounter("taste_watchdog_kills_total");
   return c;
 }
 
+/// taste_replica_state values. They are part of the metrics contract, so
+/// they stay fixed (1 is unused).
 double StateGaugeValue(ReplicaState s) {
   switch (s) {
     case ReplicaState::kUp:
       return 0.0;
-    case ReplicaState::kQuarantined:
-      return 1.0;
     case ReplicaState::kDead:
       return 2.0;
     case ReplicaState::kParked:
@@ -143,17 +122,22 @@ double StateGaugeValue(ReplicaState s) {
   return -1.0;
 }
 
+/// Moves `r` to `state` and exports it as taste_replica_state{replica}.
+void SetState(Replica* r, ReplicaState state) {
+  r->state = state;
+  obs::Registry::Global()
+      .GetGauge(obs::LabeledName("taste_replica_state", "replica",
+                                 std::to_string(r->id)))
+      ->Set(StateGaugeValue(state));
+}
+
 }  // namespace
 
 Supervisor::Supervisor(WorkerEnv env, SupervisorOptions options)
     : env_(std::move(env)), options_(options) {
   TASTE_CHECK(options_.replicas >= 1);
   replicas_.resize(static_cast<size_t>(options_.replicas));
-  for (int i = 0; i < options_.replicas; ++i) {
-    replicas_[i].id = i;
-    replicas_[i].health_breaker =
-        std::make_unique<CircuitBreaker>(kQuarantineBreaker);
-  }
+  for (int i = 0; i < options_.replicas; ++i) replicas_[i].id = i;
 }
 
 Supervisor::~Supervisor() { Shutdown(); }
@@ -209,26 +193,20 @@ Status Supervisor::Spawn(Replica* r) {
   ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
   r->pid = pid;
   r->fd = sv[0];
-  r->state = ReplicaState::kUp;
+  SetState(r, ReplicaState::kUp);
   r->hb_seq = 0;
   r->hb_acked = 0;
   r->hb_misses = 0;
   r->hb_outstanding = false;
   r->hb_sent_at = Clock::now();
   r->frames = FrameBuffer();
-  // A respawned process starts with a closed quarantine breaker and a clean
-  // probe streak; the health EWMAs deliberately survive (a chronically bad
-  // replica keeps its record), so its first errors re-quarantine it fast.
-  r->health_breaker->RecordSuccess();
-  r->readmit_streak = 0;
-  UpdateHealthGauges(*r);
   return Status::OK();
 }
 
 void Supervisor::MarkDead(int id) {
   Replica* r = replica(id);
   TASTE_CHECK(r != nullptr);
-  if (!ProcessAlive(r->state)) return;
+  if (r->state != ReplicaState::kUp) return;
   if (r->pid > 0) {
     ::kill(r->pid, SIGKILL);
     // SIGKILL cannot be blocked; the reap below completes promptly.
@@ -245,14 +223,12 @@ void Supervisor::MarkDead(int id) {
   r->deaths += 1;
   DeathCounter()->Inc();
   if (r->deaths > options_.max_respawns) {
-    r->state = ReplicaState::kParked;
-    UpdateHealthGauges(*r);
+    SetState(r, ReplicaState::kParked);
     TASTE_LOG(Warn) << "replica " << r->id << " parked after " << r->deaths
                     << " deaths";
     return;
   }
-  r->state = ReplicaState::kDead;
-  UpdateHealthGauges(*r);
+  SetState(r, ReplicaState::kDead);
   const double backoff = kRespawnBackoff.BackoffMillis(
       r->deaths + 1, static_cast<uint64_t>(r->id));
   r->respawn_at =
@@ -262,7 +238,7 @@ void Supervisor::MarkDead(int id) {
 
 void Supervisor::CondemnWedged(int id) {
   Replica* r = replica(id);
-  if (r == nullptr || !ProcessAlive(r->state)) return;
+  if (r == nullptr || r->state != ReplicaState::kUp) return;
   watchdog_kills_ += 1;
   WatchdogKillCounter()->Inc();
   if (r->pid > 0) {
@@ -289,7 +265,6 @@ void Supervisor::CondemnWedged(int id) {
   TASTE_LOG(Warn) << "replica " << id
                   << " condemned by watchdog (overdue in-flight work, "
                      "process alive); escalating to SIGKILL";
-  RecordLegError(id);  // a wedge is the strongest gray signal there is
   MarkDead(id);
 }
 
@@ -297,7 +272,7 @@ std::vector<int> Supervisor::ReapDead() {
   DrainSigchldPipe();
   std::vector<int> died;
   for (auto& r : replicas_) {
-    if (!ProcessAlive(r.state) || r.pid <= 0) continue;
+    if (r.state != ReplicaState::kUp || r.pid <= 0) continue;
     int wstatus = 0;
     const pid_t got = ::waitpid(r.pid, &wstatus, WNOHANG);
     if (got != r.pid) continue;
@@ -347,9 +322,7 @@ double Supervisor::NextTimerMillis(bool idle_heartbeats) const {
   for (const auto& r : replicas_) {
     if (r.state == ReplicaState::kDead) {
       consider(MillisBetween(now, r.respawn_at));
-    } else if (idle_heartbeats && ProcessAlive(r.state)) {
-      // Quarantined replicas ride the same cadence: each tick is either a
-      // breaker-cooldown step or a readmit probe.
+    } else if (idle_heartbeats && r.state == ReplicaState::kUp) {
       consider(options_.heartbeat_interval_ms -
                MillisBetween(r.hb_sent_at, now));
     }
@@ -362,7 +335,7 @@ std::vector<int> Supervisor::ProbeIdle(const std::vector<int>& idle_ids) {
   const auto now = Clock::now();
   for (int id : idle_ids) {
     Replica* r = replica(id);
-    if (r == nullptr || !ProcessAlive(r->state)) continue;
+    if (r == nullptr || r->state != ReplicaState::kUp) continue;
     if (MillisBetween(r->hb_sent_at, now) < options_.heartbeat_interval_ms) {
       continue;
     }
@@ -371,26 +344,11 @@ std::vector<int> Supervisor::ProbeIdle(const std::vector<int>& idle_ids) {
       obs::Registry::Global()
           .GetCounter("taste_heartbeat_misses_total")
           ->Inc();
-      if (r->state == ReplicaState::kQuarantined) {
-        // A missed readmit probe re-opens the breaker: back to cooldown.
-        r->health_breaker->RecordFailure();
-        r->readmit_streak = 0;
-      }
       if (r->hb_misses >= options_.heartbeat_miss_limit) {
         TASTE_LOG(Warn) << "replica " << id << " missed " << r->hb_misses
                         << " heartbeats; killing";
         MarkDead(id);
         condemned.push_back(id);
-        continue;
-      }
-    }
-    if (r->state == ReplicaState::kQuarantined && !r->hb_outstanding) {
-      // Readmit probes are paced by the quarantine breaker, and this is the
-      // ONLY Allow() caller on it — dispatch observes through const reads
-      // (WouldAllow/state), so it can never consume this probe slot. A
-      // rejected tick advances the open→half-open cooldown.
-      if (!r->health_breaker->Allow()) {
-        r->hb_sent_at = now;
         continue;
       }
     }
@@ -412,7 +370,7 @@ std::vector<int> Supervisor::ProbeIdle(const std::vector<int>& idle_ids) {
 
 void Supervisor::HandleHeartbeatAck(int id, const std::string& payload) {
   Replica* r = replica(id);
-  if (r == nullptr || !ProcessAlive(r->state)) return;
+  if (r == nullptr || r->state != ReplicaState::kUp) return;
   WireReader rd(payload);
   uint64_t seq = 0;
   if (!rd.U64(&seq)) return;
@@ -420,17 +378,12 @@ void Supervisor::HandleHeartbeatAck(int id, const std::string& payload) {
   r->hb_acked = seq;
   r->hb_outstanding = false;
   r->hb_misses = 0;
-  if (r->state == ReplicaState::kQuarantined) {
-    r->health_breaker->RecordSuccess();
-    r->readmit_streak += 1;
-    if (r->readmit_streak >= kReadmitProbes) Readmit(r);
-  }
 }
 
 void Supervisor::Shutdown() {
   if (!started_) return;
   for (auto& r : replicas_) {
-    if (ProcessAlive(r.state)) {
+    if (r.state == ReplicaState::kUp) {
       // Polite first: a shutdown frame lets the worker exit 0; SIGKILL
       // catches one wedged mid-request.
       (void)WriteFrame(r.fd, FrameType::kShutdown, std::string());
@@ -459,93 +412,14 @@ const Replica* Supervisor::replica(int id) const {
   return &replicas_[static_cast<size_t>(id)];
 }
 
-void Supervisor::RecordLegSuccess(int id, double latency_ms) {
-  Replica* r = replica(id);
-  if (r == nullptr) return;
-  const double a = kHealthEwmaAlpha;
-  r->ewma_latency_ms = r->health_samples == 0
-                           ? latency_ms
-                           : (1.0 - a) * r->ewma_latency_ms + a * latency_ms;
-  r->ewma_error_rate = (1.0 - a) * r->ewma_error_rate;  // outcome = 0
-  r->health_samples += 1;
-  UpdateHealthGauges(*r);
-}
-
-void Supervisor::RecordLegError(int id) {
-  Replica* r = replica(id);
-  if (r == nullptr) return;
-  const double a = kHealthEwmaAlpha;
-  r->ewma_error_rate = (1.0 - a) * r->ewma_error_rate + a;  // outcome = 1
-  r->health_samples += 1;
-  if (r->state == ReplicaState::kUp &&
-      options_.quarantine_error_threshold > 0.0 &&
-      r->health_samples >= kHealthMinSamples &&
-      r->ewma_error_rate >= options_.quarantine_error_threshold) {
-    Quarantine(r);
-  }
-  UpdateHealthGauges(*r);
-}
-
 bool Supervisor::Dispatchable(int id) const {
   const Replica* r = replica(id);
   return r != nullptr && r->state == ReplicaState::kUp;
 }
 
-void Supervisor::Quarantine(Replica* r) {
-  r->state = ReplicaState::kQuarantined;
-  r->quarantines += 1;
-  r->readmit_streak = 0;
-  // Trip the breaker (threshold 1): readmit probes now pace through its
-  // open→half-open cooldown instead of firing on every heartbeat tick.
-  r->health_breaker->RecordFailure();
-  QuarantineCounter()->Inc();
-  TASTE_LOG(Warn) << "replica " << r->id << " quarantined (error EWMA "
-                  << r->ewma_error_rate << " over " << r->health_samples
-                  << " samples); ring membership revoked";
-}
-
-void Supervisor::Readmit(Replica* r) {
-  r->state = ReplicaState::kUp;
-  r->readmit_streak = 0;
-  // Forgive the record that got it quarantined — otherwise the next single
-  // error re-trips instantly and the replica flaps. Latency EWMA survives.
-  r->ewma_error_rate = 0.0;
-  ReadmitCounter()->Inc();
-  UpdateHealthGauges(*r);
-  TASTE_LOG(Info) << "replica " << r->id << " readmitted after "
-                  << kReadmitProbes << " clean probes";
-}
-
-void Supervisor::UpdateHealthGauges(const Replica& r) const {
-  const std::string label = std::to_string(r.id);
-  auto& reg = obs::Registry::Global();
-  reg.GetGauge(
-         obs::LabeledName("taste_replica_health_error_rate", "replica", label))
-      ->Set(r.ewma_error_rate);
-  reg.GetGauge(
-         obs::LabeledName("taste_replica_health_latency_ms", "replica", label))
-      ->Set(r.ewma_latency_ms);
-  reg.GetGauge(obs::LabeledName("taste_replica_state", "replica", label))
-      ->Set(StateGaugeValue(r.state));
-}
-
 int Supervisor::alive_count() const {
   int n = 0;
   for (const auto& r : replicas_) n += r.state == ReplicaState::kUp ? 1 : 0;
-  return n;
-}
-
-int Supervisor::quarantined_count() const {
-  int n = 0;
-  for (const auto& r : replicas_) {
-    n += r.state == ReplicaState::kQuarantined ? 1 : 0;
-  }
-  return n;
-}
-
-int64_t Supervisor::total_quarantines() const {
-  int64_t n = 0;
-  for (const auto& r : replicas_) n += r.quarantines;
   return n;
 }
 

@@ -19,18 +19,6 @@
 //     heartbeat_interval_ms; heartbeat_miss_limit consecutive unanswered
 //     probes has the replica SIGKILLed and respawned (a wedged-but-alive
 //     process looks exactly like a crash);
-//   * health scoring — every completed or failed leg updates per-replica
-//     EWMAs (alpha 0.25) of latency and error rate (RecordLegSuccess/
-//     RecordLegError); once it has 3 samples, a replica whose error EWMA
-//     crosses quarantine_error_threshold is
-//     QUARANTINED: its process stays alive but the router's ring predicate
-//     stops admitting it (minimal-movement: only its tables move). A
-//     per-replica CircuitBreaker then drives the probe lifecycle — the
-//     open→half-open cooldown spaces readmit probes, one heartbeat probe
-//     per half-open, and kReadmitProbes consecutive acks readmit it. The
-//     dispatch path observes the breaker only through the const
-//     WouldAllow()/state() reads (common/retry.h), so serving-path checks
-//     can never consume the scorer's probe slot;
 //   * wedged-replica watchdog — CondemnWedged() escalates SIGTERM →
 //     (20 ms grace) → SIGKILL for a replica whose in-flight leg
 //     is overdue while its process is still alive (the SIGSTOP /
@@ -48,20 +36,14 @@
 #include <sys/types.h>
 
 #include <chrono>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/retry.h"
 #include "common/status.h"
 #include "serve/wire.h"
 #include "serve/worker.h"
 
 namespace taste::serve {
-
-/// Consecutive successful readmit probes a quarantined replica needs to
-/// rejoin the ring.
-inline constexpr int kReadmitProbes = 2;
 
 struct SupervisorOptions {
   int replicas = 2;
@@ -71,27 +53,13 @@ struct SupervisorOptions {
   /// Liveness probing of idle replicas.
   double heartbeat_interval_ms = 200.0;
   int heartbeat_miss_limit = 3;
-
-  // -- Health scoring (quarantine → probe → readmit) -------------------------
-
-  /// Error-rate EWMA at or above which an up replica is quarantined.
-  /// Errors are leg-level gray verdicts: straggling past the hedge
-  /// threshold, corrupt frames, deaths. <= 0 disables quarantining.
-  double quarantine_error_threshold = 0.5;
 };
 
 enum class ReplicaState {
-  kUp,          // process alive, socket open, admitted by the ring
-  kQuarantined, // process alive, out of the ring; probing toward readmit
-  kDead,        // exited/killed; respawn scheduled at respawn_at
-  kParked,      // exceeded max_respawns; permanently out of the ring
+  kUp,      // process alive, socket open, admitted by the ring
+  kDead,    // exited/killed; respawn scheduled at respawn_at
+  kParked,  // exceeded max_respawns; permanently out of the ring
 };
-
-/// True when the replica has a live process and an open socket (kUp or
-/// kQuarantined) — the states crash detection and frame draining apply to.
-inline constexpr bool ProcessAlive(ReplicaState s) {
-  return s == ReplicaState::kUp || s == ReplicaState::kQuarantined;
-}
 
 /// One replica worker process as the supervisor sees it.
 struct Replica {
@@ -111,17 +79,6 @@ struct Replica {
   bool hb_outstanding = false;
   /// Router-side incremental frame reassembly for this socket.
   FrameBuffer frames;
-
-  // -- Health score (EWMAs survive respawns: a crash-looping or chronically
-  //    straggling replica does not reset its record by dying) --------------
-  double ewma_latency_ms = 0.0;   // successful-leg latency EWMA
-  double ewma_error_rate = 0.0;   // EWMA over {0 = ok, 1 = error} outcomes
-  int64_t health_samples = 0;     // outcomes folded into the EWMAs
-  int readmit_streak = 0;         // consecutive probe acks while quarantined
-  int64_t quarantines = 0;        // times this replica entered quarantine
-  /// Quarantine lifecycle breaker (see SupervisorOptions). unique_ptr so
-  /// Replica stays movable (CircuitBreaker owns a mutex).
-  std::unique_ptr<CircuitBreaker> health_breaker;
 };
 
 class Supervisor {
@@ -177,32 +134,13 @@ class Supervisor {
   /// elapsed; counts a miss when the previous probe is still unanswered.
   /// A replica reaching heartbeat_miss_limit is killed and marked dead
   /// (returned so the router can re-dispatch / log).
-  ///
-  /// Quarantined replicas are ALSO probed here (include them in
-  /// `idle_ids`; the router always does — they hold no dispatchable work).
-  /// Their probes are gated by the per-replica quarantine breaker: Allow()
-  /// rejections space out the cooldown, the half-open probe is one
-  /// heartbeat, and acks/misses feed RecordSuccess/RecordFailure. Only
-  /// this path calls Allow() — dispatch reads WouldAllow()/state() const.
   std::vector<int> ProbeIdle(const std::vector<int>& idle_ids);
 
-  /// Records a heartbeat ack for `id` (payload = echoed sequence). For a
-  /// quarantined replica a matching ack is a successful readmit probe;
-  /// kReadmitProbes consecutive ones put it back in the ring.
+  /// Records a heartbeat ack for `id` (payload = echoed sequence).
   void HandleHeartbeatAck(int id, const std::string& payload);
 
-  // -- Health scoring ---------------------------------------------------------
-
-  /// Folds a completed leg into the replica's health EWMAs.
-  void RecordLegSuccess(int id, double latency_ms);
-
-  /// Folds a gray verdict (straggle past the hedge threshold, corrupt
-  /// frame, death mid-leg) into the EWMAs; may quarantine the replica.
-  void RecordLegError(int id);
-
   /// True when the router's ring predicate may dispatch to `id`: state is
-  /// kUp. (Quarantined replicas fail this — that IS the membership update;
-  /// the consistent-hash walk moves only their tables.)
+  /// kUp.
   bool Dispatchable(int id) const;
 
   // -- Introspection ---------------------------------------------------------
@@ -211,20 +149,14 @@ class Supervisor {
   Replica* replica(int id);
   const Replica* replica(int id) const;
   int alive_count() const;
-  int quarantined_count() const;
   int64_t total_deaths() const;
   int64_t total_respawns() const;
-  int64_t total_quarantines() const;
   int64_t watchdog_kills() const { return watchdog_kills_; }
   /// Wall-clock death->back-up recovery times observed so far (ms).
   const std::vector<double>& recovery_times_ms() const { return recovery_ms_; }
 
  private:
   Status Spawn(Replica* r);
-  /// Applies the quarantine verdict and exports the per-replica gauges.
-  void UpdateHealthGauges(const Replica& r) const;
-  void Quarantine(Replica* r);
-  void Readmit(Replica* r);
 
   WorkerEnv env_;
   SupervisorOptions options_;

@@ -147,8 +147,12 @@ TEST(ScanTest, RandomSampleRowsAlignAcrossColumns) {
   const auto& ages = (*res)[0];
   const auto& emails = (*res)[1];
   for (size_t i = 0; i < ages.size(); ++i) {
-    if (ages[i] == "40") EXPECT_EQ(emails[i], "c@y.org");
-    if (ages[i] == "50") EXPECT_EQ(emails[i], "");
+    if (ages[i] == "40") {
+      EXPECT_EQ(emails[i], "c@y.org");
+    }
+    if (ages[i] == "50") {
+      EXPECT_EQ(emails[i], "");
+    }
   }
 }
 

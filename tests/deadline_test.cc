@@ -18,6 +18,7 @@
 
 #include "clouddb/fault_injector.h"
 #include "common/deadline.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/taste_detector.h"
 #include "data/table_generator.h"
@@ -182,7 +183,7 @@ TEST(FaultInjectorDeadlineTest, FaultChoiceIgnoresDeadline) {
   cfg.latency_spike_prob = 0.3;
   clouddb::FaultInjector with_budget(cfg), without_budget(cfg);
   for (int i = 0; i < 200; ++i) {
-    std::string table = "t" + std::to_string(i % 5);
+    const std::string table = StrFormat("t%d", i % 5);
     auto a = with_budget.Decide(clouddb::DbOp::kScan, table, 0.0, 1.0);
     auto b = without_budget.Decide(clouddb::DbOp::kScan, table, 0.0);
     EXPECT_EQ(a.kind, b.kind) << i;  // same deterministic fault sequence

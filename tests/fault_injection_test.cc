@@ -13,6 +13,7 @@
 
 #include "clouddb/fault_injector.h"
 #include "common/retry.h"
+#include "common/string_util.h"
 #include "core/taste_detector.h"
 #include "data/table_generator.h"
 #include "obs/metrics.h"
@@ -227,34 +228,6 @@ TEST(CircuitBreakerTest, FailedProbeReopens) {
   EXPECT_EQ(breaker.trips(), 2);
 }
 
-TEST(CircuitBreakerTest, WouldAllowIsAPureObserver) {
-  // Regression for the quarantine/readmit split: serving-path checks read
-  // WouldAllow() and must consume NOTHING — no cooldown rejections, no
-  // half-open probe slot. Only the health scorer's Allow() advances state.
-  CircuitBreaker breaker({.failure_threshold = 1,
-                          .open_cooldown_rejections = 2});
-  EXPECT_TRUE(breaker.WouldAllow());  // closed
-
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  // Any number of observer reads leaves the breaker open: the cooldown is
-  // measured in Allow() rejections, and none happened.
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(breaker.WouldAllow());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.short_circuits(), 0);
-
-  // The owner's two real rejections reach half-open; observers see the
-  // free probe slot without claiming it.
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(breaker.WouldAllow());
-  EXPECT_TRUE(breaker.Allow());       // the probe slot is still available
-  EXPECT_FALSE(breaker.WouldAllow()); // now it is in flight
-  breaker.RecordSuccess();
-  EXPECT_TRUE(breaker.WouldAllow());
-}
-
 // ---------------------------------------------------------------------------
 // FaultInjector
 
@@ -266,7 +239,7 @@ TEST(FaultInjectorTest, DecisionsAreDeterministicAcrossInstances) {
   cfg.latency_spike_prob = 0.2;
   clouddb::FaultInjector a(cfg), b(cfg);
   for (int i = 0; i < 200; ++i) {
-    std::string table = "t" + std::to_string(i % 7);
+    const std::string table = StrFormat("t%d", i % 7);
     auto da = a.Decide(clouddb::DbOp::kScan, table, 0.0);
     auto db = b.Decide(clouddb::DbOp::kScan, table, 0.0);
     EXPECT_EQ(da.kind, db.kind);
@@ -704,6 +677,36 @@ TEST(PipelineFaultTest, HardMetadataFailureIsolatedWithoutDegradation) {
     }
   }
   EXPECT_EQ(exec.resilience_stats().failed_tables, 1);
+}
+
+TEST(PipelineFaultTest, StageRetryKeepsTheFailedAttemptsRetries) {
+  // P1-prep of the only table exhausts its call-level retries, so the
+  // pipeline re-runs the stage, which then succeeds after one more retry.
+  // The batch's retry count must include the first attempt's retry.
+  // Virtual clock from t0: the pool's one connect costs 20 ms and each
+  // timed-out metadata query 30 ms, so queries land at t0 + 20, 50, 80 and
+  // 110; the window times out the first three.
+  Env e = Env::Make(1);
+  const double t0 = e.db->VirtualNowMs();
+  clouddb::FaultConfig cfg;
+  cfg.windows.push_back({.begin_ms = 0,
+                         .end_ms = t0 + 100,
+                         .op = clouddb::DbOp::kMetadata,
+                         .kind = clouddb::FaultKind::kTimeout,
+                         .table = e.table_names[0]});
+  e.InstallFaults(cfg);
+  core::TasteOptions opts = ResilientOptions();
+  opts.resilience.retry.max_attempts = 2;
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(), opts);
+  pipeline::PipelineExecutor exec(
+      &det, e.db.get(),
+      {.prep_threads = 1, .pipelined = true, .max_stage_retries = 1});
+  pipeline::BatchResult batch = exec.RunBatch(e.table_names);
+  ASSERT_TRUE(batch.tables[0].status.ok()) << batch.tables[0].status;
+  const pipeline::ResilienceStats& rz = exec.resilience_stats();
+  EXPECT_EQ(rz.stage_retries, 1);
+  EXPECT_EQ(rz.retries, 2);
+  EXPECT_EQ(batch.tables[0].result.retries, 2);
 }
 
 TEST(PipelineFaultTest, FailedColumnsMarkedWhenDegradationDisabled) {

@@ -1,7 +1,7 @@
-// Tests for the sharded LatentCache: LRU semantics per shard, aggregate
-// stats/bytes accounting (including the Put-refresh no-drift regression),
-// and a ThreadSanitizer stress over concurrent Get/Put/Clear/ApproxBytes
-// with key skew (tsan-heavy label; the TSan CI job runs exactly this).
+// Tests for the LatentCache beyond the LRU basics in model_test: bytes and
+// entry-gauge accounting (including the Put-refresh no-drift regression),
+// and a ThreadSanitizer stress over concurrent Get/Put/ApproxBytes with key
+// skew (tsan-heavy label; the TSan CI job runs exactly this).
 
 #include <gtest/gtest.h>
 
@@ -29,53 +29,7 @@ int64_t EntryPayloadBytes(int64_t rows) {
   return rows * 4 * static_cast<int64_t>(sizeof(float));
 }
 
-TEST(CacheShardTest, RoutesAndAggregatesAcrossShards) {
-  LatentCache cache(/*capacity=*/64, /*shards=*/4);
-  EXPECT_EQ(cache.num_shards(), 4);
-  for (int i = 0; i < 32; ++i) {
-    cache.Put("table" + std::to_string(i) + "#0", MakeEntry(2));
-  }
-  EXPECT_EQ(cache.size(), 32u);
-  EXPECT_EQ(cache.ApproxBytes(), 32 * EntryPayloadBytes(2));
-  int hits = 0;
-  for (int i = 0; i < 32; ++i) {
-    if (cache.Get("table" + std::to_string(i) + "#0")) ++hits;
-  }
-  EXPECT_EQ(hits, 32);
-  EXPECT_EQ(cache.stats().hits, 32);
-  EXPECT_FALSE(cache.Get("absent"));
-  EXPECT_EQ(cache.stats().misses, 1);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.ApproxBytes(), 0);
-}
-
-TEST(CacheShardTest, ShardCapacityBoundsTotalEntries) {
-  // capacity 8 over 4 shards = 2 per shard; 100 distinct keys can keep at
-  // most 8 entries resident, with evictions counted.
-  LatentCache cache(/*capacity=*/8, /*shards=*/4);
-  for (int i = 0; i < 100; ++i) {
-    cache.Put("k" + std::to_string(i), MakeEntry(1));
-  }
-  EXPECT_LE(cache.size(), 8u);
-  EXPECT_GE(cache.stats().evictions, 100 - 8);
-  EXPECT_EQ(cache.ApproxBytes(),
-            static_cast<int64_t>(cache.size()) * EntryPayloadBytes(1));
-}
-
-TEST(CacheShardTest, SingleShardKeepsHistoricalLruBehaviour) {
-  LatentCache cache(/*capacity=*/2, /*shards=*/1);
-  cache.Put("a", MakeEntry(1));
-  cache.Put("b", MakeEntry(1));
-  ASSERT_TRUE(cache.Get("a"));  // a is now most recent
-  cache.Put("c", MakeEntry(1));  // evicts b
-  EXPECT_TRUE(cache.Get("a"));
-  EXPECT_FALSE(cache.Get("b"));
-  EXPECT_TRUE(cache.Get("c"));
-  EXPECT_EQ(cache.stats().evictions, 1);
-}
-
-TEST(CacheShardTest, PutRefreshDoesNotDriftBytesOrGauge) {
+TEST(LatentCacheTest, PutRefreshDoesNotDriftBytesOrGauge) {
   // Regression: replacing an entry with a different-sized payload must
   // leave ApproxBytes equal to the live payload, and the process-wide
   // taste_cache_bytes gauge must move by exactly the same deltas — no
@@ -86,7 +40,7 @@ TEST(CacheShardTest, PutRefreshDoesNotDriftBytesOrGauge) {
   const double gauge_before = gauge->Value();
   const double entries_before = entries->Value();
   {
-    LatentCache cache(/*capacity=*/16, /*shards=*/4);
+    LatentCache cache(/*capacity=*/16);
     const int64_t sizes[] = {3, 11, 1, 7, 7, 2, 19, 5};
     for (int round = 0; round < 50; ++round) {
       const int64_t rows = sizes[round % 8];
@@ -108,16 +62,17 @@ TEST(CacheShardTest, PutRefreshDoesNotDriftBytesOrGauge) {
   obs::SetMetricsEnabled(false);
 }
 
-TEST(CacheShardTest, ConcurrentSkewedStressKeepsStatsConsistent) {
-  // 8 threads hammer Get/Put/Clear/ApproxBytes with a skewed key
-  // distribution (70% of ops on 8 hot keys). Under TSan this is the data
-  // race probe for the sharded lock scheme; under plain builds it checks
-  // the aggregate-stats invariant: every Get counts exactly one hit or
-  // miss, so stats().hits + stats().misses equals the op tally and
-  // stats().hits equals the number of Gets that returned a value.
+TEST(LatentCacheTest, ConcurrentSkewedStressKeepsStatsConsistent) {
+  // 8 threads hammer Get/Put/ApproxBytes with a skewed key distribution
+  // (70% of ops on 8 hot keys). Under TSan this is the data race probe for
+  // the cache lock; under plain builds it checks the stats invariant: every
+  // Get counts exactly one hit or miss, so stats().hits + stats().misses
+  // equals the op tally and stats().hits equals the number of Gets that
+  // returned a value.
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
-  LatentCache cache(/*capacity=*/32, /*shards=*/4);
+  constexpr size_t kCapacity = 32;
+  LatentCache cache(kCapacity);
   std::atomic<int64_t> total_gets{0};
   std::atomic<int64_t> observed_hits{0};
   std::atomic<int64_t> total_puts{0};
@@ -128,9 +83,8 @@ TEST(CacheShardTest, ConcurrentSkewedStressKeepsStatsConsistent) {
       int64_t gets = 0, hits = 0, puts = 0;
       for (int op = 0; op < kOpsPerThread; ++op) {
         const bool hot = rng.NextU64() % 10 < 7;
-        std::string key =
-            (hot ? "hot" : "cold") +
-            std::to_string(rng.NextU64() % (hot ? 8 : 256));
+        std::string key = hot ? "hot" : "cold";
+        key += std::to_string(rng.NextU64() % (hot ? 8 : 256));
         const uint64_t kind = rng.NextU64() % 100;
         if (kind < 55) {
           ++gets;
@@ -139,11 +93,9 @@ TEST(CacheShardTest, ConcurrentSkewedStressKeepsStatsConsistent) {
           ++puts;
           cache.Put(key, MakeEntry(1 + static_cast<int64_t>(
                                            rng.NextU64() % 4)));
-        } else if (kind < 99) {
-          (void)cache.ApproxBytes();
-          (void)cache.size();
         } else {
-          cache.Clear();
+          EXPECT_GE(cache.ApproxBytes(), 0);
+          EXPECT_LE(cache.size(), kCapacity);
         }
       }
       total_gets += gets;
@@ -156,21 +108,20 @@ TEST(CacheShardTest, ConcurrentSkewedStressKeepsStatsConsistent) {
   EXPECT_EQ(stats.hits + stats.misses, total_gets.load());
   EXPECT_EQ(stats.hits, observed_hits.load());
   EXPECT_LE(stats.evictions, total_puts.load());
-  // Byte accounting settles to exactly the live payload once quiescent.
-  const int64_t bytes = cache.ApproxBytes();
-  EXPECT_GE(bytes, 0);
-  cache.Clear();
-  EXPECT_EQ(cache.ApproxBytes(), 0);
-  EXPECT_EQ(cache.size(), 0u);
+  // Once quiescent, the byte tally is that of the resident entries, each
+  // 1-4 rows.
+  const int64_t resident = static_cast<int64_t>(cache.size());
+  EXPECT_LE(cache.size(), kCapacity);
+  EXPECT_GE(cache.ApproxBytes(), resident * EntryPayloadBytes(1));
+  EXPECT_LE(cache.ApproxBytes(), resident * EntryPayloadBytes(4));
 }
 
-TEST(CacheShardTest, SingleShardEvictionRacingPutRefreshKeepsExactBytes) {
-  // Regression for the worst-case accounting interleaving: with ONE shard
-  // every Put contends on the same lock, so refreshes of a hot key (erase
-  // old bytes, insert new bytes) constantly interleave with capacity
-  // evictions triggered by cold-key inserts from other threads. Any
-  // accounting path that double-subtracts an evicted refresh — or misses
-  // the old bytes of a refreshed entry — drifts ApproxBytes and the
+TEST(LatentCacheTest, EvictionRacingPutRefreshKeepsExactBytes) {
+  // Regression for the worst-case accounting interleaving: refreshes of a
+  // hot key (erase old bytes, insert new bytes) constantly interleave with
+  // capacity evictions triggered by cold-key inserts from other threads.
+  // Any accounting path that double-subtracts an evicted refresh — or
+  // misses the old bytes of a refreshed entry — drifts ApproxBytes and the
   // process-wide gauge; both must land EXACTLY back at baseline.
   obs::SetMetricsEnabled(true);
   obs::Gauge* gauge = obs::Registry::Global().GetGauge("taste_cache_bytes");
@@ -179,9 +130,8 @@ TEST(CacheShardTest, SingleShardEvictionRacingPutRefreshKeepsExactBytes) {
   const double entries_before = entries->Value();
   {
     constexpr int kThreads = 8;
-    // Capacity 4 on 1 shard: nearly every cold Put evicts.
-    LatentCache cache(/*capacity=*/4, /*shards=*/1);
-    ASSERT_EQ(cache.num_shards(), 1);
+    // Capacity 4: nearly every cold Put evicts.
+    LatentCache cache(/*capacity=*/4);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
@@ -206,44 +156,18 @@ TEST(CacheShardTest, SingleShardEvictionRacingPutRefreshKeepsExactBytes) {
     }
     for (auto& th : threads) th.join();
     // Quiescent: the tally must equal the gauge delta (same AddBytes calls)
-    // and the resident set must be within the single shard's budget.
+    // and the resident set must be within the budget.
     EXPECT_LE(cache.size(), 4u);
     EXPECT_EQ(gauge->Value() - gauge_before,
               static_cast<double>(cache.ApproxBytes()));
     EXPECT_EQ(entries->Value() - entries_before,
               static_cast<double>(cache.size()));
-    cache.Clear();
-    EXPECT_EQ(cache.ApproxBytes(), 0);
   }
   // Destruction returns the cache's whole contribution: zero drift after
   // ~24k racing refreshes and evictions.
   EXPECT_EQ(gauge->Value(), gauge_before);
   EXPECT_EQ(entries->Value(), entries_before);
   obs::SetMetricsEnabled(false);
-}
-
-TEST(CacheShardTest, ConcurrentClearNeverYieldsNegativeAccounting) {
-  // Clear locks all shards; racing Put/Clear must never drive the byte
-  // tally negative or strand entries.
-  constexpr int kThreads = 4;
-  LatentCache cache(/*capacity=*/8, /*shards=*/8);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(static_cast<uint64_t>(t) + 99);
-      for (int op = 0; op < 2000; ++op) {
-        if (rng.NextU64() % 20 == 0) {
-          cache.Clear();
-        } else {
-          cache.Put("k" + std::to_string(rng.NextU64() % 64), MakeEntry(2));
-          EXPECT_GE(cache.ApproxBytes(), 0);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  cache.Clear();
-  EXPECT_EQ(cache.ApproxBytes(), 0);
 }
 
 }  // namespace

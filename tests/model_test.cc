@@ -450,14 +450,6 @@ TEST(LatentCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.stats().evictions, 1);
 }
 
-TEST(LatentCacheTest, ClearEmpties) {
-  LatentCache cache(4);
-  cache.Put("a", {});
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Get("a").has_value());
-}
-
 TEST(LatentCacheTest, CachedLatentsGiveIdenticalContentLogits) {
   // The headline property (paper Sec. 4.2.2): running P2 from cached
   // latents is exact, not approximate.

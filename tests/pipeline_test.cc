@@ -133,12 +133,11 @@ TEST(PipelineTest, RunOutputByteIdenticalToDirectDetection) {
 }
 
 TEST(PipelineTest, FourInferWorkersByteIdenticalToSequential) {
-  // Four infer workers run P2 content forwards concurrently on a sharded
-  // latent cache; the probabilities must still be bit for bit those of
-  // direct sequential detection.
+  // Four infer workers run P2 content forwards concurrently on one latent
+  // cache; the probabilities must still be bit for bit those of direct
+  // sequential detection.
   Env e = Env::Make(8, 0.0);
-  core::TasteDetector det(e.model.get(), e.tokenizer.get(),
-                          {.cache_shards = 4});
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   PipelineOptions popt;
   popt.infer_threads = 4;
   ExpectExecutorMatchesDirect(e, det, popt, std::nullopt);
@@ -151,8 +150,7 @@ TEST(PipelineTest, Int8ExecutorByteIdenticalToInt8Sequential) {
   // kernels).
   Env e = Env::Make(6, 0.0);
   ASSERT_GT(e.model->PrepackQuantWeights(), 0);
-  core::TasteDetector det(e.model.get(), e.tokenizer.get(),
-                          {.cache_shards = 2});
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   PipelineOptions popt;
   popt.infer_threads = 3;
   popt.p2_dtype = tensor::P2Dtype::kInt8;

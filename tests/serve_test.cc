@@ -8,7 +8,6 @@
 // Everything here forks real processes; the suite carries the `unit` label
 // (TSan instruments fork poorly, and the tsan CI job runs only tsan-heavy).
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -920,79 +919,6 @@ TEST(SupervisorTest, HeartbeatTimeoutCondemnsWedgedReplica) {
   ASSERT_EQ(condemned, std::vector<int>{0});
   EXPECT_EQ(sup.alive_count(), 0);
   EXPECT_GE(sup.replica(0)->deaths, 1);
-  sup.Shutdown();
-}
-
-TEST(SupervisorTest, ErrorScoreQuarantinesAndProbesReadmit) {
-  const ServeEnv& env = ServeEnv::Get();
-  auto db = env.MakeDb();
-  serve::WorkerEnv wenv;
-  wenv.detector = env.detector.get();
-  wenv.db = db.get();
-  wenv.pipeline_options = WorkerPipelineOptions();
-  serve::SupervisorOptions sopt;
-  sopt.replicas = 2;
-  sopt.heartbeat_interval_ms = 1.0;  // fast probe cadence for the test
-  serve::Supervisor sup(wenv, sopt);
-  ASSERT_TRUE(sup.Start().ok());
-
-  // Two gray verdicts leave the error EWMA at 0.4375 — still dispatchable.
-  sup.RecordLegError(0);
-  sup.RecordLegError(0);
-  EXPECT_TRUE(sup.Dispatchable(0));
-  // The third crosses the 0.5 threshold with min samples met: quarantine.
-  sup.RecordLegError(0);
-  EXPECT_EQ(sup.replica(0)->state, serve::ReplicaState::kQuarantined);
-  EXPECT_FALSE(sup.Dispatchable(0));
-  EXPECT_TRUE(sup.Dispatchable(1));
-  EXPECT_EQ(sup.quarantined_count(), 1);
-  EXPECT_EQ(sup.total_quarantines(), 1);
-  // The process is alive the whole time — quarantine is ring membership,
-  // not an execution.
-  EXPECT_EQ(sup.replica(0)->deaths, 0);
-
-  // Drive the probe lifecycle: the quarantine breaker spends its first
-  // ticks in open-state cooldown, then admits one heartbeat probe per
-  // half-open; kReadmitProbes consecutive acks restore ring membership.
-  auto pump_ack = [&](serve::Replica* r) {
-    pollfd p{r->fd, POLLIN, 0};
-    for (int spin = 0; spin < 400; ++spin) {
-      if (::poll(&p, 1, 5) > 0 && (p.revents & POLLIN) != 0) {
-        char buf[4096];
-        const ssize_t got = ::read(r->fd, buf, sizeof(buf));
-        ASSERT_GT(got, 0);
-        r->frames.Append(buf, static_cast<size_t>(got));
-        serve::Frame f;
-        auto n = r->frames.Next(&f);
-        ASSERT_TRUE(n.ok());
-        if (*n && f.type == serve::FrameType::kHeartbeatAck) {
-          sup.HandleHeartbeatAck(0, f.payload);
-          return;
-        }
-      }
-    }
-    FAIL() << "worker never acked the readmit probe";
-  };
-  int probes_acked = 0;
-  for (int spin = 0;
-       spin < 500 && sup.replica(0)->state == serve::ReplicaState::kQuarantined;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    const auto condemned = sup.ProbeIdle({0});
-    ASSERT_TRUE(condemned.empty());
-    if (sup.replica(0)->hb_outstanding) {
-      pump_ack(sup.replica(0));
-      ++probes_acked;
-    }
-  }
-  EXPECT_EQ(sup.replica(0)->state, serve::ReplicaState::kUp);
-  EXPECT_TRUE(sup.Dispatchable(0));
-  EXPECT_EQ(sup.quarantined_count(), 0);
-  EXPECT_EQ(probes_acked, serve::kReadmitProbes);
-  // Readmission forgives the error record; the next single error must not
-  // instantly re-quarantine.
-  sup.RecordLegError(0);
-  EXPECT_EQ(sup.replica(0)->state, serve::ReplicaState::kUp);
   sup.Shutdown();
 }
 

@@ -28,11 +28,11 @@
 // interleaving.
 //
 // --cache-churn additionally squeezes the latent cache to a handful of
-// entries (eviction storms on every P2 chunk), shards it randomly, and runs
-// 2-4 infer workers. WHICH worker evicts, recomputes or hits an entry is
-// timing-dependent — but a recomputed latent is byte-identical to a cached
-// one, so the replay digest must STILL match bit for bit. A digest mismatch
-// in this mode means cache reuse stopped being invisible.
+// entries (eviction storms on every P2 chunk) and runs 2-4 infer workers.
+// WHICH worker evicts, recomputes or hits an entry is timing-dependent —
+// but a recomputed latent is byte-identical to a cached one, so the replay
+// digest must STILL match bit for bit. A digest mismatch in this mode
+// means cache reuse stopped being invisible.
 //
 // Usage:
 //   chaos_soak [--seeds N] [--start-seed S] [--tables N] [--verbose]
@@ -188,13 +188,11 @@ Scenario MakeScenario(uint64_t seed, const Env& env, bool cache_churn) {
     popt.deadline_ms = 10000.0;  // never fires within a chaos run
   }
   if (cache_churn) {
-    // Eviction storms: a cache of 1-4 entries across 1-8 shards churns on
-    // every P2 chunk while concurrent infer workers race for it. Which
-    // worker hits or recomputes is timing-dependent; the digest must not
-    // be.
+    // Eviction storms: a cache of 1-4 entries churns on every P2 chunk
+    // while concurrent infer workers race for it. Which worker hits or
+    // recomputes is timing-dependent; the digest must not be.
     topt.enable_p2 = true;  // churn needs P2 traffic
     topt.cache_capacity = static_cast<size_t>(rng.Range(1, 4));
-    topt.cache_shards = rng.Range(1, 8);
     popt.pipelined = true;
     popt.infer_threads = rng.Range(2, 4);
   }

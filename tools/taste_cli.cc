@@ -20,7 +20,6 @@
 //                            after P1 or park with kDeadlineExceeded
 //     --max-inflight N       admission control: at most N tables in flight
 //                            and N queued; the rest are shed (kUnavailable)
-//     --cache-shards N       split the latent cache into N locked shards
 //     --replicas N           fork N supervised worker processes and route
 //                            the batch through the multi-process serving
 //                            tier (crash failover + respawn; DESIGN.md §10);
@@ -30,10 +29,6 @@
 //                            speculatively re-sent to the ring successor
 //                            (first valid response wins). 0 disables
 //                            hedging. Only meaningful with --replicas
-//     --quarantine-threshold X
-//                            error-rate EWMA at which a replica is pulled
-//                            from the dispatch ring and probed until it
-//                            earns readmission (0 disables; default 0.5)
 //     --watchdog-ms X        condemn a replica whose in-flight leg is older
 //                            than X ms while its process is still alive
 //                            (SIGTERM -> SIGKILL -> respawn). 0 = derive
@@ -82,10 +77,8 @@ struct CliOptions {
   std::string metrics_out;
   double deadline_ms = 0.0;
   int max_inflight = 0;
-  int cache_shards = 1;
   int replicas = 0;
   double hedge_multiplier = 4.0;       // RouterOptions default
-  double quarantine_threshold = 0.5;   // SupervisorOptions default
   double watchdog_ms = 0.0;            // 0 = derive from hedge threshold
   tensor::P2Dtype p2_dtype = tensor::P2Dtype::kFp32;
 };
@@ -140,14 +133,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
         std::fprintf(stderr, "--max-inflight must be > 0\n");
         return false;
       }
-    } else if (arg == "--cache-shards") {
-      const char* v = need_value("--cache-shards");
-      if (v == nullptr) return false;
-      out->cache_shards = std::atoi(v);
-      if (out->cache_shards < 1) {
-        std::fprintf(stderr, "--cache-shards must be >= 1\n");
-        return false;
-      }
     } else if (arg == "--replicas") {
       const char* v = need_value("--replicas");
       if (v == nullptr) return false;
@@ -162,14 +147,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       out->hedge_multiplier = std::atof(v);
       if (out->hedge_multiplier < 0) {
         std::fprintf(stderr, "--hedge-multiplier must be >= 0\n");
-        return false;
-      }
-    } else if (arg == "--quarantine-threshold") {
-      const char* v = need_value("--quarantine-threshold");
-      if (v == nullptr) return false;
-      out->quarantine_threshold = std::atof(v);
-      if (out->quarantine_threshold < 0 || out->quarantine_threshold > 1) {
-        std::fprintf(stderr, "--quarantine-threshold must be in [0, 1]\n");
         return false;
       }
     } else if (arg == "--watchdog-ms") {
@@ -215,8 +192,7 @@ void PrintUsage() {
       "taste_cli [--profile wiki|git] [--table NAME] [--alpha X] [--beta Y]\n"
       "          [--no-p2] [--sample] [--json] [--list]\n"
       "          [--metrics-out FILE] [--deadline-ms X] [--max-inflight N]\n"
-      "          [--cache-shards N] [--replicas N]\n"
-      "          [--hedge-multiplier X] [--quarantine-threshold X]\n"
+      "          [--replicas N] [--hedge-multiplier X]\n"
       "          [--watchdog-ms X] [--p2-dtype fp32|int8]\n");
 }
 
@@ -286,7 +262,6 @@ int main(int argc, char** argv) {
   topt.beta = cli.beta;
   topt.enable_p2 = !cli.no_p2;
   topt.random_sample = cli.sample;
-  topt.cache_shards = cli.cache_shards;
   core::TasteDetector detector(stack->adtd.get(), stack->tokenizer.get(),
                                topt);
   const auto& registry = data::SemanticTypeRegistry::Default();
@@ -336,7 +311,6 @@ int main(int argc, char** argv) {
       ropt.supervisor.replicas = cli.replicas;
       ropt.hedge_multiplier = cli.hedge_multiplier;
       ropt.watchdog_ms = cli.watchdog_ms;
-      ropt.supervisor.quarantine_error_threshold = cli.quarantine_threshold;
       router = std::make_unique<serve::Router>(env, ropt);
       if (Status st = router->Start(); !st.ok()) {
         std::fprintf(stderr, "replica startup failed: %s\n",
