@@ -340,7 +340,7 @@ void WriteSubstrateJson() {
         tensor::Tensor::Randn({segments * seg, 48}, arng);
     const tensor::Tensor memory = tensor::Tensor::Randn({memory_rows, 48}, arng);
     const tensor::Tensor seg_mask =
-        tensor::Tensor::Zeros({segments * seg, memory_rows + seg});
+        tensor::Tensor::Zeros({segments, memory_rows + seg});
     const nn::SegmentGroup group = {&memory, &seg_mask, segments, seg};
     const tensor::Tensor y = tensor::Tensor::Randn({dense, 48}, arng);
     const tensor::Tensor dense_mask = tensor::Tensor::Zeros({dense, dense});
@@ -375,6 +375,43 @@ void WriteSubstrateJson() {
                 segmented_ms, anchor_ms, dense_ms);
   }
 
+  // LayerNormRows without the backward's side buffers, as inference runs
+  // it: a wide_batch P2 content layer's rows (11 segments of 31) at the
+  // served H=48, and a 512-token chunk at the paper's H=312. Ungated.
+  {
+    struct LayerNormCase {
+      const char* form;
+      int64_t rows, h;
+    };
+    json.BeginArray("layernorm");
+    std::printf("LayerNormRows:");
+    for (const LayerNormCase& c : {LayerNormCase{"tiny_341x48", 341, 48},
+                                   LayerNormCase{"paper_512x312", 512, 312}}) {
+      Rng lrng(11);
+      std::vector<float> x(static_cast<size_t>(c.rows * c.h));
+      for (auto& v : x) v = static_cast<float>(lrng.NextGaussian());
+      std::vector<float> gamma(static_cast<size_t>(c.h), 1.0f);
+      std::vector<float> beta(static_cast<size_t>(c.h), 0.0f);
+      std::vector<float> y(x.size());
+      const double ms = TimeGemmMs(
+          [&] {
+            tensor::kernels::LayerNormRows(x.data(), gamma.data(),
+                                           beta.data(), 1e-5f, c.rows, c.h,
+                                           y.data(), nullptr, nullptr);
+          },
+          200);
+      json.BeginObject();
+      json.Field("form", std::string(c.form));
+      json.Field("rows", c.rows);
+      json.Field("h", c.h);
+      json.Field("ms", ms);
+      json.EndObject();
+      std::printf("  %s %.4f ms", c.form, ms);
+    }
+    json.EndArray();
+    std::printf("\n");
+  }
+
   Fixture& f = Fixture::Get();
 
   // Both ADTD tower forwards at the perfbench wide_batch shape: a batch of
@@ -395,20 +432,46 @@ void WriteSubstrateJson() {
     TASTE_CHECK(db.IngestDataset(wide).ok());
     auto conn = db.Connect();
     model::InputEncoder encoder(f.tokenizer.get(), f.model->config().input);
+    // Each table's metadata and scanned values (every column), kept so
+    // the input encoding can be timed on its own below.
+    std::vector<clouddb::TableMetadata> raw;
+    std::vector<std::map<int, std::vector<std::string>>> scanned;
     std::vector<model::EncodedMetadata> metas;
     std::vector<model::EncodedContent> contents;
     for (const auto& table : wide.tables) {
       auto meta = conn->GetTableMetadata(table.name);
       TASTE_CHECK(meta.ok());
+      raw.push_back(*meta);
       metas.push_back(encoder.EncodeMetadata(*meta));
       const model::EncodedMetadata& em = metas.back();
       TASTE_CHECK(em.num_columns == 11);
-      std::map<int, std::vector<std::string>> values;
+      std::map<int, std::vector<std::string>>& values = scanned.emplace_back();
       for (int c = 0; c < em.num_columns; ++c) {
         values[c] = table.columns[em.column_ordinals[c]].values;
       }
       contents.push_back(encoder.EncodeContent(em, values));
     }
+    // Input encoding per table: EncodeMetadata, then EncodeContent of
+    // every column, the tokenizer's trie walk and the mask rows included.
+    // Ungated.
+    const double encode_ms =
+        TimeGemmMs(
+            [&] {
+              for (size_t t = 0; t < raw.size(); ++t) {
+                const model::EncodedMetadata em = encoder.EncodeMetadata(raw[t]);
+                benchmark::DoNotOptimize(encoder.EncodeContent(em, scanned[t]));
+              }
+            },
+            20) /
+        static_cast<double>(raw.size());
+    json.BeginObject("encode");
+    json.Field("form", std::string("wide_11col_table"));
+    json.Field("ms_per_table", encode_ms);
+    json.Field("trie_bytes", static_cast<int64_t>(f.tokenizer->trie_bytes()));
+    json.EndObject();
+    std::printf("input encoding (11-column table): %.4f ms per table, "
+                "vocabulary trie %zu bytes\n",
+                encode_ms, f.tokenizer->trie_bytes());
     std::vector<model::AdtdModel::MetadataEncoding> encs;
     for (const auto& em : metas) encs.push_back(f.model->ForwardMetadata(em));
     const double p1_ms = TimeGemmMs(

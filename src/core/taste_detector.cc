@@ -151,8 +151,8 @@ bool SameTensorBytes(const tensor::Tensor& a, const tensor::Tensor& b) {
 /// True when a cached entry's input is exactly the chunk we are about to
 /// encode — the guard that makes cache reuse byte-identical: latents are
 /// only reused when the metadata tower would have been fed the same bits
-/// (same tokens, anchors, features, masks). A stale entry under a colliding
-/// key is recomputed instead of trusted.
+/// (same tokens, anchors, features, mask row). A stale entry under a
+/// colliding key is recomputed instead of trusted.
 bool SameEncodedInput(const EncodedMetadata& a, const EncodedMetadata& b) {
   return a.table_name == b.table_name && a.num_columns == b.num_columns &&
          a.token_ids == b.token_ids && a.column_anchors == b.column_anchors &&

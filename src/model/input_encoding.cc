@@ -76,17 +76,16 @@ EncodedMetadata InputEncoder::EncodeMetadata(
       {static_cast<int64_t>(meta.columns.size()), NonTextualFeatures::kDim},
       std::move(feat_data));
 
-  // Self-attention mask: block PAD keys for every query.
-  int64_t sm = static_cast<int64_t>(out.token_ids.size());
-  std::vector<float> mask(static_cast<size_t>(sm * sm), 0.0f);
+  // Self-attention mask: block PAD keys. Every query sees the same keys,
+  // so it is one row.
+  const int64_t sm = static_cast<int64_t>(out.token_ids.size());
+  std::vector<float> mask(static_cast<size_t>(sm), 0.0f);
   for (int64_t k = 0; k < sm; ++k) {
     if (out.token_ids[static_cast<size_t>(k)] == text::Vocab::kPadId) {
-      for (int64_t q = 0; q < sm; ++q) {
-        mask[static_cast<size_t>(q * sm + k)] = kMaskBlocked;
-      }
+      mask[static_cast<size_t>(k)] = kMaskBlocked;
     }
   }
-  out.attention_mask = tensor::Tensor::FromVector({sm, sm}, std::move(mask));
+  out.attention_mask = tensor::Tensor::FromVector({1, sm}, std::move(mask));
   return out;
 }
 
@@ -114,29 +113,29 @@ EncodedContent InputEncoder::EncodeContent(
   }
 
   const int64_t seg = config_.segment_len();
-  const int64_t sc = static_cast<int64_t>(out.token_ids.size());
+  const int64_t segments = static_cast<int64_t>(out.scanned.size());
   const int64_t sm = static_cast<int64_t>(meta.token_ids.size());
   const int64_t width = sm + seg;
-  TASTE_CHECK(sc == static_cast<int64_t>(out.scanned.size()) * seg);
-  std::vector<float> mask(static_cast<size_t>(sc * width), 0.0f);
-  for (int64_t q = 0; q < sc; ++q) {
-    float* row = mask.data() + q * width;
-    // Metadata keys: all non-PAD positions are attendable.
+  TASTE_CHECK(static_cast<int64_t>(out.token_ids.size()) == segments * seg);
+  // Every query row of a segment sees the same keys, so the segment has
+  // one mask row: the metadata keys, then its own keys, PAD blocked.
+  std::vector<float> mask(static_cast<size_t>(segments * width), 0.0f);
+  for (int64_t j = 0; j < segments; ++j) {
+    float* row = mask.data() + j * width;
     for (int64_t k = 0; k < sm; ++k) {
       if (meta.token_ids[static_cast<size_t>(k)] == text::Vocab::kPadId) {
         row[k] = kMaskBlocked;
       }
     }
-    // Own-segment keys: non-PAD only.
-    const int64_t seg_begin = q - q % seg;
     for (int64_t k = 0; k < seg; ++k) {
-      if (out.token_ids[static_cast<size_t>(seg_begin + k)] ==
+      if (out.token_ids[static_cast<size_t>(j * seg + k)] ==
           text::Vocab::kPadId) {
         row[sm + k] = kMaskBlocked;
       }
     }
   }
-  out.cross_mask = tensor::Tensor::FromVector({sc, width}, std::move(mask));
+  out.cross_mask =
+      tensor::Tensor::FromVector({segments, width}, std::move(mask));
   return out;
 }
 

@@ -21,8 +21,10 @@
 // tokens of its own column; PAD positions are never attended. The content
 // tower computes exactly that and nothing more: column j's segment attends
 // over [metadata ; segment j] (nn::TransformerBlock::ForwardSegmented), so
-// the cross mask has one row per content token and sm + segment_len()
-// columns — metadata keys first, then the token's own segment.
+// the cross mask has sm + segment_len() columns — metadata keys first,
+// then the segment's own keys. Every query of a segment sees the same
+// keys, so the mask holds one row per segment, and the metadata mask one
+// row in all; the attention adds that row to each of the span's queries.
 
 #ifndef TASTE_MODEL_INPUT_ENCODING_H_
 #define TASTE_MODEL_INPUT_ENCODING_H_
@@ -70,7 +72,7 @@ struct EncodedMetadata {
   std::vector<int> column_ordinals;  // original ordinal of each column
   std::vector<std::string> column_names;  // aligned with anchors
   tensor::Tensor features;           // (ncols, NonTextualFeatures::kDim)
-  tensor::Tensor attention_mask;     // (sm, sm), blocks PAD keys
+  tensor::Tensor attention_mask;     // (1, sm), blocks PAD keys
   int num_columns = 0;
 };
 
@@ -80,8 +82,9 @@ struct EncodedContent {
   std::vector<int> token_ids;        // length sc
   std::vector<int> scanned;          // chunk-local column indices, ascending
   std::vector<int> column_anchors;   // anchor position per scanned column
-  /// (sc, sm + segment_len) additive mask: row q covers the metadata keys
-  /// then the keys of q's own column segment; PAD keys are blocked.
+  /// (segments, sm + segment_len) additive mask: row j covers the
+  /// metadata keys then the keys of segment j, for every query row of
+  /// segment j; PAD keys are blocked.
   tensor::Tensor cross_mask;
 };
 

@@ -39,14 +39,16 @@ Tensor MultiHeadAttention::Forward(const Tensor& q_input,
   tensor::ScopedExecContext scope(exec_ctx);
   const int64_t sq = q_input.dim(0);
   const int64_t skv = kv_input.dim(0);
-  if (mask != nullptr) {
-    TASTE_CHECK_MSG(mask->dim(0) == sq && mask->dim(1) == skv,
-                    "attention mask shape mismatch");
-  }
   tensor::AttentionSpan span;
   span.query = {0, sq};
   span.kv[0] = {0, skv};
-  span.mask = mask;
+  if (mask != nullptr) {
+    TASTE_CHECK_MSG((mask->dim(0) == sq || mask->dim(0) == 1) &&
+                        mask->dim(1) == skv,
+                    "attention mask shape mismatch");
+    span.mask = mask;
+    span.shared_mask_row = mask->dim(0) == 1;
+  }
   const Tensor q = q_proj_.Forward(q_input);
   const Tensor k = k_proj_.Forward(kv_input);
   const Tensor v = v_proj_.Forward(kv_input);
@@ -62,16 +64,16 @@ Tensor MultiHeadAttention::ForwardSegmented(const Tensor& x,
               group.segments > 0 && group.segment_len > 0);
   const int64_t sm = group.memory->dim(0);
   const int64_t query_rows = group.segments * group.segment_len;
-  TASTE_CHECK_MSG(group.mask->dim(0) == query_rows &&
+  TASTE_CHECK_MSG(group.mask->dim(0) == group.segments &&
                       group.mask->dim(1) == sm + group.segment_len,
                   "segment mask shape mismatch");
   TASTE_CHECK_MSG(x.dim(0) == query_rows,
                   "query rows must equal the group's segment rows");
 
   // One span per segment: its query rows attend over [memory ; its own
-  // rows] of the key/value rows [memory ; x], with its rows of the mask.
-  // A first-row span is query row j alone (segment j's first row, gathered
-  // below), with the mask row of that first row.
+  // rows] of the key/value rows [memory ; x], each with the segment's mask
+  // row. A first-row span is query row j alone (segment j's first row,
+  // gathered below).
   const bool first_rows = queries == SegmentQueries::kFirstRows;
   std::vector<tensor::AttentionSpan> spans;
   spans.reserve(static_cast<size_t>(group.segments));
@@ -83,7 +85,8 @@ Tensor MultiHeadAttention::ForwardSegmented(const Tensor& x,
     span.kv[0] = {0, sm};
     span.kv[1] = {sm + own, group.segment_len};
     span.mask = group.mask;
-    span.mask_row = own;
+    span.mask_row = j;
+    span.shared_mask_row = true;
     spans.push_back(span);
   }
   const Tensor kv_input = tensor::ConcatRows({*group.memory, x});
@@ -101,16 +104,23 @@ Tensor MultiHeadAttention::ForwardRows(const Tensor& x,
   tensor::ScopedExecContext scope(exec_ctx);
   const int64_t s = x.dim(0);
   const int64_t n = static_cast<int64_t>(rows.size());
-  // The rows' part of the mask; one span over every query row and key.
+  // One span over every query row and key, with a (1, s) mask's one row
+  // or the rows' part of an (s, s) mask.
   Tensor row_mask;
   tensor::AttentionSpan span;
   span.query = {0, n};
   span.kv[0] = {0, s};
   if (mask != nullptr) {
-    TASTE_CHECK_MSG(mask->dim(0) == s && mask->dim(1) == s,
+    TASTE_CHECK_MSG((mask->dim(0) == s || mask->dim(0) == 1) &&
+                        mask->dim(1) == s,
                     "attention mask shape mismatch");
-    row_mask = tensor::GatherRows(*mask, rows);
-    span.mask = &row_mask;
+    if (mask->dim(0) == 1) {
+      span.mask = mask;
+      span.shared_mask_row = true;
+    } else {
+      row_mask = tensor::GatherRows(*mask, rows);
+      span.mask = &row_mask;
+    }
   }
   const Tensor q = QueryProjection(x, rows);
   const Tensor k = k_proj_.Forward(x);
@@ -120,13 +130,19 @@ Tensor MultiHeadAttention::ForwardRows(const Tensor& x,
 
 Tensor MultiHeadAttention::QueryProjection(const Tensor& x,
                                            const std::vector<int>& rows) const {
-  const Tensor q = q_proj_.Forward(x);
-  // Projecting every row and then gathering costs the rows no query reads,
-  // but keeps training bitwise: the projection's backward then accumulates
-  // x's gradient in one GEMM seeded with what the residual and keys/values
-  // put there, as the layer over all rows does. Gathering x first would
-  // add a separately rounded sum instead.
-  return rows.empty() ? q : tensor::GatherRows(q, rows);
+  if (rows.empty()) return q_proj_.Forward(x);
+  // Without a tape, only the rows a query reads are projected: the
+  // projection is row-stable (fp32 GEMM and per-row int8 alike), so each
+  // row's bits are those of projecting every row.
+  if (!tensor::GradEnabled()) {
+    return q_proj_.Forward(tensor::GatherRows(x, rows));
+  }
+  // A recorded forward projects every row and then gathers. That costs the
+  // rows no query reads, but keeps training bitwise: the projection's
+  // backward then accumulates x's gradient in one GEMM seeded with what the
+  // residual and keys/values put there, as the layer over all rows does.
+  // Gathering x first would add a separately rounded sum instead.
+  return tensor::GatherRows(q_proj_.Forward(x), rows);
 }
 
 FeedForward::FeedForward(int64_t hidden, int64_t intermediate, Rng& rng)

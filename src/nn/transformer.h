@@ -35,12 +35,11 @@ namespace taste::nn {
 
 /// A run of equal-length segments that share a key/value memory. Its
 /// `segments * segment_len` input rows are consecutive; segment j's queries
-/// attend over [memory ; its own rows] with rows of `mask`
-/// [j*segment_len, (j+1)*segment_len) as the additive mask. Pointees must
-/// outlive the call.
+/// attend over [memory ; its own rows], each adding row j of `mask` to its
+/// scores. Pointees must outlive the call.
 struct SegmentGroup {
   const Tensor* memory = nullptr;  // (sm, H) keys/values every segment sees
-  const Tensor* mask = nullptr;    // (segments*segment_len, sm+segment_len)
+  const Tensor* mask = nullptr;    // (segments, sm+segment_len)
   int64_t segments = 0;
   int64_t segment_len = 0;
 };
@@ -56,8 +55,10 @@ class MultiHeadAttention : public Module {
   MultiHeadAttention(int64_t hidden, int64_t num_heads, Rng& rng);
 
   /// q_input (sq, H), kv_input (skv, H), optional additive mask (sq, skv)
-  /// with 0 for attendable and a large negative value for masked positions.
-  /// Returns (sq, H).
+  /// with 0 for attendable and a large negative value for masked positions,
+  /// or (1, skv) when every query row sees the same keys: its one row is
+  /// added to every query row, bitwise the (sq, skv) mask of that row
+  /// repeated. Returns (sq, H).
   Tensor Forward(const Tensor& q_input, const Tensor& kv_input,
                  const Tensor* mask = nullptr,
                  ExecContext* ctx = nullptr) const;
@@ -75,8 +76,8 @@ class MultiHeadAttention : public Module {
 
   /// Self-attention over x (s, H) computed for `rows` only: each of those
   /// rows attends over every row of x, with its row of the optional
-  /// (s, s) mask. Returns (rows.size(), H), bitwise those rows of
-  /// Forward(x, x, mask).
+  /// (s, s) mask, or the one row of a (1, s) mask. Returns
+  /// (rows.size(), H), bitwise those rows of Forward(x, x, mask).
   Tensor ForwardRows(const Tensor& x, const std::vector<int>& rows,
                      const Tensor* mask = nullptr,
                      ExecContext* ctx = nullptr) const;
@@ -89,7 +90,9 @@ class MultiHeadAttention : public Module {
   int64_t PrepackQuant();
 
  private:
-  /// q_proj over every row of x, then `rows` of it (all rows when empty).
+  /// q_proj of `rows` of x (all rows when empty). Without a tape it
+  /// projects only those rows; a recorded forward projects every row and
+  /// gathers, which keeps training bitwise.
   Tensor QueryProjection(const Tensor& x, const std::vector<int>& rows) const;
 
   int64_t num_heads_;

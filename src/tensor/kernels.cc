@@ -699,10 +699,30 @@ void SoftmaxGradRows(const float* y, const float* dy, float* dx,
   }
 }
 
-void LayerNormRows(const float* x, const float* gamma, const float* beta,
-                   float eps, int64_t rows, int64_t h, float* y, float* xhat,
-                   float* inv_std) {
-  for (int64_t r = 0; r < rows; ++r) {
+namespace {
+
+/// `v` itself, opaque to the optimizer: a product passed through it is
+/// rounded on its own and never contracted into an FMA with the add that
+/// consumes it, whatever the build (-ffp-contract=fast, sanitizers).
+inline float Rounded(float v) {
+#if defined(__x86_64__) || defined(__i386__)
+  asm("" : "+x"(v));
+#else
+  volatile float pinned = v;
+  v = pinned;
+#endif
+  return v;
+}
+
+/// LayerNormRows one row at a time, rows [r0, rows): each row's mean and
+/// variance are sequential sums over its h elements, each d * d rounded
+/// before it is added, and y = fma(gamma, xhat, beta). Every step is
+/// spelled out, so no compiler choice (vectorizing the products, or not
+/// and contracting them) can move a bit.
+void LayerNormRowLoop(const float* x, const float* gamma, const float* beta,
+                      float eps, int64_t r0, int64_t rows, int64_t h,
+                      float* y, float* xhat, float* inv_std) {
+  for (int64_t r = r0; r < rows; ++r) {
     const float* row = x + r * h;
     float mean = 0;
     for (int64_t j = 0; j < h; ++j) mean += row[j];
@@ -710,7 +730,7 @@ void LayerNormRows(const float* x, const float* gamma, const float* beta,
     float var = 0;
     for (int64_t j = 0; j < h; ++j) {
       float d = row[j] - mean;
-      var += d * d;
+      var += Rounded(d * d);
     }
     var /= static_cast<float>(h);
     float inv = 1.0f / std::sqrt(var + eps);
@@ -718,9 +738,120 @@ void LayerNormRows(const float* x, const float* gamma, const float* beta,
     for (int64_t j = 0; j < h; ++j) {
       float xh = (row[j] - mean) * inv;
       if (xhat != nullptr) xhat[r * h + j] = xh;
-      y[r * h + j] = gamma[j] * xh + beta[j];
+      y[r * h + j] = std::fma(gamma[j], xh, beta[j]);
     }
   }
+}
+
+#if defined(__AVX512F__)
+
+/// Rows normalized side by side, one per zmm lane.
+constexpr int64_t kLayerNormLanes = 16;
+
+/// Transposes the 8 x 8 block rows[0..8) in place: afterwards rows[c]
+/// holds column c. Data movement only.
+inline void Transpose8x8(__m256 rows[8]) {
+  __m256 t[8];
+  for (int i = 0; i < 4; ++i) {
+    t[2 * i] = _mm256_unpacklo_ps(rows[2 * i], rows[2 * i + 1]);
+    t[2 * i + 1] = _mm256_unpackhi_ps(rows[2 * i], rows[2 * i + 1]);
+  }
+  __m256 u[8];
+  for (int i = 0; i < 2; ++i) {
+    u[4 * i] = _mm256_shuffle_ps(t[4 * i], t[4 * i + 2], 0x44);
+    u[4 * i + 1] = _mm256_shuffle_ps(t[4 * i], t[4 * i + 2], 0xEE);
+    u[4 * i + 2] = _mm256_shuffle_ps(t[4 * i + 1], t[4 * i + 3], 0x44);
+    u[4 * i + 3] = _mm256_shuffle_ps(t[4 * i + 1], t[4 * i + 3], 0xEE);
+  }
+  for (int c = 0; c < 4; ++c) {
+    rows[c] = _mm256_permute2f128_ps(u[c], u[c + 4], 0x20);
+    rows[c + 4] = _mm256_permute2f128_ps(u[c], u[c + 4], 0x31);
+  }
+}
+
+/// LayerNormRowLoop's arithmetic for rows [r0, r0 + 16) of an h % 8 == 0
+/// matrix, lane i of each zmm computing row r0 + i. The rows are first
+/// transposed into a scratch panel (column j of the 16 rows at
+/// panel + 16 j), so each sum walks its row in the loop's order: lane i
+/// adds row[0], row[1], ... to its own mean and its own variance chain,
+/// with the same roundings. The product d * d is pinned as its own
+/// rounding, as in the loop: an FMA contraction of the add would move the
+/// bits. The output pass is the loop's, row by row: (x - mean) * inv,
+/// then fma(gamma, xhat, beta).
+void LayerNormSixteenRows(const float* x, const float* gamma,
+                          const float* beta, float eps, int64_t r0, int64_t h,
+                          float* y, float* xhat, float* inv_std) {
+  thread_local std::vector<float> scratch;
+  float* panel = Grow(scratch, kLayerNormLanes * h);
+  const float* x0 = x + r0 * h;
+  for (int64_t j = 0; j < h; j += 8) {
+    for (int64_t half = 0; half < 2; ++half) {
+      __m256 block[8];
+      for (int64_t i = 0; i < 8; ++i) {
+        block[i] = _mm256_loadu_ps(x0 + (half * 8 + i) * h + j);
+      }
+      Transpose8x8(block);
+      for (int64_t c = 0; c < 8; ++c) {
+        _mm256_storeu_ps(panel + (j + c) * kLayerNormLanes + half * 8,
+                         block[c]);
+      }
+    }
+  }
+  const __m512 count = _mm512_set1_ps(static_cast<float>(h));
+  __m512 mean = _mm512_setzero_ps();
+  for (int64_t j = 0; j < h; ++j) {
+    mean = _mm512_add_ps(mean, _mm512_loadu_ps(panel + j * kLayerNormLanes));
+  }
+  mean = _mm512_div_ps(mean, count);
+  __m512 var = _mm512_setzero_ps();
+  for (int64_t j = 0; j < h; ++j) {
+    const __m512 d =
+        _mm512_sub_ps(_mm512_loadu_ps(panel + j * kLayerNormLanes), mean);
+    __m512 square = _mm512_mul_ps(d, d);
+    asm("" : "+v"(square));  // keeps d * d its own rounding (no FMA)
+    var = _mm512_add_ps(var, square);
+  }
+  var = _mm512_div_ps(var, count);
+  const __m512 inv = _mm512_div_ps(
+      _mm512_set1_ps(1.0f),
+      _mm512_maskz_sqrt_ps(kAll16,
+                           _mm512_add_ps(var, _mm512_set1_ps(eps))));
+  alignas(64) float means[kLayerNormLanes];
+  alignas(64) float invs[kLayerNormLanes];
+  _mm512_store_ps(means, mean);
+  _mm512_store_ps(invs, inv);
+  if (inv_std != nullptr) _mm512_storeu_ps(inv_std + r0, inv);
+  for (int64_t i = 0; i < kLayerNormLanes; ++i) {
+    const int64_t r = r0 + i;
+    const __m256 m = _mm256_set1_ps(means[i]);
+    const __m256 v = _mm256_set1_ps(invs[i]);
+    for (int64_t j = 0; j < h; j += 8) {
+      const __m256 xh =
+          _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + r * h + j), m), v);
+      if (xhat != nullptr) _mm256_storeu_ps(xhat + r * h + j, xh);
+      _mm256_storeu_ps(y + r * h + j,
+                       _mm256_fmadd_ps(_mm256_loadu_ps(gamma + j), xh,
+                                       _mm256_loadu_ps(beta + j)));
+    }
+  }
+}
+
+#endif  // __AVX512F__
+
+}  // namespace
+
+void LayerNormRows(const float* x, const float* gamma, const float* beta,
+                   float eps, int64_t rows, int64_t h, float* y, float* xhat,
+                   float* inv_std) {
+  int64_t r = 0;
+#if defined(__AVX512F__)
+  if (h % 8 == 0) {
+    for (; r + kLayerNormLanes <= rows; r += kLayerNormLanes) {
+      LayerNormSixteenRows(x, gamma, beta, eps, r, h, y, xhat, inv_std);
+    }
+  }
+#endif
+  LayerNormRowLoop(x, gamma, beta, eps, r, rows, h, y, xhat, inv_std);
 }
 
 void LayerNormGradRows(const float* gamma, const float* xhat,
@@ -939,8 +1070,9 @@ void AttentionBlockForward(const AttentionBlock& block, const float* q,
                        int64_t n, int64_t sr) {
       for (int64_t r = r0; r < r0 + n; ++r) {
         float* row = scores + r * ld_scores;
-        const float* mask =
-            sp.mask != nullptr ? sp.mask + (sr + r - r0) * width : nullptr;
+        const float* mask = sp.mask != nullptr
+                                ? sp.mask + (sr + r - r0) * sp.mask_stride
+                                : nullptr;
         SoftmaxRowWithMax(row, row, width, MaskedRowMax(row, mask, row, width));
         if (probs != nullptr) {
           std::copy(row, row + width, probs + (b0 + r) * width);

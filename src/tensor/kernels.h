@@ -123,11 +123,15 @@ void Gemm(const float* a, const float* b, const float* bias, float* c,
 
 /// One span of an attention block: `rows` query rows, right after the
 /// previous span's, attending over the block's sm shared memory keys and
-/// then its own width - sm key/value rows from `own_begin`.
+/// then its own width - sm key/value rows from `own_begin`. Query row r of
+/// the span adds the `width` floats at mask + r * mask_stride: a stride of
+/// width walks a rows x width mask, a stride of 0 adds one row to every
+/// query row.
 struct AttentionBlockSpan {
   int64_t rows = 0;
   int64_t own_begin = 0;
-  const float* mask = nullptr;  // rows x width additive mask, or null
+  const float* mask = nullptr;  // additive mask, or null
+  int64_t mask_stride = 0;      // 0 or the block's width
 };
 
 /// The geometry of one (group, head) attention block. q, k, v and out rows

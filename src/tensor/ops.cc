@@ -715,9 +715,10 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
     TASTE_CHECK_MSG(s.query.rows == 0 || width > 0,
                     "Attention span has queries but no keys");
     if (s.mask != nullptr) {
+      const int64_t mask_rows = s.shared_mask_row ? 1 : s.query.rows;
       TASTE_CHECK_MSG(s.mask->rank() == 2 && s.mask->dim(1) == width &&
                           s.mask_row >= 0 &&
-                          s.mask_row + s.query.rows <= s.mask->dim(0),
+                          s.mask_row + mask_rows <= s.mask->dim(0),
                       "Attention mask shape mismatch");
       TASTE_CHECK_MSG(!s.mask->requires_grad(),
                       "Attention masks are constants");
@@ -744,8 +745,11 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
     for (size_t i = g.first; i < g.last; ++i) {
       const AttentionSpan& s = spans[i];
       block_spans[gi].push_back(
-          {s.query.rows, s.kv[1].begin,
-           s.mask != nullptr ? s.mask->data() + s.mask_row * width : nullptr});
+          {.rows = s.query.rows,
+           .own_begin = s.kv[1].begin,
+           .mask = s.mask != nullptr ? s.mask->data() + s.mask_row * width
+                                     : nullptr,
+           .mask_stride = s.shared_mask_row ? 0 : width});
       std::fill_n(covered.begin() + s.query.begin, s.query.rows, true);
     }
     for (int64_t a = 0; a < num_heads; ++a) {

@@ -93,12 +93,17 @@ struct RowRange {
 /// empty), `width = kv[0].rows + kv[1].rows` keys in all. `mask`, when
 /// non-null, is an additive (>= mask_row + query.rows, width) constant: its
 /// row mask_row + r is added to query row r's scaled scores, for every
-/// head. The mask is not differentiated and must not require grad.
+/// head. With `shared_mask_row`, the one row mask_row is added to every
+/// query row of the span instead (the mask needs >= mask_row + 1 rows):
+/// bitwise the per-row form over that row repeated, since each score gets
+/// the same addend. The mask is not differentiated and must not require
+/// grad.
 struct AttentionSpan {
   RowRange query;
   RowRange kv[2];
   const Tensor* mask = nullptr;
   int64_t mask_row = 0;
+  bool shared_mask_row = false;
 };
 
 /// Multi-head scaled-dot-product attention over already-projected

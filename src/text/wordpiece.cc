@@ -216,34 +216,105 @@ Vocab WordPieceTrainer::Train() const {
   return vocab;
 }
 
+WordPieceTokenizer::WordPieceTokenizer(Vocab vocab)
+    : vocab_(std::move(vocab)), trie_(BuildTrie(vocab_)) {}
+
+WordPieceTokenizer::Trie WordPieceTokenizer::BuildTrie(const Vocab& vocab) {
+  // Every token goes into a map-linked trie first; the result lays it out
+  // breadth first, so each node's edges are one sorted run.
+  std::vector<std::map<uint8_t, uint32_t>> children(1);
+  std::vector<int32_t> ids(1, -1);
+  for (int t = 0; t < vocab.size(); ++t) {
+    uint32_t node = 0;
+    for (char c : vocab.Token(t)) {
+      auto [it, inserted] = children[node].try_emplace(
+          static_cast<uint8_t>(c), static_cast<uint32_t>(children.size()));
+      node = it->second;
+      if (inserted) {
+        children.emplace_back();
+        ids.push_back(-1);
+      }
+    }
+    ids[node] = t;
+  }
+  Trie trie;
+  const size_t nodes = children.size();
+  trie.id.reserve(nodes);
+  trie.first_edge.reserve(nodes + 1);
+  trie.edge_byte.reserve(nodes - 1);
+  trie.edge_child.reserve(nodes - 1);
+  // order[n] is the map node laid out as node n: a node's children get
+  // the next numbers as it is laid out, so the queue is `order` itself.
+  std::vector<uint32_t> order = {0};
+  for (size_t n = 0; n < order.size(); ++n) {
+    trie.id.push_back(ids[order[n]]);
+    trie.first_edge.push_back(static_cast<uint32_t>(trie.edge_byte.size()));
+    for (const auto& [byte, child] : children[order[n]]) {
+      trie.edge_byte.push_back(byte);
+      trie.edge_child.push_back(static_cast<uint32_t>(order.size()));
+      order.push_back(child);
+    }
+  }
+  trie.first_edge.push_back(static_cast<uint32_t>(trie.edge_byte.size()));
+  const uint32_t hash = trie.Child(0, '#');
+  const uint32_t continuation =
+      hash == Trie::kNone ? hash : trie.Child(hash, '#');
+  trie.first_step.assign(2 * 256, Trie::kNone);
+  for (int b = 0; b < 256; ++b) {
+    trie.first_step[b] = trie.Child(0, static_cast<uint8_t>(b));
+    if (continuation != Trie::kNone) {
+      trie.first_step[256 + b] =
+          trie.Child(continuation, static_cast<uint8_t>(b));
+    }
+  }
+  return trie;
+}
+
+uint32_t WordPieceTokenizer::Trie::Child(uint32_t node, uint8_t byte) const {
+  const uint32_t end = first_edge[node + 1];
+  for (uint32_t e = first_edge[node]; e < end; ++e) {
+    if (edge_byte[e] >= byte) {
+      return edge_byte[e] == byte ? edge_child[e] : kNone;
+    }
+  }
+  return kNone;
+}
+
+size_t WordPieceTokenizer::trie_bytes() const {
+  return trie_.id.size() * sizeof(int32_t) +
+         trie_.first_edge.size() * sizeof(uint32_t) +
+         trie_.edge_byte.size() * sizeof(uint8_t) +
+         trie_.edge_child.size() * sizeof(uint32_t) +
+         trie_.first_step.size() * sizeof(uint32_t);
+}
+
 void WordPieceTokenizer::EncodeWord(std::string_view word,
                                     std::vector<int>* out) const {
   // BERT's max_input_chars_per_word: a longer pre-token is one [UNK]
   // without a max-munch pass over it, so one huge identifier in a cell
-  // cannot cost a lookup per byte however few ids are wanted.
+  // cannot cost a trie step per byte however few ids are wanted.
   if (word.size() > kMaxWordBytes) {
     out->push_back(Vocab::kUnkId);
     return;
   }
-  // No candidate longer than the vocabulary's longest token can match, so
-  // max-munch starts there rather than at the whole remaining word.
-  const size_t max_len = vocab_.max_token_length();
-  // Each position's longest candidate is copied once behind a "##"
-  // prefix; every shorter candidate is a prefix of it, with or without
-  // the "##".
-  std::string buf(2 + std::min(word.size(), max_len), '#');
   const size_t first = out->size();
   size_t pos = 0;
   while (pos < word.size()) {
-    const size_t prefix = pos == 0 ? 0 : 2;
-    size_t len =
-        max_len > prefix ? std::min(word.size() - pos, max_len - prefix) : 0;
-    word.copy(buf.data() + 2, len, pos);
-    const char* candidate = buf.data() + 2 - prefix;
+    // The first piece is spelled from the root, every later one from the
+    // "##" node. The deepest token on the walk is the longest candidate
+    // the vocabulary holds; the walk ends where no token goes on, so it
+    // never looks past the vocabulary's longest token.
+    uint32_t node = trie_.first_step[(pos == 0 ? 0 : 256) +
+                                     static_cast<uint8_t>(word[pos])];
     int id = -1;
-    for (; len > 0; --len) {
-      id = vocab_.Find(std::string_view(candidate, prefix + len));
-      if (id >= 0) break;
+    size_t len = 0;
+    for (size_t i = pos + 1; node != Trie::kNone; ++i) {
+      if (trie_.id[node] >= 0) {
+        id = trie_.id[node];
+        len = i - pos;
+      }
+      if (i == word.size()) break;
+      node = trie_.Child(node, static_cast<uint8_t>(word[i]));
     }
     if (id < 0) {
       // Whole word becomes [UNK] (BERT semantics).

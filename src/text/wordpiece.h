@@ -1,5 +1,6 @@
 // From-scratch WordPiece tokenization: normalization, a BPE-style subword
-// vocabulary trainer, and the greedy longest-match-first encoder.
+// vocabulary trainer, and the greedy longest-match-first encoder, which
+// walks a byte trie over the vocabulary.
 //
 // This substitutes for the HuggingFace tokenizer used by the paper's
 // implementation. The "##" continuation convention and special tokens
@@ -53,12 +54,20 @@ class WordPieceTrainer {
 };
 
 /// Greedy longest-match-first WordPiece encoder over a fixed vocabulary.
+///
+/// The vocabulary is compiled once, at construction, into a byte trie
+/// (Song et al., "Fast WordPiece Tokenization", EMNLP 2021, without the
+/// failure links): max-munch at a position walks the trie along the word's
+/// bytes and keeps the last node that spells a token, instead of probing
+/// the vocabulary's hash table once per candidate length. The trie holds
+/// exactly the vocabulary's tokens, so the walk finds the same longest
+/// match, and the ids are the probing encoder's.
 class WordPieceTokenizer {
  public:
   /// Pre-tokens longer than this many bytes encode to a single [UNK].
   static constexpr size_t kMaxWordBytes = 100;
 
-  explicit WordPieceTokenizer(Vocab vocab) : vocab_(std::move(vocab)) {}
+  explicit WordPieceTokenizer(Vocab vocab);
 
   /// Encodes raw text to token ids (no special tokens added).
   std::vector<int> Encode(const std::string& text) const;
@@ -72,7 +81,31 @@ class WordPieceTokenizer {
 
   const Vocab& vocab() const { return vocab_; }
 
+  /// Resident bytes of the vocabulary trie (its arrays).
+  size_t trie_bytes() const;
+
  private:
+  /// The vocabulary as a byte trie. Node 0 is the root; node n's children
+  /// are the edges [first_edge[n], first_edge[n + 1]), sorted by byte, and
+  /// `id[n]` is the id of the token that spells the path to n, or -1.
+  struct Trie {
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    std::vector<int32_t> id;
+    std::vector<uint32_t> first_edge;
+    std::vector<uint8_t> edge_byte;
+    std::vector<uint32_t> edge_child;
+    /// The children of the root and of the "##" node (where every later
+    /// piece starts) by byte, kNone where there is none: the two nodes
+    /// with the most edges, looked up once per piece.
+    std::vector<uint32_t> first_step;  // 2 x 256
+
+    /// `node`'s child along `byte`, or kNone.
+    uint32_t Child(uint32_t node, uint8_t byte) const;
+  };
+
+  static Trie BuildTrie(const Vocab& vocab);
+
   /// WordPiece max-munch over one pre-token; appends ids.
   void EncodeWord(std::string_view word, std::vector<int>* out) const;
 
@@ -83,6 +116,7 @@ class WordPieceTokenizer {
                   std::vector<int>* out) const;
 
   Vocab vocab_;
+  Trie trie_;
 };
 
 }  // namespace taste::text

@@ -373,6 +373,75 @@ TEST(AttentionOpTest, PooledAnchorGroupsMatchBitwise) {
   ExpectMatchesReference(q, k, v, heads, spans, "anchors of two tables");
 }
 
+/// `spans`, each with its own mask row written out once per query row: the
+/// per-row form that a shared mask row stands for. The rows go to `*rows`,
+/// span after span; every masked span must have the width `width`.
+std::vector<AttentionSpan> RepeatSharedRows(
+    const std::vector<AttentionSpan>& spans, int64_t width, Tensor* rows) {
+  int64_t total = 0;
+  for (const AttentionSpan& s : spans) total += s.query.rows;
+  *rows = Tensor::Zeros({total, width});
+  std::vector<AttentionSpan> out = spans;
+  int64_t next = 0;
+  for (AttentionSpan& s : out) {
+    if (s.mask == nullptr || !s.shared_mask_row) continue;
+    for (int64_t r = 0; r < s.query.rows; ++r) {
+      std::memcpy(rows->data() + (next + r) * width,
+                  s.mask->data() + s.mask_row * width, sizeof(float) * width);
+    }
+    s.mask = rows;
+    s.mask_row = next;
+    s.shared_mask_row = false;
+    next += s.query.rows;
+  }
+  return out;
+}
+
+TEST(AttentionOpTest, SharedMaskRowMatchesRepeatedRowsBitwise) {
+  // The content tower's segment j adds one mask row, row j, to every query
+  // row of its span. Written out per query row, the same mask must give
+  // the same bytes, serially and on the pool, for all-rows spans and for
+  // the last layer's first-rows spans; the written-out form must in turn
+  // match the unfused chain. 64 segments put both forms over the op's
+  // pool threshold.
+  Rng rng(37);
+  const int64_t heads = 4, hd = 26, hidden = heads * hd;
+  const int64_t segments = 64, seg = 27, memory = 111, width = memory + seg;
+  const int64_t rows = segments * seg;
+  const Tensor q = Tensor::Randn({rows, hidden}, rng);
+  const Tensor k = Tensor::Randn({memory + rows, hidden}, rng);
+  const Tensor v = Tensor::Randn({memory + rows, hidden}, rng);
+  const Tensor seg_mask = RandomMask(segments, width, rng);
+  for (const bool first_rows : {false, true}) {
+    const char* what = first_rows ? "first rows" : "all rows";
+    std::vector<AttentionSpan> spans;
+    for (int64_t j = 0; j < segments; ++j) {
+      AttentionSpan s;
+      s.query = first_rows ? RowRange{j, 1} : RowRange{j * seg, seg};
+      s.kv[0] = {0, memory};
+      s.kv[1] = {memory + j * seg, seg};
+      s.mask = &seg_mask;
+      s.mask_row = j;
+      s.shared_mask_row = true;
+      spans.push_back(s);
+    }
+    const Tensor qs = first_rows ? SliceRows(q, 0, segments) : q;
+    Tensor repeated_mask;
+    const std::vector<AttentionSpan> repeated =
+        RepeatSharedRows(spans, width, &repeated_mask);
+    ExpectMatchesReference(qs, k, v, heads, repeated, what);
+    const Tensor want = Attention(qs, k, v, heads, repeated);
+    EXPECT_TRUE(SameBytes(Attention(qs, k, v, heads, spans), want))
+        << what << " (serial)";
+    ExecContext::Options opt;
+    opt.intra_op_threads = 4;
+    ExecContext ctx(opt);
+    ScopedExecContext bind(&ctx);
+    EXPECT_TRUE(SameBytes(Attention(qs, k, v, heads, spans), want))
+        << what << " (pooled)";
+  }
+}
+
 /// The unfused autograd chain for spans of one query length and one width:
 /// every (span, head) block is one batch entry, span-major, so a key or
 /// value row that several spans read accumulates its gradient in span

@@ -11,10 +11,13 @@
 // reference gradient).
 //
 // The last layer at the anchors: the reference runs every layer of both
-// towers over every row (dense Forward for the metadata tower,
-// ForwardSegmented for the content tower), then gathers the anchor rows.
-// The model's anchor states, latents and logits, and one training step's
-// parameter gradients, must equal it bit for bit, in fp32 and int8.
+// towers over every row (dense Forward for the metadata tower, with its
+// mask row written out per query row, and ForwardSegmented for the content
+// tower), then gathers the anchor rows. The model's anchor states, latents
+// and logits, and one training step's parameter gradients, must equal it
+// bit for bit, in fp32 and int8. Without a tape the model projects only
+// the anchor rows' queries; with one, it projects every row and gathers,
+// and the two must give the same bytes.
 
 #include <gtest/gtest.h>
 
@@ -154,13 +157,16 @@ class DenseReference : public nn::Module {
     }
   }
 
-  /// Every layer over every row, then the anchors: L+1 latents.
+  /// Every layer over every row, then the anchors: L+1 latents. The mask
+  /// is the encoder's one row written out once per query row.
   AdtdModel::MetadataEncoding ForwardMetadata(const EncodedMetadata& em) {
     AdtdModel::MetadataEncoding out;
+    const Tensor mask = tensor::GatherRows(
+        em.attention_mask, std::vector<int>(em.token_ids.size(), 0));
     Tensor h = Embed(em.token_ids);
     out.layer_latents.push_back(h);
     for (int64_t i = 0; i < encoder_.num_layers(); ++i) {
-      h = encoder_.block(i).Forward(h, &em.attention_mask);
+      h = encoder_.block(i).Forward(h, &mask);
       out.layer_latents.push_back(h);
     }
     out.anchor_states = tensor::GatherRows(h, em.column_anchors);
@@ -426,6 +432,46 @@ TEST(AnchorLayerTest, Int8MatchesFullLastLayerBits) {
   const AdtdModel::MetadataEncoding menc = rig.model->ForwardMetadata(em);
   EXPECT_FALSE(SameBytes(rig.model->ForwardContent(ec, em, menc, &ctx),
                          rig.model->ForwardContent(ec, em, menc)));
+}
+
+TEST(AnchorLayerTest, NoGradForwardsMatchRecordedBits) {
+  // A recorded forward (gradients on, model in eval mode) projects every
+  // row of the last layer and gathers the anchors; a forward without a
+  // tape gathers first. P1 never enters the int8 window, so under an int8
+  // context both P1 forms are fp32 and must agree too. (Int8 P2 runs only
+  // without a tape; Int8MatchesFullLastLayerBits pins it to the full last
+  // layer.)
+  Rig rig(/*prepack=*/true);
+  for (tensor::P2Dtype dtype :
+       {tensor::P2Dtype::kFp32, tensor::P2Dtype::kInt8}) {
+    SCOPED_TRACE(tensor::P2DtypeName(dtype));
+    tensor::ExecContext::Options recorded_opt = CtxOptions(dtype);
+    recorded_opt.no_grad = false;
+    tensor::ExecContext recorded_ctx(recorded_opt);
+    tensor::ExecContext no_grad_ctx(CtxOptions(dtype));
+    for (const auto& [ncols, empty] :
+         std::vector<std::pair<int, std::vector<int>>>{
+             {1, {}}, {3, {1}}, {16, {}}}) {
+      SCOPED_TRACE(::testing::Message() << ncols << " columns");
+      const EncodedMetadata em = rig.encoder->EncodeMetadata(MakeTable(ncols));
+      const EncodedContent ec =
+          rig.encoder->EncodeContent(em, MakeContent(ncols, empty));
+      const AdtdModel::MetadataEncoding recorded =
+          rig.model->ForwardMetadata(em, &recorded_ctx);
+      ASSERT_TRUE(recorded.anchor_states.requires_grad());
+      const AdtdModel::MetadataEncoding got =
+          rig.model->ForwardMetadata(em, &no_grad_ctx);
+      ASSERT_FALSE(got.anchor_states.requires_grad());
+      EXPECT_TRUE(SameBytes(got.anchor_states, recorded.anchor_states));
+      EXPECT_TRUE(SameBytes(got.logits, recorded.logits));
+      if (dtype == tensor::P2Dtype::kFp32) {
+        EXPECT_TRUE(
+            SameBytes(rig.model->ForwardContent(ec, em, got, &no_grad_ctx),
+                      rig.model->ForwardContent(ec, em, recorded,
+                                                &recorded_ctx)));
+      }
+    }
+  }
 }
 
 TEST(AnchorLayerTest, PooledContextMatchesSerialFullLastLayer) {

@@ -479,6 +479,52 @@ TEST(KernelsTest, LayerNormRowsNormalizes) {
   for (size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], xhat[i]);
 }
 
+TEST(KernelsTest, LayerNormRowsManyRowsMatchOneRowAtATimeBitwise) {
+  // Under AVX-512 whole groups of 16 rows (h % 8 == 0) are normalized side
+  // by side, one row per lane; every other row runs the one-row loop. Each
+  // row's y, xhat and inv_std must be the bytes of normalizing it alone,
+  // for every row count (all leftover, whole groups, groups plus leftover)
+  // and with or without the side buffers the backward reads.
+  for (int64_t h : {8, 12, 48, 312}) {
+    for (int64_t rows = 1; rows <= 40; ++rows) {
+      SCOPED_TRACE(::testing::Message() << "h=" << h << " rows=" << rows);
+      Rng rng(static_cast<uint64_t>(100 * h + rows));
+      std::vector<float> x = RandomVec(rows * h, rng);
+      // Rows far from zero mean, as post-residual activations are.
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t j = 0; j < h; ++j) x[r * h + j] += 0.5f * (r % 7);
+      }
+      const std::vector<float> gamma = RandomVec(h, rng);
+      const std::vector<float> beta = RandomVec(h, rng);
+      std::vector<float> want_y(x.size()), want_xhat(x.size()),
+          want_inv(static_cast<size_t>(rows));
+      for (int64_t r = 0; r < rows; ++r) {
+        LayerNormRows(x.data() + r * h, gamma.data(), beta.data(), 1e-5f, 1,
+                      h, want_y.data() + r * h, want_xhat.data() + r * h,
+                      want_inv.data() + r);
+      }
+      std::vector<float> y(x.size()), xhat(x.size()),
+          inv(static_cast<size_t>(rows));
+      LayerNormRows(x.data(), gamma.data(), beta.data(), 1e-5f, rows, h,
+                    y.data(), xhat.data(), inv.data());
+      EXPECT_EQ(std::memcmp(y.data(), want_y.data(), sizeof(float) * y.size()),
+                0);
+      EXPECT_EQ(std::memcmp(xhat.data(), want_xhat.data(),
+                            sizeof(float) * xhat.size()),
+                0);
+      EXPECT_EQ(
+          std::memcmp(inv.data(), want_inv.data(), sizeof(float) * inv.size()),
+          0);
+      std::vector<float> y_only(x.size());
+      LayerNormRows(x.data(), gamma.data(), beta.data(), 1e-5f, rows, h,
+                    y_only.data(), nullptr, nullptr);
+      EXPECT_EQ(std::memcmp(y_only.data(), want_y.data(),
+                            sizeof(float) * y_only.size()),
+                0);
+    }
+  }
+}
+
 TEST(KernelsTest, GeluRowsMatchesClosedForm) {
   constexpr float kC = 0.7978845608028654f;
   constexpr float kA = 0.044715f;

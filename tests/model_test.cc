@@ -148,7 +148,8 @@ TEST(EncodingTest, MetadataLayoutAndAnchors) {
   EXPECT_EQ(em.features.shape(),
             (Shape{ncols, NonTextualFeatures::kDim}));
   int64_t sm = static_cast<int64_t>(em.token_ids.size());
-  EXPECT_EQ(em.attention_mask.shape(), (Shape{sm, sm}));
+  // Every query sees the same keys: one mask row.
+  EXPECT_EQ(em.attention_mask.shape(), (Shape{1, sm}));
 }
 
 TEST(EncodingTest, MaskBlocksExactlyPadKeys) {
@@ -159,7 +160,7 @@ TEST(EncodingTest, MaskBlocksExactlyPadKeys) {
   int64_t sm = static_cast<int64_t>(em.token_ids.size());
   for (int64_t k = 0; k < sm; ++k) {
     bool is_pad = em.token_ids[static_cast<size_t>(k)] == text::Vocab::kPadId;
-    float m = em.attention_mask.data()[k];  // first query row
+    float m = em.attention_mask.data()[k];  // the one row every query uses
     EXPECT_EQ(m < -1e8f, is_pad) << "key " << k;
   }
 }
@@ -183,10 +184,11 @@ TEST(EncodingTest, ContentSegmentsAndAnchors) {
     EXPECT_EQ(ec.token_ids[static_cast<size_t>(ec.column_anchors[i])],
               text::Vocab::kClsId);
   }
-  int64_t sc = static_cast<int64_t>(ec.token_ids.size());
+  int64_t segments = static_cast<int64_t>(ec.scanned.size());
   int64_t sm = static_cast<int64_t>(em.token_ids.size());
-  // Column-segmented layout: metadata keys, then the query's own segment.
-  EXPECT_EQ(ec.cross_mask.shape(), (Shape{sc, sm + seg}));
+  // Column-segmented layout: metadata keys, then the query's own segment,
+  // one row per segment.
+  EXPECT_EQ(ec.cross_mask.shape(), (Shape{segments, sm + seg}));
 }
 
 TEST(EncodingTest, EmptyCellsSkipped) {
@@ -205,9 +207,9 @@ TEST(EncodingTest, EmptyCellsSkipped) {
 }
 
 TEST(EncodingTest, CrossMaskSeparatesColumns) {
-  // Each mask row covers the metadata keys and then the keys of the
-  // query's own column segment, so another column's content has no key
-  // position at all. Own-segment and metadata PAD keys are blocked; the
+  // Each mask row covers the metadata keys and then the keys of one
+  // column segment, and every query of that segment uses it, so another
+  // column's content has no key position at all. Own-segment and metadata PAD keys are blocked; the
   // metadata anchors (every column's, not just the query's) are open.
   Fixture f = Fixture::Make();
   clouddb::TableMetadata meta = FirstTableMeta(f);
@@ -222,11 +224,11 @@ TEST(EncodingTest, CrossMaskSeparatesColumns) {
   const int64_t sm = static_cast<int64_t>(em.token_ids.size());
   const int64_t seg = cfg.segment_len();
   const int64_t sc = static_cast<int64_t>(ec.token_ids.size());
-  ASSERT_EQ(ec.cross_mask.shape(), (Shape{sc, sm + seg}));
+  ASSERT_EQ(ec.cross_mask.shape(), (Shape{sc / seg, sm + seg}));
   bool saw_meta_pad = false;
   bool saw_own_pad = false;
   for (int64_t q = 0; q < sc; ++q) {
-    const float* row = ec.cross_mask.data() + q * (sm + seg);
+    const float* row = ec.cross_mask.data() + (q / seg) * (sm + seg);
     for (int64_t k = 0; k < sm; ++k) {
       const bool pad = em.token_ids[static_cast<size_t>(k)] ==
                        text::Vocab::kPadId;

@@ -13,6 +13,7 @@
 #include "nn/layers.h"
 #include "nn/serialize.h"
 #include "nn/transformer.h"
+#include "tensor/exec_context.h"
 #include "tensor/optimizer.h"
 #include "tensor/ops.h"
 
@@ -186,14 +187,15 @@ TEST(TransformerBlockTest, ForwardRowsAreThoseRowsOfForward) {
 }
 
 TEST(TransformerBlockTest, FirstRowsAreThoseRowsOfAllRows) {
-  // Groups with their own memories, segment lengths and row-varying masks;
-  // kFirstRows returns each segment's first row of kAllRows.
+  // Groups with their own memories, segment lengths and masks whose
+  // segment rows differ; kFirstRows returns each segment's first row of
+  // kAllRows.
   Rng rng(15);
   TransformerBlock block(48, 4, 64, 0.0f, rng);
   const Tensor mem_a = Tensor::Randn({7, 48}, rng);
   const Tensor mem_b = Tensor::Randn({4, 48}, rng);
-  const Tensor mask_a = RowVaryingMask(3 * 5, 7 + 5);
-  const Tensor mask_b = RowVaryingMask(2 * 3, 4 + 3);
+  const Tensor mask_a = RowVaryingMask(3, 7 + 5);
+  const Tensor mask_b = RowVaryingMask(2, 4 + 3);
   const Tensor x_a = Tensor::Randn({15, 48}, rng);
   const Tensor x_b = Tensor::Randn({6, 48}, rng);
   tensor::NoGradGuard no_grad;
@@ -205,6 +207,74 @@ TEST(TransformerBlockTest, FirstRowsAreThoseRowsOfAllRows) {
   EXPECT_TRUE(SameBytes(
       block.ForwardSegmented(x_b, group_b, SegmentQueries::kFirstRows),
       tensor::GatherRows(block.ForwardSegmented(x_b, group_b), {0, 3})));
+}
+
+/// `row` (1, cols) written out `rows` times.
+Tensor RepeatRow(const Tensor& row, int64_t rows) {
+  std::vector<int> copies(static_cast<size_t>(rows), 0);
+  return tensor::GatherRows(row, copies);
+}
+
+TEST(TransformerBlockTest, OneMaskRowMatchesRepeatedRows) {
+  // A (1, skv) mask adds its one row to every query row: bitwise the same
+  // row written out once per query row, in every attention form.
+  Rng rng(18);
+  TransformerBlock block(48, 4, 64, 0.0f, rng);
+  const Tensor x = Tensor::Randn({17, 48}, rng);
+  const Tensor kv = Tensor::Randn({9, 48}, rng);
+  const Tensor row = tensor::SliceRows(RowVaryingMask(2, 17), 1, 2);
+  const Tensor cross_row = tensor::SliceRows(RowVaryingMask(2, 9), 1, 2);
+  const std::vector<int> rows = {5, 0, 16, 9};
+  tensor::NoGradGuard no_grad;
+  const Tensor repeated = RepeatRow(row, 17);
+  EXPECT_TRUE(
+      SameBytes(block.Forward(x, &row), block.Forward(x, &repeated)));
+  EXPECT_TRUE(SameBytes(block.ForwardRows(x, rows, &row),
+                        block.ForwardRows(x, rows, &repeated)));
+  const Tensor cross_repeated = RepeatRow(cross_row, 17);
+  EXPECT_TRUE(SameBytes(block.Forward(x, kv, &cross_row),
+                        block.Forward(x, kv, &cross_repeated)));
+}
+
+TEST(TransformerBlockTest, NoGradRowsMatchRecordedRowsBitwise) {
+  // Without a tape the row forms project only the query rows they keep;
+  // a recorded forward projects every row and gathers. The projection is
+  // row-stable, so both give the same bytes in fp32; in int8 (which runs
+  // only without a tape) the rows equal those of the full int8 layer.
+  Rng rng(19);
+  TransformerBlock block(48, 4, 64, 0.0f, rng);
+  const Tensor x = Tensor::Randn({17, 48}, rng);
+  const Tensor mask = tensor::SliceRows(RowVaryingMask(2, 17), 1, 2);
+  const std::vector<int> rows = {5, 0, 16, 9};
+  const Tensor mem = Tensor::Randn({7, 48}, rng);
+  const Tensor seg_mask = RowVaryingMask(3, 7 + 5);
+  const Tensor xs = Tensor::Randn({15, 48}, rng);
+  const SegmentGroup group{&mem, &seg_mask, 3, 5};
+  const Tensor recorded_rows = block.ForwardRows(x, rows, &mask);
+  const Tensor recorded_first =
+      block.ForwardSegmented(xs, group, SegmentQueries::kFirstRows);
+  ASSERT_TRUE(recorded_rows.requires_grad());
+  {
+    tensor::NoGradGuard no_grad;
+    EXPECT_TRUE(SameBytes(block.ForwardRows(x, rows, &mask), recorded_rows));
+    EXPECT_TRUE(SameBytes(
+        block.ForwardSegmented(xs, group, SegmentQueries::kFirstRows),
+        recorded_first));
+  }
+  block.PrepackQuant();
+  tensor::ExecContext::Options opt;
+  opt.no_grad = true;
+  opt.p2_dtype = tensor::P2Dtype::kInt8;
+  tensor::ExecContext ctx(opt);
+  tensor::ScopedExecContext bind(&ctx);
+  tensor::ScopedQuantRegion quant(&ctx);
+  const Tensor int8_rows = block.ForwardRows(x, rows, &mask);
+  EXPECT_TRUE(SameBytes(int8_rows,
+                        tensor::GatherRows(block.Forward(x, &mask), rows)));
+  EXPECT_FALSE(SameBytes(int8_rows, recorded_rows));  // int8 did run
+  EXPECT_TRUE(SameBytes(
+      block.ForwardSegmented(xs, group, SegmentQueries::kFirstRows),
+      tensor::GatherRows(block.ForwardSegmented(xs, group), {0, 5, 10})));
 }
 
 TEST(TransformerEncoderTest, StackForward) {

@@ -4,12 +4,14 @@
 // EncodeFixed must return exactly `len` ids, and Encode must equal the
 // reference max-munch below, which builds every candidate string from the
 // whole remaining word down (and, like the encoder, maps a pre-token over
-// kMaxWordBytes to one [UNK]).
+// kMaxWordBytes to one [UNK]). Over random vocabularies, the encoder's trie
+// walk must also equal the hash-probing max-munch it replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -224,6 +226,155 @@ TEST(TokenizerFuzzTest, HundredThousandWordCell) {
     ASSERT_EQ(fixed.size(), static_cast<size_t>(len));
     EXPECT_TRUE(std::equal(fixed.begin(), fixed.end(), ids.begin()));
   }
+}
+
+// -- Random vocabularies against the hash-probing encoder ---------------------
+
+/// The hash-probing max-munch the trie walk replaced: at each position,
+/// one vocabulary lookup per candidate, from the longest the vocabulary's
+/// longest token allows down to one byte.
+void ProbingEncodeWord(const Vocab& vocab, std::string_view word,
+                       std::vector<int>* out) {
+  if (word.size() > WordPieceTokenizer::kMaxWordBytes) {
+    out->push_back(Vocab::kUnkId);
+    return;
+  }
+  const size_t max_len = vocab.max_token_length();
+  std::string buf(2 + std::min(word.size(), max_len), '#');
+  const size_t first = out->size();
+  size_t pos = 0;
+  while (pos < word.size()) {
+    const size_t prefix = pos == 0 ? 0 : 2;
+    size_t len =
+        max_len > prefix ? std::min(word.size() - pos, max_len - prefix) : 0;
+    word.copy(buf.data() + 2, len, pos);
+    const char* candidate = buf.data() + 2 - prefix;
+    int id = -1;
+    for (; len > 0; --len) {
+      id = vocab.Find(std::string_view(candidate, prefix + len));
+      if (id >= 0) break;
+    }
+    if (id < 0) {
+      out->resize(first);
+      out->push_back(Vocab::kUnkId);
+      return;
+    }
+    out->push_back(id);
+    pos += len;
+  }
+}
+
+std::vector<int> ProbingEncode(const Vocab& vocab, const std::string& text) {
+  std::vector<int> out;
+  for (const std::string& w : PreTokenize(text)) {
+    ProbingEncodeWord(vocab, w, &out);
+  }
+  return out;
+}
+
+constexpr char kAlphabet[] = "abcde0129";
+
+std::string RandomWord(Rng& rng, size_t max_len) {
+  std::string w(1 + rng.NextBelow(max_len), 'a');
+  for (char& c : w) c = kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)];
+  return w;
+}
+
+/// A vocabulary that stresses the walk: most (not all) single characters
+/// bare and as "##" pieces, random pieces of up to 8 bytes, pieces that
+/// exist only as "##" continuations, the bare "#", "##" and "###"
+/// pieces, punctuation and uppercase tokens, runs of tokens that share a
+/// long prefix, and tokens longer than any word the text holds (one past
+/// kMaxWordBytes).
+Vocab RandomVocab(Rng& rng) {
+  Vocab vocab;
+  for (const char* c = kAlphabet; *c != '\0'; ++c) {
+    if (rng.NextBelow(8) != 0) vocab.AddToken(std::string(1, *c));
+    if (rng.NextBelow(8) != 0) vocab.AddToken("##" + std::string(1, *c));
+  }
+  const int pieces = 10 + static_cast<int>(rng.NextBelow(60));
+  for (int i = 0; i < pieces; ++i) {
+    const std::string w = RandomWord(rng, 8);
+    switch (rng.NextBelow(3)) {
+      case 0: vocab.AddToken(w); break;
+      case 1: vocab.AddToken("##" + w); break;
+      default: vocab.AddToken(w); vocab.AddToken("##" + w); break;
+    }
+  }
+  for (const char* t : {"#", "##", "###", ",", "@", "$", "ABC", "[CLS]x"}) {
+    if (rng.NextBool()) vocab.AddToken(t);
+  }
+  const std::string stem = RandomWord(rng, 4) + RandomWord(rng, 4) +
+                           RandomWord(rng, 4) + "abcde";
+  for (size_t len = 2; len <= stem.size(); len += 1 + rng.NextBelow(3)) {
+    vocab.AddToken(stem.substr(0, len) + kAlphabet[rng.NextBelow(9)]);
+    vocab.AddToken("##" + stem.substr(0, len));
+  }
+  vocab.AddToken(stem + stem + stem);
+  std::string longest(WordPieceTokenizer::kMaxWordBytes + 1, 'a');
+  for (char& c : longest) c = kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)];
+  vocab.AddToken(longest);
+  vocab.AddToken("##" + longest);
+  return vocab;
+}
+
+TEST(TokenizerFuzzTest, RandomVocabulariesMatchProbingEncoder) {
+  Rng rng(41);
+  for (int v = 0; v < 60; ++v) {
+    const WordPieceTokenizer tok(RandomVocab(rng));
+    const Vocab& vocab = tok.vocab();
+    EXPECT_GT(tok.trie_bytes(), 0u);
+    for (int trial = 0; trial < 100; ++trial) {
+      // Words of the alphabet, of the vocabulary's own pieces glued
+      // together, and of its longest tokens, between separators and
+      // punctuation (which is its own pre-token).
+      std::string text;
+      const int words = 1 + static_cast<int>(rng.NextBelow(6));
+      for (int w = 0; w < words; ++w) {
+        switch (rng.NextBelow(3)) {
+          case 0:
+            text += RandomWord(rng, 24);
+            break;
+          case 1:
+            for (int p = 0, n = 1 + static_cast<int>(rng.NextBelow(5)); p < n;
+                 ++p) {
+              const std::string& t = vocab.Token(
+                  static_cast<int>(rng.NextBelow(vocab.size())));
+              text += t.compare(0, 2, "##") == 0 ? t.substr(2) : t;
+            }
+            break;
+          default:
+            text += vocab.Token(vocab.size() - 1 -
+                                static_cast<int>(rng.NextBelow(3)));
+            break;
+        }
+        text += " _-,@#$.!"[rng.NextBelow(9)];
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << "vocab " << v << " trial " << trial << ": " << text);
+      const std::vector<int> want = ProbingEncode(vocab, text);
+      ASSERT_EQ(tok.Encode(text), want);
+      const size_t len = rng.NextBelow(12);
+      std::vector<int> want_fixed(
+          want.begin(), want.begin() + std::min(want.size(), len));
+      want_fixed.resize(len, Vocab::kPadId);
+      ASSERT_EQ(tok.EncodeFixed(text, static_cast<int>(len)), want_fixed);
+    }
+  }
+}
+
+TEST(TokenizerFuzzTest, VocabularyWithoutContinuationsEncodesFirstPiecesOnly) {
+  // No token starts with "##": only one-piece words encode; every other
+  // word is one [UNK], as the probing encoder has it.
+  Vocab vocab;
+  for (const char* t : {"ab", "abc", "c", "#"}) vocab.AddToken(t);
+  const WordPieceTokenizer tok(vocab);
+  for (const std::string text : {"ab abc c", "abcab", "abcc # ##", "x"}) {
+    EXPECT_EQ(tok.Encode(text), ProbingEncode(vocab, text)) << text;
+  }
+  EXPECT_EQ(tok.Encode("abc ab"),
+            (std::vector<int>{vocab.Find("abc"), vocab.Find("ab")}));
+  EXPECT_EQ(tok.Encode("abcab"), std::vector<int>{Vocab::kUnkId});
 }
 
 }  // namespace
