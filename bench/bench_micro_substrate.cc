@@ -20,7 +20,6 @@
 #include "bench_common.h"
 #include "clouddb/database.h"
 #include "obs/export.h"
-#include "common/thread_pool.h"
 #include "core/taste_detector.h"
 #include "data/table_generator.h"
 #include "model/adtd.h"
@@ -266,7 +265,6 @@ double TimeGemmMs(const Fn& fn, int reps) {
 void WriteSubstrateJson() {
   const int hw_threads =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  ThreadPool intra_pool(static_cast<size_t>(hw_threads));
 
   bench::JsonWriter json;
   json.BeginObject();
@@ -292,13 +290,7 @@ void WriteSubstrateJson() {
     const double blocked_ms = TimeGemmMs(
         [&] {
           tensor::kernels::GemmAcc(a.data(), b.data(), c.data(), s.m, s.n,
-                                   s.k, false, false, nullptr);
-        },
-        reps);
-    const double parallel_ms = TimeGemmMs(
-        [&] {
-          tensor::kernels::GemmAcc(a.data(), b.data(), c.data(), s.m, s.n,
-                                   s.k, false, false, &intra_pool);
+                                   s.k, false, false);
         },
         reps);
     const double mflop = 2.0 * s.m * s.n * s.k / 1e6;
@@ -311,17 +303,13 @@ void WriteSubstrateJson() {
     json.Field("serial_gflops", mflop / serial_ms);
     json.Field("blocked_ms", blocked_ms);
     json.Field("blocked_gflops", mflop / blocked_ms);
-    json.Field("parallel_ms", parallel_ms);
-    json.Field("parallel_gflops", mflop / parallel_ms);
     json.Field("speedup_blocked", serial_ms / blocked_ms);
-    json.Field("speedup_parallel", serial_ms / parallel_ms);
     json.EndObject();
     std::printf(
         "  %-11s serial %8.3f ms (%6.2f GF/s)  blocked %8.3f ms "
-        "(%6.2f GF/s, %.2fx)  +pool %8.3f ms (%6.2f GF/s, %.2fx)\n",
+        "(%6.2f GF/s, %.2fx)\n",
         s.name, serial_ms, mflop / serial_ms, blocked_ms, mflop / blocked_ms,
-        serial_ms / blocked_ms, parallel_ms, mflop / parallel_ms,
-        serial_ms / parallel_ms);
+        serial_ms / blocked_ms);
   }
   json.EndArray();
 

@@ -12,47 +12,25 @@ ThreadPool::ThreadPool(size_t num_threads) {
   }
 }
 
-ThreadPool::~ThreadPool() { Shutdown(/*drain_pending=*/true); }
-
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  TASTE_CHECK(task != nullptr);
-  Item item;
-  item.fn = std::move(task);
-  std::future<void> fut = item.done.get_future();
+ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    TASTE_CHECK_MSG(!stop_, "Submit after shutdown");
-    queue_.push_back(std::move(item));
+    stop_ = true;
   }
-  cv_.notify_one();
-  return fut;
+  cv_.notify_all();
+  // Workers leave only once the queue is empty, so admitted tasks still run.
+  for (auto& t : threads_) t.join();
 }
 
-std::optional<std::future<void>> ThreadPool::TrySubmit(
-    std::function<void()> task) {
+bool ThreadPool::TrySubmit(std::function<void()> task) {
   TASTE_CHECK(task != nullptr);
-  Item item;
-  item.fn = std::move(task);
-  std::future<void> fut = item.done.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ || queue_.size() + running_ >= threads_.size()) {
-      return std::nullopt;
-    }
-    queue_.push_back(std::move(item));
+    if (queue_.size() + running_ >= threads_.size()) return false;
+    queue_.push_back(std::move(task));
   }
   cv_.notify_one();
-  return fut;
-}
-
-bool ThreadPool::Full() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + running_ >= threads_.size();
-}
-
-size_t ThreadPool::InFlight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + running_;
+  return true;
 }
 
 void ThreadPool::WaitIdle() {
@@ -60,29 +38,6 @@ void ThreadPool::WaitIdle() {
   idle_cv_.wait(lock, [this] {
     return queue_.empty() && running_ == 0 && completing_ == 0;
   });
-}
-
-void ThreadPool::Shutdown(bool drain_pending) {
-  std::deque<Item> discarded;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    if (!drain_pending) {
-      discarded.swap(queue_);
-      NotifyIfIdleLocked();
-    }
-  }
-  cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> join_lock(join_mu_);
-    if (!joined_) {
-      for (auto& t : threads_) t.join();
-      joined_ = true;
-    }
-  }
-  // `discarded` dies here: the promises of never-run tasks are abandoned,
-  // so their futures observe broken_promise instead of hanging — and the
-  // process does not abort.
 }
 
 void ThreadPool::NotifyIfIdleLocked() {
@@ -100,19 +55,18 @@ void ThreadPool::SetTaskCompleteCallback(std::function<void()> callback) {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    Item item;
+    std::function<void()> task;
     std::function<void()> on_complete;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (stop_ && queue_.empty()) return;
-      item = std::move(queue_.front());
+      task = std::move(queue_.front());
       queue_.pop_front();
       ++running_;
       on_complete = task_complete_callback_;
     }
-    item.fn();
-    item.done.set_value();
+    task();
     {
       std::lock_guard<std::mutex> lock(mu_);
       --running_;

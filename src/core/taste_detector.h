@@ -117,10 +117,9 @@ class TasteDetector {
 
   // The inference stages accept an optional tensor::ExecContext. The
   // context is bound for the duration of the stage so the model forward
-  // gets buffer pooling / intra-op parallelism / timing; nullptr preserves
-  // the historical behaviour exactly. Each context must be used by one
-  // thread at a time — the pipeline executor leases one per infer stage
-  // from exec_contexts().
+  // gets buffer pooling / timing; nullptr preserves the historical
+  // behaviour exactly. Each context must be used by one thread at a time —
+  // the pipeline executor leases one per infer stage from exec_contexts().
 
   /// S1 of P1: fetch metadata, split wide tables, encode.
   Status PrepareP1(clouddb::Connection* conn, const std::string& table_name,

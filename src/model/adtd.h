@@ -82,8 +82,8 @@ class AdtdModel : public nn::Module {
   };
 
   /// Runs the metadata tower (P1's model). `ctx`, if given, is bound for
-  /// the duration of the forward (buffer pooling / intra-op parallelism /
-  /// timing); nullptr inherits the calling thread's current context.
+  /// the duration of the forward (buffer pooling / timing); nullptr
+  /// inherits the calling thread's current context.
   MetadataEncoding ForwardMetadata(const EncodedMetadata& input,
                                    tensor::ExecContext* ctx = nullptr) const;
 

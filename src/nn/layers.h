@@ -18,9 +18,9 @@ using tensor::ExecContext;
 using tensor::Tensor;
 
 // All Forward() methods below take an optional ExecContext. Passing one
-// binds it for the duration of the call (buffer pooling, intra-op
-// parallelism, per-op timing); nullptr inherits whatever context the
-// calling thread already has bound — so only entry points need to pass it.
+// binds it for the duration of the call (buffer pooling, per-op timing);
+// nullptr inherits whatever context the calling thread already has bound —
+// so only entry points need to pass it.
 
 /// Affine layer y = x W + b, weight shaped (in, out).
 class Linear : public Module {

@@ -437,7 +437,7 @@ void PipelineExecutor::RunPipelined(
   // eligible. Stage completion notifies under `mu` (in run_stage below),
   // but that happens BEFORE the worker's pool slot is released — so a
   // "pool has room again" event also needs a notification or the scheduler
-  // could sleep forever staring at a stale Full(). The pools' task-complete
+  // could sleep forever after a refused TrySubmit. The pools' task-complete
   // callbacks fire after the slot is free; taking `mu` there serializes the
   // notify against the scheduler's check-then-wait, closing the race.
   auto wake_scheduler = [&mu, &cv] {
@@ -608,8 +608,7 @@ void PipelineExecutor::RunPipelined(
       Stage stage = st.next;
       ThreadPool& pool = IsPrepStage(stage) ? tp1 : tp2;
       // Bounded admission at the pool edge: refused = no free worker slot.
-      if (!pool.TrySubmit([&run_stage, i, stage] { run_stage(i, stage); })
-               .has_value()) {
+      if (!pool.TrySubmit([&run_stage, i, stage] { run_stage(i, stage); })) {
         continue;
       }
       st.in_flight = true;

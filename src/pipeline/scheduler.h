@@ -81,7 +81,7 @@ struct PipelineOptions {
   /// per-layer when a weight was never prepacked). P1 metadata forwards
   /// and the latent cache stay fp32 in both modes, so cache bytes are
   /// dtype-independent. Int8 outputs are deterministic (byte-identical
-  /// across runs, replicas, and intra-op pools) but NOT byte-identical
+  /// across runs, contexts and replicas) but NOT byte-identical
   /// to fp32 — the accuracy gate (tools/accuracy_gate.py) bounds the F1
   /// delta instead.
   tensor::P2Dtype p2_dtype = tensor::P2Dtype::kFp32;

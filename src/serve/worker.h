@@ -5,9 +5,7 @@
 // detector are built, so every replica shares those pages copy-on-write:
 // spawn (and therefore respawn after a crash) costs a fork, not a model
 // load, and every replica computes with bit-identical weights — the
-// foundation of the failover idempotency guarantee. The standalone
-// `taste_worker` binary wraps the same loop around a self-built environment
-// for manual protocol testing.
+// foundation of the failover idempotency guarantee.
 //
 // The worker is single-threaded at the protocol layer: it reads one frame
 // at a time and answers it before reading the next (inference itself may

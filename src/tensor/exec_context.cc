@@ -1,12 +1,9 @@
 #include "tensor/exec_context.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstring>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace taste::tensor {
 
@@ -53,16 +50,7 @@ BufferPool::Stats BufferPool::stats() const {
 ExecContext::ExecContext() : ExecContext(Options{}) {}
 
 ExecContext::ExecContext(const Options& options)
-    : options_(options), pool_(std::make_shared<BufferPool>()) {
-  if (options_.intra_op_threads > 1) {
-    intra_pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options_.intra_op_threads));
-  }
-}
-
-ExecContext::~ExecContext() = default;
-
-ThreadPool* ExecContext::intra_pool() const { return intra_pool_.get(); }
+    : options_(options), pool_(std::make_shared<BufferPool>()) {}
 
 ExecStats ExecContext::stats() const {
   ExecStats s = stats_;
@@ -90,8 +78,6 @@ ExecContextPool::Lease::~Lease() {
   if (ctx_ != nullptr) pool_->Return(ctx_);
 }
 
-ExecContextPool::ExecContextPool() : pid_(::getpid()) {}
-
 ExecContextPool::~ExecContextPool() {
   TASTE_CHECK_MSG(leased() == 0, "ExecContextPool destroyed with a lease out");
 }
@@ -99,16 +85,6 @@ ExecContextPool::~ExecContextPool() {
 ExecContextPool::Lease ExecContextPool::Acquire(
     const ExecContext::Options& options) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (pid_ != ::getpid()) {
-    // A fork()ed replica inherits the parent's contexts, but not the
-    // threads of their intra-op pools; a GEMM forked onto one would wait
-    // forever, and destroying one would join threads that do not exist
-    // here. Abandon them: their pages stay shared copy-on-write.
-    for (auto& ctx : contexts_) (void)ctx.release();
-    contexts_.clear();
-    idle_.clear();
-    pid_ = ::getpid();
-  }
   ExecContext* ctx = nullptr;
   for (auto it = idle_.rbegin(); it != idle_.rend(); ++it) {
     if ((*it)->options() == options) {

@@ -1,15 +1,16 @@
 // Per-inference-thread execution context for the tensor substrate.
 //
-// An ExecContext bundles the three serving-time resources the kernel layer
-// can exploit:
+// An ExecContext bundles the two serving-time resources the ops layer
+// uses:
 //
 //  * a BufferPool that recycles forward-activation buffers (a Transformer
 //    forward allocates the same handful of shapes over and over; the pool
 //    turns those mallocs + page faults into free-list pops),
-//  * an optional intra-op ThreadPool handed to the GEMM kernels for
-//    row-partitioned parallelism,
 //  * per-op timing counters (gated on Options::profile so the hooks cost
 //    nothing when off).
+//
+// Kernels are serial under every context: parallelism comes from the
+// pipeline's stage pools and the replica tier, one table per worker.
 //
 // Ownership rules (DESIGN.md §6):
 //  * An ExecContext is bound to ONE thread at a time via ScopedExecContext;
@@ -24,13 +25,9 @@
 //    LatentCache) and still return its buffer to the pool — which stays
 //    alive until the last such tensor dies — from whatever thread drops
 //    the last reference. The pool itself is thread-safe.
-//  * The intra-op pool is owned by its context, so it is never the pool
-//    the current task runs on (the fork/join inside GemmAcc would
-//    deadlock). Serving contexts are serial; intra-op pools serve kernels
-//    and tests.
 //
 // A null / unbound context preserves the historical behaviour exactly:
-// heap allocation per tensor, serial kernels, no timing.
+// heap allocation per tensor, no timing.
 
 #ifndef TASTE_TENSOR_EXEC_CONTEXT_H_
 #define TASTE_TENSOR_EXEC_CONTEXT_H_
@@ -43,10 +40,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-
-namespace taste {
-class ThreadPool;
-}
 
 namespace taste::tensor {
 
@@ -130,8 +123,6 @@ class ExecContext {
     /// autograd edges even outside a NoGradGuard. Serving contexts set
     /// this so a forgotten guard cannot silently re-grow the tape.
     bool no_grad = false;
-    /// Number of intra-op worker threads to own (<= 1 = serial kernels).
-    int intra_op_threads = 0;
     /// Numeric path for P2 content forwards executed under this context.
     /// kInt8 routes prepacked Linear layers through the int8 micro-kernel
     /// (tensor/quant.h) while inside a ScopedQuantRegion; everything else
@@ -145,7 +136,6 @@ class ExecContext {
 
   ExecContext();
   explicit ExecContext(const Options& options);
-  ~ExecContext();
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
@@ -153,9 +143,6 @@ class ExecContext {
   const Options& options() const { return options_; }
   bool no_grad() const { return options_.no_grad; }
   bool profiling() const { return options_.profile; }
-
-  /// The intra-op pool for kernels, or nullptr for serial execution.
-  ThreadPool* intra_pool() const;
 
   /// The activation pool every tensor allocated under this context draws
   /// from. Never null.
@@ -196,19 +183,18 @@ class ExecContext {
   friend class ExecContextPool;
 
   Options options_;
-  std::shared_ptr<BufferPool> pool_;             // never null
-  std::unique_ptr<ThreadPool> intra_pool_;       // null = serial kernels
-  const CancelToken* cancel_ = nullptr;           // not owned
+  std::shared_ptr<BufferPool> pool_;    // never null
+  const CancelToken* cancel_ = nullptr;  // not owned
   bool quant_active_ = false;  // inside a ScopedQuantRegion w/ int8 dtype
   ExecStats stats_;
   BufferPool::Stats pool_base_;  // pool counters at the last ResetStats()
   bool leased_ = false;          // checked out of an ExecContextPool
 };
 
-/// Thread-safe free list of ExecContexts, so that serving contexts, their
-/// intra-op pools and the activation buffers their BufferPools recycle
-/// outlive any one batch. TasteDetector owns one; every executor that
-/// shares the detector leases from it (DESIGN.md §6).
+/// Thread-safe free list of ExecContexts, so that serving contexts and the
+/// activation buffers their BufferPools recycle outlive any one batch.
+/// TasteDetector owns one; every executor that shares the detector leases
+/// from it (DESIGN.md §6).
 class ExecContextPool {
  public:
   /// Exclusive use of one context until the lease is destroyed, which
@@ -232,7 +218,7 @@ class ExecContextPool {
     ExecContext* ctx_;
   };
 
-  ExecContextPool();
+  ExecContextPool() = default;
   ~ExecContextPool();  // every lease must have ended
   ExecContextPool(const ExecContextPool&) = delete;
   ExecContextPool& operator=(const ExecContextPool&) = delete;
@@ -252,7 +238,6 @@ class ExecContextPool {
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ExecContext>> contexts_;  // owns every context
   std::vector<ExecContext*> idle_;                      // most recent last
-  int pid_;  // the process that built contexts_ (see Acquire)
 };
 
 /// RAII binder making `ctx` the calling thread's current context. Binding

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <vector>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #endif
-
-#include "common/thread_pool.h"
 
 namespace taste::tensor::kernels {
 
@@ -28,10 +25,6 @@ constexpr int64_t kKc = 256;
 constexpr int64_t kMc = 64;
 constexpr int64_t kNc = 512;
 static_assert(kMc % kMr == 0, "a row sweep must hold whole bands");
-
-/// Below this many flops (2*m*n*k) the fork/join overhead of the pool
-/// outweighs the work; run serially.
-constexpr int64_t kMinParallelFlops = 1 << 21;
 
 /// Packs op(A)[i0:i0+mb, p0:p0+kb] of a transposed A (stored (k, m) with
 /// row stride lda) into dst (mb x kb row-major). A non-transposed A needs
@@ -260,11 +253,27 @@ struct GemmEpilogue {
   const float* bias = nullptr;
 };
 
-/// Serial blocked GEMM over the C row range [r0, r1), strided operands.
-void GemmBlockedRows(const float* a, int64_t lda, const float* b,
-                     int64_t ldb, float* c, int64_t ldc, int64_t n,
-                     int64_t k, bool trans_a, bool trans_b, GemmEpilogue ep,
-                     int64_t r0, int64_t r1) {
+/// GemmAcc and Gemm over dense row-major operands: A stored (m, k), or
+/// (k, m) if trans_a; B stored (k, n), or (n, k) if trans_b; C (m, n).
+void GemmBlocked(const float* a, const float* b, float* c, int64_t m,
+                 int64_t n, int64_t k, bool trans_a, bool trans_b,
+                 GemmEpilogue ep) {
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    // The sum over p is empty: C keeps its value, or becomes the bias.
+    if (!ep.overwrite) return;
+    for (int64_t i = 0; i < m; ++i) {
+      float* crow = c + i * n;
+      if (ep.bias != nullptr) {
+        std::copy(ep.bias, ep.bias + n, crow);
+      } else {
+        std::fill(crow, crow + n, 0.0f);
+      }
+    }
+    return;
+  }
+  const int64_t lda = trans_a ? m : k;
+  const int64_t ldb = trans_b ? k : n;
   PackScratch& s = Scratch();
   if (trans_a) s.a.resize(static_cast<size_t>(kMc * kKc));
   s.b.resize(static_cast<size_t>(kKc * kNc));
@@ -287,8 +296,8 @@ void GemmBlockedRows(const float* a, int64_t lda, const float* b,
       const bool seed_from_c = !ep.overwrite || p0 > 0;
       const float* bias =
           ep.bias != nullptr && p0 + kb == k ? ep.bias + j0 : nullptr;
-      for (int64_t i0 = r0; i0 < r1; i0 += kMc) {
-        const int64_t mb = std::min(kMc, r1 - i0);
+      for (int64_t i0 = 0; i0 < m; i0 += kMc) {
+        const int64_t mb = std::min(kMc, m - i0);
         const int64_t mb_pad = (mb + kMr - 1) / kMr * kMr;
         if (trans_a) {
           PackTransposedA(s.a.data(), a, lda, i0, mb, p0, kb);
@@ -299,59 +308,11 @@ void GemmBlockedRows(const float* a, int64_t lda, const float* b,
         // Padding rows read zeros; their (discarded) products are exact
         // zeros, and no read goes past A's last live row.
         for (int64_t r = mb; r < mb_pad; ++r) arows[r] = s.zero.data();
-        MicroTile(arows, panel, ld_panel, c + i0 * ldc + j0, ldc, mb_pad, nb,
-                  kb, mb, TileMode{seed_from_c, bias});
+        MicroTile(arows, panel, ld_panel, c + i0 * n + j0, n, mb_pad, nb, kb,
+                  mb, TileMode{seed_from_c, bias});
       }
     }
   }
-}
-
-/// GemmAcc and Gemm: serial, or rows of C partitioned over `pool`.
-void GemmRows(const float* a, const float* b, float* c, int64_t m, int64_t n,
-              int64_t k, bool trans_a, bool trans_b, GemmEpilogue ep,
-              ThreadPool* pool) {
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    // The sum over p is empty: C keeps its value, or becomes the bias.
-    if (!ep.overwrite) return;
-    for (int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * n;
-      if (ep.bias != nullptr) {
-        std::copy(ep.bias, ep.bias + n, crow);
-      } else {
-        std::fill(crow, crow + n, 0.0f);
-      }
-    }
-    return;
-  }
-  const int64_t lda = trans_a ? m : k;
-  const int64_t ldb = trans_b ? k : n;
-  const int64_t flops = 2 * m * n * k;
-  if (pool == nullptr || pool->size() <= 1 || flops < kMinParallelFlops ||
-      m < 2 * kMr) {
-    GemmBlockedRows(a, lda, b, ldb, c, n, n, k, trans_a, trans_b, ep, 0, m);
-    return;
-  }
-  // Row-partitioned fork/join: each worker runs the serial blocked kernel
-  // on a contiguous band of C rows with its own packing scratch. Bands are
-  // multiples of kMr so the fast micro-tile path applies everywhere but the
-  // final band.
-  const int64_t num_tasks =
-      std::min<int64_t>(static_cast<int64_t>(pool->size()),
-                        (m + kMr - 1) / kMr);
-  const int64_t rows_per_task =
-      ((m + num_tasks - 1) / num_tasks + kMr - 1) / kMr * kMr;
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<size_t>(num_tasks));
-  for (int64_t r0 = 0; r0 < m; r0 += rows_per_task) {
-    const int64_t r1 = std::min(m, r0 + rows_per_task);
-    futures.push_back(pool->Submit([a, lda, b, ldb, c, n, k, trans_a,
-                                    trans_b, ep, r0, r1] {
-      GemmBlockedRows(a, lda, b, ldb, c, n, n, k, trans_a, trans_b, ep, r0,
-                      r1);
-    }));
-  }
-  for (auto& f : futures) f.get();
 }
 
 struct AttentionScratch {
@@ -419,23 +380,13 @@ void GemmAccRef(const float* a, const float* b, float* c, int64_t m,
 }
 
 void GemmAcc(const float* a, const float* b, float* c, int64_t m, int64_t n,
-             int64_t k, bool trans_a, bool trans_b, ThreadPool* pool) {
-  GemmRows(a, b, c, m, n, k, trans_a, trans_b, GemmEpilogue{}, pool);
+             int64_t k, bool trans_a, bool trans_b) {
+  GemmBlocked(a, b, c, m, n, k, trans_a, trans_b, GemmEpilogue{});
 }
 
 void Gemm(const float* a, const float* b, const float* bias, float* c,
-          int64_t m, int64_t n, int64_t k, bool trans_a, bool trans_b,
-          ThreadPool* pool) {
-  GemmRows(a, b, c, m, n, k, trans_a, trans_b, GemmEpilogue{true, bias},
-           pool);
-}
-
-void GemmAccStrided(const float* a, int64_t lda, const float* b, int64_t ldb,
-                    float* c, int64_t ldc, int64_t m, int64_t n, int64_t k,
-                    bool trans_a, bool trans_b) {
-  if (m == 0 || n == 0 || k == 0) return;
-  GemmBlockedRows(a, lda, b, ldb, c, ldc, n, k, trans_a, trans_b,
-                  GemmEpilogue{}, 0, m);
+          int64_t m, int64_t n, int64_t k, bool trans_a, bool trans_b) {
+  GemmBlocked(a, b, c, m, n, k, trans_a, trans_b, GemmEpilogue{true, bias});
 }
 
 #if defined(__AVX2__) && defined(__FMA__)

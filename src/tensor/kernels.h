@@ -7,37 +7,35 @@
 // these for BOTH the forward pass and the backward closures, so an
 // optimization here speeds up training and serving alike.
 //
-// Determinism contract: GemmAcc accumulates each output element strictly in
-// increasing-k order, seeded from C, regardless of blocking or thread
-// count — so the serial blocked kernel and every parallel partitioning
-// produce BITWISE identical results to each other. That self-consistency is
-// what makes pipeline output byte-identical whatever ExecContext (pooled or
-// heap, serial or intra-op parallel) is in effect. Stronger still, a C
-// row's bits depend only on its own op(A) row and op(B) — NOT on m or on
-// where the row sits inside M. Every row runs through one register band of
-// kGemmBandRows rows: a band past the last live row fills its padding rows
-// from a row of zeros, so every row, at every offset, runs the exact same
-// micro-kernel instruction sequence, and concatenating extra rows above or
-// below leaves existing rows bitwise unchanged. The band height is a
-// property of the target ISA (8 rows under AVX-512, 4 otherwise); it sets
-// how many independent accumulation chains run side by side, never the
-// chain of any one element, so it cannot move a bit either. The packed B
-// panel is zero-padded to a whole number of 16-column register tiles, so
-// the column tail (n mod 16 columns, e.g. every head_dim-wide attention
-// product) runs through the same vector tile as full columns; only the
-// seeding from C and the store back touch just the live columns. There is
-// no scalar remainder path for rows or columns.
+// Every kernel is serial. Parallelism lives above this layer: the pipeline
+// runs one table per stage worker (Algorithm 1) and the replica tier runs
+// one process per replica, so no kernel ever shares its work out.
 //
-// Operands may be strided (GemmAccStrided): rows of A, B and C sit lda,
-// ldb and ldc floats apart, so a GEMM can read one head's columns of a
-// wider matrix and write into a sub-block of a wider C. A non-transposed A
-// is read in place, row by row; a transposed A is packed first. A
-// non-transposed B is read in place too whenever its live columns fill
-// whole 16-column tiles, and packed otherwise. None of this changes a
-// single product or its order, so strides, packing and where C lives do
-// not touch the bits either. Splitting k (kKc blocking, or a caller
-// summing two GEMMs into one C) stores and reloads an exact fp32 partial
-// sum, so it is bitwise the unsplit chain.
+// Determinism contract: GemmAcc accumulates each output element strictly in
+// increasing-k order, seeded from C, regardless of blocking — so pipeline
+// output is byte-identical whatever ExecContext (pooled or heap) is in
+// effect. Stronger still, a C row's bits depend only on its own op(A) row
+// and op(B) — NOT on m or on where the row sits inside M. Every row runs
+// through one register band of kGemmBandRows rows: a band past the last
+// live row fills its padding rows from a row of zeros, so every row, at
+// every offset, runs the exact same micro-kernel instruction sequence, and
+// concatenating extra rows above or below leaves existing rows bitwise
+// unchanged. The band height is a property of the target ISA (8 rows under
+// AVX-512, 4 otherwise); it sets how many independent accumulation chains
+// run side by side, never the chain of any one element, so it cannot move
+// a bit either. The packed B panel is zero-padded to a whole number of
+// 16-column register tiles, so the column tail (n mod 16 columns, e.g.
+// every head_dim-wide attention product) runs through the same vector tile
+// as full columns; only the seeding from C and the store back touch just
+// the live columns. There is no scalar remainder path for rows or columns.
+//
+// A non-transposed A is read in place, row by row; a transposed A is
+// packed first. A non-transposed B is read in place too whenever its
+// columns fill whole 16-column tiles, and packed otherwise. None of this
+// changes a single product or its order, so packing does not touch the
+// bits. Splitting k (kKc blocking, or a caller summing two GEMMs into one
+// C) stores and reloads an exact fp32 partial sum, so it is bitwise the
+// unsplit chain.
 //
 // Gemm is GemmAcc with an overwrite epilogue: its first k-block seeds the
 // accumulators with zero instead of reading C, and its last k-block adds
@@ -46,23 +44,19 @@
 // after the chain, so Gemm is bitwise a zero fill, GemmAcc and a bias add,
 // without the fill pass, the separate add pass or a C that must be zeroed.
 //
-// The anchor-only last layer, the band attention kernel and the intra-op
-// bands all rest on this row-stability (every other forward op is
-// row-wise by construction; DESIGN.md §9). Parity with the naive
-// GemmAccRef is 1e-5 relative, not bitwise: the reference's rounding
-// differs by accumulation seeding (transposed variants) and by how the
-// compiler contracts mul+add to FMA in each loop shape. kernels_test checks
-// exactly this split, and content_attention_test's anchor-layer cases are
-// the end-to-end proof of the row-stability clause.
+// The anchor-only last layer and the band attention kernel rest on this
+// row-stability (every other forward op is row-wise by construction;
+// DESIGN.md §9). Parity with the naive GemmAccRef is 1e-5 relative, not
+// bitwise: the reference's rounding differs by accumulation seeding
+// (transposed variants) and by how the compiler contracts mul+add to FMA
+// in each loop shape. kernels_test checks exactly this split, and
+// content_attention_test's anchor-layer cases are the end-to-end proof of
+// the row-stability clause.
 
 #ifndef TASTE_TENSOR_KERNELS_H_
 #define TASTE_TENSOR_KERNELS_H_
 
 #include <cstdint>
-
-namespace taste {
-class ThreadPool;
-}
 
 namespace taste::tensor::kernels {
 
@@ -88,27 +82,12 @@ void GemmAccRef(const float* a, const float* b, float* c, int64_t m,
                 int64_t n, int64_t k, bool trans_a, bool trans_b);
 
 /// Same contract as GemmAccRef, computed with cache blocking and panel
-/// packing (op(B) is always packed, A only when transposed, so all four
-/// variants share one register-blocked micro kernel). Results match
-/// GemmAccRef to 1e-5 relative (see the determinism note above). When
-/// `pool` is non-null and the problem is large enough, rows of C are
-/// partitioned across the pool's workers (each worker packs its own
-/// panels; the per-element accumulation order is unchanged, so results
-/// stay bitwise identical to the serial kernel). `pool` must not be the
-/// pool the caller is currently executing on, or the wait for row tasks
-/// can deadlock.
+/// packing (op(B) is packed unless it can be read in place, A only when
+/// transposed, so all four variants share one register-blocked micro
+/// kernel). Results match GemmAccRef to 1e-5 relative (see the determinism
+/// note above).
 void GemmAcc(const float* a, const float* b, float* c, int64_t m, int64_t n,
-             int64_t k, bool trans_a, bool trans_b,
-             ThreadPool* pool = nullptr);
-
-/// Serial GemmAcc over strided operands: row r of A's storage starts at
-/// a + r * lda (A stored (m, k), or (k, m) if trans_a), row r of B's at
-/// b + r * ldb (B stored (k, n), or (n, k) if trans_b), and row i of C at
-/// c + i * ldc. Each stride must be at least its row's length. Every
-/// element's bits equal GemmAcc's on dense copies of the same operands.
-void GemmAccStrided(const float* a, int64_t lda, const float* b, int64_t ldb,
-                    float* c, int64_t ldc, int64_t m, int64_t n, int64_t k,
-                    bool trans_a, bool trans_b);
+             int64_t k, bool trans_a, bool trans_b);
 
 /// C = op(A) * op(B) (+ bias): GemmAcc's contract and bits with C's
 /// contents on entry ignored, so C may be uninitialized (it is only
@@ -116,8 +95,7 @@ void GemmAccStrided(const float* a, int64_t lda, const float* b, int64_t ldb,
 /// the last k-block's store; the result is bitwise GemmAcc into a zeroed C
 /// followed by a separate bias add. k == 0 stores the bias (or zeros).
 void Gemm(const float* a, const float* b, const float* bias, float* c,
-          int64_t m, int64_t n, int64_t k, bool trans_a, bool trans_b,
-          ThreadPool* pool = nullptr);
+          int64_t m, int64_t n, int64_t k, bool trans_a, bool trans_b);
 
 // -- Attention ----------------------------------------------------------------
 

@@ -2,14 +2,12 @@
 
 #include "common/fpu.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "tensor/exec_context.h"
 #include "tensor/kernels.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <future>
 
 namespace taste::tensor {
 
@@ -56,12 +54,6 @@ void SetEdge(const std::shared_ptr<TensorImpl>& out,
   out->requires_grad = true;
   out->backward = std::move(backward);
   for (const Tensor* t : inputs) out->parents.push_back(t->impl());
-}
-
-/// The intra-op pool of the bound ExecContext, or nullptr (serial kernels).
-ThreadPool* CurrentIntraPool() {
-  ExecContext* ctx = ExecContext::Current();
-  return ctx != nullptr ? ctx->intra_pool() : nullptr;
 }
 
 /// RAII kernel timer; records into the bound context's stats when
@@ -361,12 +353,12 @@ void MatMulBackward(TensorImpl* a, TensorImpl* b, const float* dc, int64_t m,
   if (a->requires_grad) {
     // dA = dC * B^T : (m,n) x (n,k)
     kernels::GemmAcc(dc, b->data.data(), a->MutableGrad().data(), m, k, n,
-                     false, true, CurrentIntraPool());
+                     false, true);
   }
   if (b->requires_grad) {
     // dB = A^T * dC : (k,m) x (m,n)
     kernels::GemmAcc(a->data.data(), dc, b->MutableGrad().data(), k, n, m,
-                     true, false, CurrentIntraPool());
+                     true, false);
   }
 }
 
@@ -380,7 +372,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   {
     OpTimer timer(&ExecStats::gemm);
     kernels::Gemm(a.data(), b.data(), nullptr, out->data.data(), m, n, k,
-                  false, false, CurrentIntraPool());
+                  false, false);
   }
   auto ai = a.impl();
   auto bi = b.impl();
@@ -400,7 +392,7 @@ Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
   {
     OpTimer timer(&ExecStats::gemm);
     kernels::Gemm(x.data(), w.data(), bias.data(), out->data.data(), m, n, k,
-                  false, false, CurrentIntraPool());
+                  false, false);
   }
   auto xi = x.impl();
   auto wi = w.impl();
@@ -438,7 +430,7 @@ Tensor QuantLinear(const Tensor& x, const quant::PackedQuantWeight& w,
     OpTimer timer(&ExecStats::quant_gemm);
     quant::QuantLinearForward(x.data(), m, w,
                               bias.defined() ? bias.data() : nullptr,
-                              out->data.data(), CurrentIntraPool());
+                              out->data.data());
   }
   return Tensor(out);
 }
@@ -451,11 +443,9 @@ Tensor BatchedMatMul(const Tensor& a, const Tensor& b) {
   auto out = NewImpl({batch, m, n});
   {
     OpTimer timer(&ExecStats::gemm);
-    ThreadPool* pool = CurrentIntraPool();
     for (int64_t bi_ = 0; bi_ < batch; ++bi_) {
       kernels::GemmAcc(a.data() + bi_ * m * k, b.data() + bi_ * k * n,
-                       out->data.data() + bi_ * m * n, m, n, k, false, false,
-                       pool);
+                       out->data.data() + bi_ * m * n, m, n, k, false, false);
     }
   }
   auto ai = a.impl();
@@ -463,19 +453,18 @@ Tensor BatchedMatMul(const Tensor& a, const Tensor& b) {
   internal::TensorImpl* oi = out.get();
   SetEdge(out, {&a, &b}, [ai, bi, oi, batch, m, n, k] {
     const float* og = oi->MutableGrad().data();
-    ThreadPool* pool = CurrentIntraPool();
     if (ai->requires_grad) {
       float* ag = ai->MutableGrad().data();
       for (int64_t t = 0; t < batch; ++t) {
         kernels::GemmAcc(og + t * m * n, bi->data.data() + t * k * n,
-                         ag + t * m * k, m, k, n, false, true, pool);
+                         ag + t * m * k, m, k, n, false, true);
       }
     }
     if (bi->requires_grad) {
       float* bg = bi->MutableGrad().data();
       for (int64_t t = 0; t < batch; ++t) {
         kernels::GemmAcc(ai->data.data() + t * m * k, og + t * m * n,
-                         bg + t * k * n, k, n, m, true, false, pool);
+                         bg + t * k * n, k, n, m, true, false);
       }
     }
   });
@@ -532,10 +521,6 @@ Tensor Reshape(const Tensor& x, Shape shape) {
 // -- Attention -------------------------------------------------------------------
 
 namespace {
-
-/// Below this many flops (both products, all blocks) the op runs its blocks
-/// serially even when an intra-op pool is bound; same bar as GemmAcc's.
-constexpr int64_t kMinParallelAttentionFlops = 1 << 21;
 
 /// Per-thread backward operands, grown to the largest (span, head) block
 /// the thread has seen and reused. The forward's scratch lives in
@@ -705,7 +690,6 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
   const int64_t head_dim = hidden / num_heads;
   const AttentionDims dims{hidden, head_dim,
                            1.0f / std::sqrt(static_cast<float>(head_dim))};
-  int64_t flops = 0;
   for (const AttentionSpan& s : spans) {
     const int64_t width = SpanWidth(s);
     TASTE_CHECK_MSG(RangeWithin(s.query, q.dim(0)) &&
@@ -723,7 +707,6 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
       TASTE_CHECK_MSG(!s.mask->requires_grad(),
                       "Attention masks are constants");
     }
-    flops += 4 * num_heads * s.query.rows * width * head_dim;
   }
   // Forward block b = g * num_heads + a is group g, head a. When an edge is
   // recorded, its probabilities stay at probs + group_off[b] (rows x width,
@@ -773,51 +756,27 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
   }
   {
     OpTimer timer(&ExecStats::attention);
-    auto run = [&](int64_t b0, int64_t b1) {
-      for (int64_t b = b0; b < b1; ++b) {
-        const size_t gi = static_cast<size_t>(b / num_heads);
-        const AttentionGroup& g = groups[gi];
-        if (g.rows == 0) continue;
-        const AttentionSpan& first = spans[g.first];
-        const std::vector<kernels::AttentionBlockSpan>& bs = block_spans[gi];
-        const kernels::AttentionBlock block{
-            .ld = hidden,
-            .head_dim = head_dim,
-            .scale = dims.scale,
-            .query_begin = g.row0,
-            .mem_begin = first.kv[0].begin,
-            .sm = first.kv[0].rows,
-            .width = SpanWidth(first),
-            .spans = bs.data(),
-            .num_spans = static_cast<int64_t>(bs.size())};
-        const int64_t col = (b % num_heads) * head_dim;
-        kernels::AttentionBlockForward(
-            block, q.data() + col, k.data() + col, v.data() + col,
-            probs != nullptr ? probs->data() + group_off[b] : nullptr,
-            out->data.data() + col);
-      }
-    };
-    // Blocks write disjoint outputs from their own scratch, so spreading
-    // them over the pool cannot change a bit.
-    ThreadPool* pool = CurrentIntraPool();
-    if (pool == nullptr || pool->size() <= 1 || blocks < 2 ||
-        flops < kMinParallelAttentionFlops) {
-      run(0, blocks);
-    } else {
-      const int64_t tasks =
-          std::min<int64_t>(static_cast<int64_t>(pool->size()), blocks);
-      const int64_t per_task = (blocks + tasks - 1) / tasks;
-      std::vector<std::future<void>> futures;
-      futures.reserve(static_cast<size_t>(tasks));
-      for (int64_t b0 = 0; b0 < blocks; b0 += per_task) {
-        const int64_t b1 = std::min(blocks, b0 + per_task);
-        futures.push_back(pool->Submit([&run, b0, b1] {
-          // Same FPU mode as the calling thread (see NewImpl).
-          thread_local FlushDenormalsScope flush_denormals;
-          run(b0, b1);
-        }));
-      }
-      for (auto& f : futures) f.get();
+    for (int64_t b = 0; b < blocks; ++b) {
+      const size_t gi = static_cast<size_t>(b / num_heads);
+      const AttentionGroup& g = groups[gi];
+      if (g.rows == 0) continue;
+      const AttentionSpan& first = spans[g.first];
+      const std::vector<kernels::AttentionBlockSpan>& bs = block_spans[gi];
+      const kernels::AttentionBlock block{
+          .ld = hidden,
+          .head_dim = head_dim,
+          .scale = dims.scale,
+          .query_begin = g.row0,
+          .mem_begin = first.kv[0].begin,
+          .sm = first.kv[0].rows,
+          .width = SpanWidth(first),
+          .spans = bs.data(),
+          .num_spans = static_cast<int64_t>(bs.size())};
+      const int64_t col = (b % num_heads) * head_dim;
+      kernels::AttentionBlockForward(
+          block, q.data() + col, k.data() + col, v.data() + col,
+          probs != nullptr ? probs->data() + group_off[b] : nullptr,
+          out->data.data() + col);
     }
   }
   if (record) {

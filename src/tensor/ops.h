@@ -117,9 +117,9 @@ struct AttentionSpan {
 /// packed once for all of them, and the query rows are walked in register
 /// bands across the spans, each band's scores, softmax and context done
 /// while they sit in L1. A block depends only on its own rows, so the
-/// result is independent of the other spans, of the grouping and of how
-/// the blocks are spread over the intra-op pool. The bits equal the unfused
-/// composition (GatherRows, TransposeLast2, BatchedMatMul, Scale,
+/// result is independent of the other spans and of the grouping. The
+/// blocks run one after another on the calling thread. The bits equal the
+/// unfused composition (GatherRows, TransposeLast2, BatchedMatMul, Scale,
 /// AddBroadcastMat, Softmax, BatchedMatMul): every element runs the same
 /// kernel arithmetic in the same order on the same values. Records one
 /// autograd edge to q, k and v; the probabilities are kept only when it

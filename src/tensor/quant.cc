@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 #if defined(__AVX512BW__) || defined(__AVX2__) || defined(__SSE4_1__)
 #include <immintrin.h>
@@ -16,11 +14,6 @@
 namespace taste::tensor::quant {
 
 namespace {
-
-// Row-partitioning threshold, in int8 multiply-accumulates. Matches the
-// spirit of kernels.cc's kMinParallelFlops: small GEMMs lose more to
-// fork/join than they gain.
-constexpr int64_t kMinParallelMacs = 1 << 21;
 
 /// round(x) to nearest, ties away from zero — lrintf depends on the
 /// process rounding mode, and the quantized grid must be identical on
@@ -241,61 +234,6 @@ int64_t RunRowBlocks(Fn accumulate, const int16_t* qa, const float* a_scales,
 }
 #endif
 
-void QuantGemmRows(const int16_t* qa, const float* a_scales,
-                   const PackedQuantWeight& w, const float* bias, float* c,
-                   int64_t r0, int64_t r1, QuantKernel kernel) {
-  QuantScratch& s = Scratch();
-  const size_t acc_elems = static_cast<size_t>(w.col_blocks * kQuantNr);
-  if (s.acc.size() < 8 * acc_elems) s.acc.resize(8 * acc_elems);
-  int64_t r = r0;
-#if defined(__AVX512BW__)
-  if (kernel == QuantKernel::kAvx512) {
-    // Eight-row main blocks, then a four-row block for the tail: the panel
-    // walk is the bandwidth cost, so amortize it over as many rows as the
-    // remainder allows before falling to the single-row loop below.
-    r = RunRowBlocks<8>(AccumulateRowsAvx512<8>, qa, a_scales, w, bias, c, r,
-                        r1, s.acc.data());
-    r = RunRowBlocks<4>(AccumulateRowsAvx512<4>, qa, a_scales, w, bias, c, r,
-                        r1, s.acc.data());
-  }
-#endif
-#if defined(__AVX2__)
-  if (kernel == QuantKernel::kAvx2) {
-    r = RunRowBlocks<4>(AccumulateRowsAvx2<4>, qa, a_scales, w, bias, c, r,
-                        r1, s.acc.data());
-  }
-#endif
-  for (; r < r1; ++r) {
-    const int16_t* row = qa + r * w.k_pad;
-    switch (kernel) {
-#if defined(__AVX512BW__)
-      case QuantKernel::kAvx512: {
-        const int16_t* rows[1] = {row};
-        AccumulateRowsAvx512<1>(rows, w, s.acc.data());
-        break;
-      }
-#endif
-#if defined(__AVX2__)
-      case QuantKernel::kAvx2: {
-        const int16_t* rows[1] = {row};
-        AccumulateRowsAvx2<1>(rows, w, s.acc.data());
-        break;
-      }
-#endif
-#if defined(__SSE4_1__)
-      case QuantKernel::kSse41:
-        AccumulateRowSse41(row, w, s.acc.data());
-        break;
-#endif
-      default:
-        AccumulateRowPortable(row, w, s.acc.data());
-        break;
-    }
-    DequantRow(s.acc.data(), a_scales[r], w.scales.data(), bias, w.cols,
-               c + r * w.cols);
-  }
-}
-
 }  // namespace
 
 QuantKernel BestQuantKernel() {
@@ -471,53 +409,73 @@ void QuantizeActivationRows(const float* x, int64_t m, int64_t k, int16_t* q,
 
 void QuantGemm(const int16_t* qa, const float* a_scales,
                const PackedQuantWeight& w, const float* bias, float* c,
-               int64_t m, ThreadPool* pool, QuantKernel kernel) {
+               int64_t m, QuantKernel kernel) {
   TASTE_CHECK(m > 0);
   if (kernel == QuantKernel::kAuto) kernel = BestQuantKernel();
   TASTE_CHECK_MSG(QuantKernelAvailable(kernel),
                   "requested quant kernel not compiled in");
-  const int64_t macs = m * w.cols * w.rows;
-  if (pool == nullptr || pool->size() <= 1 || macs < kMinParallelMacs ||
-      m < 2) {
-    QuantGemmRows(qa, a_scales, w, bias, c, 0, m, kernel);
-    return;
+  QuantScratch& s = Scratch();
+  const size_t acc_elems = static_cast<size_t>(w.col_blocks * kQuantNr);
+  if (s.acc.size() < 8 * acc_elems) s.acc.resize(8 * acc_elems);
+  int64_t r = 0;
+#if defined(__AVX512BW__)
+  if (kernel == QuantKernel::kAvx512) {
+    // Eight-row main blocks, then a four-row block for the tail: the panel
+    // walk is the bandwidth cost, so amortize it over as many rows as the
+    // remainder allows before falling to the single-row loop below.
+    r = RunRowBlocks<8>(AccumulateRowsAvx512<8>, qa, a_scales, w, bias, c, r,
+                        m, s.acc.data());
+    r = RunRowBlocks<4>(AccumulateRowsAvx512<4>, qa, a_scales, w, bias, c, r,
+                        m, s.acc.data());
   }
-  // Row-partitioned fork/join as in kernels::GemmAcc. Every row's
-  // accumulators are exact integers and the epilogue is per row, so any
-  // partitioning produces the bytes of the serial sweep.
-  const int64_t num_tasks =
-      std::min<int64_t>(static_cast<int64_t>(pool->size()), m);
-  const int64_t rows_per_task = (m + num_tasks - 1) / num_tasks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<size_t>(num_tasks));
-  for (int64_t r0 = 0; r0 < m; r0 += rows_per_task) {
-    const int64_t r1 = std::min(m, r0 + rows_per_task);
-    futures.push_back(pool->Submit([qa, a_scales, &w, bias, c, r0, r1,
-                                    kernel] {
-      QuantGemmRows(qa, a_scales, w, bias, c, r0, r1, kernel);
-    }));
+#endif
+#if defined(__AVX2__)
+  if (kernel == QuantKernel::kAvx2) {
+    r = RunRowBlocks<4>(AccumulateRowsAvx2<4>, qa, a_scales, w, bias, c, r,
+                        m, s.acc.data());
   }
-  for (auto& f : futures) f.get();
+#endif
+  for (; r < m; ++r) {
+    const int16_t* row = qa + r * w.k_pad;
+    switch (kernel) {
+#if defined(__AVX512BW__)
+      case QuantKernel::kAvx512: {
+        const int16_t* rows[1] = {row};
+        AccumulateRowsAvx512<1>(rows, w, s.acc.data());
+        break;
+      }
+#endif
+#if defined(__AVX2__)
+      case QuantKernel::kAvx2: {
+        const int16_t* rows[1] = {row};
+        AccumulateRowsAvx2<1>(rows, w, s.acc.data());
+        break;
+      }
+#endif
+#if defined(__SSE4_1__)
+      case QuantKernel::kSse41:
+        AccumulateRowSse41(row, w, s.acc.data());
+        break;
+#endif
+      default:
+        AccumulateRowPortable(row, w, s.acc.data());
+        break;
+    }
+    DequantRow(s.acc.data(), a_scales[r], w.scales.data(), bias, w.cols,
+               c + r * w.cols);
+  }
 }
 
 void QuantLinearForward(const float* x, int64_t m, const PackedQuantWeight& w,
-                        const float* bias, float* c, ThreadPool* pool,
-                        QuantKernel kernel) {
+                        const float* bias, float* c, QuantKernel kernel) {
   QuantScratch& s = Scratch();
-  // The quantized activations live in this thread's scratch while worker
-  // threads may read them — keep them in a local buffer swap-stashed in
-  // scratch so re-entrant use on the same thread stays safe.
-  std::vector<int16_t> a16(std::move(s.a16));
-  std::vector<float> a_scales(std::move(s.a_scales));
   const size_t need_a = static_cast<size_t>(m * w.k_pad);
-  if (a16.size() < need_a) a16.resize(need_a);
-  if (a_scales.size() < static_cast<size_t>(m)) {
-    a_scales.resize(static_cast<size_t>(m));
+  if (s.a16.size() < need_a) s.a16.resize(need_a);
+  if (s.a_scales.size() < static_cast<size_t>(m)) {
+    s.a_scales.resize(static_cast<size_t>(m));
   }
-  QuantizeActivationRows(x, m, w.rows, a16.data(), a_scales.data());
-  QuantGemm(a16.data(), a_scales.data(), w, bias, c, m, pool, kernel);
-  s.a16 = std::move(a16);
-  s.a_scales = std::move(a_scales);
+  QuantizeActivationRows(x, m, w.rows, s.a16.data(), s.a_scales.data());
+  QuantGemm(s.a16.data(), s.a_scales.data(), w, bias, c, m, kernel);
 }
 
 }  // namespace taste::tensor::quant

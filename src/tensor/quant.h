@@ -42,10 +42,6 @@
 #include <cstdint>
 #include <vector>
 
-namespace taste {
-class ThreadPool;
-}
-
 namespace taste::tensor::quant {
 
 /// Columns per packed block; one 512-bit accumulator register's worth.
@@ -111,19 +107,17 @@ void QuantizeActivationRows(const float* x, int64_t m, int64_t k, int16_t* q,
 /// against prepacked panels followed by the shared fp32 epilogue
 ///   c[r,j] = float(acc[r,j]) * (a_scales[r] * w.scales[j]) + bias[j].
 /// `qa` holds m rows of w.k_pad int16s from QuantizeActivationRows. `bias`
-/// (size cols) may be null. When `pool` is non-null and the problem is
-/// large enough, rows are partitioned across workers — bytes unchanged
-/// (per-row computation is exact-int, then the shared epilogue). Same
-/// deadlock rule as kernels::GemmAcc: `pool` must not be the caller's pool.
+/// (size cols) may be null. Rows are computed one after another; each
+/// row's accumulators are exact integers and its epilogue is per row, so a
+/// row's bytes do not depend on the other rows.
 void QuantGemm(const int16_t* qa, const float* a_scales,
                const PackedQuantWeight& w, const float* bias, float* c,
-               int64_t m, ThreadPool* pool = nullptr,
-               QuantKernel kernel = QuantKernel::kAuto);
+               int64_t m, QuantKernel kernel = QuantKernel::kAuto);
 
 /// Convenience fused path: quantizes x (m, w.rows) per row into thread-local
 /// scratch, then QuantGemm. This is what the ops-layer QuantLinear calls.
 void QuantLinearForward(const float* x, int64_t m, const PackedQuantWeight& w,
-                        const float* bias, float* c, ThreadPool* pool = nullptr,
+                        const float* bias, float* c,
                         QuantKernel kernel = QuantKernel::kAuto);
 
 }  // namespace taste::tensor::quant

@@ -2,8 +2,8 @@
 // below is that chain, written out per span: gather each head's rows,
 // TransposeLast2 -> BatchedMatMul -> Scale -> AddBroadcastMat -> Softmax ->
 // BatchedMatMul, then scatter the context back to the head's columns. The
-// fused op must reproduce it bit for bit (memcmp), serially and on an
-// intra-op pool, and must not touch the tape when gradients are off.
+// fused op must reproduce it bit for bit (memcmp), with or without an
+// ExecContext bound, and must not touch the tape when gradients are off.
 
 #include <gtest/gtest.h>
 
@@ -212,7 +212,7 @@ TEST(AttentionOpTest, CrossAttentionWithFewerQueriesMatchesBitwise) {
   }
 }
 
-TEST(AttentionOpTest, IntraOpPoolMatchesSerialBitwise) {
+TEST(AttentionOpTest, ProfiledContextMatchesUnboundBitwise) {
   Rng rng(17);
   const int64_t heads = 4, hd = 26, hidden = heads * hd;
   const int64_t segments = 16, seg = 27, memory = 111;
@@ -223,41 +223,38 @@ TEST(AttentionOpTest, IntraOpPoolMatchesSerialBitwise) {
   const Tensor mask = RandomMask(rows, memory + seg, rng);
   const auto spans =
       Segmented({{0, memory, 0, segments, seg, &mask}}, memory);
-  const Tensor serial = Attention(q, k, v, heads, spans);
+  const Tensor unbound = Attention(q, k, v, heads, spans);
 
-  ExecContext::Options opt;
-  opt.intra_op_threads = 4;
-  opt.profile = true;
-  ExecContext ctx(opt);
-  ASSERT_NE(ctx.intra_pool(), nullptr);
-  Tensor pooled;
+  ExecContext ctx({.profile = true});
+  Tensor bound;
   {
     ScopedExecContext bind(&ctx);
-    pooled = Attention(q, k, v, heads, spans);
+    bound = Attention(q, k, v, heads, spans);
   }
-  EXPECT_TRUE(SameBytes(pooled, serial));
+  EXPECT_TRUE(SameBytes(bound, unbound));
   const ExecStats st = ctx.stats();
   EXPECT_EQ(st.attention.calls, 1);
   EXPECT_EQ(st.gemm.calls, 0);  // the products run inside the op
   EXPECT_EQ(st.softmax.calls, 0);
 }
 
-/// The op's output, serially and with a 4-thread intra-op pool bound, must
-/// equal the unfused chain's bytes. (The pool forks only above the op's
-/// flop threshold; PooledAnchorGroupsMatchBitwise is large enough.)
+/// The op's output, unbound and under a bound context whose buffer pool
+/// hands it a NaN-filled recycled output buffer, must equal the unfused
+/// chain's bytes.
 void ExpectMatchesReference(const Tensor& q, const Tensor& k, const Tensor& v,
                             int64_t heads,
                             const std::vector<AttentionSpan>& spans,
                             const char* what) {
   const Tensor want = ReferenceAttention(q, k, v, heads, spans);
   EXPECT_TRUE(SameBytes(Attention(q, k, v, heads, spans), want))
-      << what << " (serial)";
-  ExecContext::Options opt;
-  opt.intra_op_threads = 4;
-  ExecContext ctx(opt);
+      << what << " (unbound)";
+  ExecContext ctx;
+  ctx.buffer_pool()->Release(
+      std::vector<float>(static_cast<size_t>(q.numel()), std::nanf("")));
   ScopedExecContext bind(&ctx);
   EXPECT_TRUE(SameBytes(Attention(q, k, v, heads, spans), want))
       << what << " (pooled)";
+  EXPECT_EQ(ctx.stats().pool.reuses, 1) << what;
 }
 
 /// Anchor-form spans of one group: segment j's first query row is row
@@ -355,8 +352,9 @@ TEST(AttentionOpTest, SpanListsThatBreakGroupingMatchBitwise) {
 }
 
 TEST(AttentionOpTest, PooledAnchorGroupsMatchBitwise) {
-  // Large enough to spread (group, head) blocks over the pool: two tables'
-  // anchor rows, 64 and 40 columns over 130 and 111 memory rows.
+  // Two tables' anchor rows in one call, 64 and 40 columns over 130 and
+  // 111 memory rows: two groups of many single-row spans each, unbound and
+  // under a pooled context.
   Rng rng(31);
   const int64_t heads = 4, hd = 26, hidden = heads * hd, seg = 27;
   const int64_t memory = 130 + 111, own = (64 + 40) * seg;
@@ -400,10 +398,8 @@ std::vector<AttentionSpan> RepeatSharedRows(
 TEST(AttentionOpTest, SharedMaskRowMatchesRepeatedRowsBitwise) {
   // The content tower's segment j adds one mask row, row j, to every query
   // row of its span. Written out per query row, the same mask must give
-  // the same bytes, serially and on the pool, for all-rows spans and for
-  // the last layer's first-rows spans; the written-out form must in turn
-  // match the unfused chain. 64 segments put both forms over the op's
-  // pool threshold.
+  // the same bytes, for all-rows spans and for the last layer's first-rows
+  // spans; the written-out form must in turn match the unfused chain.
   Rng rng(37);
   const int64_t heads = 4, hd = 26, hidden = heads * hd;
   const int64_t segments = 64, seg = 27, memory = 111, width = memory + seg;
@@ -430,15 +426,9 @@ TEST(AttentionOpTest, SharedMaskRowMatchesRepeatedRowsBitwise) {
     const std::vector<AttentionSpan> repeated =
         RepeatSharedRows(spans, width, &repeated_mask);
     ExpectMatchesReference(qs, k, v, heads, repeated, what);
-    const Tensor want = Attention(qs, k, v, heads, repeated);
-    EXPECT_TRUE(SameBytes(Attention(qs, k, v, heads, spans), want))
-        << what << " (serial)";
-    ExecContext::Options opt;
-    opt.intra_op_threads = 4;
-    ExecContext ctx(opt);
-    ScopedExecContext bind(&ctx);
-    EXPECT_TRUE(SameBytes(Attention(qs, k, v, heads, spans), want))
-        << what << " (pooled)";
+    EXPECT_TRUE(SameBytes(Attention(qs, k, v, heads, spans),
+                          Attention(qs, k, v, heads, repeated)))
+        << what;
   }
 }
 

@@ -1,9 +1,7 @@
-// Unit tests for the common substrate: Status/Result, Rng, ThreadPool,
-// string utilities.
+// Unit tests for the common substrate: Status/Result, Rng, string
+// utilities. The ThreadPool tests live in deadline_test.cc, which the TSan
+// lane runs.
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -12,7 +10,6 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace taste {
 namespace {
@@ -162,78 +159,6 @@ TEST(RngTest, ForkIsIndependent) {
   Rng f1 = parent.Fork(1);
   Rng f2 = parent.Fork(1);  // parent state advanced -> different stream
   EXPECT_NE(f1.NextU64(), f2.NextU64());
-}
-
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, FutureCompletes) {
-  ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  auto fut = pool.Submit([&ran] { ran = true; });
-  fut.wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, FullReflectsCapacity) {
-  ThreadPool pool(1);
-  std::promise<void> release;
-  auto shared = release.get_future().share();
-  pool.Submit([shared] { shared.wait(); });
-  // Give the worker a moment to pick the task up; either way the pool holds
-  // one in-flight task and is full.
-  EXPECT_TRUE(pool.Full());
-  release.set_value();
-  pool.WaitIdle();
-  EXPECT_FALSE(pool.Full());
-  EXPECT_EQ(pool.InFlight(), 0u);
-}
-
-TEST(ThreadPoolTest, TaskCompleteCallbackFiresAfterSlotRelease) {
-  ThreadPool pool(1);
-  std::atomic<int> seen_not_full{0};
-  std::atomic<int> calls{0};
-  pool.SetTaskCompleteCallback([&] {
-    calls.fetch_add(1);
-    if (!pool.Full()) seen_not_full.fetch_add(1);
-  });
-  for (int i = 0; i < 5; ++i) {
-    pool.Submit([] {});
-  }
-  pool.WaitIdle();  // returns only after the last callback has returned
-  EXPECT_EQ(calls.load(), 5);
-  // At least the last completion observed a free slot.
-  EXPECT_GE(seen_not_full.load(), 1);
-}
-
-TEST(ThreadPoolTest, WaitIdleWaitsForTaskCompleteCallbacks) {
-  // A pool kept across batches may have its callback capture batch-local
-  // state; WaitIdle must not return while a callback still runs, and the
-  // callback can then be replaced for the next batch.
-  ThreadPool pool(2);
-  for (int batch = 0; batch < 3; ++batch) {
-    std::atomic<int> returned{0};
-    pool.SetTaskCompleteCallback([&returned] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      returned.fetch_add(1);
-    });
-    for (int i = 0; i < 4; ++i) pool.Submit([] {});
-    pool.WaitIdle();
-    EXPECT_EQ(returned.load(), 4) << "batch " << batch;
-    pool.SetTaskCompleteCallback(nullptr);
-  }
-}
-
-TEST(ThreadPoolTest, ZeroRequestedBecomesOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(StringUtilTest, ToLowerAscii) {

@@ -1,13 +1,15 @@
 // Deadline propagation and admission control (DESIGN.md §8): the
-// Deadline/CancelToken primitives, the thread pool's bounded TrySubmit and
-// graceful Shutdown, the fault injector's deadline-capped waits, and the
-// pipeline executor's deterministic deadline/shedding behaviour. Every
+// Deadline/CancelToken primitives, the thread pool's bounded TrySubmit,
+// completion callbacks and draining teardown, the fault injector's
+// deadline-capped waits, and the pipeline executor's deterministic
+// deadline/shedding behaviour. Every
 // scenario here runs on the instant virtual clock (time_scale = 0) or pure
 // in-memory primitives, so nothing depends on wall-clock timing; the
 // real-time expiry scenarios live in overload_test.cc.
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
@@ -89,72 +91,126 @@ TEST(CancelTokenTest, CancelledNowGuardsNull) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool bounded admission + graceful shutdown
+// ThreadPool: bounded admission, completion callbacks, teardown
+
+/// Submits `task`, waiting for a free worker whenever the pool refuses.
+void SubmitWhenFree(ThreadPool& pool, const std::function<void()>& task) {
+  while (!pool.TrySubmit(task)) std::this_thread::yield();
+}
+
+TEST(ThreadPoolTest, ExecutesAllTasks) {
+  ThreadPool pool(4);
+  std::atomic<int> counter{0};
+  for (int i = 0; i < 100; ++i) {
+    SubmitWhenFree(pool, [&counter] { counter.fetch_add(1); });
+  }
+  pool.WaitIdle();
+  EXPECT_EQ(counter.load(), 100);
+}
 
 TEST(ThreadPoolAdmissionTest, TrySubmitRefusesPastBound) {
   ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   auto running = std::make_shared<std::promise<void>>();
-  auto first = pool.TrySubmit([gate, running] {
+  ASSERT_TRUE(pool.TrySubmit([gate, running] {
     running->set_value();
     gate.wait();
-  });
-  ASSERT_TRUE(first.has_value());
+  }));
   running->get_future().wait();  // the single worker is now occupied
-  EXPECT_TRUE(pool.Full());
-  auto second = pool.TrySubmit([] {});
-  EXPECT_FALSE(second.has_value());  // refused, not queued
+  std::atomic<int> refused_ran{0};
+  EXPECT_FALSE(pool.TrySubmit([&refused_ran] { refused_ran.fetch_add(1); }));
   release.set_value();
-  first->wait();
   pool.WaitIdle();
-  auto third = pool.TrySubmit([] {});  // capacity returned
-  ASSERT_TRUE(third.has_value());
-  third->wait();
+  EXPECT_EQ(refused_ran.load(), 0);  // refused, not queued
+  std::atomic<bool> ran{false};
+  ASSERT_TRUE(pool.TrySubmit([&ran] { ran = true; }));  // capacity returned
+  pool.WaitIdle();
+  EXPECT_TRUE(ran.load());
 }
 
-TEST(ThreadPoolAdmissionTest, ShutdownDrainsPendingByDefault) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    std::promise<void> release;
-    std::shared_future<void> gate = release.get_future().share();
-    pool.Submit([gate] { gate.wait(); });
-    for (int i = 0; i < 4; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1); });
-    }
-    release.set_value();
-    pool.Shutdown(/*drain_pending=*/true);
-    EXPECT_EQ(ran.load(), 4);
-  }
-}
-
-TEST(ThreadPoolAdmissionTest, ShutdownCanDiscardQueueWithoutAborting) {
-  std::atomic<int> ran{0};
-  ThreadPool pool(1);
+TEST(ThreadPoolTest, FullReflectsCapacity) {
+  // The pool is full exactly when size() tasks are in flight: it admits
+  // that many, refuses the next, and admits size() again once they finish.
+  ThreadPool pool(2);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  auto running = std::make_shared<std::promise<void>>();
-  pool.Submit([gate, running] {
-    running->set_value();
-    gate.wait();
-  });
-  running->get_future().wait();
-  std::future<void> discarded = pool.Submit([&ran] { ran.fetch_add(1); });
-  // Start the shutdown while the worker is still pinned on the gate: the
-  // queue is discarded under the pool lock before the gate opens, so the
-  // queued task can never sneak onto the freed worker.
-  std::thread shutter([&pool] { pool.Shutdown(/*drain_pending=*/false); });
-  while (pool.InFlight() != 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::vector<std::shared_ptr<std::promise<void>>> running;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    auto started = std::make_shared<std::promise<void>>();
+    running.push_back(started);
+    ASSERT_TRUE(pool.TrySubmit([gate, started] {
+      started->set_value();
+      gate.wait();
+    }));
   }
+  for (auto& started : running) started->get_future().wait();
+  EXPECT_FALSE(pool.TrySubmit([] {}));
   release.set_value();
-  shutter.join();
-  EXPECT_EQ(ran.load(), 0);  // the queued task never ran
-  EXPECT_THROW(discarded.get(), std::future_error);  // broken promise
-  // Idempotent, and submission after shutdown is refused, not fatal.
-  pool.Shutdown();
-  EXPECT_FALSE(pool.TrySubmit([] {}).has_value());
+  pool.WaitIdle();
+  std::atomic<int> ran{0};
+  for (size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
+  }
+  pool.WaitIdle();
+  EXPECT_EQ(ran.load(), static_cast<int>(pool.size()));
+}
+
+TEST(ThreadPoolTest, TaskCompleteCallbackFiresAfterSlotRelease) {
+  // Every callback runs after its task's slot is free: on a one-worker
+  // pool, each of the first four callbacks is admitted a follow-up task.
+  ThreadPool pool(1);
+  std::atomic<int> calls{0};
+  std::atomic<int> admitted{0};
+  pool.SetTaskCompleteCallback([&] {
+    if (calls.fetch_add(1) < 4 && pool.TrySubmit([] {})) {
+      admitted.fetch_add(1);
+    }
+  });
+  ASSERT_TRUE(pool.TrySubmit([] {}));
+  pool.WaitIdle();  // returns only after the last callback has returned
+  EXPECT_EQ(calls.load(), 5);
+  EXPECT_EQ(admitted.load(), 4);
+  pool.SetTaskCompleteCallback(nullptr);
+}
+
+TEST(ThreadPoolTest, WaitIdleWaitsForTaskCompleteCallbacks) {
+  // A pool kept across batches may have its callback capture batch-local
+  // state; WaitIdle must not return while a callback still runs, and the
+  // callback can then be replaced for the next batch.
+  ThreadPool pool(2);
+  for (int batch = 0; batch < 3; ++batch) {
+    std::atomic<int> returned{0};
+    pool.SetTaskCompleteCallback([&returned] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      returned.fetch_add(1);
+    });
+    for (int i = 0; i < 4; ++i) SubmitWhenFree(pool, [] {});
+    pool.WaitIdle();
+    EXPECT_EQ(returned.load(), 4) << "batch " << batch;
+    pool.SetTaskCompleteCallback(nullptr);
+  }
+}
+
+TEST(ThreadPoolTest, ZeroRequestedBecomesOne) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(ThreadPoolAdmissionTest, DestructorDrainsAdmittedTasks) {
+  // Destroying the pool right after admission: tasks still queued when
+  // the workers are told to stop must run before the join.
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(pool.TrySubmit([&ran] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ran.fetch_add(1);
+      }));
+    }
+  }
+  EXPECT_EQ(ran.load(), 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,14 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "clouddb/database.h"
-#include "common/thread_pool.h"
 #include "data/table_generator.h"
 #include "model/adtd.h"
 #include "model/input_encoding.h"
@@ -70,14 +69,13 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
   // infer worker can drop their buffers from any thread. Run under
   // TASTE_SANITIZE=thread this is the pool's race check.
   BufferPool pool;
-  ThreadPool workers(4);
-  std::vector<std::future<void>> futs;
+  std::vector<std::thread> workers;
   for (int t = 0; t < 8; ++t) {
-    futs.push_back(workers.Submit([&pool] {
+    workers.emplace_back([&pool] {
       for (int i = 0; i < 200; ++i) pool.Release(pool.Acquire(64));
-    }));
+    });
   }
-  for (auto& f : futs) f.get();
+  for (auto& w : workers) w.join();
   EXPECT_EQ(pool.stats().acquires, 1600);
 }
 
@@ -239,10 +237,9 @@ TEST(ExecContextPoolTest, ConcurrentLeasesGetDistinctContexts) {
   // Stress: no context is ever held by two threads at once.
   std::mutex mu;
   std::set<ExecContext*> held;
-  ThreadPool workers(4);
-  std::vector<std::future<void>> futs;
+  std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
-    futs.push_back(workers.Submit([&] {
+    workers.emplace_back([&] {
       for (int i = 0; i < 200; ++i) {
         ExecContextPool::Lease lease = pool.Acquire({});
         {
@@ -257,9 +254,9 @@ TEST(ExecContextPoolTest, ConcurrentLeasesGetDistinctContexts) {
         std::lock_guard<std::mutex> lock(mu);
         held.erase(lease.get());
       }
-    }));
+    });
   }
-  for (auto& f : futs) f.get();
+  for (auto& w : workers) w.join();
   EXPECT_EQ(pool.leased(), 2u);  // a and b
   EXPECT_LE(pool.size(), 6u);
 }

@@ -1,11 +1,11 @@
 // Parity suite for the raw kernel layer (tensor/kernels.h).
 //
-// Determinism split (see kernels.h): the blocked GEMM — serial or
-// row-partitioned across a ThreadPool — is BITWISE identical to its own
-// serial self for ALL transpose variants at any thread count (the
-// pipeline's byte-identical-output guarantee rests on this), and matches
-// the naive reference to 1e-5 relative (the reference rounds differently:
-// accumulator seeding and per-loop-shape FMA contraction).
+// Determinism split (see kernels.h): a row of the blocked GEMM is BITWISE
+// the same row computed alone, at any offset and for ALL transpose variants
+// (the pipeline's byte-identical-output guarantee and the anchor-only last
+// layer rest on this), and the blocked GEMM matches the naive reference to
+// 1e-5 relative (the reference rounds differently: accumulator seeding and
+// per-loop-shape FMA contraction).
 
 #include "tensor/kernels.h"
 
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace taste::tensor::kernels {
 namespace {
@@ -46,7 +45,7 @@ const char* VariantName(bool trans_a, bool trans_b) {
   return trans_a ? (trans_b ? "TT" : "TN") : (trans_b ? "NT" : "NN");
 }
 
-void CheckAllVariants(const GemmShape& s, ThreadPool* pool) {
+void CheckAllVariants(const GemmShape& s) {
   Rng rng(s.m * 1000003 + s.n * 1009 + s.k);
   // Operand storage covers both layouts; transposed variants reinterpret.
   std::vector<float> a = RandomVec(s.m * s.k, rng);
@@ -57,19 +56,12 @@ void CheckAllVariants(const GemmShape& s, ThreadPool* pool) {
       std::vector<float> want = c0;
       GemmAccRef(a.data(), b.data(), want.data(), s.m, s.n, s.k, trans_a,
                  trans_b);
-      std::vector<float> serial = c0;
-      GemmAcc(a.data(), b.data(), serial.data(), s.m, s.n, s.k, trans_a,
-              trans_b, /*pool=*/nullptr);
       std::vector<float> got = c0;
-      GemmAcc(a.data(), b.data(), got.data(), s.m, s.n, s.k, trans_a, trans_b,
-              pool);
+      GemmAcc(a.data(), b.data(), got.data(), s.m, s.n, s.k, trans_a,
+              trans_b);
       ASSERT_EQ(want.size(), got.size());
       for (size_t i = 0; i < want.size(); ++i) {
         const char* variant = VariantName(trans_a, trans_b);
-        // Blocked (any thread count) == blocked serial, always bitwise.
-        ASSERT_EQ(serial[i], got[i])
-            << "m=" << s.m << " n=" << s.n << " k=" << s.k << " " << variant
-            << " at " << i;
         ASSERT_NEAR(want[i], got[i], 1e-5f * (1.0f + std::abs(want[i])))
             << "m=" << s.m << " n=" << s.n << " k=" << s.k << " " << variant
             << " at " << i;
@@ -79,19 +71,7 @@ void CheckAllVariants(const GemmShape& s, ThreadPool* pool) {
 }
 
 TEST(KernelsGemmTest, BlockedMatchesReference) {
-  for (const GemmShape& s : kShapes) CheckAllVariants(s, /*pool=*/nullptr);
-}
-
-TEST(KernelsGemmTest, ParallelMatchesSerialAndReference) {
-  ThreadPool pool(3);
-  for (const GemmShape& s : kShapes) CheckAllVariants(s, &pool);
-}
-
-TEST(KernelsGemmTest, ParallelLargeProblemCrossesFlopThreshold) {
-  // Big enough that GemmAcc actually forks bands (kMinParallelFlops);
-  // still bitwise identical to the reference.
-  ThreadPool pool(4);
-  CheckAllVariants({200, 160, 96}, &pool);
+  for (const GemmShape& s : kShapes) CheckAllVariants(s);
 }
 
 // Column tails: widths that leave a partial 16-column tile (n mod 16 != 0),
@@ -103,7 +83,7 @@ const int64_t kTailKs[] = {1, 12, 111, 300};
 
 TEST(KernelsGemmTest, ColumnTailMatchesReference) {
   for (int64_t n : kTailNs) {
-    for (int64_t k : kTailKs) CheckAllVariants({5, n, k}, /*pool=*/nullptr);
+    for (int64_t k : kTailKs) CheckAllVariants({5, n, k});
   }
 }
 
@@ -147,31 +127,6 @@ TEST(KernelsGemmTest, ColumnTailRowBitsIndependentOfRowOffset) {
           }
         }
       }
-    }
-  }
-}
-
-TEST(KernelsGemmTest, ColumnTailParallelBitwiseEqualsSerial) {
-  // 2*200*47*300 flops is above kMinParallelFlops, so the pool forks bands;
-  // n = 47 leaves a 15-column tail tile in every band. (Reference parity is
-  // ColumnTailMatchesReference's job: at 9400 outputs of k = 300 the fp32
-  // reference itself strays up to ~4e-5 from the exact sum.)
-  const int64_t m = 200, n = 47, k = 300;
-  ThreadPool pool(4);
-  Rng rng(47);
-  const std::vector<float> a = RandomVec(m * k, rng);
-  const std::vector<float> b = RandomVec(k * n, rng);
-  const std::vector<float> c0 = RandomVec(m * n, rng);
-  for (bool trans_a : {false, true}) {
-    for (bool trans_b : {false, true}) {
-      std::vector<float> serial = c0;
-      GemmAcc(a.data(), b.data(), serial.data(), m, n, k, trans_a, trans_b);
-      std::vector<float> pooled = c0;
-      GemmAcc(a.data(), b.data(), pooled.data(), m, n, k, trans_a, trans_b,
-              &pool);
-      EXPECT_EQ(0, std::memcmp(serial.data(), pooled.data(),
-                               sizeof(float) * serial.size()))
-          << VariantName(trans_a, trans_b);
     }
   }
 }
@@ -223,101 +178,24 @@ TEST(KernelsGemmTest, ZeroSizedProblemsAreNoOps) {
   EXPECT_EQ(c[1], 2.0f);
 }
 
-// -- Strided operands (GemmAccStrided) --------------------------------------
-
-/// `rows` x `cols` of `dense` copied into storage whose rows are `ld` apart,
-/// the gaps filled with `fill`. The allocation is exactly rows * ld floats,
-/// so a read past the last row trips AddressSanitizer.
-std::vector<float> Strided(const std::vector<float>& dense, int64_t rows,
-                           int64_t cols, int64_t ld, float fill) {
-  std::vector<float> out(static_cast<size_t>(rows * ld), fill);
-  for (int64_t r = 0; r < rows; ++r) {
-    std::copy(dense.begin() + r * cols, dense.begin() + (r + 1) * cols,
-              out.begin() + r * ld);
-  }
-  return out;
-}
-
-TEST(KernelsGemmTest, StridedMatchesDenseCopiesBitwise) {
-  // Every stride wider than its natural one; C sits inside a wider buffer
-  // with guard words before it, between its rows and after it. The gaps of
-  // A and B hold NaN, so reading one would poison a live result.
-  constexpr float kGuard = -12345.5f;
-  const float kNan = std::nanf("");
-  constexpr int64_t kPad = 16;  // a whole register tile of guards
-  const GemmShape shapes[] = {{1, 12, 12},  {3, 130, 12}, {9, 12, 157},
-                              {17, 47, 48}, {31, 27, 12}, {70, 20, 300}};
-  for (const GemmShape& s : shapes) {
-    for (bool trans_a : {false, true}) {
-      for (bool trans_b : {false, true}) {
-        Rng rng(s.m * 131 + s.n * 7 + s.k + (trans_a ? 2 : 0) +
-                (trans_b ? 1 : 0));
-        // Storage shapes: A (m, k) or (k, m); B (k, n) or (n, k).
-        const int64_t a_rows = trans_a ? s.k : s.m;
-        const int64_t a_cols = trans_a ? s.m : s.k;
-        const int64_t b_rows = trans_b ? s.n : s.k;
-        const int64_t b_cols = trans_b ? s.k : s.n;
-        const std::vector<float> a = RandomVec(a_rows * a_cols, rng);
-        const std::vector<float> b = RandomVec(b_rows * b_cols, rng);
-        const std::vector<float> c0 = RandomVec(s.m * s.n, rng);
-        std::vector<float> want = c0;
-        GemmAcc(a.data(), b.data(), want.data(), s.m, s.n, s.k, trans_a,
-                trans_b);
-
-        const int64_t lda = a_cols + 5, ldb = b_cols + 3, ldc = s.n + 7;
-        const std::vector<float> sa = Strided(a, a_rows, a_cols, lda, kNan);
-        const std::vector<float> sb = Strided(b, b_rows, b_cols, ldb, kNan);
-        std::vector<float> sc(static_cast<size_t>(kPad + s.m * ldc + kPad),
-                              kGuard);
-        for (int64_t i = 0; i < s.m; ++i) {
-          std::copy(c0.begin() + i * s.n, c0.begin() + (i + 1) * s.n,
-                    sc.begin() + kPad + i * ldc);
-        }
-        GemmAccStrided(sa.data(), lda, sb.data(), ldb, sc.data() + kPad, ldc,
-                       s.m, s.n, s.k, trans_a, trans_b);
-        for (int64_t i = 0; i < s.m; ++i) {
-          EXPECT_EQ(0, std::memcmp(want.data() + i * s.n,
-                                   sc.data() + kPad + i * ldc,
-                                   sizeof(float) * static_cast<size_t>(s.n)))
-              << "m=" << s.m << " n=" << s.n << " k=" << s.k << " "
-              << VariantName(trans_a, trans_b) << " row " << i;
-        }
-        // Guards: before C, in every row gap, and after C.
-        for (size_t g = 0; g < sc.size(); ++g) {
-          const int64_t off = static_cast<int64_t>(g) - kPad;
-          const bool live = off >= 0 && off < s.m * ldc && off % ldc < s.n;
-          if (!live) {
-            ASSERT_EQ(sc[g], kGuard)
-                << "m=" << s.m << " n=" << s.n << " "
-                << VariantName(trans_a, trans_b) << " guard at " << off;
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelsGemmTest, RowBitsIndependentOfBandOffset) {
   // m = 1 .. 2 bands + 1, every row placed at every offset: a row computed
   // inside a taller problem, at any position relative to the register band
-  // edges, is bitwise the row computed alone. A is strided and sits in an
-  // allocation of exactly m * lda floats, so a padding row that reads past
-  // the live rows trips AddressSanitizer; its row gaps hold NaN.
+  // edges, is bitwise the row computed alone. A sits in an allocation of
+  // exactly m * k floats, so a padding row that reads past the live rows
+  // trips AddressSanitizer.
   constexpr int64_t kBand = kGemmBandRows;
-  const int64_t n = 27, k = 48, lda = k + 4;
+  const int64_t n = 27, k = 48;
   Rng rng(kBand);
   const std::vector<float> b = RandomVec(k * n, rng);
   for (int64_t m = 1; m <= 2 * kBand + 1; ++m) {
-    const std::vector<float> a_dense = RandomVec(m * k, rng);
-    const std::vector<float> a = Strided(a_dense, m, k, lda, std::nanf(""));
-    ASSERT_EQ(a.size(), static_cast<size_t>(m * lda));
+    const std::vector<float> a = RandomVec(m * k, rng);
     const std::vector<float> c0 = RandomVec(m * n, rng);
     std::vector<float> tall = c0;
-    GemmAccStrided(a.data(), lda, b.data(), n, tall.data(), n, m, n, k,
-                   false, false);
+    GemmAcc(a.data(), b.data(), tall.data(), m, n, k, false, false);
     for (int64_t i = 0; i < m; ++i) {
       std::vector<float> solo(c0.begin() + i * n, c0.begin() + (i + 1) * n);
-      GemmAcc(a_dense.data() + i * k, b.data(), solo.data(), 1, n, k, false,
+      GemmAcc(a.data() + i * k, b.data(), solo.data(), 1, n, k, false,
               false);
       EXPECT_EQ(0, std::memcmp(solo.data(), tall.data() + i * n,
                                sizeof(float) * static_cast<size_t>(n)))
@@ -326,21 +204,12 @@ TEST(KernelsGemmTest, RowBitsIndependentOfBandOffset) {
   }
 }
 
-TEST(KernelsGemmTest, ZeroSizedStridedProblemsAreNoOps) {
-  std::vector<float> c = {1.0f, 2.0f};
-  GemmAccStrided(nullptr, 7, nullptr, 9, c.data(), 5, 1, 2, 0, false, true);
-  GemmAccStrided(nullptr, 7, nullptr, 9, c.data(), 5, 0, 2, 4, true, false);
-  EXPECT_EQ(c[0], 1.0f);
-  EXPECT_EQ(c[1], 2.0f);
-}
-
 // -- Overwrite and bias epilogue (Gemm), in-place B -------------------------
 
 TEST(KernelsGemmTest, OverwriteIgnoresPoisonedCBitwise) {
   // Gemm seeds its first k-block with zero instead of reading C: over a
   // NaN-filled C it must equal GemmAcc into a zeroed C, bit for bit, for
-  // every variant, serially and row-partitioned over a pool.
-  ThreadPool pool(3);
+  // every variant.
   for (const GemmShape& s : kShapes) {
     Rng rng(s.m * 31 + s.n * 17 + s.k);
     const std::vector<float> a = RandomVec(s.m * s.k, rng);
@@ -350,15 +219,13 @@ TEST(KernelsGemmTest, OverwriteIgnoresPoisonedCBitwise) {
         std::vector<float> want(static_cast<size_t>(s.m * s.n), 0.0f);
         GemmAcc(a.data(), b.data(), want.data(), s.m, s.n, s.k, trans_a,
                 trans_b);
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          std::vector<float> got(want.size(), std::nanf(""));
-          Gemm(a.data(), b.data(), nullptr, got.data(), s.m, s.n, s.k,
-               trans_a, trans_b, p);
-          EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
-                                   sizeof(float) * want.size()))
-              << "m=" << s.m << " n=" << s.n << " k=" << s.k << " "
-              << VariantName(trans_a, trans_b) << (p ? " pooled" : "");
-        }
+        std::vector<float> got(want.size(), std::nanf(""));
+        Gemm(a.data(), b.data(), nullptr, got.data(), s.m, s.n, s.k, trans_a,
+             trans_b);
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 sizeof(float) * want.size()))
+            << "m=" << s.m << " n=" << s.n << " k=" << s.k << " "
+            << VariantName(trans_a, trans_b);
       }
     }
   }
@@ -408,10 +275,10 @@ TEST(KernelsGemmTest, BiasEpilogueEqualsGemmAccThenAddBias) {
 }
 
 TEST(KernelsGemmTest, InPlaceBMatchesPackedBBitwise) {
-  // A non-transposed B whose live columns fill whole 16-column tiles is
-  // read in place, any other B is packed. The same product through B in
-  // place (strided: its row gaps hold NaN) and through a packed transposed
-  // copy of B must agree bit for bit, also past one NC block of columns.
+  // A non-transposed B whose columns fill whole 16-column tiles is read in
+  // place, any other B is packed. The same product through B in place and
+  // through a packed transposed copy of B must agree bit for bit, also
+  // past one NC block of columns.
   for (int64_t n : {16, 48, 128, 528}) {
     for (int64_t k : {12, 48, 300}) {
       for (int64_t m : {1, 9, 70}) {
@@ -425,11 +292,8 @@ TEST(KernelsGemmTest, InPlaceBMatchesPackedBBitwise) {
         const std::vector<float> c0 = RandomVec(m * n, rng);
         std::vector<float> packed = c0;
         GemmAcc(a.data(), b_t.data(), packed.data(), m, n, k, false, true);
-        const int64_t ldb = n + 5;
-        const std::vector<float> wide = Strided(b, k, n, ldb, std::nanf(""));
         std::vector<float> in_place = c0;
-        GemmAccStrided(a.data(), k, wide.data(), ldb, in_place.data(), n, m,
-                       n, k, false, false);
+        GemmAcc(a.data(), b.data(), in_place.data(), m, n, k, false, false);
         EXPECT_EQ(0, std::memcmp(packed.data(), in_place.data(),
                                  sizeof(float) * packed.size()))
             << "m=" << m << " n=" << n << " k=" << k;

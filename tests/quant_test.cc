@@ -10,8 +10,8 @@
 //   * every compiled kernel flavour (portable / SSE4.1 / AVX2) produces
 //     BYTE-identical fp32 outputs — the serving tier's int8 determinism
 //     rests on this, so it is fuzzed across 50 seeds of random shapes;
-//   * a row's outputs are independent of the other rows and of the
-//     intra-op pool, byte for byte, like the fp32 kernels (tests/kernels_test.cc);
+//   * a row's outputs are independent of the other rows, byte for byte,
+//     like the fp32 kernels (tests/kernels_test.cc);
 //   * the nn::Linear gate only takes the int8 path inside an int8
 //     ExecContext quant region with gradients off.
 
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "nn/layers.h"
 #include "tensor/exec_context.h"
 #include "tensor/ops.h"
@@ -90,7 +89,7 @@ TEST(QuantPackTest, AllZeroChannelHasZeroScaleAndZeroOutput) {
   const int64_t m = 3;
   std::vector<float> x = RandomVec(m * k, rng);
   std::vector<float> c(static_cast<size_t>(m * n), -1.0f);
-  QuantLinearForward(x.data(), m, packed, /*bias=*/nullptr, c.data(), nullptr);
+  QuantLinearForward(x.data(), m, packed, /*bias=*/nullptr, c.data());
   for (int64_t r = 0; r < m; ++r) {
     EXPECT_EQ(c[static_cast<size_t>(r * n + 4)], 0.0f);
   }
@@ -113,7 +112,7 @@ TEST(QuantPackTest, SingleElementChannelAndKOne) {
   // values (q = ±127 round-trips to the stored scale times ±127).
   const float x = 3.0f;
   float c[3] = {0, 0, 0};
-  QuantLinearForward(&x, 1, packed, nullptr, c, nullptr);
+  QuantLinearForward(&x, 1, packed, nullptr, c);
   EXPECT_NEAR(c[0], 1.5f, 1.5f * 0.02f);
   EXPECT_NEAR(c[1], -6.0f, 6.0f * 0.02f);
   EXPECT_EQ(c[2], 0.0f);
@@ -158,8 +157,7 @@ TEST(QuantGemmTest, Int32ExactAtPaperDepthExtremes) {
         QuantKernel::kAvx512}) {
     if (!QuantKernelAvailable(kern)) continue;
     std::vector<float> c(static_cast<size_t>(m * n));
-    QuantGemm(qa.data(), a_scales.data(), packed, nullptr, c.data(), m,
-              nullptr, kern);
+    QuantGemm(qa.data(), a_scales.data(), packed, nullptr, c.data(), m, kern);
     for (int64_t r = 0; r < m; ++r) {
       for (int64_t j = 0; j < n; ++j) {
         int64_t acc = 0;
@@ -198,14 +196,13 @@ TEST(QuantGemmTest, KernelFlavoursByteIdenticalAcross50Seeds) {
     std::vector<float> bias = RandomVec(n, rng);
 
     std::vector<float> base(static_cast<size_t>(m * n));
-    QuantLinearForward(x.data(), m, packed, bias.data(), base.data(), nullptr,
+    QuantLinearForward(x.data(), m, packed, bias.data(), base.data(),
                        QuantKernel::kPortable);
     for (QuantKernel kern : {QuantKernel::kSse41, QuantKernel::kAvx2,
                              QuantKernel::kAvx512}) {
       if (!QuantKernelAvailable(kern)) continue;
       std::vector<float> got(static_cast<size_t>(m * n), -7.0f);
-      QuantLinearForward(x.data(), m, packed, bias.data(), got.data(),
-                         nullptr, kern);
+      QuantLinearForward(x.data(), m, packed, bias.data(), got.data(), kern);
       ASSERT_EQ(0, std::memcmp(base.data(), got.data(),
                                base.size() * sizeof(float)))
           << "seed=" << seed << " kernel=" << QuantKernelName(kern)
@@ -214,11 +211,10 @@ TEST(QuantGemmTest, KernelFlavoursByteIdenticalAcross50Seeds) {
   }
 }
 
-// Row-stability + pool independence: row r of a batched forward is byte
-// identical to a single-row forward of the same row, with or without an
-// intra-op pool. This is what lets the int8 anchor-only last layer and
-// pooled replicas agree byte for byte.
-TEST(QuantGemmTest, BatchCompositionAndPoolIndependence) {
+// Row-stability: row r of a batched forward is byte identical to a
+// single-row forward of the same row. This is what lets the int8
+// anchor-only last layer and the replicas agree byte for byte.
+TEST(QuantGemmTest, BatchCompositionMatchesSingleRows) {
   Rng rng(31);
   const int64_t m = 9, k = 312, n = 64;
   std::vector<float> w = RandomVec(k * n, rng);
@@ -227,17 +223,10 @@ TEST(QuantGemmTest, BatchCompositionAndPoolIndependence) {
   PackedQuantWeight packed = PackWeightPerChannel(w.data(), k, n);
 
   std::vector<float> batched(static_cast<size_t>(m * n));
-  QuantLinearForward(x.data(), m, packed, bias.data(), batched.data(),
-                     nullptr);
-  ThreadPool pool(3);
-  std::vector<float> pooled(static_cast<size_t>(m * n));
-  QuantLinearForward(x.data(), m, packed, bias.data(), pooled.data(), &pool);
-  EXPECT_EQ(0, std::memcmp(batched.data(), pooled.data(),
-                           batched.size() * sizeof(float)));
+  QuantLinearForward(x.data(), m, packed, bias.data(), batched.data());
   for (int64_t r = 0; r < m; ++r) {
     std::vector<float> solo(static_cast<size_t>(n));
-    QuantLinearForward(x.data() + r * k, 1, packed, bias.data(), solo.data(),
-                       nullptr);
+    QuantLinearForward(x.data() + r * k, 1, packed, bias.data(), solo.data());
     ASSERT_EQ(0, std::memcmp(solo.data(), batched.data() + r * n,
                              solo.size() * sizeof(float)))
         << "row " << r;
@@ -254,7 +243,7 @@ TEST(QuantGemmTest, TracksFp32WithinQuantizationBound) {
   std::vector<float> a_scales(static_cast<size_t>(m));
   QuantizeActivationRows(x.data(), m, k, qa.data(), a_scales.data());
   std::vector<float> c(static_cast<size_t>(m * n));
-  QuantLinearForward(x.data(), m, packed, nullptr, c.data(), nullptr);
+  QuantLinearForward(x.data(), m, packed, nullptr, c.data());
 
   for (int64_t r = 0; r < m; ++r) {
     for (int64_t j = 0; j < n; ++j) {

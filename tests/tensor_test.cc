@@ -1,9 +1,6 @@
 // Forward-pass unit tests for the tensor library: factories, shape
 // contracts, and operator values.
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -451,30 +448,6 @@ TEST(RecycledBufferTest, OverwritingOpsIgnorePoisonedBuffers) {
       EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0);
     }
   }
-}
-
-TEST(ExecContextPoolTest, ForkedChildBuildsItsOwnContexts) {
-  // A replica fork()ed from a serving process inherits its detector's
-  // parked contexts but not the threads of their intra-op pools, so it
-  // must not hand those contexts out.
-  ExecContextPool pool;
-  const ExecContext::Options opt{.intra_op_threads = 2};
-  ExecContext* parent_ctx = pool.Acquire(opt).get();  // returned at once
-  ASSERT_EQ(pool.size(), 1u);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ExecContextPool::Lease lease = pool.Acquire(opt);
-    const bool fresh = lease.get() != parent_ctx && pool.size() == 1 &&
-                       lease->intra_pool() != parent_ctx->intra_pool();
-    ::_exit(fresh ? 0 : 1);
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  // The parent keeps its own.
-  EXPECT_EQ(pool.Acquire(opt).get(), parent_ctx);
 }
 
 }  // namespace
