@@ -67,7 +67,7 @@ SweepRow RunOnce(const std::string& label, const eval::TrainedStack& stack,
 void PrintSweep(const std::string& title, const std::vector<SweepRow>& rows) {
   std::printf("%s", eval::SectionHeader(title).c_str());
   eval::TextTable table({"faults", "wall", "tables/s", "F1", "cols scanned",
-                         "retries", "stage rt", "degraded", "deg ratio"});
+                         "retries", "degraded", "deg ratio"});
   for (const auto& r : rows) {
     double tps = r.stats.wall_ms > 0.0
                      ? 1000.0 * r.stats.tables_processed / r.stats.wall_ms
@@ -81,7 +81,6 @@ void PrintSweep(const std::string& title, const std::vector<SweepRow>& rows) {
     table.AddRow({r.label, Ms(r.stats.wall_ms), tps_buf, F4(r.run.scores.f1),
                   Pct(r.run.scanned_ratio()),
                   std::to_string(r.rz.retries + r.rz.connect_retries),
-                  std::to_string(r.rz.stage_retries),
                   std::to_string(r.rz.degraded_columns), Pct(deg_ratio)});
   }
   std::printf("%s", table.ToString().c_str());
@@ -89,8 +88,7 @@ void PrintSweep(const std::string& title, const std::vector<SweepRow>& rows) {
 
 core::TasteOptions ResilientTasteOptions() {
   core::TasteOptions o;
-  o.resilience.enabled = true;
-  o.resilience.retry.max_attempts = 5;
+  o.resilience.max_attempts = 5;
   // Degraded columns fall back to the Table 4 privacy-mode admission rule.
   o.resilience.degraded_admit_threshold = 0.5;
   return o;

@@ -1,7 +1,7 @@
 // Resilient serving: run a batch detection against a FLAKY cloud database
 // — transient timeouts, latency spikes, and one hard-failed table — and
 // watch the fault-tolerance layer absorb it: transient errors are retried
-// with backoff, the dead table degrades to the Phase-1 metadata-only
+// at once, the dead table degrades to the Phase-1 metadata-only
 // prediction instead of sinking the batch, and every outcome is tagged
 // with its provenance in the result JSON.
 //
@@ -66,14 +66,13 @@ int main() {
               "table '%s' scan-unavailable\n",
               names.front().c_str());
 
-  // 3) A resilient detector: retry transients (capped exponential backoff,
-  //    deterministic jitter), circuit-break dead tables, and degrade to
-  //    the metadata-only prediction when content cannot be read. Threshold
-  //    0.5 applies the paper's Table 4 privacy-mode admission rule to the
-  //    degraded columns (metadata-only P1 holds F1 ~ 0.90 there).
+  // 3) The detector retries transients (immediately, up to max_attempts),
+  //    circuit-breaks dead tables, and degrades to the metadata-only
+  //    prediction when content cannot be read. Threshold 0.5 applies the
+  //    paper's Table 4 privacy-mode admission rule to the degraded columns
+  //    (metadata-only P1 holds F1 ~ 0.90 there).
   core::TasteOptions taste_options;
-  taste_options.resilience.enabled = true;
-  taste_options.resilience.retry.max_attempts = 5;
+  taste_options.resilience.max_attempts = 5;
   taste_options.resilience.degraded_admit_threshold = 0.5;
   core::TasteDetector detector(stack->adtd.get(), stack->tokenizer.get(),
                                taste_options);
@@ -96,10 +95,9 @@ int main() {
               exec.stats().wall_ms);
 
   const auto& rz = exec.resilience_stats();
-  std::printf("Resilience: %lld retries, %lld stage re-runs, %lld degraded "
-              "columns, %lld failed columns, %lld breaker trips\n",
+  std::printf("Resilience: %lld retries, %lld degraded columns, %lld failed "
+              "columns, %lld breaker trips\n",
               static_cast<long long>(rz.retries),
-              static_cast<long long>(rz.stage_retries),
               static_cast<long long>(rz.degraded_columns),
               static_cast<long long>(rz.failed_columns),
               static_cast<long long>(rz.breaker_trips));

@@ -157,6 +157,12 @@ FaultInjector::Stats FaultInjector::stats() const {
   return stats_;
 }
 
+uint64_t FaultInjector::attempts(DbOp op, const std::string& table) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = attempts_.find({static_cast<int>(op), table});
+  return it == attempts_.end() ? 0 : it->second;
+}
+
 void FaultInjector::ResetStats() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = Stats();

@@ -133,6 +133,8 @@ class FaultInjector {
 
   Stats stats() const;
   void ResetStats();
+  /// Decisions made so far for `op` on `table` (its attempt counter).
+  uint64_t attempts(DbOp op, const std::string& table) const;
   const FaultConfig& config() const { return config_; }
 
  private:

@@ -49,7 +49,7 @@ struct TableDetectionResult {
   int degraded_columns = 0;  // provenance == kDegradedMetadataOnly
   int failed_columns = 0;    // provenance == kFailed
   int retries = 0;           // database-call retries spent on this table
-  int deadline_misses = 0;   // retry loops that ran out of backoff budget
+  int deadline_misses = 0;   // retry loops stopped by a fired cancel token
   int breaker_short_circuits = 0;  // calls rejected by an open breaker
 };
 

@@ -30,11 +30,6 @@ model::InputConfig ApplyOverrides(model::InputConfig config,
   return config;
 }
 
-/// Deterministic jitter salt for the retry loops of one table.
-uint64_t TableSalt(const std::string& table, uint64_t extra) {
-  return std::hash<std::string>{}(table) ^ (extra * 0x9E3779B97F4A7C15ULL);
-}
-
 }  // namespace
 
 TasteDetector::TasteDetector(const AdtdModel* model,
@@ -46,18 +41,32 @@ TasteDetector::TasteDetector(const AdtdModel* model,
       input_config_(ApplyOverrides(model->config().input, options)),
       encoder_(tokenizer, input_config_),
       cache_(std::make_unique<model::LatentCache>(options.cache_capacity)),
-      exec_contexts_(std::make_unique<tensor::ExecContextPool>()) {
+      exec_contexts_(std::make_unique<tensor::ExecContextPool>()),
+      breakers_(std::make_unique<BreakerRegistry>(options.resilience.breaker)) {
   TASTE_CHECK(model_ != nullptr && tokenizer_ != nullptr);
   TASTE_CHECK_MSG(options_.alpha >= 0 && options_.alpha <= options_.beta &&
                       options_.beta <= 1.0,
                   "need 0 <= alpha <= beta <= 1");
-  if (options_.resilience.enabled && options_.resilience.use_breaker) {
-    breakers_ = std::make_unique<BreakerRegistry>(options_.resilience.breaker);
-  }
 }
 
-CircuitBreaker* TasteDetector::BreakerFor(const std::string& table) const {
-  return breakers_ != nullptr ? breakers_->Get(table) : nullptr;
+template <typename Fn>
+auto TasteDetector::GuardedCall(const std::string& table, Fn&& fn,
+                                Job* job) const -> decltype(fn()) {
+  if (!breakers_->Allow(table)) {
+    ++job->result.breaker_short_circuits;
+    return Status::Unavailable("circuit open for table: " + table);
+  }
+  RetryObservation obs;
+  auto outcome = RetryCall(options_.resilience.max_attempts,
+                           std::forward<Fn>(fn), &obs, job->cancel);
+  job->result.retries += obs.retries;
+  job->result.deadline_misses += obs.deadline_miss ? 1 : 0;
+  if (outcome.ok()) {
+    breakers_->RecordSuccess(table);
+  } else {
+    breakers_->RecordFailure(table);
+  }
+  return outcome;
 }
 
 std::string TasteDetector::ChunkCacheKey(const std::string& table,
@@ -74,30 +83,10 @@ Status TasteDetector::PrepareP1(clouddb::Connection* conn,
   if (CancelledNow(job->cancel)) {
     return job->cancel->ToStatus("P1 prep for " + table_name);
   }
-  const ResilienceOptions& rz = options_.resilience;
-  clouddb::TableMetadata meta;
-  if (!rz.enabled) {
-    TASTE_ASSIGN_OR_RETURN(meta, conn->GetTableMetadata(table_name));
-  } else {
-    CircuitBreaker* breaker = BreakerFor(table_name);
-    if (breaker != nullptr && !breaker->Allow()) {
-      ++job->result.breaker_short_circuits;
-      return Status::Unavailable("circuit open for table: " + table_name);
-    }
-    RetryObservation obs;
-    auto fetched = RetryCall(
-        rz.retry, TableSalt(table_name, /*extra=*/1), /*sleep_ms=*/{},
-        [&] { return conn->GetTableMetadata(table_name); }, &obs,
-        job->cancel);
-    job->result.retries += obs.retries;
-    job->result.deadline_misses += obs.deadline_miss ? 1 : 0;
-    if (!fetched.ok()) {
-      if (breaker != nullptr) breaker->RecordFailure();
-      return fetched.status();
-    }
-    if (breaker != nullptr) breaker->RecordSuccess();
-    meta = std::move(*fetched);
-  }
+  TASTE_ASSIGN_OR_RETURN(
+      clouddb::TableMetadata meta,
+      GuardedCall(
+          table_name, [&] { return conn->GetTableMetadata(table_name); }, job));
   if (meta.columns.empty()) {
     return Status::Invalid("table has no columns: " + table_name);
   }
@@ -309,8 +298,6 @@ Status TasteDetector::PrepareP2(clouddb::Connection* conn, Job* job) const {
   TASTE_CHECK(job->uncertain_columns.size() == job->chunks.size());
   job->contents.resize(job->chunks.size());
   const ResilienceOptions& rz = options_.resilience;
-  CircuitBreaker* breaker =
-      rz.enabled ? BreakerFor(job->table_name) : nullptr;
   // Scanned columns are encoded in batches sized so that each content
   // sequence fits the encoder (wide tables + large n would otherwise
   // overflow max_seq_len).
@@ -332,33 +319,11 @@ Status TasteDetector::PrepareP2(clouddb::Connection* conn, Job* job) const {
     const clouddb::ScanOptions scan_options = {
         .random_sample = options_.random_sample,
         .sample_seed = options_.sample_seed};
-    auto scan = [&] {
-      return conn->ScanColumns(job->table_name, names, scan_options);
-    };
-    Result<std::vector<std::vector<std::string>>> values = [&]()
-        -> Result<std::vector<std::vector<std::string>>> {
-      if (!rz.enabled) return scan();
-      if (breaker != nullptr && !breaker->Allow()) {
-        ++job->result.breaker_short_circuits;
-        return Status::Unavailable("circuit open for table: " +
-                                   job->table_name);
-      }
-      RetryObservation obs;
-      auto r = RetryCall(rz.retry, TableSalt(job->table_name, 2 + i),
-                         /*sleep_ms=*/{}, scan, &obs, job->cancel);
-      job->result.retries += obs.retries;
-      job->result.deadline_misses += obs.deadline_miss ? 1 : 0;
-      if (breaker != nullptr) {
-        if (r.ok()) {
-          breaker->RecordSuccess();
-        } else {
-          breaker->RecordFailure();
-        }
-      }
-      return r;
-    }();
+    auto values = GuardedCall(
+        job->table_name,
+        [&] { return conn->ScanColumns(job->table_name, names, scan_options); },
+        job);
     if (!values.ok()) {
-      if (!rz.enabled) return values.status();
       // Permanent (or retry-exhausted) scan failure: fall back to the P1
       // metadata-only prediction, or mark the columns failed.
       if (rz.degrade_on_scan_failure) {
@@ -470,42 +435,34 @@ int TasteDetector::DegradeRemainingToMetadataOnly(Job* job) const {
   return degraded;
 }
 
+Status TasteDetector::RunStages(clouddb::Connection* conn,
+                                const std::string& table_name, Job* job,
+                                tensor::ExecContext* ctx) const {
+  TASTE_RETURN_IF_ERROR(PrepareP1(conn, table_name, job));
+  TASTE_RETURN_IF_ERROR(InferP1(job, ctx));
+  if (!job->needs_p2) return Status::OK();
+  // Once P1 has classified every column, an expired budget degrades the
+  // still-uncertain columns to the metadata-only path instead of failing
+  // the table — the sequential-mode mirror of the pipeline's routing.
+  auto expired_after_p1 = [&] {
+    return CancelledNow(job->cancel) && P1Complete(*job);
+  };
+  if (!expired_after_p1()) {
+    Status s = PrepareP2(conn, job);
+    if (s.ok()) s = InferP2(job, ctx);
+    if (s.ok() || !expired_after_p1()) return s;
+  }
+  DegradeRemainingToMetadataOnly(job);
+  return Status::OK();
+}
+
 Result<TableDetectionResult> TasteDetector::DetectTable(
     clouddb::Connection* conn, const std::string& table_name,
     tensor::ExecContext* ctx, const CancelToken* cancel) const {
   Job job;
   job.cancel = cancel;
-  TASTE_RETURN_IF_ERROR(PrepareP1(conn, table_name, &job));
-  TASTE_RETURN_IF_ERROR(InferP1(&job, ctx));
-  if (job.needs_p2) {
-    // Once P1 has classified every column, an expired budget degrades the
-    // still-uncertain columns to the metadata-only path instead of failing
-    // the table — the sequential-mode mirror of the pipeline's routing.
-    auto expired_after_p1 = [&] {
-      return CancelledNow(cancel) && P1Complete(job);
-    };
-    if (expired_after_p1()) {
-      DegradeRemainingToMetadataOnly(&job);
-      return job.result;
-    }
-    Status s = PrepareP2(conn, &job);
-    if (!s.ok()) {
-      if (expired_after_p1()) {
-        DegradeRemainingToMetadataOnly(&job);
-        return job.result;
-      }
-      return s;
-    }
-    s = InferP2(&job, ctx);
-    if (!s.ok()) {
-      if (expired_after_p1()) {
-        DegradeRemainingToMetadataOnly(&job);
-        return job.result;
-      }
-      return s;
-    }
-  }
-  return job.result;
+  TASTE_RETURN_IF_ERROR(RunStages(conn, table_name, &job, ctx));
+  return std::move(job.result);
 }
 
 }  // namespace taste::core

@@ -34,15 +34,15 @@
 
 namespace taste::core {
 
-/// Fault-tolerance behaviour of the serving path (DESIGN.md §5).
-/// Disabled by default: with `enabled == false` the detector is
-/// byte-identical to the historical happy-path implementation.
+/// Fault tolerance of the serving path (DESIGN.md §5), always on: every
+/// metadata query and content scan is retried on transient errors and
+/// guarded by a per-table circuit breaker. On the fault-free path the first
+/// attempt succeeds and no breaker is kept, so the output is the same as a
+/// detector without any of it.
 struct ResilienceOptions {
-  bool enabled = false;
-  /// Retry policy for transient metadata-fetch and content-scan errors.
-  RetryPolicy retry;
-  /// Per-table circuit breaker so a dead table stops burning retry budget.
-  bool use_breaker = true;
+  /// Attempts per metadata query or content scan (1 = no retry).
+  int max_attempts = 4;
+  /// Per-table circuit breaker so a dead table stops burning attempts.
   CircuitBreaker::Options breaker;
   /// On a permanent (or retry-exhausted) P2 scan failure, fall back to the
   /// P1 metadata-only prediction for the affected columns instead of
@@ -74,7 +74,7 @@ struct TasteOptions {
   int override_cells_per_column = 0;     // n
   int override_split_threshold = 0;      // l
   /// Fault tolerance: retries, circuit breaking, and metadata-only
-  /// degradation. Off by default (exact legacy behaviour).
+  /// degradation.
   ResilienceOptions resilience = {};
 };
 
@@ -94,8 +94,7 @@ class TasteDetector {
     /// nullptr = none). Stage entry points refuse to start work on a
     /// fired token, retry loops stop retrying, and the inference stages
     /// install it on their ExecContext so the ADTD forward can stop
-    /// between encoder layers. The pipeline executor re-sets this after
-    /// any job reset (P1-prep retries restart from a clean Job).
+    /// between encoder layers.
     const CancelToken* cancel = nullptr;
     // After P1 data preparation:
     std::vector<model::EncodedMetadata> chunks;
@@ -154,10 +153,16 @@ class TasteDetector {
 
   // -- Convenience -----------------------------------------------------------
 
-  /// Runs all four stages sequentially for one table. With `cancel` set,
-  /// expiry before P1 inference finished surfaces as a non-OK Status;
-  /// expiry after P1 degrades the remaining uncertain columns to the
-  /// metadata-only path and returns the (degraded) result with OK.
+  /// Runs all four stages sequentially for one table on `job` (whose
+  /// `cancel` the caller sets). With a token, expiry before P1 inference
+  /// finished surfaces as a non-OK Status; expiry after P1 degrades the
+  /// remaining uncertain columns to the metadata-only path and returns OK.
+  /// On failure `job->result` keeps what the stages produced (counters,
+  /// P1 columns marked kFailed), as the pipelined executor reports it.
+  Status RunStages(clouddb::Connection* conn, const std::string& table_name,
+                   Job* job, tensor::ExecContext* ctx = nullptr) const;
+
+  /// RunStages on a fresh job, returning its result on success.
   Result<TableDetectionResult> DetectTable(
       clouddb::Connection* conn, const std::string& table_name,
       tensor::ExecContext* ctx = nullptr,
@@ -172,9 +177,9 @@ class TasteDetector {
   tensor::ExecContextPool& exec_contexts() const { return *exec_contexts_; }
   const model::AdtdModel& model() const { return *model_; }
 
-  /// Per-table circuit breakers (present iff resilience is enabled with
-  /// use_breaker). Exposed so executors can report breaker trips.
-  const BreakerRegistry* breakers() const { return breakers_.get(); }
+  /// Per-table circuit breakers. Exposed so executors can report breaker
+  /// trips.
+  const BreakerRegistry& breakers() const { return *breakers_; }
 
  private:
   std::string ChunkCacheKey(const std::string& table, size_t chunk) const;
@@ -201,8 +206,13 @@ class TasteDetector {
   /// the job result. `result_offset` is the chunk's first column index.
   void DegradeChunk(size_t chunk_index, int result_offset,
                     ResultProvenance provenance, Job* job) const;
-  /// The breaker guarding `table`, or nullptr when breaking is off.
-  CircuitBreaker* BreakerFor(const std::string& table) const;
+  /// Runs one database call of `table` (returning Status or Result<T>)
+  /// behind the table's circuit breaker, retrying transient errors up to
+  /// ResilienceOptions::max_attempts; counts retries, deadline misses and
+  /// short circuits into the job result.
+  template <typename Fn>
+  auto GuardedCall(const std::string& table, Fn&& fn, Job* job) const
+      -> decltype(fn());
 
   const model::AdtdModel* model_;
   const text::WordPieceTokenizer* tokenizer_;
@@ -211,7 +221,7 @@ class TasteDetector {
   model::InputEncoder encoder_;
   std::unique_ptr<model::LatentCache> cache_;
   std::unique_ptr<tensor::ExecContextPool> exec_contexts_;
-  std::unique_ptr<BreakerRegistry> breakers_;  // null unless enabled
+  std::unique_ptr<BreakerRegistry> breakers_;
 };
 
 }  // namespace taste::core

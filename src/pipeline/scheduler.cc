@@ -45,7 +45,6 @@ struct PipelineMetrics {
   obs::Counter* tables;
   obs::Counter* tables_p2;
   obs::Counter* retries;
-  obs::Counter* stage_retries;
   obs::Counter* connect_retries;
   obs::Counter* breaker_trips;
   obs::Counter* breaker_short_circuits;
@@ -80,7 +79,6 @@ struct PipelineMetrics {
       x.tables = r.GetCounter("taste_pipeline_tables_total");
       x.tables_p2 = r.GetCounter("taste_pipeline_tables_p2_total");
       x.retries = r.GetCounter("taste_retries_total");
-      x.stage_retries = r.GetCounter("taste_stage_retries_total");
       x.connect_retries = r.GetCounter("taste_connect_retries_total");
       x.breaker_trips = r.GetCounter("taste_breaker_trips_total");
       x.breaker_short_circuits =
@@ -177,9 +175,7 @@ BatchResult PipelineExecutor::RunBatch(
     const std::vector<std::string>& table_names) {
   stats_ = PipelineRunStats();
   resilience_ = ResilienceStats();
-  const int64_t trips_before =
-      detector_->breakers() != nullptr ? detector_->breakers()->TotalTrips()
-                                       : 0;
+  const int64_t trips_before = detector_->breakers().TotalTrips();
   TASTE_SPAN("pipeline.run_batch");
   Stopwatch sw;
   BatchResult batch;
@@ -252,10 +248,7 @@ void PipelineExecutor::FinalizeStats(const BatchResult& batch,
       ++stats_.tables_entered_p2;
     }
   }
-  if (detector_->breakers() != nullptr) {
-    resilience_.breaker_trips =
-        detector_->breakers()->TotalTrips() - trips_before;
-  }
+  resilience_.breaker_trips = detector_->breakers().TotalTrips() - trips_before;
   if (obs::MetricsEnabled()) {
     // Migrate the batch's ResilienceStats onto the registry: the registry
     // accumulates across batches, the struct stays per-batch.
@@ -264,7 +257,6 @@ void PipelineExecutor::FinalizeStats(const BatchResult& batch,
     m.tables->Inc(stats_.tables_processed);
     m.tables_p2->Inc(stats_.tables_entered_p2);
     m.retries->Inc(resilience_.retries);
-    m.stage_retries->Inc(resilience_.stage_retries);
     m.connect_retries->Inc(resilience_.connect_retries);
     m.breaker_trips->Inc(resilience_.breaker_trips);
     m.breaker_short_circuits->Inc(resilience_.breaker_short_circuits);
@@ -298,6 +290,17 @@ TableOutcome DeriveOutcome(const Status& status,
                                      : TableOutcome::kComplete;
 }
 
+/// Fills one table's slot from its finished job, the same way in both
+/// execution modes: a failed table keeps whatever its stages produced.
+void FinishTable(const std::string& name, const Status& status,
+                 bool cancel_fired, TasteDetector::Job* job,
+                 TableRunResult* out) {
+  out->status = status;
+  out->result = std::move(job->result);
+  if (out->result.table_name.empty()) out->result.table_name = name;
+  out->outcome = DeriveOutcome(status, out->result, cancel_fired);
+}
+
 }  // namespace
 
 void PipelineExecutor::RunSequential(
@@ -316,19 +319,15 @@ void PipelineExecutor::RunSequential(
     if (out->tables[i].outcome == TableOutcome::kShed) continue;
     TASTE_SPAN("pipeline.detect_table");
     Stopwatch table_sw;
-    auto res =
-        detector_->DetectTable(conn.get(), table_names[i], ctx.get(), &token);
+    TasteDetector::Job job;
+    job.cancel = &token;
+    const Status status =
+        detector_->RunStages(conn.get(), table_names[i], &job, ctx.get());
     if (metrics) {
       PipelineMetrics::Get().table_ms->Observe(table_sw.ElapsedMillis());
     }
-    if (res.ok()) {
-      out->tables[i].result = std::move(*res);
-    } else {
-      out->tables[i].status = res.status();
-    }
-    out->tables[i].outcome =
-        DeriveOutcome(out->tables[i].status, out->tables[i].result,
-                      token.Cancelled());
+    FinishTable(table_names[i], status, token.Cancelled(), &job,
+                &out->tables[i]);
     if (stats_.max_tables_in_flight == 0) stats_.max_tables_in_flight = 1;
   }
 }
@@ -347,15 +346,14 @@ struct TableState {
   TasteDetector::Job job;
   Stage next = Stage::kP1Prep;
   bool in_flight = false;
-  int stage_attempts = 0;  // failed tries of the CURRENT stage
-  Status error;            // sticky first (permanent) error
+  Status error;            // sticky terminal error
   bool started = false;   // first stage dispatched (the table was admitted)
   bool expired = false;   // parked by deadline/cancel before P1 finished
   double admit_ms = 0.0;  // TraceNowMs() at first dispatch
 };
 
-/// Retry policy for opening the prep pool's database connections.
-constexpr RetryPolicy kConnectRetry{};
+/// Attempts at opening each of the prep pool's database connections.
+constexpr int kConnectAttempts = 4;
 
 /// A small free-list of connections shared by the prep workers. Connect
 /// faults are retried; if the database stays unreachable the pool falls
@@ -366,9 +364,8 @@ class ConnectionPool {
                  int64_t* retries_out) {
     for (int i = 0; i < n; ++i) {
       RetryObservation obs;
-      auto conn = RetryCall(
-          kConnectRetry, /*salt=*/static_cast<uint64_t>(i) + 1,
-          /*sleep_ms=*/{}, [db] { return db->TryConnect(); }, &obs);
+      auto conn =
+          RetryCall(kConnectAttempts, [db] { return db->TryConnect(); }, &obs);
       *retries_out += obs.retries;
       free_.push_back(conn.ok() ? std::move(*conn) : db->Connect());
     }
@@ -484,10 +481,9 @@ void PipelineExecutor::RunPipelined(
   };
 
   // Runs one stage of one table outside the lock, then advances its state.
-  // A transiently failed stage is re-queued (up to max_stage_retries) by
-  // leaving `next` pointing at the same stage — the scheduler dispatches
-  // the re-run on the stage's own pool. Permanent failures park the table
-  // with a sticky error; the rest of the batch is unaffected.
+  // A failed stage (the detector has already retried its database calls)
+  // parks the table with a sticky error; the rest of the batch is
+  // unaffected.
   auto run_stage = [&](size_t idx, Stage stage) {
     static const char* kStageSpanNames[] = {
         "pipeline.p1_prep", "pipeline.p1_infer", "pipeline.p2_prep",
@@ -536,27 +532,15 @@ void PipelineExecutor::RunPipelined(
     st.in_flight = false;
     if (!status.ok()) {
       if (batch_token.Cancelled()) {
-        // The table's own budget fired. This MUST be checked before the
-        // transient-retry branch: kDeadlineExceeded is transient for the
-        // per-call server timeouts the fault injector raises, but a table
-        // whose batch deadline expired has no budget left to retry with —
-        // it degrades (P1 done) or parks (P1 incomplete) right here.
+        // The table's own budget fired: it degrades (P1 done) or parks
+        // (P1 incomplete) right here.
         expire_table(st);
-      } else if (IsTransient(status) &&
-                 st.stage_attempts < options_.max_stage_retries) {
-        // Retry the same stage on the same pool. The job keeps the failed
-        // attempt's counters; a failed P1-prep has encoded no chunks
-        // (PrepareP1 encodes only after its last fallible call).
-        ++st.stage_attempts;
-        ++resilience_.stage_retries;
-        st.next = stage;
       } else {
         st.error = status;
         st.next = Stage::kDone;
         table_done(st);
       }
     } else {
-      st.stage_attempts = 0;
       switch (stage) {
         case Stage::kP1Prep:
           st.next = Stage::kP1Infer;
@@ -650,13 +634,7 @@ void PipelineExecutor::RunPipelined(
     if (out->tables[i].outcome == TableOutcome::kShed) {
       continue;  // entry-shed: RunBatch already filled status + outcome
     }
-    out->tables[i].status = st.error;
-    out->tables[i].result = std::move(st.job.result);
-    if (out->tables[i].result.table_name.empty()) {
-      out->tables[i].result.table_name = st.name;
-    }
-    out->tables[i].outcome =
-        DeriveOutcome(st.error, out->tables[i].result, st.expired);
+    FinishTable(st.name, st.error, st.expired, &st.job, &out->tables[i]);
   }
 }
 

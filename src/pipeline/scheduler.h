@@ -14,12 +14,12 @@
 // tables are therefore in flight simultaneously, overlapping I/O waits
 // with inference.
 //
-// Failure isolation: one table's failure never sinks the batch. A failed
-// stage is retried on its own pool while its error is transient (on top of
-// the detector's call-level retries); a permanently failed table is parked
-// with a sticky per-table Status while every other table runs to
-// completion. RunBatch() surfaces the partial results; the legacy Run()
-// keeps the historical all-or-nothing contract on top of it.
+// Failure isolation: one table's failure never sinks the batch. The
+// detector retries each database call (the only retry layer); a table whose
+// stage still fails is parked with a sticky per-table Status while every
+// other table runs to completion. Both modes report a table identically.
+// RunBatch() surfaces the partial results; the legacy Run() keeps the
+// historical all-or-nothing contract on top of it.
 
 #ifndef TASTE_PIPELINE_SCHEDULER_H_
 #define TASTE_PIPELINE_SCHEDULER_H_
@@ -54,11 +54,6 @@ struct PipelineOptions {
   int prep_threads = 2;   // |TP1|
   int infer_threads = 2;  // |TP2|
   bool pipelined = true;  // false = paper's "sequential mode" baseline
-  /// Pipeline-level re-runs of a failed stage while its error is transient
-  /// (the re-run is dispatched back to the stage's own pool). These sit on
-  /// top of whatever call-level retries the detector's ResilienceOptions
-  /// configure; 0 disables.
-  int max_stage_retries = 1;
   /// Per-table latency budget in milliseconds, anchored at batch entry
   /// (every table of the batch shares the same absolute expiry instant).
   /// 0 means no budget: the batch token's deadline is infinite and never
@@ -102,14 +97,13 @@ struct PipelineRunStats {
 /// fault-free run.
 struct ResilienceStats {
   int64_t retries = 0;           // detector call-level retries
-  int64_t stage_retries = 0;     // pipeline-level stage re-runs
   int64_t connect_retries = 0;   // connection-pool connect retries
   int64_t breaker_trips = 0;     // circuit breakers tripped open
   int64_t breaker_short_circuits = 0;  // calls rejected by open breakers
   int64_t degraded_columns = 0;  // columns served metadata-only
   int64_t failed_columns = 0;    // columns with no usable prediction
   int64_t failed_tables = 0;     // tables with outcome kFailed
-  int64_t deadline_misses = 0;   // retry loops that exhausted their budget
+  int64_t deadline_misses = 0;   // retry loops stopped by a fired token
   int64_t shed_tables = 0;       // rejected by admission control
   int64_t expired_tables = 0;    // deadline fired before P1 finished
   int64_t degraded_tables = 0;   // finished OK with >= 1 degraded column
@@ -118,7 +112,6 @@ struct ResilienceStats {
   /// per-replica legs of a scattered batch into one batch-level view.
   void Merge(const ResilienceStats& other) {
     retries += other.retries;
-    stage_retries += other.stage_retries;
     connect_retries += other.connect_retries;
     breaker_trips += other.breaker_trips;
     breaker_short_circuits += other.breaker_short_circuits;

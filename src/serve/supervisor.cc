@@ -7,11 +7,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
 #include "common/logging.h"
-#include "common/retry.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 
 namespace taste::serve {
@@ -19,14 +20,6 @@ namespace taste::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Respawn backoff (only its BackoffMillis is used): deterministic ±20%
-/// jitter, doubling per death. Recovery is fast (first respawn ~5 ms after
-/// death) while a crash-looping replica backs off to 250 ms between
-/// attempts.
-constexpr RetryPolicy kRespawnBackoff{.initial_backoff_ms = 5.0,
-                                      .max_backoff_ms = 250.0,
-                                      .jitter_seed = 0x5EBAull};
 
 /// Grace between SIGTERM and the SIGKILL escalation when condemning a
 /// wedged replica. Bounded and short: a SIGSTOPped process never runs its
@@ -133,6 +126,20 @@ void SetState(Replica* r, ReplicaState state) {
 
 }  // namespace
 
+double RespawnDelayMs(int deaths, int replica_id) {
+  constexpr double kFirstMs = 5.0;
+  constexpr double kCapMs = 250.0;
+  constexpr double kJitter = 0.2;
+  double base = kFirstMs;
+  for (int i = 1; i < deaths && base < kCapMs; ++i) base *= 2.0;
+  base = std::min(base, kCapMs);
+  uint64_t h = 0x5EBAull ^
+               (static_cast<uint64_t>(replica_id) * 0x9E3779B97F4A7C15ull) ^
+               ((static_cast<uint64_t>(deaths) + 1) << 32);
+  const double u = (SplitMix64(h) >> 11) * 0x1.0p-53;  // [0, 1)
+  return base * (1.0 - kJitter + 2.0 * kJitter * u);
+}
+
 Supervisor::Supervisor(WorkerEnv env, SupervisorOptions options)
     : env_(std::move(env)), options_(options) {
   TASTE_CHECK(options_.replicas >= 1);
@@ -229,11 +236,10 @@ void Supervisor::MarkDead(int id) {
     return;
   }
   SetState(r, ReplicaState::kDead);
-  const double backoff = kRespawnBackoff.BackoffMillis(
-      r->deaths + 1, static_cast<uint64_t>(r->id));
-  r->respawn_at =
-      r->died_at + std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double, std::milli>(backoff));
+  r->respawn_at = r->died_at +
+                  std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double, std::milli>(
+                          RespawnDelayMs(r->deaths, r->id)));
 }
 
 void Supervisor::CondemnWedged(int id) {
@@ -297,9 +303,7 @@ std::vector<int> Supervisor::RespawnEligible() {
       r.deaths += 1;
       r.respawn_at = now + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
-                                   kRespawnBackoff.BackoffMillis(
-                                       r.deaths + 1,
-                                       static_cast<uint64_t>(r.id))));
+                                   RespawnDelayMs(r.deaths, r.id)));
       continue;
     }
     r.respawns += 1;

@@ -10,11 +10,11 @@
 //   * crash detection — SIGCHLD via a self-pipe (async-signal-safe: the
 //     handler writes one byte; waitpid(WNOHANG) reaping happens on the
 //     router thread) AND socket EOF/POLLHUP, whichever fires first;
-//   * respawn with capped deterministic backoff — RetryPolicy::
-//     BackoffMillis(deaths, replica_id) drives the delay (5 ms after the
-//     first death, doubling to a 250 ms cap), so respawn schedules replay
-//     exactly in tests; a replica past max_respawns is parked permanently
-//     instead of crash-looping;
+//   * respawn with capped deterministic backoff — RespawnDelayMs(deaths,
+//     replica_id) drives the delay (5 ms after the first death, doubling
+//     to a 250 ms cap), so respawn schedules replay exactly in tests; a
+//     replica past max_respawns is parked permanently instead of
+//     crash-looping;
 //   * heartbeat liveness — the router sends probes to IDLE replicas at
 //     heartbeat_interval_ms; heartbeat_miss_limit consecutive unanswered
 //     probes has the replica SIGKILLed and respawned (a wedged-but-alive
@@ -44,6 +44,13 @@
 #include "serve/worker.h"
 
 namespace taste::serve {
+
+/// Delay before respawning replica `replica_id` after its `deaths`-th death
+/// (deaths >= 1): 5 ms, doubling per death up to 250 ms, scaled by a
+/// jitter factor in [0.8, 1.2) hashed from (replica id, deaths). Pure, so
+/// respawn schedules replay exactly, yet replicas that die together do not
+/// respawn in lockstep.
+double RespawnDelayMs(int deaths, int replica_id);
 
 struct SupervisorOptions {
   int replicas = 2;

@@ -480,7 +480,6 @@ bool DecodeStatus(WireReader* r, Status* out) {
 
 void EncodeResilience(WireWriter* w, const pipeline::ResilienceStats& s) {
   w->I64(s.retries);
-  w->I64(s.stage_retries);
   w->I64(s.connect_retries);
   w->I64(s.breaker_trips);
   w->I64(s.breaker_short_circuits);
@@ -494,12 +493,12 @@ void EncodeResilience(WireWriter* w, const pipeline::ResilienceStats& s) {
 }
 
 bool DecodeResilience(WireReader* r, pipeline::ResilienceStats* s) {
-  return r->I64(&s->retries) && r->I64(&s->stage_retries) &&
-         r->I64(&s->connect_retries) && r->I64(&s->breaker_trips) &&
-         r->I64(&s->breaker_short_circuits) && r->I64(&s->degraded_columns) &&
-         r->I64(&s->failed_columns) && r->I64(&s->failed_tables) &&
-         r->I64(&s->deadline_misses) && r->I64(&s->shed_tables) &&
-         r->I64(&s->expired_tables) && r->I64(&s->degraded_tables);
+  return r->I64(&s->retries) && r->I64(&s->connect_retries) &&
+         r->I64(&s->breaker_trips) && r->I64(&s->breaker_short_circuits) &&
+         r->I64(&s->degraded_columns) && r->I64(&s->failed_columns) &&
+         r->I64(&s->failed_tables) && r->I64(&s->deadline_misses) &&
+         r->I64(&s->shed_tables) && r->I64(&s->expired_tables) &&
+         r->I64(&s->degraded_tables);
 }
 
 void EncodeTableRunResult(WireWriter* w, const pipeline::TableRunResult& t) {

@@ -425,7 +425,7 @@ Tensor QuantLinear(const Tensor& x, const quant::PackedQuantWeight& w,
   }
   TASTE_CHECK_MSG(!GradEnabled(),
                   "QuantLinear is inference-only (no autograd edge)");
-  auto out = NewImpl({m, w.cols});
+  auto out = NewImpl({m, w.cols}, BufferInit::kUninitialized);
   {
     OpTimer timer(&ExecStats::quant_gemm);
     quant::QuantLinearForward(x.data(), m, w,

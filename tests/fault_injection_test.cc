@@ -1,5 +1,5 @@
-// Fault-tolerance tests for the cloud-database serving path: retry policy
-// and circuit-breaker primitives, the deterministic FaultInjector, the
+// Fault-tolerance tests for the cloud-database serving path: the retry
+// loop and circuit-breaker primitives, the deterministic FaultInjector, the
 // detector's degrade-to-metadata-only fallback, and batch isolation in the
 // pipelined executor. Every fault script is seeded/scripted, so each
 // scenario replays bit-for-bit.
@@ -23,34 +23,13 @@ namespace taste {
 namespace {
 
 // ---------------------------------------------------------------------------
-// RetryPolicy / RetryCall
-
-TEST(RetryPolicyTest, BackoffIsCappedExponentialAndDeterministic) {
-  RetryPolicy p;
-  p.initial_backoff_ms = 10;
-  p.max_backoff_ms = 35;
-  p.backoff_multiplier = 2.0;
-  p.jitter_fraction = 0.25;
-  EXPECT_EQ(p.BackoffMillis(1, 7), 0.0);
-  for (int attempt = 2; attempt <= 6; ++attempt) {
-    double base = attempt == 2 ? 10 : attempt == 3 ? 20 : 35;  // capped
-    double b = p.BackoffMillis(attempt, 7);
-    EXPECT_GE(b, base * 0.75) << attempt;
-    EXPECT_LE(b, base * 1.25) << attempt;
-    // Pure function: same (policy, salt, attempt) -> same jitter.
-    EXPECT_EQ(b, p.BackoffMillis(attempt, 7));
-    // Different salts decorrelate concurrent retry loops.
-    EXPECT_NE(b, p.BackoffMillis(attempt, 8));
-  }
-}
+// RetryCall
 
 TEST(RetryCallTest, TransientThenSuccess) {
-  RetryPolicy p;
-  p.max_attempts = 5;
   int calls = 0;
   RetryObservation obs;
   Status st = RetryCall(
-      p, /*salt=*/1, /*sleep_ms=*/{},
+      /*max_attempts=*/5,
       [&] {
         ++calls;
         return calls < 3 ? Status::IOError("flaky") : Status::OK();
@@ -64,10 +43,8 @@ TEST(RetryCallTest, TransientThenSuccess) {
 }
 
 TEST(RetryCallTest, PermanentErrorIsNotRetried) {
-  RetryPolicy p;
-  p.max_attempts = 5;
   int calls = 0;
-  Status st = RetryCall(p, 1, {}, [&] {
+  Status st = RetryCall(5, [&] {
     ++calls;
     return Status::NotFound("gone");
   });
@@ -76,12 +53,10 @@ TEST(RetryCallTest, PermanentErrorIsNotRetried) {
 }
 
 TEST(RetryCallTest, ResultOverloadAndAttemptExhaustion) {
-  RetryPolicy p;
-  p.max_attempts = 3;
   int calls = 0;
   RetryObservation obs;
   Result<int> r = RetryCall(
-      p, 2, {},
+      3,
       [&]() -> Result<int> {
         ++calls;
         return Status::DeadlineExceeded("slow");
@@ -90,96 +65,27 @@ TEST(RetryCallTest, ResultOverloadAndAttemptExhaustion) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(obs.retries, 2);
+  EXPECT_FALSE(obs.deadline_miss);  // ran out of attempts, not of budget
 }
 
-TEST(RetryCallTest, BackoffBudgetDeadline) {
-  RetryPolicy p;
-  p.max_attempts = 10;
-  p.initial_backoff_ms = 50;
-  p.jitter_fraction = 0.0;
-  p.per_call_backoff_budget_ms = 120;  // 50 + 100 > 120 -> stop after 2 waits
-  int calls = 0;
-  RetryObservation obs;
-  Status st = RetryCall(p, 3, {}, [&] {
-    ++calls;
-    return Status::IOError("down");
-  }, &obs);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(calls, 2);  // attempt 1, backoff 50, attempt 2, next would break budget
-  EXPECT_TRUE(obs.deadline_miss);
-}
-
-TEST(RetryPolicyTest, JitterStaysInBoundsAndSpreadsAcrossSalts) {
-  RetryPolicy p;
-  p.initial_backoff_ms = 10;
-  p.max_backoff_ms = 80;
-  p.backoff_multiplier = 2.0;
-  p.jitter_fraction = 0.2;
-  // The multi-process supervisor salts the respawn backoff with the
-  // replica id; many concurrent loops must each stay inside the jitter
-  // band yet not collapse onto a handful of values (thundering herd).
-  for (int attempt = 2; attempt <= 5; ++attempt) {
-    const double base = std::min(10.0 * (1 << (attempt - 2)), 80.0);
-    double lo = 1e300, hi = -1e300;
-    for (uint64_t salt = 0; salt < 512; ++salt) {
-      const double b = p.BackoffMillis(attempt, salt);
-      EXPECT_GE(b, base * 0.8) << "attempt " << attempt << " salt " << salt;
-      EXPECT_LT(b, base * 1.2 + 1e-9)
-          << "attempt " << attempt << " salt " << salt;
-      EXPECT_EQ(b, p.BackoffMillis(attempt, salt));  // pure function
-      lo = std::min(lo, b);
-      hi = std::max(hi, b);
-    }
-    // 512 salts must fill most of the [0.8, 1.2) band, not cluster.
-    EXPECT_GT(hi - lo, base * 0.2) << "attempt " << attempt;
-  }
-  // Zero jitter degenerates to the exact capped exponential.
-  p.jitter_fraction = 0.0;
-  EXPECT_EQ(p.BackoffMillis(2, 1), p.BackoffMillis(2, 99));
-  EXPECT_EQ(p.BackoffMillis(2, 1), 10.0);
-}
-
-TEST(RetryCallTest, BudgetExpiringMidBackoffNeverSleepsPastBudget) {
-  RetryPolicy p;
-  p.max_attempts = 50;
-  p.initial_backoff_ms = 40;
-  p.backoff_multiplier = 2.0;
-  p.jitter_fraction = 0.0;
-  p.per_call_backoff_budget_ms = 100;  // 40 fits, 40+80 would overshoot
-  double slept = 0.0;
+TEST(RetryCallTest, FiredTokenStopsRetrying) {
+  CancelToken token;
+  token.RequestCancel();
   int calls = 0;
   RetryObservation obs;
   Status st = RetryCall(
-      p, /*salt=*/11, [&](double ms) { slept += ms; },
+      10,
       [&] {
         ++calls;
-        return Status::IOError("down");
+        return Status::IOError("down #" + std::to_string(calls));
       },
-      &obs);
-  EXPECT_FALSE(st.ok());
-  // The second backoff (80 ms) would cross the 100 ms budget: the call
-  // must give up BEFORE sleeping it, not after.
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(slept, 40.0);
-  EXPECT_LE(slept, p.per_call_backoff_budget_ms);
-  EXPECT_DOUBLE_EQ(obs.backoff_ms, 40.0);
-  EXPECT_TRUE(obs.deadline_miss);
-
-  // A budget smaller than the first backoff: zero sleeping, one retry's
-  // worth of attempts never happens.
-  p.per_call_backoff_budget_ms = 10;
-  slept = 0.0;
-  calls = 0;
-  st = RetryCall(
-      p, 11, [&](double ms) { slept += ms; },
-      [&] {
-        ++calls;
-        return Status::IOError("down");
-      },
-      &obs);
-  EXPECT_FALSE(st.ok());
+      &obs, &token);
+  // The transient error of the one attempt comes back as is.
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_EQ(st.message(), "down #1");
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(slept, 0.0);
+  EXPECT_EQ(obs.attempts, 1);
+  EXPECT_EQ(obs.retries, 0);
   EXPECT_TRUE(obs.deadline_miss);
 }
 
@@ -226,6 +132,25 @@ TEST(CircuitBreakerTest, FailedProbeReopens) {
   breaker.RecordFailure();        // probe fails
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(breaker.trips(), 2);
+}
+
+TEST(BreakerRegistryTest, SuccessErasesTheBreakerButNotTheTotals) {
+  BreakerRegistry registry({.failure_threshold = 1,
+                            .open_cooldown_rejections = 1});
+  EXPECT_TRUE(registry.Allow("t"));  // an unknown key is a closed breaker
+  EXPECT_EQ(registry.size(), 0u);
+  registry.RecordFailure("t");       // trips open
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_FALSE(registry.Allow("t"));  // rejection -> half-open
+  EXPECT_TRUE(registry.Allow("t"));   // the probe
+  registry.RecordSuccess("t");
+  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_EQ(registry.TotalTrips(), 1);
+  EXPECT_EQ(registry.TotalShortCircuits(), 1);
+  // The key starts over as a fresh closed breaker.
+  EXPECT_TRUE(registry.Allow("t"));
+  registry.RecordFailure("t");
+  EXPECT_EQ(registry.TotalTrips(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,8 +262,7 @@ struct Env {
 
 core::TasteOptions ResilientOptions() {
   core::TasteOptions o;
-  o.resilience.enabled = true;
-  o.resilience.retry.max_attempts = 5;
+  o.resilience.max_attempts = 5;
   return o;
 }
 
@@ -396,22 +320,6 @@ TEST(DetectorResilienceTest, TransientMetadataFaultRetriedToSuccess) {
   for (const auto& col : res->columns) {
     EXPECT_EQ(col.provenance, core::ResultProvenance::kFull);
   }
-}
-
-TEST(DetectorResilienceTest, WithoutResilienceTransientFaultIsFatal) {
-  Env e = Env::Make(3);
-  clouddb::FaultConfig cfg;
-  cfg.windows.push_back({.begin_ms = 0,
-                         .end_ms = 40,
-                         .op = clouddb::DbOp::kMetadata,
-                         .kind = clouddb::FaultKind::kTimeout,
-                         .table = e.table_names[0]});
-  e.InstallFaults(cfg);
-  core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
-  auto conn = e.db->Connect();
-  auto res = det.DetectTable(conn.get(), e.table_names[0]);
-  EXPECT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(DetectorResilienceTest, DegradedColumnsMatchP1OnlyBitForBit) {
@@ -503,15 +411,16 @@ TEST(DetectorResilienceTest, BreakerOpensAndStopsBurningRetryBudget) {
   // breaker failure (no retries); the 2nd failure opens the breaker.
   EXPECT_FALSE(det.DetectTable(conn.get(), dead).ok());
   EXPECT_FALSE(det.DetectTable(conn.get(), dead).ok());
-  ASSERT_NE(det.breakers(), nullptr);
-  EXPECT_EQ(det.breakers()->TotalTrips(), 1);
+  EXPECT_EQ(det.breakers().TotalTrips(), 1);
   auto decisions_before = e.db->fault_injector()->stats().decisions;
   // Now even the P1 metadata query is short-circuited: no DB traffic.
   auto res = det.DetectTable(conn.get(), dead);
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(e.db->fault_injector()->stats().decisions, decisions_before);
-  EXPECT_EQ(det.breakers()->TotalTrips(), 1);
+  EXPECT_EQ(det.breakers().TotalTrips(), 1);
+  EXPECT_EQ(det.breakers().TotalShortCircuits(), 1);
+  EXPECT_EQ(det.breakers().size(), 1u);  // the dead table's breaker stays
 }
 
 TEST(DetectorResilienceTest, BreakerHalfOpenRecoveryEndToEnd) {
@@ -528,7 +437,7 @@ TEST(DetectorResilienceTest, BreakerHalfOpenRecoveryEndToEnd) {
                          .table = flaky});
   e.InstallFaults(cfg);
   core::TasteOptions opts = ResilientOptions();
-  opts.resilience.retry.max_attempts = 3;
+  opts.resilience.max_attempts = 3;
   opts.resilience.breaker.failure_threshold = 1;
   opts.resilience.breaker.open_cooldown_rejections = 1;
   core::TasteDetector det(e.model.get(), e.tokenizer.get(), opts);
@@ -538,8 +447,7 @@ TEST(DetectorResilienceTest, BreakerHalfOpenRecoveryEndToEnd) {
   auto first = det.DetectTable(conn.get(), flaky);
   ASSERT_TRUE(first.ok());
   EXPECT_GT(first->degraded_columns, 0);
-  ASSERT_NE(det.breakers(), nullptr);
-  EXPECT_EQ(det.breakers()->TotalTrips(), 1);
+  EXPECT_EQ(det.breakers().TotalTrips(), 1);
   // 2nd call: metadata Allow() is the open-state rejection (cooldown 1) ->
   // short-circuit; the table fails fast without touching the database.
   EXPECT_FALSE(det.DetectTable(conn.get(), flaky).ok());
@@ -555,7 +463,43 @@ TEST(DetectorResilienceTest, BreakerHalfOpenRecoveryEndToEnd) {
   ASSERT_TRUE(healed.ok()) << healed.status();
   EXPECT_EQ(healed->degraded_columns, 0);
   EXPECT_GT(healed->columns_scanned, 0);
-  EXPECT_EQ(det.breakers()->TotalTrips(), 1);  // no re-trip
+  EXPECT_EQ(det.breakers().TotalTrips(), 1);  // no re-trip
+  // The closing success erased the breaker; its counts survive it.
+  EXPECT_EQ(det.breakers().size(), 0u);
+  EXPECT_EQ(det.breakers().TotalShortCircuits(), 1);
+}
+
+TEST(DetectorResilienceTest, HealthyTablesLeaveNoBreakers) {
+  // Breakers are always on, so the registry must not keep one for every
+  // table name it ever served: 1,000 distinct healthy tables leave it
+  // empty, and only a table that failed since its last success holds one.
+  Env e = Env::Make(2);
+  const std::string dead = e.table_names[1];
+  data::TableSpec spec = e.dataset.tables[0];
+  spec.columns.resize(1);
+  std::vector<std::string> healthy;
+  for (int k = 0; k < 1000; ++k) {
+    spec.name = StrFormat("healthy_%d", k);
+    ASSERT_TRUE(e.db->CreateTable(spec).ok());
+    healthy.push_back(spec.name);
+  }
+  clouddb::FaultConfig cfg;
+  cfg.unavailable_tables = {dead};  // scans fail, metadata OK
+  e.InstallFaults(cfg);
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
+  auto conn = e.db->Connect();
+  int scanned = 0;
+  for (const auto& name : healthy) {
+    auto res = det.DetectTable(conn.get(), name);
+    ASSERT_TRUE(res.ok()) << name << ": " << res.status();
+    scanned += res->columns_scanned;
+  }
+  EXPECT_GT(scanned, 0);  // the scan path ran too, not only metadata
+  EXPECT_EQ(det.breakers().size(), 0u);
+  auto degraded = det.DetectTable(conn.get(), dead);
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  ASSERT_GT(degraded->degraded_columns, 0);
+  EXPECT_EQ(det.breakers().size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -597,7 +541,7 @@ TEST(PipelineFaultTest, AcceptanceTwentyTablesTenPercentFaultsOneHardFailure) {
   e.InstallFaults(cfg);
 
   core::TasteOptions opts = ResilientOptions();
-  opts.resilience.retry.max_attempts = 6;
+  opts.resilience.max_attempts = 6;
   opts.resilience.breaker.failure_threshold = 3;
   core::TasteDetector det(e.model.get(), e.tokenizer.get(), opts);
   pipeline::PipelineExecutor exec(
@@ -679,36 +623,6 @@ TEST(PipelineFaultTest, HardMetadataFailureIsolatedWithoutDegradation) {
   EXPECT_EQ(exec.resilience_stats().failed_tables, 1);
 }
 
-TEST(PipelineFaultTest, StageRetryKeepsTheFailedAttemptsRetries) {
-  // P1-prep of the only table exhausts its call-level retries, so the
-  // pipeline re-runs the stage, which then succeeds after one more retry.
-  // The batch's retry count must include the first attempt's retry.
-  // Virtual clock from t0: the pool's one connect costs 20 ms and each
-  // timed-out metadata query 30 ms, so queries land at t0 + 20, 50, 80 and
-  // 110; the window times out the first three.
-  Env e = Env::Make(1);
-  const double t0 = e.db->VirtualNowMs();
-  clouddb::FaultConfig cfg;
-  cfg.windows.push_back({.begin_ms = 0,
-                         .end_ms = t0 + 100,
-                         .op = clouddb::DbOp::kMetadata,
-                         .kind = clouddb::FaultKind::kTimeout,
-                         .table = e.table_names[0]});
-  e.InstallFaults(cfg);
-  core::TasteOptions opts = ResilientOptions();
-  opts.resilience.retry.max_attempts = 2;
-  core::TasteDetector det(e.model.get(), e.tokenizer.get(), opts);
-  pipeline::PipelineExecutor exec(
-      &det, e.db.get(),
-      {.prep_threads = 1, .pipelined = true, .max_stage_retries = 1});
-  pipeline::BatchResult batch = exec.RunBatch(e.table_names);
-  ASSERT_TRUE(batch.tables[0].status.ok()) << batch.tables[0].status;
-  const pipeline::ResilienceStats& rz = exec.resilience_stats();
-  EXPECT_EQ(rz.stage_retries, 1);
-  EXPECT_EQ(rz.retries, 2);
-  EXPECT_EQ(batch.tables[0].result.retries, 2);
-}
-
 TEST(PipelineFaultTest, FailedColumnsMarkedWhenDegradationDisabled) {
   Env e = Env::Make(5);
   const std::string dead = e.table_names[3];
@@ -766,8 +680,6 @@ TEST(PipelineFaultTest, RegistryCountersMatchResilienceAndCacheStats) {
   const auto& rz = exec.resilience_stats();
   EXPECT_GT(rz.retries, 0);
   EXPECT_EQ(after.CounterDelta(before, "taste_retries_total"), rz.retries);
-  EXPECT_EQ(after.CounterDelta(before, "taste_stage_retries_total"),
-            rz.stage_retries);
   EXPECT_EQ(after.CounterDelta(before, "taste_breaker_trips_total"),
             rz.breaker_trips);
   EXPECT_EQ(after.CounterDelta(before, "taste_degraded_columns_total"),
@@ -797,8 +709,8 @@ TEST(PipelineFaultTest, ZeroFaultRateIsByteIdenticalToLegacyPath) {
   auto a = legacy.Run(e.table_names);
   ASSERT_TRUE(a.ok());
 
-  // Same database, now with an installed-but-all-zero injector and the
-  // full resilience machinery enabled.
+  // Same database, now with an installed-but-all-zero injector and a
+  // different attempt budget.
   e.InstallFaults(clouddb::FaultConfig{.seed = 1});
   core::TasteDetector resilient(e.model.get(), e.tokenizer.get(),
                                 ResilientOptions());
@@ -822,6 +734,83 @@ TEST(PipelineFaultTest, ZeroFaultRateIsByteIdenticalToLegacyPath) {
       EXPECT_EQ(rhs.columns[c].provenance, core::ResultProvenance::kFull);
     }
   }
+}
+
+/// Every field of one table's outcome, probabilities as raw float bytes.
+std::string OutcomeBytes(const pipeline::TableRunResult& t) {
+  const core::TableDetectionResult& r = t.result;
+  std::string out = t.status.ToString() + "|" +
+                    pipeline::TableOutcomeName(t.outcome) + "|" +
+                    r.table_name +
+                    StrFormat("|%d,%d,%d,%d,%d,%d,%d", r.columns_scanned,
+                              r.total_columns, r.degraded_columns,
+                              r.failed_columns, r.retries, r.deadline_misses,
+                              r.breaker_short_circuits);
+  for (const auto& c : r.columns) {
+    out += StrFormat("|%s,%d,%d,%d:", c.column_name.c_str(), c.ordinal,
+                     c.went_to_p2 ? 1 : 0, static_cast<int>(c.provenance));
+    for (int ty : c.admitted_types) out += std::to_string(ty) + ",";
+    out.append(reinterpret_cast<const char*>(c.probabilities.data()),
+               c.probabilities.size() * sizeof(float));
+  }
+  return out;
+}
+
+TEST(PipelineFaultTest, SequentialAndPipelinedRetryTheSameWay) {
+  // One retry rule on every path: under the same hashed transient faults
+  // each table makes the same database attempts and ends in the same
+  // bytes, pipelined or not. Two attempts per call at a 50% timeout rate
+  // leave some tables out of attempts, which is where the two modes would
+  // part if either added retries of its own.
+  Env e = Env::Make(12);
+  clouddb::FaultConfig cfg;
+  cfg.seed = 4242;
+  cfg.timeout_prob = 0.5;
+  core::TasteOptions opts;
+  opts.resilience.max_attempts = 2;
+  struct Run {
+    pipeline::BatchResult batch;
+    std::vector<uint64_t> metadata_attempts;
+    std::vector<uint64_t> scan_attempts;
+  };
+  auto run = [&](bool pipelined) {
+    auto injector = std::make_shared<clouddb::FaultInjector>(cfg);
+    e.db->SetFaultInjector(injector);
+    core::TasteDetector det(e.model.get(), e.tokenizer.get(), opts);
+    pipeline::PipelineExecutor exec(
+        &det, e.db.get(),
+        {.prep_threads = 2, .infer_threads = 2, .pipelined = pipelined});
+    Run r;
+    r.batch = exec.RunBatch(e.table_names);
+    for (const auto& name : e.table_names) {
+      r.metadata_attempts.push_back(
+          injector->attempts(clouddb::DbOp::kMetadata, name));
+      r.scan_attempts.push_back(injector->attempts(clouddb::DbOp::kScan, name));
+    }
+    return r;
+  };
+  const Run seq = run(/*pipelined=*/false);
+  const Run pip = run(/*pipelined=*/true);
+  ASSERT_EQ(seq.batch.tables.size(), e.table_names.size());
+  ASSERT_EQ(pip.batch.tables.size(), e.table_names.size());
+  int failed = 0, retried_to_success = 0;
+  for (size_t i = 0; i < e.table_names.size(); ++i) {
+    const std::string& name = e.table_names[i];
+    EXPECT_EQ(seq.metadata_attempts[i], pip.metadata_attempts[i]) << name;
+    EXPECT_EQ(seq.scan_attempts[i], pip.scan_attempts[i]) << name;
+    EXPECT_LE(seq.metadata_attempts[i], 2u) << name;
+    const pipeline::TableRunResult& t = seq.batch.tables[i];
+    EXPECT_EQ(OutcomeBytes(t), OutcomeBytes(pip.batch.tables[i])) << name;
+    if (!t.status.ok()) {
+      ++failed;
+      EXPECT_EQ(t.result.table_name, name);
+      EXPECT_EQ(t.result.retries, 1) << name;  // kept from the failed call
+    } else if (t.result.retries > 0) {
+      ++retried_to_success;
+    }
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(retried_to_success, 0);
 }
 
 }  // namespace

@@ -143,9 +143,7 @@ TEST(RealTimeDeadlineTest, OverloadMeetsDeadlineWithTerminalStates) {
   clouddb::CostModel cost;  // defaults: real sleeping, modest per-op costs
   cost.per_cell_ms = 2.0;   // content scans are the expensive part
   auto db = env.MakeDb(cost);
-  core::TasteOptions topt;
-  topt.resilience.enabled = true;  // allow metadata-only degradation
-  core::TasteDetector detector(env.model.get(), env.tokenizer.get(), topt);
+  core::TasteDetector detector(env.model.get(), env.tokenizer.get(), {});
 
   const bool metrics_before = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);

@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -260,6 +261,36 @@ TEST(QuantGemmTest, TracksFp32WithinQuantizationBound) {
       EXPECT_NEAR(c[static_cast<size_t>(r * n + j)], fp32, bound + 1e-4)
           << "r=" << r << " j=" << j;
     }
+  }
+}
+
+// QuantLinear takes its output buffer without the zero fill, because
+// QuantGemm writes every element of C. Park NaN-filled buffers of the
+// output's exact size in a context's pool: an element the kernel skipped
+// stays NaN and breaks the memcmp against the run with no context bound.
+// 13 rows cover the 8- and 4-row blocks and the single-row tail; 20
+// columns leave a partial 8-column block.
+TEST(QuantLinearOpTest, PoisonedRecycledBufferMatchesUnpooled) {
+  Rng rng(17);
+  const int64_t m = 13, k = 40, n = 20;
+  std::vector<float> w = RandomVec(k * n, rng);
+  const PackedQuantWeight packed = PackWeightPerChannel(w.data(), k, n);
+  const Tensor x = Tensor::Randn({m, k}, rng);
+  const Tensor bias = Tensor::Randn({n}, rng);
+  NoGradGuard no_grad;
+  for (const Tensor& b : {bias, Tensor()}) {
+    SCOPED_TRACE(b.defined() ? "bias" : "no bias");
+    const Tensor want = QuantLinear(x, packed, b);
+    const size_t elems = static_cast<size_t>(m * n);
+    ExecContext ctx;
+    ctx.buffer_pool()->Release(
+        std::vector<float>(elems, std::numeric_limits<float>::quiet_NaN()));
+    ScopedExecContext bind(&ctx);
+    const Tensor got = QuantLinear(x, packed, b);
+    EXPECT_EQ(ctx.stats().pool.reuses, 1);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(0,
+              std::memcmp(got.data(), want.data(), elems * sizeof(float)));
   }
 }
 

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -848,6 +849,42 @@ TEST(RouterTest, SlowDripResponseReassemblesByteIdentical) {
   ExpectBatchesIdentical(got, OracleRun(env, env.table_names));
   EXPECT_EQ(router.stats().replica_deaths, 0);
   router.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Respawn delay
+
+TEST(RespawnDelayTest, CappedExponentialAndDeterministic) {
+  for (int deaths = 1; deaths <= 9; ++deaths) {
+    // 5 ms after the first death, doubling, capped at 250 ms.
+    const double base = std::min(5.0 * (1 << (deaths - 1)), 250.0);
+    const double d = serve::RespawnDelayMs(deaths, 7);
+    EXPECT_GE(d, base * 0.8) << deaths;
+    EXPECT_LT(d, base * 1.2) << deaths;
+    // Pure function: same (deaths, replica) -> same jitter.
+    EXPECT_EQ(d, serve::RespawnDelayMs(deaths, 7));
+    // Different replicas decorrelate.
+    EXPECT_NE(d, serve::RespawnDelayMs(deaths, 8));
+  }
+}
+
+TEST(RespawnDelayTest, JitterStaysInBoundsAndSpreadsAcrossReplicas) {
+  // Replicas that die together must each stay inside the jitter band yet
+  // not collapse onto a handful of values (thundering herd).
+  for (int deaths = 1; deaths <= 4; ++deaths) {
+    const double base = 5.0 * (1 << (deaths - 1));
+    double lo = 1e300, hi = -1e300;
+    for (int replica = 0; replica < 512; ++replica) {
+      const double d = serve::RespawnDelayMs(deaths, replica);
+      EXPECT_GE(d, base * 0.8) << "deaths " << deaths << " replica " << replica;
+      EXPECT_LT(d, base * 1.2 + 1e-9)
+          << "deaths " << deaths << " replica " << replica;
+      lo = std::min(lo, d);
+      hi = std::max(hi, d);
+    }
+    // 512 replicas must fill most of the [0.8, 1.2) band, not cluster.
+    EXPECT_GT(hi - lo, base * 0.2) << "deaths " << deaths;
+  }
 }
 
 // ---------------------------------------------------------------------------

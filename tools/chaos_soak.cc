@@ -53,6 +53,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -160,20 +161,14 @@ Scenario MakeScenario(uint64_t seed, const Env& env, bool cache_churn) {
 
   core::TasteOptions& topt = sc.detector_options;
   topt.enable_p2 = rng.Unit() < 0.9;
-  if (rng.Unit() < 0.7) {
-    topt.resilience.enabled = true;
-    topt.resilience.retry.max_attempts = rng.Range(1, 3);
-    topt.resilience.retry.initial_backoff_ms = 0.0;  // no real sleeping
-    topt.resilience.use_breaker = rng.Unit() < 0.5;
-    topt.resilience.degrade_on_scan_failure = rng.Unit() < 0.8;
-    topt.resilience.degraded_admit_threshold = rng.Unit() < 0.5 ? 0.5 : 0.0;
-  }
+  topt.resilience.max_attempts = rng.Range(1, 3);
+  topt.resilience.degrade_on_scan_failure = rng.Unit() < 0.8;
+  topt.resilience.degraded_admit_threshold = rng.Unit() < 0.5 ? 0.5 : 0.0;
 
   pipeline::PipelineOptions& popt = sc.pipeline_options;
   popt.pipelined = rng.Unit() < 0.8;
   popt.prep_threads = rng.Range(1, 3);
   popt.infer_threads = rng.Range(1, 3);
-  popt.max_stage_retries = rng.Range(0, 2);
   if (rng.Unit() < 0.5) {
     popt.admission.enabled = true;
     popt.admission.max_inflight_tables = rng.Range(1, 3);
@@ -244,8 +239,9 @@ void Violate(RunOutput* out, uint64_t seed, const std::string& what) {
 const char* kCounterNames[] = {
     "taste_tables_shed_total",     "taste_tables_expired_total",
     "taste_tables_degraded_total", "taste_failed_tables_total",
-    "taste_retries_total",         "taste_stage_retries_total",
+    "taste_retries_total",
 };
+constexpr int kNumCounters = static_cast<int>(std::size(kCounterNames));
 
 RunOutput RunOnce(uint64_t seed, const Env& env, const Scenario& sc) {
   RunOutput out;
@@ -264,8 +260,8 @@ RunOutput RunOnce(uint64_t seed, const Env& env, const Scenario& sc) {
   pipeline::PipelineExecutor exec(&detector, &db, sc.pipeline_options);
 
   obs::Registry& reg = obs::Registry::Global();
-  int64_t before[6];
-  for (int i = 0; i < 6; ++i) {
+  int64_t before[kNumCounters];
+  for (int i = 0; i < kNumCounters; ++i) {
     before[i] = reg.GetCounter(kCounterNames[i])->Value();
   }
 
@@ -364,10 +360,10 @@ RunOutput RunOnce(uint64_t seed, const Env& env, const Scenario& sc) {
   }
 
   // -- Invariant: the global registry moved by exactly this run's stats.
-  const int64_t expect_delta[6] = {rz.shed_tables,    rz.expired_tables,
-                                   rz.degraded_tables, rz.failed_tables,
-                                   rz.retries,         rz.stage_retries};
-  for (int i = 0; i < 6; ++i) {
+  const int64_t expect_delta[kNumCounters] = {
+      rz.shed_tables, rz.expired_tables, rz.degraded_tables, rz.failed_tables,
+      rz.retries};
+  for (int i = 0; i < kNumCounters; ++i) {
     const int64_t delta = reg.GetCounter(kCounterNames[i])->Value() - before[i];
     if (delta != expect_delta[i]) {
       Violate(&out, seed,
@@ -392,9 +388,8 @@ RunOutput RunOnce(uint64_t seed, const Env& env, const Scenario& sc) {
                 static_cast<long long>(fs.deadline_truncated));
   d += buf;
   std::snprintf(
-      buf, sizeof(buf), "rz=%lld,%lld,%lld,%lld,%lld,%lld\n",
+      buf, sizeof(buf), "rz=%lld,%lld,%lld,%lld,%lld\n",
       static_cast<long long>(rz.retries),
-      static_cast<long long>(rz.stage_retries),
       static_cast<long long>(rz.degraded_columns),
       static_cast<long long>(rz.failed_columns),
       static_cast<long long>(rz.shed_tables),
@@ -415,7 +410,6 @@ int RunOverloadSweep(const Env& env) {
     clouddb::SimulatedDatabase db(cost);
     TASTE_CHECK(db.IngestDataset(env.dataset).ok());
     core::TasteOptions topt;
-    topt.resilience.enabled = true;
     topt.resilience.degraded_admit_threshold = 0.5;
     core::TasteDetector detector(env.model.get(), env.tokenizer.get(), topt);
 

@@ -13,8 +13,8 @@
 //     --sample               random-sample scans instead of first-m rows
 //     --json                 emit JSON instead of text
 //     --list                 list the staged test tables and exit
-//     --metrics-out FILE     run via the pipelined executor and write the
-//                            unified metrics + trace-span JSON to FILE
+//     --metrics-out FILE     write the unified metrics + trace-span JSON
+//                            to FILE
 //     --deadline-ms X        per-table latency budget (anchored at batch
 //                            entry); expired tables degrade to metadata-only
 //                            after P1 or park with kDeadlineExceeded
@@ -248,10 +248,8 @@ int main(int argc, char** argv) {
                  db.status().ToString().c_str());
     return 1;
   }
-  auto conn = (*db)->Connect();
-
   if (cli.list) {
-    for (const auto& name : conn->ListTables()) {
+    for (const auto& name : (*db)->Connect()->ListTables()) {
       std::printf("%s\n", name.c_str());
     }
     return 0;
@@ -275,141 +273,120 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<core::TableDetectionResult> results;
-  int exit_code = 0;
-  const bool serving_knobs =
-      cli.deadline_ms != 0.0 || cli.max_inflight > 0 || cli.replicas > 0;
-  if (!cli.metrics_out.empty() || serving_knobs) {
-    // Observability / serving mode: run the batch through the pipelined
-    // executor so the metrics document carries per-stage latency histograms
-    // and nested trace spans alongside cache/db/retry counters, and so the
-    // deadline/admission knobs apply.
-    if (!cli.metrics_out.empty()) {
-      obs::SetMetricsEnabled(true);
-      obs::SetTracingEnabled(true);
+  // Every run goes through the pipelined executor (or, with --replicas, the
+  // router), so the deadline/admission knobs apply and the metrics document
+  // carries per-stage latency histograms and nested trace spans alongside
+  // cache/db/retry counters.
+  if (!cli.metrics_out.empty()) {
+    obs::SetMetricsEnabled(true);
+    obs::SetTracingEnabled(true);
+  }
+  pipeline::PipelineOptions popt;
+  popt.deadline_ms = cli.deadline_ms;
+  popt.p2_dtype = cli.p2_dtype;
+  if (cli.max_inflight > 0) {
+    popt.admission.enabled = true;
+    popt.admission.max_inflight_tables = cli.max_inflight;
+    popt.admission.max_queued_tables = cli.max_inflight;
+  }
+  // With --replicas the batch is scattered across forked worker processes
+  // instead; faults off, the merged result is byte-identical to the
+  // single-process executor's.
+  std::unique_ptr<serve::Router> router;
+  std::unique_ptr<pipeline::PipelineExecutor> exec;
+  pipeline::BatchResult batch;
+  if (cli.replicas > 0) {
+    serve::WorkerEnv env;
+    env.detector = &detector;
+    env.db = db->get();
+    env.pipeline_options = popt;
+    serve::RouterOptions ropt;
+    ropt.supervisor.replicas = cli.replicas;
+    ropt.hedge_multiplier = cli.hedge_multiplier;
+    ropt.watchdog_ms = cli.watchdog_ms;
+    router = std::make_unique<serve::Router>(env, ropt);
+    if (Status st = router->Start(); !st.ok()) {
+      std::fprintf(stderr, "replica startup failed: %s\n",
+                   st.ToString().c_str());
+      return 1;
     }
-    pipeline::PipelineOptions popt;
-    popt.deadline_ms = cli.deadline_ms;
-    popt.p2_dtype = cli.p2_dtype;
-    if (cli.max_inflight > 0) {
-      popt.admission.enabled = true;
-      popt.admission.max_inflight_tables = cli.max_inflight;
-      popt.admission.max_queued_tables = cli.max_inflight;
-    }
-    // With --replicas the batch is scattered across forked worker
-    // processes instead; faults off, the merged result is byte-identical
-    // to the single-process executor's.
-    std::unique_ptr<serve::Router> router;
-    std::unique_ptr<pipeline::PipelineExecutor> exec;
-    pipeline::BatchResult batch;
-    if (cli.replicas > 0) {
-      serve::WorkerEnv env;
-      env.detector = &detector;
-      env.db = db->get();
-      env.pipeline_options = popt;
-      serve::RouterOptions ropt;
-      ropt.supervisor.replicas = cli.replicas;
-      ropt.hedge_multiplier = cli.hedge_multiplier;
-      ropt.watchdog_ms = cli.watchdog_ms;
-      router = std::make_unique<serve::Router>(env, ropt);
-      if (Status st = router->Start(); !st.ok()) {
-        std::fprintf(stderr, "replica startup failed: %s\n",
-                     st.ToString().c_str());
-        return 1;
-      }
-      batch = router->RunBatch(targets);
-    } else {
-      exec = std::make_unique<pipeline::PipelineExecutor>(&detector,
-                                                          db->get(), popt);
-      batch = exec->RunBatch(targets);
-    }
-    bool any_failed = false;
-    for (size_t i = 0; i < batch.tables.size(); ++i) {
-      auto& t = batch.tables[i];
-      switch (t.outcome) {
-        case pipeline::TableOutcome::kComplete:
-        case pipeline::TableOutcome::kDegraded:
-          results.push_back(std::move(t.result));
-          break;
-        case pipeline::TableOutcome::kShed:
-        case pipeline::TableOutcome::kExpired:
-          std::fprintf(stderr, "table %s %s: %s\n", targets[i].c_str(),
-                       pipeline::TableOutcomeName(t.outcome),
-                       t.status.ToString().c_str());
-          break;
-        case pipeline::TableOutcome::kFailed:
-          std::fprintf(stderr, "detection failed for %s: %s\n",
-                       targets[i].c_str(), t.status.ToString().c_str());
-          any_failed = true;
-          break;
-      }
-    }
-    const pipeline::ResilienceStats& rz =
-        router ? router->stats().resilience : exec->resilience_stats();
-    if (rz.shed_tables + rz.expired_tables + rz.degraded_tables > 0) {
-      std::fprintf(stderr,
-                   "serving outcomes: %lld shed, %lld expired, %lld "
-                   "degraded (of %zu tables)\n",
-                   static_cast<long long>(rz.shed_tables),
-                   static_cast<long long>(rz.expired_tables),
-                   static_cast<long long>(rz.degraded_tables),
-                   targets.size());
-    }
-    if (router != nullptr && router->stats().replica_deaths > 0) {
-      std::fprintf(stderr,
-                   "replica tier: %lld deaths, %lld tables re-dispatched, "
-                   "%lld ran locally\n",
-                   static_cast<long long>(router->stats().replica_deaths),
-                   static_cast<long long>(router->stats().redispatched_tables),
-                   static_cast<long long>(
-                       router->stats().local_fallback_tables));
-    }
-    if (!cli.metrics_out.empty()) {
-      // Single-process: the global registry. Multi-process: the replicas'
-      // registries scraped over the wire and aggregated with the router's
-      // own (summed base series + per-replica labeled series).
-      obs::Registry::Snapshot snap;
-      if (router != nullptr) {
-        auto scraped = router->Scrape();
-        if (!scraped.ok()) {
-          std::fprintf(stderr, "replica scrape failed: %s\n",
-                       scraped.status().ToString().c_str());
-          return 1;
-        }
-        snap = std::move(*scraped);
-      } else {
-        snap = obs::Registry::Global().snapshot();
-      }
-      const auto spans = obs::DrainSpans();
-      if (!obs::WriteMetricsFile(cli.metrics_out, snap, &spans)) {
-        std::fprintf(stderr, "failed to write %s\n", cli.metrics_out.c_str());
-        return 1;
-      }
-      const double wall =
-          router ? router->stats().wall_ms : exec->stats().wall_ms;
-      std::fprintf(stderr, "wrote metrics to %s (%zu tables, %.1f ms wall)\n",
-                   cli.metrics_out.c_str(), targets.size(), wall);
-    }
-    if (router != nullptr) router->Shutdown();
-    if (any_failed) {
-      exit_code = 1;
-    } else if (rz.shed_tables > 0) {
-      exit_code = 3;  // load was shed; distinct from hard failure
-    }
+    batch = router->RunBatch(targets);
   } else {
-    // The legacy sequential path still honours --p2-dtype: the context
-    // carries the dtype switch into DetectTable's P2 content forwards.
-    tensor::ExecContext seq_ctx({.no_grad = true, .p2_dtype = cli.p2_dtype});
-    for (const auto& name : targets) {
-      auto res = detector.DetectTable(conn.get(), name, &seq_ctx);
-      if (!res.ok()) {
-        std::fprintf(stderr, "detection failed for %s: %s\n", name.c_str(),
-                     res.status().ToString().c_str());
-        return 1;
-      }
-      results.push_back(std::move(*res));
+    exec = std::make_unique<pipeline::PipelineExecutor>(&detector, db->get(),
+                                                        popt);
+    batch = exec->RunBatch(targets);
+  }
+  std::vector<core::TableDetectionResult> results;
+  bool any_failed = false;
+  for (size_t i = 0; i < batch.tables.size(); ++i) {
+    auto& t = batch.tables[i];
+    switch (t.outcome) {
+      case pipeline::TableOutcome::kComplete:
+      case pipeline::TableOutcome::kDegraded:
+        results.push_back(std::move(t.result));
+        break;
+      case pipeline::TableOutcome::kShed:
+      case pipeline::TableOutcome::kExpired:
+        std::fprintf(stderr, "table %s %s: %s\n", targets[i].c_str(),
+                     pipeline::TableOutcomeName(t.outcome),
+                     t.status.ToString().c_str());
+        break;
+      case pipeline::TableOutcome::kFailed:
+        std::fprintf(stderr, "detection failed for %s: %s\n",
+                     targets[i].c_str(), t.status.ToString().c_str());
+        any_failed = true;
+        break;
     }
   }
+  const pipeline::ResilienceStats& rz =
+      router ? router->stats().resilience : exec->resilience_stats();
+  if (rz.shed_tables + rz.expired_tables + rz.degraded_tables > 0) {
+    std::fprintf(stderr,
+                 "serving outcomes: %lld shed, %lld expired, %lld "
+                 "degraded (of %zu tables)\n",
+                 static_cast<long long>(rz.shed_tables),
+                 static_cast<long long>(rz.expired_tables),
+                 static_cast<long long>(rz.degraded_tables),
+                 targets.size());
+  }
+  if (router != nullptr && router->stats().replica_deaths > 0) {
+    std::fprintf(stderr,
+                 "replica tier: %lld deaths, %lld tables re-dispatched, "
+                 "%lld ran locally\n",
+                 static_cast<long long>(router->stats().replica_deaths),
+                 static_cast<long long>(router->stats().redispatched_tables),
+                 static_cast<long long>(
+                     router->stats().local_fallback_tables));
+  }
+  if (!cli.metrics_out.empty()) {
+    // Single-process: the global registry. Multi-process: the replicas'
+    // registries scraped over the wire and aggregated with the router's
+    // own (summed base series + per-replica labeled series).
+    obs::Registry::Snapshot snap;
+    if (router != nullptr) {
+      auto scraped = router->Scrape();
+      if (!scraped.ok()) {
+        std::fprintf(stderr, "replica scrape failed: %s\n",
+                     scraped.status().ToString().c_str());
+        return 1;
+      }
+      snap = std::move(*scraped);
+    } else {
+      snap = obs::Registry::Global().snapshot();
+    }
+    const auto spans = obs::DrainSpans();
+    if (!obs::WriteMetricsFile(cli.metrics_out, snap, &spans)) {
+      std::fprintf(stderr, "failed to write %s\n", cli.metrics_out.c_str());
+      return 1;
+    }
+    const double wall =
+        router ? router->stats().wall_ms : exec->stats().wall_ms;
+    std::fprintf(stderr, "wrote metrics to %s (%zu tables, %.1f ms wall)\n",
+                 cli.metrics_out.c_str(), targets.size(), wall);
+  }
+  if (router != nullptr) router->Shutdown();
+  // 1 = a table failed; 3 = load was shed, distinct from hard failure.
+  const int exit_code = any_failed ? 1 : rz.shed_tables > 0 ? 3 : 0;
 
   if (cli.json) {
     std::printf("%s\n",
