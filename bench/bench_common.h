@@ -50,6 +50,20 @@ inline eval::StackOptions StackOptionsFor(const data::DatasetProfile& p) {
   return o;
 }
 
+/// Runs `tables` through `exec` and returns each table's result in input
+/// order; aborts with the first non-OK table status.
+inline std::vector<core::TableDetectionResult> RunAllOk(
+    pipeline::PipelineExecutor* exec, const std::vector<std::string>& tables) {
+  pipeline::BatchResult batch = exec->RunBatch(tables);
+  std::vector<core::TableDetectionResult> results;
+  results.reserve(batch.tables.size());
+  for (auto& t : batch.tables) {
+    TASTE_CHECK_MSG(t.status.ok(), t.status.ToString());
+    results.push_back(std::move(t.result));
+  }
+  return results;
+}
+
 /// Latency realization factor for wall-clock experiments: simulated
 /// milliseconds are slept at this scale, so measured times are comparable
 /// across detectors while keeping total bench runtime modest.

@@ -59,8 +59,7 @@ void RunDataset(const data::DatasetProfile& profile) {
                        clouddb::SimulatedDatabase* database) {
     core::TasteDetector det(m, stack.tokenizer.get(), topt);
     pipeline::PipelineExecutor exec(&det, database, popt);
-    auto res = exec.Run(tables);
-    TASTE_CHECK_MSG(res.ok(), res.status().ToString());
+    RunAllOk(&exec, tables);
     return exec.stats().wall_ms;
   };
   auto run_single = [&](const baselines::SingleTowerModel* m) {

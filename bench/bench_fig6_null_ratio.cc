@@ -52,10 +52,9 @@ void Run() {
     core::TasteDetector det(stack->adtd.get(), stack->tokenizer.get(), {});
     pipeline::PipelineExecutor exec(&det, db->get(),
                                     {.prep_threads = 2, .infer_threads = 2});
-    auto results = exec.Run(TestTableNames(stack->dataset));
-    TASTE_CHECK_MSG(results.ok(), results.status().ToString());
+    const auto results = RunAllOk(&exec, TestTableNames(stack->dataset));
     eval::EvalRunResult run = eval::SummarizeResults(
-        *results, stack->dataset, stack->dataset.test,
+        results, stack->dataset, stack->dataset.test,
         db->get()->ledger().snapshot(), exec.stats().wall_ms);
     table.AddRow({std::to_string(k), Pct(eta), F4(run.scores.f1),
                   Pct(run.scanned_ratio()), Ms(run.wall_ms)});

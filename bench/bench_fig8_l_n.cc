@@ -44,9 +44,8 @@ void Run() {
     core::TasteDetector det(stack.adtd.get(), stack.tokenizer.get(), topt);
     pipeline::PipelineExecutor exec(&det, db->get(),
                                     {.prep_threads = 2, .infer_threads = 2});
-    auto results = exec.Run(tables);
-    TASTE_CHECK_MSG(results.ok(), results.status().ToString());
-    return eval::SummarizeResults(*results, stack.dataset, stack.dataset.test,
+    const auto results = RunAllOk(&exec, tables);
+    return eval::SummarizeResults(results, stack.dataset, stack.dataset.test,
                                   db->get()->ledger().snapshot(),
                                   exec.stats().wall_ms);
   };

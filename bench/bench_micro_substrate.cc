@@ -500,9 +500,9 @@ void WriteSubstrateJson() {
   for (const auto& t : f.dataset.tables) tables.push_back(t.name);
 
   pipeline::PipelineExecutor seq(&det, f.db.get(), {.pipelined = false});
-  TASTE_CHECK(seq.Run(tables).ok());
+  TASTE_CHECK(seq.RunBatch(tables).all_ok());
   pipeline::PipelineExecutor pip(&det, f.db.get(), {.pipelined = true});
-  TASTE_CHECK(pip.Run(tables).ok());
+  TASTE_CHECK(pip.RunBatch(tables).all_ok());
 
   json.BeginObject("end_to_end");
   json.Field("tables", static_cast<int64_t>(tables.size()));
@@ -678,81 +678,39 @@ void WriteSubstrateJson() {
     router.Shutdown();
     json.Field("failover_recovery_ms", recovery_ms);
 
-    // Gray-failure rows (DESIGN.md §13): SIGSTOP-wedge the ring owner of
-    // the first table, twice, once per recovery mechanism.
-    //
-    // Hedge run: straggler hedging re-sends the wedged leg to the ring
-    // successor and the batch completes without waiting for the wedge.
-    // The gate is hedge duplicate work: a wedged replica can never answer,
-    // so wasted (duplicate) responses per admitted table must stay < 10%.
-    // Whether the derived watchdog also condemns the wedge before the
-    // batch drains is timing-dependent, so this run asserts nothing about
-    // recovery; Shutdown reaps the stopped worker either way.
+    // Gray-failure row (DESIGN.md §13): SIGSTOP-wedge the ring owner of
+    // the first table. The batch CANNOT complete until the watchdog
+    // condemns the wedged replica (SIGTERM -> SIGKILL) and its tables
+    // re-dispatch — which makes the respawn, and therefore the
+    // recovery-time sample, deterministic. The gate bounds wedge->respawn
+    // recovery by the same 5 s budget as kill->respawn.
     serve::WorkerEnv wedge_env = env;
     wedge_env.wedge_table = tables[0];
     wedge_env.wedge_replica =
         ring.NodeFor(tables[0], [](int) { return true; });
-    serve::RouterOptions hopt;
-    hopt.supervisor.replicas = 4;
-    hopt.hedge_multiplier = 1.0;
-    hopt.hedge_floor_ms = 40.0;
-    hopt.hedge_budget_fraction = 1.0;
-    double hedge_waste_fraction = 0.0;
-    int64_t hedged_tables = 0, hedge_wasted_tables = 0;
-    {
-      serve::Router hrouter(wedge_env, hopt);
-      TASTE_CHECK(hrouter.Start().ok());
-      pipeline::BatchResult hbatch = hrouter.RunBatch(tables);
-      for (const auto& t : hbatch.tables) {
-        TASTE_CHECK(t.outcome == pipeline::TableOutcome::kComplete);
-      }
-      hedged_tables = hrouter.stats().hedged_tables;
-      hedge_wasted_tables = hrouter.stats().hedge_wasted_tables;
-      hedge_waste_fraction = static_cast<double>(hedge_wasted_tables) /
-                             static_cast<double>(tables.size());
-      hrouter.Shutdown();
+    serve::RouterOptions wopt;
+    wopt.supervisor.replicas = 4;
+    // ~800 ms for a 10-table leg: generous vs this box's healthy leg wall
+    // (~300 ms for the whole batch), so only the wedge — which never
+    // completes — crosses it and the run condemns exactly that replica.
+    wopt.watchdog_ms_per_table = 80.0;
+    serve::Router wrouter(wedge_env, wopt);
+    TASTE_CHECK(wrouter.Start().ok());
+    pipeline::BatchResult wbatch = wrouter.RunBatch(tables);
+    for (const auto& t : wbatch.tables) {
+      TASTE_CHECK(t.outcome == pipeline::TableOutcome::kComplete);
     }
-
-    // Watchdog run: hedging off, so the batch CANNOT complete until the
-    // watchdog condemns the wedged replica (SIGTERM -> SIGKILL) and its
-    // tables re-dispatch — which makes the respawn, and therefore the
-    // recovery-time sample, deterministic. The gate bounds wedge->respawn
-    // recovery by the same 5 s budget as kill->respawn.
-    double wedge_recovery_ms = 0.0;
-    {
-      serve::RouterOptions wopt;
-      wopt.supervisor.replicas = 4;
-      wopt.hedge_multiplier = 0.0;
-      // Generous vs this box's healthy leg wall (~300 ms for the whole
-      // batch): only the wedge — which never completes — crosses it, so
-      // the run condemns exactly the wedged replica.
-      wopt.watchdog_ms = 800.0;
-      serve::Router wrouter(wedge_env, wopt);
-      TASTE_CHECK(wrouter.Start().ok());
-      pipeline::BatchResult wbatch = wrouter.RunBatch(tables);
-      for (const auto& t : wbatch.tables) {
-        TASTE_CHECK(t.outcome == pipeline::TableOutcome::kComplete);
-      }
-      TASTE_CHECK(wrouter.supervisor().watchdog_kills() >= 1);
-      TASTE_CHECK(wrouter.MaintainUntilAllUp(5000.0));
-      const auto& wrec = wrouter.supervisor().recovery_times_ms();
-      TASTE_CHECK(!wrec.empty());
-      wedge_recovery_ms = wrec.back();
-      wrouter.Shutdown();
-    }
-    json.Field("wedge_hedged_tables", hedged_tables);
-    json.Field("wedge_hedge_wasted_tables", hedge_wasted_tables);
-    json.Field("hedge_waste_fraction", hedge_waste_fraction);
+    TASTE_CHECK(wrouter.supervisor().watchdog_kills() >= 1);
+    TASTE_CHECK(wrouter.MaintainUntilAllUp(5000.0));
+    const auto& wrec = wrouter.supervisor().recovery_times_ms();
+    TASTE_CHECK(!wrec.empty());
+    const double wedge_recovery_ms = wrec.back();
+    wrouter.Shutdown();
     json.Field("wedge_recovery_ms", wedge_recovery_ms);
     json.EndObject();
     std::printf("  scaling 1->4: %.2fx;  kill->respawn recovery %.1f ms\n",
                 wall1 / wall4, recovery_ms);
-    std::printf(
-        "  wedge: hedged %lld, wasted %lld (%.1f%% of %zu tables); "
-        "watchdog recovery %.1f ms\n",
-        static_cast<long long>(hedged_tables),
-        static_cast<long long>(hedge_wasted_tables),
-        100.0 * hedge_waste_fraction, tables.size(), wedge_recovery_ms);
+    std::printf("  wedge: watchdog recovery %.1f ms\n", wedge_recovery_ms);
   }
 
   // The unified-observability view of the same two runs: stage latency

@@ -44,17 +44,20 @@ int main() {
   for (int idx : stack->dataset.test) {
     names.push_back(stack->dataset.tables[idx].name);
   }
-  auto results = executor.Run(names);
-  if (!results.ok()) {
-    std::fprintf(stderr, "tagging failed: %s\n",
-                 results.status().ToString().c_str());
-    return 1;
+  pipeline::BatchResult batch = executor.RunBatch(names);
+  std::vector<core::TableDetectionResult> results;
+  for (auto& t : batch.tables) {
+    if (!t.status.ok()) {
+      std::fprintf(stderr, "tagging failed: %s\n", t.status.ToString().c_str());
+      return 1;
+    }
+    results.push_back(std::move(t.result));
   }
 
   const auto& registry = data::SemanticTypeRegistry::Default();
   std::map<std::string, int> tag_counts;
   int untagged = 0, total_cols = 0, scanned = 0;
-  for (const auto& table : *results) {
+  for (const auto& table : results) {
     total_cols += table.total_columns;
     scanned += table.columns_scanned;
     for (const auto& col : table.columns) {
@@ -69,7 +72,7 @@ int main() {
   }
 
   std::printf("\nCatalog tag inventory (%zu tables, %d columns)\n",
-              results->size(), total_cols);
+              results.size(), total_cols);
   for (const auto& [tag, count] : tag_counts) {
     std::printf("  %-18s %d\n", tag.c_str(), count);
   }

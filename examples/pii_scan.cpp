@@ -54,17 +54,20 @@ int main() {
   for (int idx : stack->dataset.test) {
     names.push_back(stack->dataset.tables[idx].name);
   }
-  auto results = executor.Run(names);
-  if (!results.ok()) {
-    std::fprintf(stderr, "sweep failed: %s\n",
-                 results.status().ToString().c_str());
-    return 1;
+  pipeline::BatchResult batch = executor.RunBatch(names);
+  std::vector<core::TableDetectionResult> results;
+  for (auto& t : batch.tables) {
+    if (!t.status.ok()) {
+      std::fprintf(stderr, "sweep failed: %s\n", t.status.ToString().c_str());
+      return 1;
+    }
+    results.push_back(std::move(t.result));
   }
 
   std::printf("\nPII findings\n");
   std::printf("%-22s %-20s %-16s %s\n", "table", "column", "pii type", "how");
   int findings = 0, total_cols = 0, scanned = 0;
-  for (const auto& table : *results) {
+  for (const auto& table : results) {
     total_cols += table.total_columns;
     scanned += table.columns_scanned;
     for (const auto& col : table.columns) {
@@ -78,7 +81,7 @@ int main() {
     }
   }
   std::printf("\n%d PII columns flagged across %zu tables.\n", findings,
-              results->size());
+              results.size());
   std::printf("Intrusion: scanned %d of %d columns (%.1f%%) in %.0f ms "
               "wall clock.\n",
               scanned, total_cols,

@@ -207,18 +207,6 @@ BatchResult PipelineExecutor::RunBatch(
   return batch;
 }
 
-Result<std::vector<TableDetectionResult>> PipelineExecutor::Run(
-    const std::vector<std::string>& table_names) {
-  BatchResult batch = RunBatch(table_names);
-  std::vector<TableDetectionResult> results;
-  results.reserve(batch.tables.size());
-  for (auto& t : batch.tables) {
-    if (!t.status.ok()) return t.status;
-    results.push_back(std::move(t.result));
-  }
-  return results;
-}
-
 void PipelineExecutor::FinalizeStats(const BatchResult& batch,
                                      int64_t trips_before) {
   for (const auto& t : batch.tables) {

@@ -18,8 +18,8 @@
 // detector retries each database call (the only retry layer); a table whose
 // stage still fails is parked with a sticky per-table Status while every
 // other table runs to completion. Both modes report a table identically.
-// RunBatch() surfaces the partial results; the legacy Run() keeps the
-// historical all-or-nothing contract on top of it.
+// RunBatch() surfaces the partial results: each table carries its own
+// status, and callers that need every table check them.
 
 #ifndef TASTE_PIPELINE_SCHEDULER_H_
 #define TASTE_PIPELINE_SCHEDULER_H_
@@ -82,7 +82,7 @@ struct PipelineOptions {
   tensor::P2Dtype p2_dtype = tensor::P2Dtype::kFp32;
 };
 
-/// Timing/throughput of one Run()/RunBatch().
+/// Timing/throughput of one RunBatch().
 struct PipelineRunStats {
   double wall_ms = 0.0;
   int tables_processed = 0;
@@ -93,7 +93,7 @@ struct PipelineRunStats {
   int max_tables_in_flight = 0;
 };
 
-/// Fault-handling activity of one Run()/RunBatch(). All zeros on a
+/// Fault-handling activity of one RunBatch(). All zeros on a
 /// fault-free run.
 struct ResilienceStats {
   int64_t retries = 0;           // detector call-level retries
@@ -173,7 +173,7 @@ struct BatchResult {
 
 /// Runs a batch of tables (from one database, reusing its connections)
 /// through a TasteDetector, pipelined or sequentially. One batch runs at a
-/// time: RunBatch/Run must not be called concurrently on one executor.
+/// time: RunBatch must not be called concurrently on one executor.
 class PipelineExecutor {
  public:
   PipelineExecutor(const core::TasteDetector* detector,
@@ -183,13 +183,7 @@ class PipelineExecutor {
   /// table completes even when others fail. Results in input order.
   BatchResult RunBatch(const std::vector<std::string>& table_names);
 
-  /// Legacy all-or-nothing API on top of RunBatch(): returns the results
-  /// when every table succeeded, otherwise the first failing table's
-  /// error. Fault-free behaviour is identical to the historical Run().
-  Result<std::vector<core::TableDetectionResult>> Run(
-      const std::vector<std::string>& table_names);
-
-  /// Stats of the most recent Run()/RunBatch().
+  /// Stats of the most recent RunBatch().
   const PipelineRunStats& stats() const { return stats_; }
   const ResilienceStats& resilience_stats() const { return resilience_; }
 

@@ -17,11 +17,6 @@ namespace taste::serve {
 
 namespace {
 
-/// Token-volume stand-in per table fed to the straggler cost model (the
-/// router never sees content sizes; online calibration against completed
-/// legs absorbs the approximation).
-constexpr int64_t kHedgeTokensPerTable = 600;
-
 /// Poll granularity when no timer is pending.
 constexpr double kPollSlackMs = 50.0;
 /// How long Scrape() waits for the replicas' metric snapshots.
@@ -36,18 +31,6 @@ obs::Counter* RedispatchCounter() {
 obs::Counter* FallbackCounter() {
   static obs::Counter* c =
       obs::Registry::Global().GetCounter("taste_local_fallback_tables_total");
-  return c;
-}
-
-obs::Counter* HedgeCounter() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter("taste_hedges_total");
-  return c;
-}
-
-obs::Counter* HedgeWastedCounter() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter("taste_hedge_wasted_total");
   return c;
 }
 
@@ -102,17 +85,15 @@ struct Router::Leg {
   int replica = -1;
   std::vector<size_t> indices;
   std::chrono::steady_clock::time_point sent_at{};
-  double straggler_ms = 0.0;  // hedge threshold frozen at send time
-  /// A straggle verdict already fired for this leg (or it IS the hedge) —
-  /// hedges never cascade; the watchdog covers a straggling hedge.
-  bool hedged = false;
 };
 
 Router::Router(WorkerEnv env, RouterOptions options)
     : env_(std::move(env)),
       options_(options),
       supervisor_(env_, options_.supervisor),
-      ring_(options_.supervisor.replicas, kRingVnodes) {}
+      ring_(options_.supervisor.replicas, kRingVnodes) {
+  TASTE_CHECK(options_.watchdog_ms_per_table > 0.0);
+}
 
 Router::~Router() { Shutdown(); }
 
@@ -131,8 +112,7 @@ void Router::Shutdown() {
 
 bool Router::SendLeg(int replica_id, std::vector<size_t> indices,
                      const std::vector<std::string>& tables,
-                     double remaining_ms, SendKind kind,
-                     std::vector<Leg>* legs) {
+                     double remaining_ms, std::vector<Leg>* legs) {
   Replica* r = supervisor_.replica(replica_id);
   TASTE_CHECK(r != nullptr && r->state == ReplicaState::kUp);
   DetectRequest req;
@@ -152,35 +132,8 @@ bool Router::SendLeg(int replica_id, std::vector<size_t> indices,
   leg.replica = replica_id;
   leg.indices = std::move(indices);
   leg.sent_at = std::chrono::steady_clock::now();
-  leg.straggler_ms = StragglerThresholdMs(leg.indices.size());
-  leg.hedged = kind == SendKind::kHedge;
   legs->push_back(std::move(leg));
   return true;
-}
-
-double Router::StragglerThresholdMs(size_t leg_tables) const {
-  if (options_.hedge_multiplier <= 0.0) return 0.0;
-  const int64_t tokens = static_cast<int64_t>(leg_tables) *
-                         kHedgeTokensPerTable;
-  return std::max(options_.hedge_floor_ms,
-                  cost_model_.EstimateP99Ms(tokens) * options_.hedge_multiplier);
-}
-
-void Router::RecordLegSample(size_t leg_tables, double wall_ms) {
-  const int64_t tokens = static_cast<int64_t>(leg_tables) *
-                         kHedgeTokensPerTable;
-  cost_samples_.emplace_back(tokens, wall_ms);
-  if (cost_samples_.size() > 256) {
-    cost_samples_.erase(
-        cost_samples_.begin(),
-        cost_samples_.begin() +
-            static_cast<std::ptrdiff_t>(cost_samples_.size() - 256));
-  }
-  // Refit every few legs; Calibrate keeps the current parameters when the
-  // sample set is degenerate (no token spread, non-positive slope).
-  if (cost_samples_.size() % 8 == 0) {
-    (void)cost_model_.Calibrate(cost_samples_);
-  }
 }
 
 pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
@@ -203,28 +156,21 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
   pipeline::BatchResult out;
   out.tables.resize(n);
   std::vector<bool> done(n, false);
-  std::vector<bool> in_fallback(n, false);
-  // Poison blacklist: replicas that died (or straggled) while serving table
+  // Poison blacklist: replicas that died (or wedged) while serving table
   // i. Re-dispatch walks the ring past them, so a table that reliably kills
   // its owner cannot crash-loop the fleet; an exhausted ring sends it to
   // the local fallback executor instead.
   std::vector<std::set<int>> blacklist(n);
   std::vector<size_t> fallback;
+  // Every unanswered table not bound for the fallback is in exactly one
+  // leg: a leg is only ever replaced, on its replica's death.
   std::vector<Leg> legs;
 
-  const bool hedging = options_.hedge_multiplier > 0.0;
-  const int64_t hedge_cap = std::max<int64_t>(
-      1, static_cast<int64_t>(std::llround(
-             static_cast<double>(n) * options_.hedge_budget_fraction)));
-  int64_t hedged_this_batch = 0;
-
-  // Watchdog threshold for a leg: explicit option, or derived from the
-  // leg's hedge threshold (the hedge fires first, the watchdog mops up a
-  // replica that also wedged the hedge's evidence window).
-  auto watchdog_threshold = [&](const Leg& l) -> double {
-    if (options_.watchdog_ms > 0.0) return options_.watchdog_ms;
-    if (hedging) return 4.0 * l.straggler_ms;
-    return 0.0;  // disabled
+  // The watchdog's verdict time for a leg: its per-table budget times its
+  // table count.
+  auto watchdog_ms = [&](const Leg& l) {
+    return options_.watchdog_ms_per_table *
+           static_cast<double>(l.indices.size());
   };
 
   auto acceptable = [&](size_t i, int id) {
@@ -232,56 +178,43 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
   };
 
   // Places every index with its ring owner; indices with no acceptable
-  // owner fall through to the local fallback list. A send failure marks
-  // the owner dead and re-plans, so this always terminates: each round
-  // either sends, loses a replica, or drains to fallback.
-  auto dispatch = [&](std::vector<size_t> idxs, SendKind kind) {
+  // owner go to the local fallback list. A send failure marks the owner
+  // dead and re-plans, so this always terminates: each round either sends,
+  // loses a replica, or drains to fallback.
+  auto dispatch = [&](std::vector<size_t> idxs, bool redispatch) {
     while (!idxs.empty()) {
       std::map<int, std::vector<size_t>> groups;
-      std::vector<size_t> rest;
       for (size_t i : idxs) {
-        if (done[i] || in_fallback[i]) continue;  // already resolved
         const int owner =
             ring_.NodeFor(tables[i], [&](int id) { return acceptable(i, id); });
         if (owner < 0) {
           fallback.push_back(i);
-          in_fallback[i] = true;
         } else {
           groups[owner].push_back(i);
         }
       }
       idxs.clear();
       for (const auto& [id, group] : groups) {
-        if (SendLeg(id, group, tables, wire_remaining(), kind, &legs)) {
+        if (SendLeg(id, group, tables, wire_remaining(), &legs)) {
           const auto count = static_cast<int64_t>(group.size());
-          switch (kind) {
-            case SendKind::kFirst:
-              stats_.dispatched_tables += count;
-              break;
-            case SendKind::kRedispatch:
-              stats_.redispatched_tables += count;
-              RedispatchCounter()->Inc(count);
-              break;
-            case SendKind::kHedge:
-              stats_.hedged_tables += count;
-              HedgeCounter()->Inc(count);
-              break;
+          if (redispatch) {
+            stats_.redispatched_tables += count;
+            RedispatchCounter()->Inc(count);
+          } else {
+            stats_.dispatched_tables += count;
           }
         } else {
           // The owner died on the write; re-plan these indices — the next
           // round routes around the now-dead replica.
-          rest.insert(rest.end(), group.begin(), group.end());
+          idxs.insert(idxs.end(), group.begin(), group.end());
         }
       }
-      idxs = std::move(rest);
     }
   };
 
   // A replica died: blacklist it for its in-flight tables and re-dispatch
   // them to survivors (idempotent — detection is a pure function of the
   // table and the shared forked model, so replayed work is byte-identical).
-  // Indices already resolved, or still covered by another live leg (the
-  // other side of a hedge pair), are not replayed.
   auto handle_death = [&](int id) {
     stats_.replica_deaths += 1;
     std::vector<size_t> orphaned;
@@ -294,18 +227,8 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
         ++it;
       }
     }
-    auto covered_elsewhere = [&](size_t i) {
-      return std::any_of(legs.begin(), legs.end(), [&](const Leg& l) {
-        return std::find(l.indices.begin(), l.indices.end(), i) !=
-               l.indices.end();
-      });
-    };
-    std::vector<size_t> replay;
-    for (size_t i : orphaned) {
-      blacklist[i].insert(id);
-      if (!done[i] && !covered_elsewhere(i)) replay.push_back(i);
-    }
-    if (!replay.empty()) dispatch(std::move(replay), SendKind::kRedispatch);
+    for (size_t i : orphaned) blacklist[i].insert(id);
+    if (!orphaned.empty()) dispatch(std::move(orphaned), /*redispatch=*/true);
   };
 
   // Drains complete frames buffered for a replica. Returns false on a
@@ -335,51 +258,19 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
           auto leg = std::find_if(legs.begin(), legs.end(), [&](const Leg& l) {
             return l.replica == id && l.request_id == resp->request_id;
           });
-          if (leg == legs.end()) {
-            // No matching leg: either re-dispatched after a death (stale)
-            // or abandoned in a previous batch with its race already won —
-            // the latter is pure duplicate work, account for it.
-            auto sup = superseded_.find(resp->request_id);
-            if (sup != superseded_.end()) {
-              superseded_.erase(sup);
-              const auto w = static_cast<int64_t>(resp->tables.size());
-              stats_.hedge_wasted_tables += w;
-              HedgeWastedCounter()->Inc(w);
-            }
-            break;
-          }
+          if (leg == legs.end()) break;  // stale: re-dispatched after a death
           if (resp->tables.size() != leg->indices.size()) {
             TASTE_LOG(Warn) << "replica " << id << ": response table count "
                             << resp->tables.size() << " != leg size "
                             << leg->indices.size();
             return false;
           }
-          // First valid response wins each table; a hedge race's loser is
-          // counted as wasted duplicate work and its bytes dropped (both
-          // sides compute identical bytes, but merging stats twice would
-          // double-count resilience activity).
-          int64_t contributed = 0;
-          int64_t wasted = 0;
           for (size_t k = 0; k < leg->indices.size(); ++k) {
             const size_t i = leg->indices[k];
-            if (done[i]) {
-              ++wasted;
-              continue;
-            }
             out.tables[i] = std::move(resp->tables[k]);
             done[i] = true;
-            ++contributed;
           }
-          if (wasted > 0) {
-            stats_.hedge_wasted_tables += wasted;
-            HedgeWastedCounter()->Inc(wasted);
-          }
-          if (contributed > 0) {
-            stats_.resilience.Merge(resp->stats);
-            const double leg_ms =
-                AgeMs(leg->sent_at, std::chrono::steady_clock::now());
-            RecordLegSample(leg->indices.size(), leg_ms);
-          }
+          stats_.resilience.Merge(resp->stats);
           legs.erase(leg);
           break;
         }
@@ -393,27 +284,15 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
     std::vector<size_t> all(n);
     for (size_t i = 0; i < n; ++i) all[i] = i;
     return all;
-  }(), SendKind::kFirst);
-
-  // Unresolved = not yet answered and not bound for the local fallback.
-  // Legs alone no longer signal completion: a hedge pair leaves its loser
-  // in flight after every table is resolved.
-  auto unresolved = [&]() {
-    size_t c = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!done[i] && !in_fallback[i]) ++c;
-    }
-    return c;
-  };
+  }(), /*redispatch=*/false);
 
   // Gather loop: wake on replica bytes, SIGCHLD, or the earliest timer
-  // (respawn backoff / idle heartbeat / hedge or watchdog crossing /
-  // deadline).
+  // (respawn backoff / idle heartbeat / watchdog crossing / deadline).
   const double overdue_grace_ms = options_.supervisor.heartbeat_interval_ms *
                                   options_.supervisor.heartbeat_miss_limit;
   bool overdue_armed = false;
   std::chrono::steady_clock::time_point overdue_since;
-  while (unresolved() > 0) {
+  while (!legs.empty()) {
     std::vector<pollfd> pfds;
     std::vector<int> owner;  // pfds[i] -> replica id; -1 = sigchld pipe
     pfds.push_back(pollfd{supervisor_.sigchld_fd(), POLLIN, 0});
@@ -431,12 +310,8 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
     {
       const auto now = std::chrono::steady_clock::now();
       for (const Leg& l : legs) {
-        const double age = AgeMs(l.sent_at, now);
-        if (hedging && !l.hedged) {
-          wait = std::min(wait, std::max(0.0, l.straggler_ms - age));
-        }
-        const double wd = watchdog_threshold(l);
-        if (wd > 0.0) wait = std::min(wait, std::max(0.0, wd - age));
+        wait = std::min(wait,
+                        std::max(0.0, watchdog_ms(l) - AgeMs(l.sent_at, now)));
       }
     }
     if (!dl.IsInfinite()) {
@@ -473,33 +348,15 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
 
     supervisor_.RespawnEligible();
 
-    // Gray-straggler scan. Two phases (verdicts, then actions) because
-    // hedging and condemnation both mutate `legs`.
-    if (!legs.empty()) {
+    // Watchdog: overdue in-flight work on a live process is the wedge
+    // signature. Verdicts first, then actions (condemning mutates `legs`).
+    {
       const auto now = std::chrono::steady_clock::now();
-      std::vector<size_t> to_hedge;
       std::vector<int> to_condemn;
-      for (Leg& l : legs) {
-        const double age = AgeMs(l.sent_at, now);
-        const double wd = watchdog_threshold(l);
-        if (wd > 0.0 && age > wd) {
-          // Overdue in-flight work on a live process: the wedge signature.
+      for (const Leg& l : legs) {
+        if (AgeMs(l.sent_at, now) > watchdog_ms(l)) {
           to_condemn.push_back(l.replica);
-          continue;
         }
-        if (hedging && !l.hedged && age > l.straggler_ms) {
-          l.hedged = true;
-          if (hedged_this_batch >= hedge_cap) continue;
-          for (size_t i : l.indices) {
-            if (done[i]) continue;
-            blacklist[i].insert(l.replica);  // successor, not the straggler
-            to_hedge.push_back(i);
-          }
-        }
-      }
-      if (!to_hedge.empty()) {
-        hedged_this_batch += static_cast<int64_t>(to_hedge.size());
-        dispatch(std::move(to_hedge), SendKind::kHedge);
       }
       std::sort(to_condemn.begin(), to_condemn.end());
       to_condemn.erase(std::unique(to_condemn.begin(), to_condemn.end()),
@@ -543,27 +400,13 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
     }
   }
 
-  // Legs still in flight lost their race (a hedge or the fallback resolved
-  // every table they carried). Remember their request ids so a late
-  // response draining in a future batch is accounted as wasted hedge work
-  // instead of warned about as stale; bounded so the set cannot grow.
-  for (const Leg& l : legs) superseded_.insert(l.request_id);
-  while (superseded_.size() > 1024) superseded_.erase(superseded_.begin());
-
-  // Tables no replica could serve run locally under the remaining budget.
-  // Same detector, database, and options as the workers' forked image, so
-  // with faults off this produces the same bytes; with the budget gone it
-  // reuses the single-process degrade semantics (metadata-only / kExpired).
-  // A table whose racing leg answered first is already done — skip it.
+  // Tables no replica could serve run locally, in input order, under the
+  // remaining budget. Same detector, database, and options as the workers'
+  // forked image, so with faults off this produces the same bytes; with the
+  // budget gone it reuses the single-process degrade semantics
+  // (metadata-only / kExpired).
   if (!fallback.empty()) {
     std::sort(fallback.begin(), fallback.end());
-    fallback.erase(std::unique(fallback.begin(), fallback.end()),
-                   fallback.end());
-    fallback.erase(std::remove_if(fallback.begin(), fallback.end(),
-                                  [&](size_t i) { return done[i]; }),
-                   fallback.end());
-  }
-  if (!fallback.empty()) {
     std::vector<std::string> names;
     names.reserve(fallback.size());
     for (size_t i : fallback) names.push_back(tables[i]);

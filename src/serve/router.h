@@ -31,15 +31,12 @@
 // Gray-failure handling (DESIGN.md §13) — failures that are neither a crash
 // nor an EOF:
 //
-//   * STRAGGLERS are hedged: a leg outstanding past a cost-model-derived
-//     threshold (core/cost_model p99 estimate × hedge_multiplier) is
-//     speculatively re-sent to the ring successor. First valid response
-//     wins; the loser's tables are counted as wasted duplicates
-//     (taste_hedge_wasted_total), never merged twice. Hedge volume per
-//     batch is capped by hedge_budget_fraction.
-//   * WEDGED replicas (SIGSTOP, livelock: in-flight leg long overdue but
-//     the process is alive) are condemned via the supervisor's watchdog
-//     escalation and their pending tables re-dispatched byte-identically.
+//   * A leg that does not answer is handled by one rule, the WEDGED-replica
+//     watchdog: a leg outstanding past watchdog_ms_per_table × its table
+//     count (SIGSTOP, livelock, a drip too slow to finish) has its replica
+//     condemned through the supervisor's escalation (SIGTERM → SIGKILL →
+//     respawn) and its tables re-dispatched byte-identically. No leg is
+//     ever sent twice, so every table is in at most one leg at a time.
 //   * CORRUPT frames (CRC / framing faults from serve/wire.h) poison the
 //     stream: the replica is marked dead and its tables re-dispatched — a
 //     corrupted response is never surfaced as valid.
@@ -54,7 +51,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/cost_model.h"
 #include "obs/metrics.h"
 #include "pipeline/scheduler.h"
 #include "serve/supervisor.h"
@@ -119,29 +115,11 @@ class ConsistentHashRing {
 struct RouterOptions {
   SupervisorOptions supervisor;
 
-  // -- Hedged re-dispatch (gray stragglers) ----------------------------------
-
-  /// A leg still outstanding past its straggler threshold —
-  /// max(hedge_floor_ms, cost-model EstimateP99Ms(leg tokens) ×
-  /// hedge_multiplier) — is presumed gray-failed and speculatively re-sent
-  /// to the ring successor. First valid response wins; duplicates are
-  /// suppressed and counted. 0 disables hedging.
-  double hedge_multiplier = 4.0;
-  /// Lower bound on the straggler threshold, so a cold cost model or a
-  /// tiny leg does not hedge on scheduling noise.
-  double hedge_floor_ms = 25.0;
-  /// Cap on speculatively duplicated tables per batch, as a fraction of
-  /// the batch size (minimum 1 once hedging triggers). Bounds duplicate
-  /// work under a gray storm.
-  double hedge_budget_fraction = 0.25;
-
-  // -- Wedged-replica watchdog -----------------------------------------------
-
-  /// Leg age at which the replica holding it is condemned as wedged
-  /// (SIGTERM → 20 ms grace → SIGKILL → respawn).
-  /// 0 derives 4× the leg's straggler threshold when hedging is enabled;
-  /// with hedging also disabled the watchdog is off.
-  double watchdog_ms = 0.0;
+  /// Wedged-replica watchdog budget per table of a leg: a leg of n tables
+  /// still outstanding after n × watchdog_ms_per_table condemns the replica
+  /// holding it (SIGTERM → 20 ms grace → SIGKILL → respawn) and
+  /// re-dispatches the leg. Always on; must be > 0.
+  double watchdog_ms_per_table = 500.0;
 };
 
 /// Cumulative fault-handling activity across the router's lifetime.
@@ -152,8 +130,9 @@ struct RouterStats {
   int64_t redispatched_tables = 0;   // failover re-dispatches
   int64_t replica_deaths = 0;        // deaths observed during batches
   int64_t local_fallback_tables = 0; // tables the router ran itself
-  int64_t hedged_tables = 0;         // speculative duplicate dispatches
-  int64_t hedge_wasted_tables = 0;   // duplicate responses discarded
+  /// Always 0: the router never sends a leg twice (DESIGN.md §13). The
+  /// perfbench harness still reports it as serve.hedged_frac.
+  int64_t hedged_tables = 0;
   pipeline::ResilienceStats resilience;  // merged across legs + fallback
 };
 
@@ -194,37 +173,18 @@ class Router {
  private:
   struct Leg;  // one in-flight DetectRequest to one replica
 
-  /// Why a leg is being sent — drives dispatch accounting and whether the
-  /// new leg may itself be hedged (hedges never cascade).
-  enum class SendKind { kFirst, kRedispatch, kHedge };
-
   /// Sends one leg carrying `indices` (into the current batch's table
   /// vector). Returns false when the write failed and the replica was
   /// marked dead (caller re-plans the leg's tables).
   bool SendLeg(int replica_id, std::vector<size_t> indices,
                const std::vector<std::string>& tables, double remaining_ms,
-               SendKind kind, std::vector<Leg>* legs);
-
-  /// Hedge threshold for a leg of `leg_tables` tables; 0 when hedging is
-  /// disabled.
-  double StragglerThresholdMs(size_t leg_tables) const;
-
-  /// Feeds a completed leg's (token volume, wall ms) into the online
-  /// cost-model calibration so the straggler threshold tracks the machine.
-  void RecordLegSample(size_t leg_tables, double wall_ms);
+               std::vector<Leg>* legs);
 
   WorkerEnv env_;
   RouterOptions options_;
   Supervisor supervisor_;
   ConsistentHashRing ring_;
   RouterStats stats_;
-  /// Straggler-threshold model, online-calibrated from completed legs.
-  core::P2CostModel cost_model_;
-  std::vector<std::pair<int64_t, double>> cost_samples_;
-  /// Request ids abandoned with their race already resolved (hedge or
-  /// fallback won): a late response is counted as wasted hedge work
-  /// instead of warned about as stale. Bounded.
-  std::set<uint64_t> superseded_;
   uint64_t next_request_id_ = 1;
   bool started_ = false;
 };

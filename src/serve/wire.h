@@ -160,7 +160,7 @@ Status WriteFrameCorrupted(int fd, FrameType type, const std::string& payload);
 
 /// Writes a valid frame in `chunk_bytes`-sized slices with `delay_us`
 /// between them — a slow-drip partial writer. Exercises the receiver's
-/// incremental reassembly and the router's straggler hedging.
+/// incremental reassembly and the router's watchdog budget.
 Status WriteFrameDripped(int fd, FrameType type, const std::string& payload,
                          int chunk_bytes, int delay_us);
 

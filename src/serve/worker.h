@@ -49,7 +49,7 @@ struct WorkerEnv {
   /// SIGSTOP self-wedge: the matching replica raises SIGSTOP mid-request,
   /// before computing or responding. No SIGCHLD fires (SA_NOCLDSTOP), no
   /// EOF — the process just stops making progress while staying "alive";
-  /// only the hedge/watchdog path can recover the batch.
+  /// only the router's watchdog can recover the batch.
   int wedge_replica = -1;
   std::string wedge_table;
 
@@ -63,8 +63,8 @@ struct WorkerEnv {
   /// Slow-drip partial writes: the matching replica sends its (valid)
   /// response in drip_chunk_bytes pieces with drip_delay_us pauses — a
   /// saturated NIC / tiny-window peer. The router's frame reassembly must
-  /// absorb it; a drip slow enough to cross the straggler threshold is
-  /// hedged.
+  /// absorb it; a drip slow enough to cross the watchdog budget is
+  /// condemned and re-dispatched like a wedge.
   int drip_replica = -1;
   std::string drip_table;
   int drip_chunk_bytes = 3;

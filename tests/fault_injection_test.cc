@@ -521,8 +521,8 @@ TEST(PipelineFaultTest, GhostTableYieldsPartialBatchNotTotalFailure) {
   }
   EXPECT_EQ(batch.tables.back().status.code(), StatusCode::kNotFound);
   EXPECT_EQ(exec.resilience_stats().failed_tables, 1);
-  // The legacy API keeps the all-or-nothing contract.
-  EXPECT_FALSE(exec.Run(names).ok());
+  // A second run of the same batch fails the same table again.
+  EXPECT_FALSE(exec.RunBatch(names).all_ok());
 }
 
 TEST(PipelineFaultTest, AcceptanceTwentyTablesTenPercentFaultsOneHardFailure) {
@@ -706,8 +706,8 @@ TEST(PipelineFaultTest, ZeroFaultRateIsByteIdenticalToLegacyPath) {
   Env e = Env::Make(8);
   core::TasteDetector plain(e.model.get(), e.tokenizer.get(), {});
   pipeline::PipelineExecutor legacy(&plain, e.db.get(), {.pipelined = true});
-  auto a = legacy.Run(e.table_names);
-  ASSERT_TRUE(a.ok());
+  pipeline::BatchResult a = legacy.RunBatch(e.table_names);
+  ASSERT_TRUE(a.all_ok());
 
   // Same database, now with an installed-but-all-zero injector and a
   // different attempt budget.
@@ -722,9 +722,9 @@ TEST(PipelineFaultTest, ZeroFaultRateIsByteIdenticalToLegacyPath) {
   EXPECT_EQ(rz.retries, 0);
   EXPECT_EQ(rz.degraded_columns, 0);
   EXPECT_EQ(rz.breaker_trips, 0);
-  ASSERT_EQ(batch.tables.size(), a->size());
-  for (size_t i = 0; i < a->size(); ++i) {
-    const auto& lhs = (*a)[i];
+  ASSERT_EQ(batch.tables.size(), a.tables.size());
+  for (size_t i = 0; i < a.tables.size(); ++i) {
+    const auto& lhs = a.tables[i].result;
     const auto& rhs = batch.tables[i].result;
     ASSERT_EQ(lhs.columns.size(), rhs.columns.size());
     EXPECT_EQ(lhs.columns_scanned, rhs.columns_scanned);

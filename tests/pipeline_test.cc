@@ -52,9 +52,9 @@ TEST(PipelineTest, SequentialProcessesAllTables) {
   Env e = Env::Make(8, 0.0);
   core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   PipelineExecutor exec(&det, e.db.get(), {.pipelined = false});
-  auto res = exec.Run(e.table_names);
-  ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->size(), e.table_names.size());
+  BatchResult res = exec.RunBatch(e.table_names);
+  ASSERT_TRUE(res.all_ok());
+  EXPECT_EQ(res.tables.size(), e.table_names.size());
   EXPECT_EQ(exec.stats().tables_processed, 8);
 }
 
@@ -62,13 +62,13 @@ TEST(PipelineTest, PipelinedProcessesAllTables) {
   Env e = Env::Make(8, 0.0);
   core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   PipelineExecutor exec(&det, e.db.get(), {.pipelined = true});
-  auto res = exec.Run(e.table_names);
-  ASSERT_TRUE(res.ok());
-  ASSERT_EQ(res->size(), e.table_names.size());
+  BatchResult res = exec.RunBatch(e.table_names);
+  ASSERT_TRUE(res.all_ok());
+  ASSERT_EQ(res.tables.size(), e.table_names.size());
   // Results returned in input order with complete per-column output.
-  for (size_t i = 0; i < res->size(); ++i) {
-    EXPECT_EQ((*res)[i].table_name, e.table_names[i]);
-    EXPECT_EQ((*res)[i].columns.size(),
+  for (size_t i = 0; i < res.tables.size(); ++i) {
+    EXPECT_EQ(res.tables[i].result.table_name, e.table_names[i]);
+    EXPECT_EQ(res.tables[i].result.columns.size(),
               e.dataset.tables[i].columns.size());
   }
 }
@@ -77,19 +77,20 @@ TEST(PipelineTest, PipelinedMatchesSequentialPredictions) {
   Env e = Env::Make(10, 0.0);
   core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   PipelineExecutor seq(&det, e.db.get(), {.pipelined = false});
-  auto a = seq.Run(e.table_names);
+  BatchResult a = seq.RunBatch(e.table_names);
   PipelineExecutor pip(&det, e.db.get(), {.pipelined = true});
-  auto b = pip.Run(e.table_names);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a->size(), b->size());
-  for (size_t i = 0; i < a->size(); ++i) {
-    ASSERT_EQ((*a)[i].columns.size(), (*b)[i].columns.size());
-    for (size_t c = 0; c < (*a)[i].columns.size(); ++c) {
-      EXPECT_EQ((*a)[i].columns[c].admitted_types,
-                (*b)[i].columns[c].admitted_types)
+  BatchResult b = pip.RunBatch(e.table_names);
+  ASSERT_TRUE(a.all_ok() && b.all_ok());
+  ASSERT_EQ(a.tables.size(), b.tables.size());
+  for (size_t i = 0; i < a.tables.size(); ++i) {
+    const auto& ra = a.tables[i].result;
+    const auto& rb = b.tables[i].result;
+    ASSERT_EQ(ra.columns.size(), rb.columns.size());
+    for (size_t c = 0; c < ra.columns.size(); ++c) {
+      EXPECT_EQ(ra.columns[c].admitted_types, rb.columns[c].admitted_types)
           << e.table_names[i] << " col " << c;
     }
-    EXPECT_EQ((*a)[i].columns_scanned, (*b)[i].columns_scanned);
+    EXPECT_EQ(ra.columns_scanned, rb.columns_scanned);
   }
 }
 
@@ -100,8 +101,8 @@ void ExpectExecutorMatchesDirect(
     const Env& e, const core::TasteDetector& det, const PipelineOptions& popt,
     const std::optional<tensor::ExecContext::Options>& direct_options) {
   PipelineExecutor exec(&det, e.db.get(), popt);
-  auto got = exec.Run(e.table_names);
-  ASSERT_TRUE(got.ok());
+  BatchResult got = exec.RunBatch(e.table_names);
+  ASSERT_TRUE(got.all_ok());
   auto conn = e.db->Connect();
   for (size_t i = 0; i < e.table_names.size(); ++i) {
     std::optional<tensor::ExecContext> ctx;
@@ -109,10 +110,10 @@ void ExpectExecutorMatchesDirect(
     auto want = det.DetectTable(conn.get(), e.table_names[i],
                                 ctx ? &*ctx : nullptr);
     ASSERT_TRUE(want.ok());
-    ASSERT_EQ(want->columns.size(), (*got)[i].columns.size());
+    ASSERT_EQ(want->columns.size(), got.tables[i].result.columns.size());
     for (size_t c = 0; c < want->columns.size(); ++c) {
       const auto& w = want->columns[c];
-      const auto& g = (*got)[i].columns[c];
+      const auto& g = got.tables[i].result.columns[c];
       EXPECT_EQ(w.admitted_types, g.admitted_types);
       ASSERT_EQ(w.probabilities.size(), g.probabilities.size());
       for (size_t p = 0; p < w.probabilities.size(); ++p) {
@@ -183,17 +184,16 @@ TEST(PipelineTest, UnknownTableSurfacesError) {
   PipelineExecutor exec(&det, e.db.get(), {.pipelined = true});
   auto names = e.table_names;
   names.push_back("ghost_table");
-  auto res = exec.Run(names);
-  EXPECT_FALSE(res.ok());
+  EXPECT_FALSE(exec.RunBatch(names).all_ok());
 }
 
 TEST(PipelineTest, EmptyBatchIsFine) {
   Env e = Env::Make(2, 0.0);
   core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   PipelineExecutor exec(&det, e.db.get(), {.pipelined = true});
-  auto res = exec.Run({});
-  ASSERT_TRUE(res.ok());
-  EXPECT_TRUE(res->empty());
+  BatchResult res = exec.RunBatch({});
+  ASSERT_TRUE(res.all_ok());
+  EXPECT_TRUE(res.tables.empty());
 }
 
 TEST(PipelineTest, StatsCountP2Tables) {
@@ -201,13 +201,13 @@ TEST(PipelineTest, StatsCountP2Tables) {
   // Untrained model -> every table goes to P2.
   core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   PipelineExecutor exec(&det, e.db.get(), {.pipelined = true});
-  ASSERT_TRUE(exec.Run(e.table_names).ok());
+  ASSERT_TRUE(exec.RunBatch(e.table_names).all_ok());
   EXPECT_EQ(exec.stats().tables_entered_p2, 6);
   // Privacy mode -> none.
   core::TasteDetector no_p2(e.model.get(), e.tokenizer.get(),
                             {.enable_p2 = false});
   PipelineExecutor exec2(&no_p2, e.db.get(), {.pipelined = true});
-  ASSERT_TRUE(exec2.Run(e.table_names).ok());
+  ASSERT_TRUE(exec2.RunBatch(e.table_names).all_ok());
   EXPECT_EQ(exec2.stats().tables_entered_p2, 0);
 }
 
@@ -218,11 +218,11 @@ TEST(PipelineTest, PipeliningReducesWallClockWithRealLatency) {
   Env e = Env::Make(10, 0.3);  // latency realized at 30% scale
   core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   PipelineExecutor seq(&det, e.db.get(), {.pipelined = false});
-  ASSERT_TRUE(seq.Run(e.table_names).ok());
+  ASSERT_TRUE(seq.RunBatch(e.table_names).all_ok());
   double seq_ms = seq.stats().wall_ms;
   PipelineExecutor pip(&det, e.db.get(),
                        {.prep_threads = 2, .infer_threads = 2});
-  ASSERT_TRUE(pip.Run(e.table_names).ok());
+  ASSERT_TRUE(pip.RunBatch(e.table_names).all_ok());
   double pip_ms = pip.stats().wall_ms;
   EXPECT_LT(pip_ms, seq_ms * 0.95)
       << "sequential " << seq_ms << "ms, pipelined " << pip_ms << "ms";
@@ -233,11 +233,11 @@ TEST(PipelineTest, LedgerCountsIndependentOfExecutionMode) {
   core::TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   PipelineExecutor seq(&det, e.db.get(), {.pipelined = false});
   e.db->ledger().Reset();
-  ASSERT_TRUE(seq.Run(e.table_names).ok());
+  ASSERT_TRUE(seq.RunBatch(e.table_names).all_ok());
   auto seq_snap = e.db->ledger().snapshot();
   PipelineExecutor pip(&det, e.db.get(), {.pipelined = true});
   e.db->ledger().Reset();
-  ASSERT_TRUE(pip.Run(e.table_names).ok());
+  ASSERT_TRUE(pip.RunBatch(e.table_names).all_ok());
   auto pip_snap = e.db->ledger().snapshot();
   EXPECT_EQ(seq_snap.scanned_columns, pip_snap.scanned_columns);
   EXPECT_EQ(seq_snap.metadata_columns, pip_snap.metadata_columns);
@@ -257,7 +257,7 @@ TEST(PipelineTest, ExportsAttentionOpBucket) {
         before, obs::LabeledName("taste_op_calls_total", "op", op));
   };
   const obs::MetricsSnapshot before = obs::MetricsSnapshot::Capture();
-  ASSERT_TRUE(exec.Run(e.table_names).ok());
+  ASSERT_TRUE(exec.RunBatch(e.table_names).all_ok());
   const obs::MetricsSnapshot after = obs::MetricsSnapshot::Capture();
   EXPECT_GT(op_calls(after, before, "attention"), 0);
   EXPECT_GT(op_calls(after, before, "gemm"), 0);

@@ -26,7 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cost_model.h"
 #include "core/taste_detector.h"
 #include "data/table_generator.h"
 #include "model/adtd.h"
@@ -432,6 +431,8 @@ TEST(RouterTest, ScatterGatherMatchesSingleProcessByteForByte) {
   pipeline::BatchResult got = router.RunBatch(env.table_names);
   ExpectBatchesIdentical(got, OracleRun(env, env.table_names));
   EXPECT_EQ(router.stats().replica_deaths, 0);
+  // Default options: the watchdog budget never condemns a healthy leg.
+  EXPECT_EQ(router.supervisor().watchdog_kills(), 0);
   EXPECT_EQ(router.stats().local_fallback_tables, 0);
   EXPECT_EQ(router.stats().dispatched_tables,
             static_cast<int64_t>(env.table_names.size()));
@@ -704,28 +705,7 @@ TEST(CacheEntryShapeTest, MisshapenEntriesAreRecomputedNotTrusted) {
 // ---------------------------------------------------------------------------
 // Gray failures: wedge (SIGSTOP), corruption, slow drip
 
-TEST(P2CostModelTest, CalibrateRecoversLinearFit) {
-  // The router's straggler verdict rests on this fit of observed legs.
-  core::P2CostModel cm;
-  // ms = 0.5 + 0.02 * tokens, exactly.
-  std::vector<std::pair<int64_t, double>> samples;
-  for (int64_t t : {10, 50, 100, 400, 1000}) {
-    samples.emplace_back(t, 0.5 + 0.02 * static_cast<double>(t));
-  }
-  ASSERT_TRUE(cm.Calibrate(samples));
-  EXPECT_NEAR(cm.params().overhead_ms, 0.5, 1e-9);
-  EXPECT_NEAR(cm.params().ms_per_token, 0.02, 1e-12);
-  EXPECT_NEAR(cm.EstimateBatchMs(200), 4.5, 1e-9);
-  // Degenerate inputs keep the previous parameters.
-  core::P2CostModel untouched;
-  const double before = untouched.params().ms_per_token;
-  EXPECT_FALSE(untouched.Calibrate({}));
-  EXPECT_FALSE(untouched.Calibrate({{100, 1.0}}));
-  EXPECT_FALSE(untouched.Calibrate({{100, 1.0}, {100, 2.0}}));  // det == 0
-  EXPECT_EQ(untouched.params().ms_per_token, before);
-}
-
-TEST(RouterTest, SigstoppedReplicaIsHedgedByteIdentical) {
+TEST(RouterTest, WatchdogRecoversWedgedReplicaByteIdentical) {
   const ServeEnv& env = ServeEnv::Get();
   auto db = env.MakeDb();
   serve::WorkerEnv wenv;
@@ -734,41 +714,11 @@ TEST(RouterTest, SigstoppedReplicaIsHedgedByteIdentical) {
   wenv.pipeline_options = WorkerPipelineOptions();
   serve::RouterOptions ropt;
   ropt.supervisor.replicas = 3;
-  ropt.hedge_multiplier = 1.0;     // hedge promptly; this test waits on it
-  ropt.hedge_floor_ms = 40.0;
-  ropt.hedge_budget_fraction = 1.0;
+  ropt.watchdog_ms_per_table = 40.0;  // condemn the wedge promptly
 
   // Wedge the ring owner of a table mid-request: SIGSTOP means no SIGCHLD
   // (SA_NOCLDSTOP), no EOF, a process that is alive but makes no progress.
-  // Without hedging this leg would stall its hash range to the deadline.
-  serve::ConsistentHashRing ring(ropt.supervisor.replicas, serve::kRingVnodes);
-  const std::string victim_table = env.table_names[2];
-  wenv.wedge_replica = ring.NodeFor(victim_table, [](int) { return true; });
-  wenv.wedge_table = victim_table;
-
-  serve::Router router(wenv, ropt);
-  ASSERT_TRUE(router.Start().ok());
-  pipeline::BatchResult got = router.RunBatch(env.table_names);
-
-  // The hedge raced the wedge and won; results are indistinguishable from
-  // a healthy single-process run.
-  ExpectBatchesIdentical(got, OracleRun(env, env.table_names));
-  EXPECT_GE(router.stats().hedged_tables, 1);
-  router.Shutdown();
-}
-
-TEST(RouterTest, WatchdogRecoversWedgedReplicaWithoutHedging) {
-  const ServeEnv& env = ServeEnv::Get();
-  auto db = env.MakeDb();
-  serve::WorkerEnv wenv;
-  wenv.detector = env.detector.get();
-  wenv.db = db.get();
-  wenv.pipeline_options = WorkerPipelineOptions();
-  serve::RouterOptions ropt;
-  ropt.supervisor.replicas = 3;
-  ropt.hedge_multiplier = 0.0;  // isolate the watchdog path
-  ropt.watchdog_ms = 80.0;
-
+  // Only the watchdog can recover the leg.
   serve::ConsistentHashRing ring(ropt.supervisor.replicas, serve::kRingVnodes);
   const std::string victim_table = env.table_names[0];
   wenv.wedge_replica = ring.NodeFor(victim_table, [](int) { return true; });
@@ -831,7 +781,6 @@ TEST(RouterTest, SlowDripResponseReassemblesByteIdentical) {
   wenv.pipeline_options = WorkerPipelineOptions();
   serve::RouterOptions ropt;
   ropt.supervisor.replicas = 2;
-  ropt.hedge_multiplier = 0.0;  // the drip alone must be harmless
 
   serve::ConsistentHashRing ring(ropt.supervisor.replicas, serve::kRingVnodes);
   const std::string victim_table = env.table_names[3];
@@ -845,9 +794,11 @@ TEST(RouterTest, SlowDripResponseReassemblesByteIdentical) {
   pipeline::BatchResult got = router.RunBatch(env.table_names);
 
   // Partial writes split frames at arbitrary byte boundaries; the frame
-  // buffer reassembles them with the CRC intact — no fault, no failover.
+  // buffer reassembles them with the CRC intact — no fault, no failover,
+  // and the default watchdog budget never condemns a slow but live leg.
   ExpectBatchesIdentical(got, OracleRun(env, env.table_names));
   EXPECT_EQ(router.stats().replica_deaths, 0);
+  EXPECT_EQ(router.supervisor().watchdog_kills(), 0);
   router.Shutdown();
 }
 

@@ -637,8 +637,8 @@ int RunReplicaKill(const Env& env, int seeds, uint64_t start_seed,
 //
 //   wedge    the ring owner of a chosen table raises SIGSTOP mid-request:
 //            no EOF, no SIGCHLD (SA_NOCLDSTOP), heartbeats merely queue.
-//            Recovery is hedged re-dispatch to the ring successor and/or
-//            the wedged-replica watchdog (SIGTERM -> SIGKILL -> respawn);
+//            Recovery is the wedged-replica watchdog (SIGTERM -> SIGKILL
+//            -> respawn, the leg re-dispatched);
 //   corrupt  the owner computes the right answer but flips one payload bit
 //            after the CRC: the router must REJECT the frame (kBadCrc),
 //            never surface it, kill the now-unsynchronized stream, and
@@ -648,9 +648,8 @@ int RunReplicaKill(const Env& env, int seeds, uint64_t start_seed,
 //            byte-identical — slowness alone is not corruption.
 //
 // Per seed the harness derives the scenario (tables, replica count, fault
-// kind + target, hedge-vs-watchdog recovery flavor), computes the
-// single-process oracle digest, runs the batch through the router under
-// injection, and asserts:
+// kind + target), computes the single-process oracle digest, runs the
+// batch through the router under injection, and asserts:
 //
 //   * byte-identity — the merged batch digest equals the oracle exactly;
 //   * balanced terminal accounting — every admitted table resolves exactly
@@ -659,9 +658,8 @@ int RunReplicaKill(const Env& env, int seeds, uint64_t start_seed,
 //   * corruption is never surfaced — corrupt seeds must move
 //     taste_frames_corrupt_total and kill + re-dispatch the poisoned
 //     stream; drip seeds must NOT move it;
-//   * wedges actually recover — a wedge seed observes a hedge or a
-//     watchdog kill (per flavor), and the fleet returns to full strength;
-//   * hedge duplicate-work is bounded — wasted <= hedged always.
+//   * wedges actually recover — every wedge seed observes a watchdog kill,
+//     and the fleet returns to full strength.
 
 enum class GrayKind { kWedge, kCorrupt, kDrip };
 
@@ -672,7 +670,6 @@ struct GrayScenario {
   int replicas = 2;
   GrayKind kind = GrayKind::kWedge;
   std::string target_table;
-  bool hedge_flavor = true;  // wedge recovery: hedging (true) or watchdog-only
   int drip_chunk_bytes = 32;
   int drip_delay_us = 100;
 };
@@ -700,7 +697,6 @@ GrayScenario MakeGrayScenario(uint64_t seed, const Env& env) {
                     : (u < 0.7 ? GrayKind::kCorrupt : GrayKind::kDrip);
   sc.target_table = sc.tables[static_cast<size_t>(
       rng.Range(0, static_cast<int>(sc.tables.size()) - 1))];
-  sc.hedge_flavor = rng.Unit() < 0.5;
   sc.drip_chunk_bytes = rng.Range(16, 96);
   sc.drip_delay_us = rng.Range(20, 150);
   return sc;
@@ -747,19 +743,9 @@ int RunGrayStorm(const Env& env, int seeds, uint64_t start_seed,
 
     serve::RouterOptions ropt;
     ropt.supervisor.replicas = sc.replicas;
-    if (sc.hedge_flavor) {
-      // Hedge recovery: aggressive straggler threshold so the wedge/drip
-      // crosses it quickly; budget covers the whole batch. The watchdog
-      // derives 4x the leg threshold and eventually condemns the wedge.
-      ropt.hedge_multiplier = 1.0;
-      ropt.hedge_floor_ms = 40.0;
-      ropt.hedge_budget_fraction = 1.0;
-    } else {
-      // Watchdog-only recovery: no hedging; a wedged leg is condemned and
-      // re-dispatched after the explicit overdue threshold.
-      ropt.hedge_multiplier = 0.0;
-      ropt.watchdog_ms = 80.0;
-    }
+    // A tight watchdog budget (the default is 500 ms per table) so a
+    // wedged leg is condemned and re-dispatched within a few hundred ms.
+    ropt.watchdog_ms_per_table = 40.0;
 
     // Aim the fault at the ring owner of the target table, so the faulty
     // replica is exactly the one the router will pick first.
@@ -819,23 +805,11 @@ int RunGrayStorm(const Env& env, int seeds, uint64_t start_seed,
       }
     }
 
-    // -- Hedge duplicate-work bound (any kind: hedges may fire on drips).
-    if (st.hedge_wasted_tables > st.hedged_tables) {
-      violate("hedge accounting: wasted " +
-              std::to_string(st.hedge_wasted_tables) + " > hedged " +
-              std::to_string(st.hedged_tables));
-    }
-
     // -- Kind-specific recovery evidence.
     switch (sc.kind) {
       case GrayKind::kWedge:
-        if (sc.hedge_flavor && st.hedged_tables < 1 &&
-            router.supervisor().watchdog_kills() < 1) {
-          violate("wedge produced neither a hedge nor a watchdog kill");
-        }
-        if (!sc.hedge_flavor &&
-            router.supervisor().watchdog_kills() < 1) {
-          violate("wedge with watchdog-only recovery saw no watchdog kill");
+        if (router.supervisor().watchdog_kills() < 1) {
+          violate("wedge saw no watchdog kill");
         }
         break;
       case GrayKind::kCorrupt:
@@ -873,15 +847,12 @@ int RunGrayStorm(const Env& env, int seeds, uint64_t start_seed,
                                                               : "drip";
       std::fprintf(
           stderr,
-          "seed %llu ok (%s/%s, %zu tables, %d replicas, hedged=%lld "
-          "wasted=%lld deaths=%lld watchdog=%lld corrupt=%lld)\n",
-          static_cast<unsigned long long>(seed), kind_name,
-          sc.hedge_flavor ? "hedge" : "watchdog", sc.tables.size(),
-          sc.replicas, static_cast<long long>(st.hedged_tables),
-          static_cast<long long>(st.hedge_wasted_tables),
-          static_cast<long long>(st.replica_deaths),
+          "seed %llu ok (%s, %zu tables, %d replicas, deaths=%lld "
+          "watchdog=%lld corrupt=%lld, %.1f ms)\n",
+          static_cast<unsigned long long>(seed), kind_name, sc.tables.size(),
+          sc.replicas, static_cast<long long>(st.replica_deaths),
           static_cast<long long>(router.supervisor().watchdog_kills()),
-          static_cast<long long>(corrupt_delta));
+          static_cast<long long>(corrupt_delta), st.wall_ms);
     }
   }
   if (failures > 0) {

@@ -24,19 +24,18 @@
 //                            the batch through the multi-process serving
 //                            tier (crash failover + respawn; DESIGN.md §10);
 //                            output is byte-identical to single-process
-//     --hedge-multiplier X   straggler hedging (DESIGN.md §13): a leg older
-//                            than X times the cost model's p99 estimate is
-//                            speculatively re-sent to the ring successor
-//                            (first valid response wins). 0 disables
-//                            hedging. Only meaningful with --replicas
-//     --watchdog-ms X        condemn a replica whose in-flight leg is older
-//                            than X ms while its process is still alive
-//                            (SIGTERM -> SIGKILL -> respawn). 0 = derive
-//                            from the hedge threshold
+//     --watchdog-ms-per-table X
+//                            wedged-replica watchdog (DESIGN.md §13): a
+//                            leg of n tables still unanswered after n*X ms
+//                            condemns its replica (SIGTERM -> SIGKILL ->
+//                            respawn) and re-dispatches the leg. Must be
+//                            > 0 (default 500). Only meaningful with
+//                            --replicas
 //     --p2-dtype fp32|int8   numeric mode of the P2 content tower
 //                            (DESIGN.md §12). int8 runs the encoder and
 //                            content-classifier Linears through prepacked
-//                            int8 SIMD kernels (~3x faster on AVX2);
+//                            int8 SIMD kernels (2.1-2.2x on the P2
+//                            forward, ~1% of end-to-end serving CPU);
 //                            deterministic bytes per dtype, F1 delta vs
 //                            fp32 bounded by the CI accuracy gate
 //
@@ -78,8 +77,7 @@ struct CliOptions {
   double deadline_ms = 0.0;
   int max_inflight = 0;
   int replicas = 0;
-  double hedge_multiplier = 4.0;       // RouterOptions default
-  double watchdog_ms = 0.0;            // 0 = derive from hedge threshold
+  double watchdog_ms_per_table = serve::RouterOptions{}.watchdog_ms_per_table;
   tensor::P2Dtype p2_dtype = tensor::P2Dtype::kFp32;
 };
 
@@ -141,20 +139,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
         std::fprintf(stderr, "--replicas must be in [1, 64]\n");
         return false;
       }
-    } else if (arg == "--hedge-multiplier") {
-      const char* v = need_value("--hedge-multiplier");
+    } else if (arg == "--watchdog-ms-per-table") {
+      const char* v = need_value("--watchdog-ms-per-table");
       if (v == nullptr) return false;
-      out->hedge_multiplier = std::atof(v);
-      if (out->hedge_multiplier < 0) {
-        std::fprintf(stderr, "--hedge-multiplier must be >= 0\n");
-        return false;
-      }
-    } else if (arg == "--watchdog-ms") {
-      const char* v = need_value("--watchdog-ms");
-      if (v == nullptr) return false;
-      out->watchdog_ms = std::atof(v);
-      if (out->watchdog_ms < 0) {
-        std::fprintf(stderr, "--watchdog-ms must be >= 0\n");
+      out->watchdog_ms_per_table = std::atof(v);
+      if (!(out->watchdog_ms_per_table > 0)) {
+        std::fprintf(stderr, "--watchdog-ms-per-table must be > 0\n");
         return false;
       }
     } else if (arg == "--p2-dtype") {
@@ -192,8 +182,8 @@ void PrintUsage() {
       "taste_cli [--profile wiki|git] [--table NAME] [--alpha X] [--beta Y]\n"
       "          [--no-p2] [--sample] [--json] [--list]\n"
       "          [--metrics-out FILE] [--deadline-ms X] [--max-inflight N]\n"
-      "          [--replicas N] [--hedge-multiplier X]\n"
-      "          [--watchdog-ms X] [--p2-dtype fp32|int8]\n");
+      "          [--replicas N] [--watchdog-ms-per-table X]\n"
+      "          [--p2-dtype fp32|int8]\n");
 }
 
 void PrintText(const core::TableDetectionResult& r,
@@ -302,8 +292,7 @@ int main(int argc, char** argv) {
     env.pipeline_options = popt;
     serve::RouterOptions ropt;
     ropt.supervisor.replicas = cli.replicas;
-    ropt.hedge_multiplier = cli.hedge_multiplier;
-    ropt.watchdog_ms = cli.watchdog_ms;
+    ropt.watchdog_ms_per_table = cli.watchdog_ms_per_table;
     router = std::make_unique<serve::Router>(env, ropt);
     if (Status st = router->Start(); !st.ok()) {
       std::fprintf(stderr, "replica startup failed: %s\n",
